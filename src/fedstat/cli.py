@@ -43,7 +43,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cv.add_argument("--steps", type=int, default=1000)
     cv.add_argument("--reps", type=int, default=50000)
     cv.add_argument("--seed", type=int, default=0)
-    cv.add_argument("--smooth", action="store_true", help="Gaussian-kernel smoothed quantiles")
     cv.add_argument("--out", default=None, help="output CSV file (default: stdout)")
     return parser
 
@@ -80,8 +79,7 @@ def _cmd_critvals(args: argparse.Namespace) -> int:
     betas = [float(b) for b in args.betas.split(",") if b.strip()]
     levels = [float(p) for p in args.levels.split(",") if p.strip()]
     table = critvals.simulate_table(
-        betas, levels, steps=args.steps, replications=args.reps,
-        seed=args.seed, smooth=args.smooth,
+        betas, levels, steps=args.steps, replications=args.reps, seed=args.seed
     )
     if args.out is not None:
         with open(args.out, "w") as stream:

@@ -10,10 +10,7 @@ normalized partial sums of N(0,1) increments, the integral by a left-endpoint
 rectangle rule on the same grid (value 0 at r = 0), and quantiles are read off
 the empirical distribution.  Paths come in antithetic pairs (B, -B); since
 t*(-B) = -t*(B) exactly, the realization sample is symmetric by construction,
-which pins the median at zero and sharpens the extreme quantiles.  An optional
-mode smooths the realizations with a Gaussian kernel (Scott's-rule bandwidth
-sigma_hat * n**(-1/5)) before reading quantiles, which shifts extreme
-quantiles slightly.
+which pins the median at zero and sharpens the extreme quantiles.
 
 A pre-generated table ships with the package; inference never simulates at
 runtime.  Regenerate with ``fedstat critvals``.
@@ -93,35 +90,12 @@ def simulate_statistics(
     return out[:, :replications]
 
 
-def _kde_quantile(samples: np.ndarray, level: float) -> float:
-    """Quantile of the Gaussian-kernel-smoothed empirical distribution."""
-    n = samples.size
-    h = samples.std() * n ** (-1.0 / 5.0)
-    sorted_samples = np.sort(samples)
-
-    def cdf(t: float) -> float:
-        from scipy.special import ndtr
-
-        return float(ndtr((t - sorted_samples) / h).mean())
-
-    lo = sorted_samples[0] - 10 * h
-    hi = sorted_samples[-1] + 10 * h
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if cdf(mid) < level:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def simulate_table(
     betas,
     levels,
     steps: int = 1000,
     replications: int = 50000,
     seed: int = 0,
-    smooth: bool = False,
 ) -> CriticalValueTable:
     """Monte Carlo quantile table for the given betas and probability levels."""
     betas = tuple(float(b) for b in betas)
@@ -133,10 +107,7 @@ def simulate_table(
     if any(not 0.0 < p < 1.0 for p in levels):
         raise ValueError("levels must lie strictly inside (0, 1)")
     stats = simulate_statistics(betas, steps, replications, seed)
-    if smooth:
-        values = np.array([[_kde_quantile(row, p) for p in levels] for row in stats])
-    else:
-        values = np.quantile(stats, levels, axis=1).T
+    values = np.quantile(stats, levels, axis=1).T
     return CriticalValueTable(
         betas=betas, levels=levels, values=values, steps=steps, replications=replications
     )

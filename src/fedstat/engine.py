@@ -13,6 +13,16 @@ attaching observers never changes the optimization path.  Samples are drawn
 from each stream in chunks of `_BUFFER_CHUNK` for speed; within a stream they
 are always consumed sequentially, one row per local iteration (or per sync for
 the inference stream).
+
+Observers are notified in blocks of `BLOCK_ROUNDS` rounds: the engine runs a
+block's rounds, takes the block's inference rows with one buffer call,
+evaluates its gradient and Hessian draws with one stacked kernel call, and
+then notifies every observer once per round, in round order.  An observer is
+therefore at most one block behind the path, and it has seen every completed
+round before ``run`` returns or raises.  `BLOCK_ROUNDS` divides
+`_BUFFER_CHUNK`, so a block take never straddles a refill: the inference
+buffer refills at the same stream positions as one take per round would, and
+every kind's inference draws are those of a per-round evaluation, bit for bit.
 """
 
 from __future__ import annotations
@@ -27,6 +37,7 @@ from . import models, schedules
 __all__ = [
     "SyncPath",
     "SyncObserver",
+    "BLOCK_ROUNDS",
     "DivergenceError",
     "client_generators",
     "run",
@@ -35,6 +46,8 @@ __all__ = [
 ]
 
 _BUFFER_CHUNK = 2048
+BLOCK_ROUNDS = 256
+assert _BUFFER_CHUNK % BLOCK_ROUNDS == 0
 
 
 class DivergenceError(RuntimeError):
@@ -66,7 +79,14 @@ class SyncPath:
 
 @runtime_checkable
 class SyncObserver(Protocol):
-    """Sink notified after every synchronization, in round order."""
+    """Sink notified once per synchronization, in round order.
+
+    Notifications arrive in blocks of `BLOCK_ROUNDS` rounds, so an observer is
+    at most one block behind the path; every completed round has been pushed
+    before ``run`` returns or raises `DivergenceError`.  ``x_bar`` is a
+    read-only view of the path and the draws are views of per-block arrays;
+    an observer that keeps them must copy them.
+    """
 
     needs_inference_draws: bool
 
@@ -155,9 +175,9 @@ def run(
 ) -> SyncPath:
     """Run ``total_rounds`` communication rounds from ``x0``; returns the path.
 
-    Deterministic given (federation, schedule, total_rounds, x0, seed).  After
-    every synchronization the average is appended to the path and pushed to
-    each observer, so inference runs strictly online.
+    Deterministic given (federation, schedule, total_rounds, x0, seed).  Every
+    synchronized average is appended to the path and pushed to each observer,
+    at most `BLOCK_ROUNDS` rounds later, so inference runs online.
     """
     if total_rounds < 1:
         raise ValueError("total_rounds must be >= 1")
@@ -182,7 +202,6 @@ def run(
         centers = np.stack([c.local_optimum for c in clients])
         curvatures = np.array([c.curvature for c in clients])
         opt_samples = inf_samples = None
-        inf_hessian = float(weights @ curvatures) * np.eye(d)
     else:
         opt_samples = SampleBuffer(clients, opt_rngs)
         inf_samples = SampleBuffer(clients, inf_rngs) if need_draws else None
@@ -192,6 +211,32 @@ def run(
     comm_times = np.empty(total_rounds, dtype=np.int64)
     bound_sq = divergence_bound**2
     iteration = 0
+
+    def notify(first: int, stop: int) -> None:
+        """Push rounds first+1..stop to every observer, in round order."""
+        if not observers or stop == first:
+            return
+        xs = points[first:stop]
+        xs.flags.writeable = False
+        if not need_draws:
+            grads = hessians = (None,) * (stop - first)
+        elif quadratic:
+            grads, hessians = models.quadratic_draws(weights, centers, curvatures, xs)
+        else:
+            A, B = inf_samples.take(stop - first)
+            kernel = models.logistic_draws if logistic else models.linear_draws
+            grads, hessians = kernel(weights, A, B, xs)
+        rounds = zip(
+            range(first + 1, stop + 1),
+            comm_times[first:stop].tolist(),
+            xs,
+            e_all[first:stop].tolist(),
+            grads,
+            hessians,
+        )
+        for m, t, x_bar, interval, grad_draw, hess_draw in rounds:
+            for obs in observers:
+                obs.observe_sync(m, t, x_bar, interval, grad_draw, hess_draw)
 
     for m in range(1, total_rounds + 1):
         interval = int(e_all[m - 1])
@@ -215,6 +260,7 @@ def run(
         x_bar = weights @ X
         norm_sq = float(x_bar @ x_bar)
         if not norm_sq <= bound_sq:
+            notify(m - 1 - (m - 1) % BLOCK_ROUNDS, m - 1)
             raise DivergenceError(
                 f"synchronized iterate exceeded bound {divergence_bound:g} at round {m}"
             )
@@ -222,27 +268,10 @@ def run(
         iteration += interval
         points[m - 1] = x_bar
         comm_times[m - 1] = iteration
+        if m % BLOCK_ROUNDS == 0:
+            notify(m - BLOCK_ROUNDS, m)
 
-        grad_draw = hess_draw = None
-        if need_draws:
-            if quadratic:
-                gaps = np.broadcast_to(x_bar, centers.shape) - centers
-                grad_draw = weights @ (curvatures[:, None] * gaps)
-                hess_draw = inf_hessian
-            else:
-                A1, B1 = inf_samples.take(1)
-                a = A1[:, 0, :]
-                if logistic:
-                    p = models.sigmoid(a @ x_bar)
-                    grad_draw = weights @ (a * (p - B1[:, 0])[:, None])
-                    hess_draw = np.einsum("k,ki,kj->ij", weights * p * (1.0 - p), a, a)
-                else:
-                    resid = a @ x_bar - B1[:, 0]
-                    grad_draw = weights @ (a * resid[:, None])
-                    hess_draw = np.einsum("k,ki,kj->ij", weights, a, a)
-        for obs in observers:
-            obs.observe_sync(m, iteration, x_bar, interval, grad_draw, hess_draw)
-
+    notify(total_rounds - total_rounds % BLOCK_ROUNDS, total_rounds)
     return SyncPath(points=points, comm_times=comm_times, total_iterations=iteration)
 
 

@@ -97,7 +97,7 @@ class MethodSummary:
     coverage_se: float
     mean_length: float
     length_sd: float
-    failures: int
+    failures: int         # singular Hessian estimate or diverged run
 
 
 @dataclass(frozen=True)
@@ -109,7 +109,7 @@ class ExperimentReport:
     nu_hat: float
     beta: float | None
     methods: tuple[MethodSummary, ...]
-    mean_error: float    # average of ||y_bar - x*|| over replications
+    mean_error: float    # average of ||y_bar - x*|| over replications that did not diverge
     wall_clock: float
 
 
@@ -302,7 +302,7 @@ class _MethodOutcome:
 @dataclass(frozen=True)
 class _RepResult:
     outcomes: tuple[_MethodOutcome, ...]
-    error: float
+    error: float  # nan when the run diverged
 
 
 def _replicate(payload: _RepPayload, rep: int) -> _RepResult:
@@ -313,14 +313,18 @@ def _replicate(payload: _RepPayload, rep: int) -> _RepResult:
         observers["plugin"] = PluginObserver(d, skip_rounds=payload.plugin_skip)
     if "rscale" in payload.methods:
         observers["rscale"] = RScaleObserver(d)
-    path = engine.run(
-        payload.federation,
-        payload.schedule,
-        payload.total_rounds,
-        payload.x0,
-        seed,
-        observers=tuple(observers.values()),
-    )
+    try:
+        path = engine.run(
+            payload.federation,
+            payload.schedule,
+            payload.total_rounds,
+            payload.x0,
+            seed,
+            observers=tuple(observers.values()),
+        )
+    except engine.DivergenceError:
+        failed = tuple(_MethodOutcome(failed=True) for _ in payload.methods)
+        return _RepResult(outcomes=failed, error=math.nan)
     if payload.paths_dir is not None and rep < payload.dump_paths:
         target = Path(payload.paths_dir) / f"rep_{rep:04d}.csv"
         with target.open("w") as stream:
@@ -367,7 +371,10 @@ def run_experiment(
 
     Replications failing with a singular Hessian estimate are counted and
     excluded from the coverage denominator; the raw rate (failures counted as
-    misses) is also reported.  When ``out_dir`` is given, writes ``report.csv``
+    misses) is also reported.  A replication whose run diverges (the engine's
+    ``DivergenceError``) fails for every method alike, and it is left out of
+    ``mean_error`` too, since it has no estimate; ``mean_error`` is nan when
+    every replication diverged.  When ``out_dir`` is given, writes ``report.csv``
     and ``replications.csv`` (and optional path dumps) into it.
 
     Both methods and the coverage decision share the roundoff rule of
@@ -446,6 +453,7 @@ def run_experiment(
             )
         )
 
+    errors = [res.error for res in results if not math.isnan(res.error)]
     report = ExperimentReport(
         schedule_label=schedule.label(),
         rounds=total_rounds,
@@ -454,7 +462,7 @@ def run_experiment(
         nu_hat=diag.nu_hat,
         beta=beta,
         methods=tuple(summaries),
-        mean_error=float(np.mean([res.error for res in results])),
+        mean_error=float(np.mean(errors)) if errors else math.nan,
         wall_clock=time.perf_counter() - started,
     )
 

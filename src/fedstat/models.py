@@ -32,6 +32,9 @@ __all__ = [
     "linear_hessians",
     "logistic_hessians",
     "quadratic_hessians",
+    "linear_draws",
+    "logistic_draws",
+    "quadratic_draws",
 ]
 
 _KINDS = ("linear", "logistic", "quadratic")
@@ -71,6 +74,43 @@ def logistic_hessians(A: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 def quadratic_hessians(curvatures: np.ndarray, dimension: int) -> np.ndarray:
     return curvatures[:, None, None] * np.eye(dimension)
+
+
+# --- weighted inference draws, one row per synchronized point ----------------
+# X (n, d) holds n synchronized points; A (K, n, d) and B (K, n) hold one fresh
+# sample per client for each of them.  Row t of the results is the weighted
+# gradient and Hessian draw at X[t].  The stacked matmul and einsum calls run
+# the same reduction per row as on a single (K, d) block, so every row is
+# bit-identical to evaluating its round on its own.
+
+
+def linear_draws(
+    weights: np.ndarray, A: np.ndarray, B: np.ndarray, X: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """sum_k w_k a_k (a_k' x - b_k) and sum_k w_k a_k a_k' per row of X."""
+    rows = A.transpose(1, 0, 2)
+    resid = np.matmul(rows, X[:, :, None])[..., 0] - B.T
+    return weights @ (rows * resid[..., None]), np.einsum("k,nki,nkj->nij", weights, rows, rows)
+
+
+def logistic_draws(
+    weights: np.ndarray, A: np.ndarray, B: np.ndarray, X: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """sum_k w_k a_k (p_k - b_k) and sum_k w_k p_k (1 - p_k) a_k a_k' per row
+    of X, with p_k = sigmoid(a_k' x)."""
+    rows = A.transpose(1, 0, 2)
+    p = sigmoid(np.matmul(rows, X[:, :, None])[..., 0])
+    grads = weights @ (rows * (p - B.T)[..., None])
+    return grads, np.einsum("nk,nki,nkj->nij", weights * p * (1.0 - p), rows, rows)
+
+
+def quadratic_draws(
+    weights: np.ndarray, centers: np.ndarray, curvatures: np.ndarray, X: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The exact weighted gradient and the constant Hessian per row of X."""
+    grads = weights @ (curvatures[:, None] * (X[:, None, :] - centers))
+    hessian = float(weights @ curvatures) * np.eye(X.shape[1])
+    return grads, np.broadcast_to(hessian, (len(X), *hessian.shape))
 
 
 @dataclass(frozen=True)

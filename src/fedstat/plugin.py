@@ -9,22 +9,43 @@ with normal-quantile half-width scaled by sqrt(nu_hat / t_T).  Intervals follow
 the roundoff rule of ``fedstat.roundoff``: a half-width at or below the floor
 is exactly 0, and a negative variance of the centre, (nu_hat / t_T) times the
 sandwich diagonal, within floor**2 counts as 0.
+
+The state keeps block sums: ``observe`` only validates its arguments and writes
+one row into a block of `BLOCK_ROUNDS` rows, and a full block is folded into
+the sums of x, of the Hessian draws and of g g' with a few stacked operations.
+The sum of x is kept to double length (``roundoff.add_rows``), so only the sums
+inside each block round, not the growing total.  A read folds the
+pending rows into a snapshot and never into the sums, so the results never
+depend on when, or how often, the state was read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from statistics import NormalDist
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
 
 from . import roundoff
+from .engine import BLOCK_ROUNDS
 from .schedules import ScheduleDiagnostics
 
 __all__ = ["PluginState", "PluginObserver", "SingularHessian"]
 
 _MAX_CONDITION = 1e12
+
+
+class _Sums(NamedTuple):
+    points: tuple[np.ndarray, np.ndarray]  # sum of x, as hi + lo
+    hessian: np.ndarray                    # sum of Hessian draws
+    outer: np.ndarray                      # sum of g g'
+
+
+class _Means(NamedTuple):
+    y_bar: np.ndarray
+    g_hat: np.ndarray
+    s_hat: np.ndarray
 
 
 class SingularHessian(RuntimeError):
@@ -35,29 +56,29 @@ def _z_quantile(alpha: float) -> float:
     return NormalDist().inv_cdf(1.0 - alpha / 2.0)
 
 
-@dataclass
 class PluginState:
     """Streaming accumulators for the sandwich covariance estimate.
 
     ``rounds_seen`` counts synchronized points folded into the center y_bar;
     ``gs_rounds`` counts gradient/Hessian draws folded into G_hat and S_hat
     (these differ only when warm-up rounds are excluded from estimation).
+    ``y_bar``, ``g_hat`` and ``s_hat`` are read from a snapshot that is kept
+    until the next ``observe``.
     """
 
-    dimension: int
-    g_hat: np.ndarray = field(init=False)
-    s_hat: np.ndarray = field(init=False)
-    y_bar: np.ndarray = field(init=False)
-    rounds_seen: int = field(default=0, init=False)
-    gs_rounds: int = field(default=0, init=False)
-
-    def __post_init__(self) -> None:
-        d = self.dimension
-        if d < 1:
+    def __init__(self, dimension: int):
+        if dimension < 1:
             raise ValueError("dimension must be >= 1")
-        self.g_hat = np.zeros((d, d))
-        self.s_hat = np.zeros((d, d))
-        self.y_bar = np.zeros(d)
+        d = self.dimension = dimension
+        self.rounds_seen = 0
+        self.gs_rounds = 0
+        self._points = np.empty((BLOCK_ROUNDS, d))
+        self._grads = np.empty((BLOCK_ROUNDS, d))
+        self._hessians = np.empty((BLOCK_ROUNDS, d, d))
+        self._pending = 0  # rows of _points not yet folded
+        self._pending_draws = 0  # rows of _grads/_hessians not yet folded
+        self._sums = _Sums((np.zeros(d), np.zeros(d)), np.zeros((d, d)), np.zeros((d, d)))
+        self._snapshot: _Means | None = None
 
     def observe(
         self,
@@ -70,8 +91,6 @@ class PluginState:
         x_bar = np.asarray(x_bar, dtype=np.float64)
         if x_bar.shape != (d,):
             raise ValueError(f"x_bar must have shape ({d},)")
-        self.rounds_seen += 1
-        self.y_bar += (x_bar - self.y_bar) / self.rounds_seen
         if (grad_draw is None) != (hess_draw is None):
             raise ValueError("gradient and Hessian draws come in pairs")
         if grad_draw is not None:
@@ -79,10 +98,51 @@ class PluginState:
             hess_draw = np.asarray(hess_draw, dtype=np.float64)
             if grad_draw.shape != (d,) or hess_draw.shape != (d, d):
                 raise ValueError("draw dimensions do not match the state")
+            j = self._pending_draws
+            self._grads[j] = grad_draw
+            self._hessians[j] = hess_draw
+            self._pending_draws = j + 1
             self.gs_rounds += 1
-            self.g_hat += (hess_draw - self.g_hat) / self.gs_rounds
-            self.s_hat += (np.outer(grad_draw, grad_draw) - self.s_hat) / self.gs_rounds
+        self._points[self._pending] = x_bar
+        self._pending += 1
+        self.rounds_seen += 1
+        self._snapshot = None
+        if self._pending == BLOCK_ROUNDS:
+            self._sums = self._fold()
+            self._pending = self._pending_draws = 0
         return self
+
+    def _fold(self) -> "_Sums":
+        """The sums with the pending rows folded in; changes nothing."""
+        k, j, sums = self._pending, self._pending_draws, self._sums
+        if k == 0:
+            return sums
+        grads = self._grads[:j]
+        return _Sums(
+            roundoff.add_rows(sums.points, self._points[:k]),
+            sums.hessian + self._hessians[:j].sum(axis=0),
+            sums.outer + grads.T @ grads,
+        )
+
+    def _read(self) -> "_Means":
+        if self._snapshot is None:
+            sums = self._fold()
+            n, gs = max(self.rounds_seen, 1), max(self.gs_rounds, 1)
+            hi, lo = sums.points
+            self._snapshot = _Means((hi + lo) / n, sums.hessian / gs, sums.outer / gs)
+        return self._snapshot
+
+    @property
+    def y_bar(self) -> np.ndarray:
+        return self._read().y_bar
+
+    @property
+    def g_hat(self) -> np.ndarray:
+        return self._read().g_hat
+
+    @property
+    def s_hat(self) -> np.ndarray:
+        return self._read().s_hat
 
     def sandwich(self) -> np.ndarray:
         """Ginv_hat @ S_hat @ Ginv_hat', symmetrized.

@@ -44,7 +44,15 @@ import numpy as np
 
 from .models import Federation
 
-__all__ = ["ROUNDOFF_FACTOR", "run_scale", "floor_for", "nonnegative", "interval", "covers"]
+__all__ = [
+    "ROUNDOFF_FACTOR",
+    "run_scale",
+    "floor_for",
+    "nonnegative",
+    "interval",
+    "covers",
+    "add_rows",
+]
 
 ROUNDOFF_FACTOR = 64.0
 _EPS = float(np.finfo(np.float64).eps)
@@ -87,3 +95,20 @@ def covers(lo: float, hi: float, target: float, floor: float) -> bool:
     interval covers exactly when lo <= target <= hi.
     """
     return lo <= target <= hi or abs(target - 0.5 * (lo + hi)) <= floor
+
+
+def add_rows(
+    total: tuple[np.ndarray, np.ndarray], rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The column sums of ``rows`` added to a double-length total (hi, lo).
+
+    The block is summed pairwise, and hi + block is split into its rounded
+    value and its exact rounding error (Knuth's TwoSum), which lo collects.
+    Adding a block to a long run's total therefore loses nothing; only the
+    pairwise sum inside each block rounds.
+    """
+    hi, lo = total
+    block = np.asfortranarray(rows).sum(axis=0)
+    new_hi = hi + block
+    part = new_hi - hi
+    return new_hi, lo + ((hi - (new_hi - part)) + (block - part))

@@ -8,6 +8,15 @@ interval sequence and are tabulated separately.
 
 V_hat is accumulated around a pivot, the first synchronized point, so its
 accuracy depends on the spread of the path and not on its distance from zero.
+The recursion needs only sums over the path, so the state keeps block sums:
+``observe`` only validates its arguments and writes one row into a block of
+`BLOCK_ROUNDS` rows, and a full block is folded with a few stacked operations.
+The cumulative sum of x - pivot gives n z_n = n (y_bar_n - pivot) for every
+round of the block, and from it A, b, s and q.  The running sums of x and of
+x - pivot are kept to double length (``roundoff.add_rows``), so only the sums
+inside each block round, not the growing totals.  A read folds the
+pending rows into a snapshot and never into the sums, so the results never
+depend on when, or how often, the state was read.
 Intervals follow the roundoff rule of ``fedstat.roundoff``: a half-width at or
 below the floor is exactly 0, and a negative V_hat diagonal within floor**2
 counts as 0.
@@ -15,17 +24,27 @@ counts as 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import critvals, roundoff
+from .engine import BLOCK_ROUNDS
 from .schedules import CommunicationSchedule, Schedule
 
 __all__ = ["RScaleState", "RScaleObserver", "beta_for_schedule"]
 
 
-@dataclass
+class _Sums(NamedTuple):
+    points: tuple[np.ndarray, np.ndarray]  # sum of x, as hi + lo
+    pivot: np.ndarray
+    dev: tuple[np.ndarray, np.ndarray]  # sum of x - pivot (m z_m), as hi + lo
+    A: np.ndarray
+    b: np.ndarray
+    s: float
+    q: float
+
+
 class RScaleState:
     """Streaming accumulators behind V_hat.
 
@@ -36,25 +55,20 @@ class RScaleState:
         b     = sum_n (n^2/E_n) z_n,
         s     = sum_n 1/E_n,
         q     = sum_n n^2/E_n.
+    They are read from a snapshot that is kept until the next ``observe``.
     """
 
-    dimension: int
-    y_bar: np.ndarray = field(init=False)
-    pivot: np.ndarray = field(init=False)
-    A: np.ndarray = field(init=False)
-    b: np.ndarray = field(init=False)
-    s: float = field(default=0.0, init=False)
-    q: float = field(default=0.0, init=False)
-    rounds_seen: int = field(default=0, init=False)
-
-    def __post_init__(self) -> None:
-        d = self.dimension
-        if d < 1:
+    def __init__(self, dimension: int):
+        if dimension < 1:
             raise ValueError("dimension must be >= 1")
-        self.y_bar = np.zeros(d)
-        self.pivot = np.zeros(d)
-        self.A = np.zeros((d, d))
-        self.b = np.zeros(d)
+        d = self.dimension = dimension
+        self.rounds_seen = 0
+        self._points = np.empty((BLOCK_ROUNDS, d))
+        self._intervals = np.empty(BLOCK_ROUNDS)
+        self._pending = 0  # rows not yet folded
+        zeros = np.zeros(d)
+        self._sums = _Sums((zeros, zeros), zeros, (zeros, zeros), np.zeros((d, d)), zeros, 0.0, 0.0)
+        self._snapshot: _Sums | None = None
 
     def observe(self, x_bar: np.ndarray, interval: int) -> "RScaleState":
         """Fold one synchronized point with its round's interval E_m."""
@@ -63,27 +77,83 @@ class RScaleState:
         x_bar = np.asarray(x_bar, dtype=np.float64)
         if x_bar.shape != (self.dimension,):
             raise ValueError(f"x_bar must have shape ({self.dimension},)")
-        m = self.rounds_seen + 1
-        if m == 1:
-            self.pivot = x_bar.copy()
-        self.y_bar += (x_bar - self.y_bar) / m
-        z = self.y_bar - self.pivot
-        w = m**2 / interval
-        wz = w * z
-        self.A += wz[:, None] * z
-        self.b += wz
-        self.s += 1.0 / interval
-        self.q += w
-        self.rounds_seen = m
+        k = self._pending
+        self._points[k] = x_bar
+        self._intervals[k] = interval
+        self._pending = k + 1
+        self.rounds_seen += 1
+        self._snapshot = None
+        if self._pending == BLOCK_ROUNDS:
+            self._sums = self._fold()
+            self._pending = 0
         return self
+
+    def _fold(self) -> _Sums:
+        """The sums with the pending rows folded in; changes nothing.
+
+        With S_n = n z_n, the running sum of x - p, each round adds
+        S_n S_n' / E_n to A and (n / E_n) S_n to b.
+        """
+        k, sums = self._pending, self._sums
+        if k == 0:
+            return sums
+        first = self.rounds_seen - k + 1
+        pivot = sums.pivot if first > 1 else self._points[0].copy()
+        dev = self._points[:k] - pivot
+        hi, lo = sums.dev
+        cum = np.cumsum(dev, axis=0) + (hi + lo)
+        n = np.arange(first, first + k, dtype=np.float64)
+        inv = 1.0 / self._intervals[:k]
+        return _Sums(
+            roundoff.add_rows(sums.points, self._points[:k]),
+            pivot,
+            roundoff.add_rows(sums.dev, dev),
+            sums.A + (cum * inv[:, None]).T @ cum,
+            sums.b + (n * inv) @ cum,
+            sums.s + float(inv.sum()),
+            sums.q + float((n * n / self._intervals[:k]).sum()),
+        )
+
+    def _read(self) -> _Sums:
+        if self._snapshot is None:
+            self._snapshot = self._fold()
+        return self._snapshot
+
+    @property
+    def pivot(self) -> np.ndarray:
+        return self._read().pivot
+
+    @property
+    def y_bar(self) -> np.ndarray:
+        hi, lo = self._read().points
+        return (hi + lo) / max(self.rounds_seen, 1)
+
+    @property
+    def A(self) -> np.ndarray:
+        return self._read().A
+
+    @property
+    def b(self) -> np.ndarray:
+        return self._read().b
+
+    @property
+    def s(self) -> float:
+        return self._read().s
+
+    @property
+    def q(self) -> float:
+        return self._read().q
 
     def v_hat(self) -> np.ndarray:
         """The studentizing matrix (A - z b' - b z' + q z z') / (m^2 s), z = y_bar - p."""
         if self.rounds_seen < 1:
             raise ValueError("no observations yet")
-        z = self.y_bar - self.pivot
-        v = self.A - np.outer(z, self.b) - np.outer(self.b, z) + self.q * np.outer(z, z)
-        v /= self.rounds_seen**2 * self.s
+        sums = self._read()
+        m = self.rounds_seen
+        hi, lo = sums.dev
+        z = (hi + lo) / m
+        v = sums.A - np.outer(z, sums.b) - np.outer(sums.b, z) + sums.q * np.outer(z, z)
+        v /= m**2 * sums.s
         return (v + v.T) / 2.0
 
     def confidence_interval(

@@ -108,15 +108,6 @@ class TestSimulation:
         q_coarse = np.quantile(np.concatenate(stats_coarse), 0.975)
         assert abs(q_coarse / q_fine - 1.0) < 0.01
 
-    def test_smoothed_mode_close_to_empirical(self):
-        table_raw = simulate_table((0.0,), (0.975,), steps=300, replications=5000, seed=2)
-        table_kde = simulate_table(
-            (0.0,), (0.975,), steps=300, replications=5000, seed=2, smooth=True
-        )
-        raw = lookup(table_raw, 0.05, 0.0)
-        kde = lookup(table_kde, 0.05, 0.0)
-        assert kde == pytest.approx(raw, rel=0.05)
-
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             simulate_table((0.0,), (0.5,), steps=50, replications=5000)

@@ -34,6 +34,18 @@ class PathRecorder:
         self.rows.append((round_index, iteration, x_bar.copy(), interval))
 
 
+class DrawRecorder:
+    needs_inference_draws = True
+
+    def __init__(self):
+        self.rows = []
+
+    def observe_sync(self, round_index, iteration, x_bar, interval, grad_draw, hess_draw):
+        self.rows.append(
+            (round_index, iteration, x_bar.copy(), interval, grad_draw.copy(), hess_draw.copy())
+        )
+
+
 class TestDeterministicContraction:
     def test_halving_path(self):
         fed = quadratic_fed([0.0])
@@ -128,17 +140,90 @@ class TestReductionToParallelSgd:
 
 class TestObserversAndDeterminism:
     def test_observer_transparency(self):
+        # More than two notification blocks, ending on a partial one.
+        rounds = 2 * engine.BLOCK_ROUNDS + 40
         fed = linear_fed(np.random.default_rng(0).standard_normal((2, 3)))
         sched = schedules.CommunicationSchedule("power", base=1, exponent=0.5, gamma0=0.5)
-        bare = run(fed, sched, 40, np.zeros(3), seed=5)
+        bare = run(fed, sched, rounds, np.zeros(3), seed=5)
         from fedstat.plugin import PluginObserver
         from fedstat.rscale import RScaleObserver
 
+        recorder = PathRecorder()
         watched = run(
-            fed, sched, 40, np.zeros(3), seed=5,
-            observers=(PluginObserver(3), RScaleObserver(3), PathRecorder()),
+            fed, sched, rounds, np.zeros(3), seed=5,
+            observers=(PluginObserver(3), RScaleObserver(3), recorder),
         )
         np.testing.assert_array_equal(bare.points, watched.points)
+        np.testing.assert_array_equal(bare.comm_times, watched.comm_times)
+        assert [row[0] for row in recorder.rows] == list(range(1, rounds + 1))
+
+    @pytest.mark.parametrize("kind", ["linear", "logistic", "quadratic"])
+    def test_block_draws_equal_per_round_draws(self, kind):
+        """Every observer argument equals a per-round evaluation, bit for bit.
+
+        The run crosses an inference-buffer refill and ends on a partial
+        block.  The reference takes one inference row per round from the
+        client substreams and evaluates the weighted draws at that round's
+        synchronized point with the per-round formulas.
+        """
+        rounds = 2 * engine._BUFFER_CHUNK + 37
+        d, k, seed = 3, 4, 21
+        rng = np.random.default_rng(12)
+        weights = np.array([0.1, 0.2, 0.3, 0.4])
+        optima = rng.standard_normal((k, d))
+        if kind == "linear":
+            fed = linear_fed(optima, weights=weights)
+        elif kind == "logistic":
+            clients = [ClientModel("logistic", optima[0]) for _ in range(k)]
+            fed = federation_of(clients, weights=weights)
+        else:
+            clients = [ClientModel("quadratic", c, curvature=1.0 + i) for i, c in enumerate(optima)]
+            fed = federation_of(clients, weights=weights)
+        sched = schedules.ExplicitSchedule(
+            intervals=tuple(1 + m % 3 for m in range(rounds)), etas=(0.05,) * rounds
+        )
+        recorder = DrawRecorder()
+        path = run(fed, sched, rounds, np.zeros(d), seed=seed, observers=(recorder,))
+
+        _, inf_rngs = engine.client_generators(seed, k)
+        buffer = SampleBuffer(fed.clients, inf_rngs)
+        centers = np.stack([c.local_optimum for c in fed.clients])
+        curvatures = np.array([c.curvature for c in fed.clients])
+        grads, hessians = [], []
+        for x_bar in path.points:
+            if kind == "quadratic":
+                gaps = np.broadcast_to(x_bar, centers.shape) - centers
+                grads.append(weights @ (curvatures[:, None] * gaps))
+                hessians.append(float(weights @ curvatures) * np.eye(d))
+                continue
+            a_block, b_block = buffer.take(1)
+            a, b = a_block[:, 0, :], b_block[:, 0]
+            if kind == "logistic":
+                p = models.sigmoid(a @ x_bar)
+                grads.append(weights @ (a * (p - b)[:, None]))
+                hessians.append(np.einsum("k,ki,kj->ij", weights * p * (1.0 - p), a, a))
+            else:
+                resid = a @ x_bar - b
+                grads.append(weights @ (a * resid[:, None]))
+                hessians.append(np.einsum("k,ki,kj->ij", weights, a, a))
+
+        seen = list(zip(*recorder.rows))
+        assert list(seen[0]) == list(range(1, rounds + 1))
+        np.testing.assert_array_equal(seen[1], path.comm_times)
+        np.testing.assert_array_equal(np.stack(seen[2]), path.points)
+        np.testing.assert_array_equal(seen[3], sched.intervals)
+        np.testing.assert_array_equal(np.stack(seen[4]), np.stack(grads))
+        np.testing.assert_array_equal(np.stack(seen[5]), np.stack(hessians))
+
+    def test_observers_see_every_round_before_divergence(self):
+        fed = quadratic_fed([0.0])
+        recorder = PathRecorder()
+        # 1 - eta = -2 doubles the iterate's size per step: 2**10 > 1e3 at round 10.
+        with pytest.raises(DivergenceError, match="round 10"):
+            run(fed, fixed_step(3.0, 40), 40, np.array([1.0]), seed=0,
+                observers=(recorder,), divergence_bound=1e3)
+        assert [row[0] for row in recorder.rows] == list(range(1, 10))
+        assert recorder.rows[-1][2][0] == (-2.0) ** 9
 
     def test_bit_identical_reruns(self):
         fed = linear_fed(np.random.default_rng(1).standard_normal((3, 2)))

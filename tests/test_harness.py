@@ -150,6 +150,23 @@ class TestRunExperiment:
         rscale = report.methods[1]
         assert rscale.failures == 0
 
+    def test_diverging_replications_fail_every_method(self, tmp_path):
+        # gamma0 = 50 makes the linear steps expand: each run leaves the
+        # divergence bound within ten rounds.
+        config = quadratic_config(
+            model="linear", dimension=3, clients=2, rounds=40, x0="zeros",
+            schedule=schedules.CommunicationSchedule("constant", base=1, gamma0=50.0, alpha=0.6),
+            replications=3,
+        )
+        report = run_experiment(config, out_dir=tmp_path)
+        for summary in report.methods:
+            assert summary.failures == config.replications
+            assert np.isnan(summary.coverage) and summary.coverage_raw == 0.0
+        assert np.isnan(report.mean_error)
+        rows = (tmp_path / "replications.csv").read_text().strip().splitlines()[1:]
+        assert len(rows) == config.replications * len(config.methods)
+        assert all(row.split(",")[8] == "failed" for row in rows)
+
     def test_reproducible_report_across_workers(self, tmp_path):
         config = parse_config_text(BASE_CONFIG)
         out_a, out_b, out_c = tmp_path / "a", tmp_path / "b", tmp_path / "c"

@@ -1,7 +1,12 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedstat import harness, models, schedules
+from fedstat.engine import BLOCK_ROUNDS
 from fedstat.plugin import PluginObserver, PluginState, SingularHessian, _z_quantile
 from fedstat.schedules import ScheduleDiagnostics
 
@@ -39,7 +44,7 @@ class TestObserve:
         rng = np.random.default_rng(0)
         for _ in range(100):
             d = rng.integers(1, 4)
-            n = rng.integers(1, 60)
+            n = rng.integers(1, 700)
             points = rng.standard_normal((n, d))
             grads = rng.standard_normal((n, d))
             hessians = rng.standard_normal((n, d, d))
@@ -70,6 +75,54 @@ class TestObserve:
         state = PluginState(2)
         with pytest.raises(ValueError):
             state.observe(np.zeros(2), np.zeros(2), None)
+
+
+class TestBlockFold:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 3 * BLOCK_ROUNDS),
+        skip=st.integers(0, 2 * BLOCK_ROUNDS),
+        reads=st.sets(st.integers(1, 3 * BLOCK_ROUNDS), max_size=8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_reads_never_change_results(self, n, skip, reads, seed):
+        rng = np.random.default_rng(seed)
+        points = rng.standard_normal((n, 2))
+        grads = rng.standard_normal((n, 2))
+        hessians = rng.standard_normal((n, 2, 2))
+        read, unread = PluginState(2), PluginState(2)
+        for m, (x, g, h) in enumerate(zip(points, grads, hessians), start=1):
+            draws = (g, h) if m > skip else ()
+            read.observe(x, *draws)
+            unread.observe(x, *draws)
+            if m in reads:
+                read.y_bar, read.g_hat, read.s_hat  # read and dropped
+        for name in ("y_bar", "g_hat", "s_hat", "rounds_seen", "gs_rounds"):
+            np.testing.assert_array_equal(getattr(read, name), getattr(unread, name))
+
+    def test_block_sums_match_exact_arithmetic(self):
+        # Over 600 rounds (two full blocks and a partial one) the means lie
+        # within the rounding bound of n additions, 2 n eps sum|term| / n, of
+        # their exact rational values.
+        rng = np.random.default_rng(23)
+        n, d = 600, 2
+        points = 5.0 + rng.standard_normal((n, d))
+        grads = rng.standard_normal((n, d))
+        hessians = rng.standard_normal((n, d, d))
+        state = PluginState(d)
+        for x, g, h in zip(points, grads, hessians):
+            state.observe(x, g, h)
+        bound = 2 * np.finfo(np.float64).eps  # 2 n eps sum|term| with terms v / n
+        for j in range(d):
+            exact = sum(map(Fraction, points[:, j])) / n
+            assert abs(Fraction(state.y_bar[j]) - exact) <= bound * np.abs(points[:, j]).sum()
+            for i in range(d):
+                terms = [Fraction(h) for h in hessians[:, i, j]]
+                err = abs(Fraction(state.g_hat[i, j]) - sum(terms) / n)
+                assert err <= bound * float(sum(map(abs, terms)))
+                terms = [Fraction(a) * Fraction(b) for a, b in zip(grads[:, i], grads[:, j])]
+                err = abs(Fraction(state.s_hat[i, j]) - sum(terms) / n)
+                assert err <= bound * float(sum(map(abs, terms)))
 
 
 class TestSandwich:

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -130,6 +132,24 @@ class TestNoisyIntervalsUnchanged:
             assert rscale.confidence_interval(0.0, j, 0.05, paper_table(), FLOOR) == (
                 rscale.confidence_interval(0.0, j, 0.05, paper_table())
             )
+
+
+class TestDoubleLengthSum:
+    def test_add_rows_loses_nothing_between_blocks(self):
+        # 0.1 does not add up exactly: summing forty equal block totals in
+        # doubles drifts, but hi + lo keeps every addition's rounding error.
+        rows = np.full((256, 3), 0.1)
+        block = np.asfortranarray(rows).sum(axis=0)
+        total = (np.zeros(3), np.zeros(3))
+        for _ in range(40):
+            total = roundoff.add_rows(total, rows)
+        hi, lo = total
+        for j in range(3):
+            assert Fraction(hi[j]) + Fraction(lo[j]) == 40 * Fraction(block[j])
+        naive = 0.0
+        for _ in range(40):
+            naive += block[0]
+        assert Fraction(naive) != 40 * Fraction(block[0])
 
 
 class TestNoiselessRuns:

@@ -1,9 +1,12 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedstat import critvals, schedules
+from fedstat.engine import BLOCK_ROUNDS
 from fedstat.rscale import RScaleObserver, RScaleState, beta_for_schedule
 
 # Quantiles copied from the reference asymptotic table; levels are P(t* <= q).
@@ -72,6 +75,62 @@ class TestObserve:
             RScaleState(1).observe(np.zeros(1), 0)
 
 
+class TestBlockFold:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 3 * BLOCK_ROUNDS),
+        reads=st.sets(st.integers(1, 3 * BLOCK_ROUNDS), max_size=8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_reads_never_change_results(self, n, reads, seed):
+        rng = np.random.default_rng(seed)
+        points = rng.standard_normal((n, 2))
+        intervals = rng.integers(1, 7, size=n)
+        read, unread = RScaleState(2), RScaleState(2)
+        for m, (x, e) in enumerate(zip(points, intervals), start=1):
+            read.observe(x, int(e))
+            unread.observe(x, int(e))
+            if m in reads:
+                read.y_bar, read.A, read.b, read.s, read.q, read.v_hat()  # read and dropped
+        for name in ("y_bar", "pivot", "A", "b", "s", "q", "rounds_seen"):
+            np.testing.assert_array_equal(getattr(read, name), getattr(unread, name))
+        np.testing.assert_array_equal(read.v_hat(), unread.v_hat())
+
+    def test_block_sums_match_exact_arithmetic(self):
+        # Over 600 rounds (two full blocks and a partial one) every
+        # accumulator lies within 2 n eps sum|term| of its exact rational
+        # value: the rounding bound of n additions, with room for the rounded
+        # partial sums inside each term.
+        rng = np.random.default_rng(29)
+        n, d = 600, 2
+        points = 5.0 + rng.standard_normal((n, d))
+        intervals = [int(e) for e in rng.integers(1, 7, size=n)]
+        state = RScaleState(d)
+        for x, e in zip(points, intervals):
+            state.observe(x, e)
+        exact_points = [[Fraction(v) for v in x] for x in points]
+        pivot = exact_points[0]
+        partial = [Fraction(0)] * d
+        a_terms, b_terms = [], []
+        for m, (x, e) in enumerate(zip(exact_points, intervals), start=1):
+            partial = [p + v - c for p, v, c in zip(partial, x, pivot)]  # m z_m
+            a_terms.append([[p * r / e for r in partial] for p in partial])
+            b_terms.append([m * p / e for p in partial])
+        tol = 2 * n * np.finfo(np.float64).eps
+
+        def check(got, terms):
+            err = abs(Fraction(float(got)) - sum(terms))
+            assert err <= tol * float(sum(map(abs, terms)))
+
+        for i in range(d):
+            check(state.y_bar[i], [x[i] / n for x in exact_points])
+            check(state.b[i], [t[i] for t in b_terms])
+            for j in range(d):
+                check(state.A[i, j], [t[i][j] for t in a_terms])
+        check(state.s, [Fraction(1, e) for e in intervals])
+        check(state.q, [Fraction(m * m, e) for m, e in enumerate(intervals, start=1)])
+
+
 class TestVhat:
     def test_constant_path_gives_zero(self):
         state = RScaleState(2)
@@ -84,7 +143,7 @@ class TestVhat:
         rng = np.random.default_rng(5)
         for _ in range(100):
             d = int(rng.integers(1, 4))
-            n = int(rng.integers(2, 80))
+            n = int(rng.integers(2, 700))
             points = rng.standard_normal((n, d))
             intervals = rng.integers(1, 7, size=n)
             state = RScaleState(d)
