@@ -20,8 +20,6 @@ from .schedules import (
     ScheduleDiagnostics,
     diagnostics,
     fclt_time_scale,
-    interval_at,
-    step_sizes,
     validate_schedule,
 )
 
@@ -58,8 +56,6 @@ __all__ = [
     "ScheduleDiagnostics",
     "diagnostics",
     "fclt_time_scale",
-    "interval_at",
-    "step_sizes",
     "validate_schedule",
     "__version__",
 ]

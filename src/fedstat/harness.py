@@ -192,17 +192,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
     if "warmup_fraction" in raw:
         sched_kwargs["warmup_fraction"] = float(raw["warmup_fraction"])
     if sched_kwargs:
-        defaults = ExperimentConfig.__dataclass_fields__["schedule"].default
-        merged = {
-            "kind": defaults.kind,
-            "base": defaults.base,
-            "exponent": defaults.exponent,
-            "gamma0": defaults.gamma0,
-            "alpha": defaults.alpha,
-            "warmup_fraction": defaults.warmup_fraction,
-        }
-        merged.update(sched_kwargs)
-        kwargs["schedule"] = schedules.CommunicationSchedule(**merged)
+        default = ExperimentConfig.__dataclass_fields__["schedule"].default
+        kwargs["schedule"] = replace(default, **sched_kwargs)
 
     return ExperimentConfig(**kwargs)
 
@@ -237,12 +228,19 @@ def build_federation(config: ExperimentConfig) -> models.Federation:
 
 
 def rounds_for_target(schedule: schedules.Schedule, target_observations: int) -> int:
-    """Smallest T whose cumulative observation count reaches the target."""
+    """Smallest T whose cumulative observation count reaches the target.
+
+    Bisection over T.  Every interval is at least 1, so T <= target and one
+    family prefix up to the target serves every probe: a T-round run makes
+    t_T = W + prefix[T - W] observations, W being its warm-up.
+    """
     if target_observations < 1:
         raise ValueError("target_observations must be >= 1")
+    prefix = schedules.family_prefix(schedule, target_observations)
 
     def total(t: int) -> int:
-        return int(schedules.intervals(schedule, t).sum())
+        w = schedules.warmup_from_prefix(schedule, prefix, t)
+        return w + int(prefix[t - w])
 
     lo, hi = 1, target_observations
     while lo < hi:
@@ -251,8 +249,6 @@ def rounds_for_target(schedule: schedules.Schedule, target_observations: int) ->
             hi = mid
         else:
             lo = mid + 1
-    while total(lo) < target_observations:  # safety net for non-monotone corners
-        lo += 1
     return lo
 
 
@@ -532,11 +528,15 @@ class _CheckpointObserver:
             self.snapshots[round_index] = self.mean.copy()
 
 
-def _curve_replicate(payload: tuple, rep: int) -> np.ndarray:
+def _curve_replicate(payload: tuple, rep: int) -> np.ndarray | None:
+    """Errors at the checkpoints of one replication; None when it diverged."""
     federation, schedule, checkpoints, x0, master_seed = payload
     seed = np.random.SeedSequence(master_seed, spawn_key=(1, rep))
     observer = _CheckpointObserver(federation.dimension, checkpoints)
-    engine.run(federation, schedule, max(checkpoints), x0, seed, observers=(observer,))
+    try:
+        engine.run(federation, schedule, max(checkpoints), x0, seed, observers=(observer,))
+    except engine.DivergenceError:
+        return None
     return np.array(
         [np.linalg.norm(observer.snapshots[t] - federation.global_optimum) for t in checkpoints]
     )
@@ -551,6 +551,9 @@ def convergence_curve(
 
     Returns (rounds, mean error, standard error) per checkpoint, averaged over
     the configured number of replications; one engine run per replication.
+    As in ``run_experiment``, a replication whose run diverges (the engine's
+    ``DivergenceError``) is left out of every checkpoint's mean and standard
+    error, and both are nan when every replication diverged.
     """
     checkpoints = tuple(int(t) for t in checkpoints)
     if not checkpoints or any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
@@ -563,9 +566,11 @@ def convergence_curve(
         _resolve_x0(config, federation),
         config.seed,
     )
-    errors = np.stack(
-        _map_replications(partial(_curve_replicate, payload), config.replications, workers)
-    )
+    results = _map_replications(partial(_curve_replicate, payload), config.replications, workers)
+    kept = [errors for errors in results if errors is not None]
+    if not kept:
+        return [(t, math.nan, math.nan) for t in checkpoints]
+    errors = np.stack(kept)
     means = errors.mean(axis=0)
     ses = errors.std(axis=0, ddof=1) / math.sqrt(len(errors)) if len(errors) > 1 else 0 * means
     return [(t, float(mu), float(se)) for t, mu, se in zip(checkpoints, means, ses)]

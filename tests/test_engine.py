@@ -112,10 +112,10 @@ class TestReductionToParallelSgd:
 
         opt_rngs, _ = engine.client_generators(seed, 3)
         buffer = SampleBuffer(fed.clients, opt_rngs)
+        _, etas = schedules.effective_steps(sched, rounds)
         x = np.zeros(4)
         reference = []
-        for m in range(1, rounds + 1):
-            _, eta = schedules.step_sizes(sched, m, rounds)
+        for eta in etas:
             a_block, b_block = buffer.take(1)
             a = a_block[:, 0, :]
             state = np.tile(x, (3, 1))

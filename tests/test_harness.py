@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,13 @@ class TestConfigParsing:
     def test_exactly_one_run_length(self):
         with pytest.raises(ValueError, match="exactly one"):
             ExperimentConfig(rounds=10, target_observations=100)
+
+    def test_schedule_keys_override_the_default_schedule(self):
+        config = parse_config_text("gamma0 = 0.7\n")
+        default = ExperimentConfig().schedule
+        assert config.schedule == replace(default, gamma0=0.7)
+        assert config.schedule.kind == "constant"
+        assert config.schedule.warmup_fraction == 0.05
 
     def test_x0_vector(self):
         config = parse_config_text("model = linear\ndimension = 2\nrounds = 5\nx0 = 0.5,-1\n")
@@ -235,6 +244,31 @@ class TestConvergenceCurve:
         err_slow = convergence_curve(slow, [500])[0][1]
         err_fast = convergence_curve(fast, [500])[0][1]
         assert err_fast < err_slow
+
+    def test_diverging_replications_are_left_out(self):
+        # Same config as test_diverging_replications_fail_every_method: every
+        # replication leaves the divergence bound within ten rounds.
+        config = quadratic_config(
+            model="linear", dimension=3, clients=2, rounds=40, x0="zeros",
+            schedule=schedules.CommunicationSchedule("constant", base=1, gamma0=50.0, alpha=0.6),
+            replications=3,
+        )
+        rows = convergence_curve(config, [5, 40])
+        assert [t for t, _, _ in rows] == [5, 40]
+        assert all(np.isnan(mu) and np.isnan(se) for _, mu, se in rows)
+
+    def test_mean_error_over_replications_that_did_not_diverge(self):
+        # At gamma0 = 8 four of these eight replications diverge.
+        config = quadratic_config(
+            model="linear", dimension=3, clients=2, rounds=40, x0="zeros",
+            schedule=schedules.CommunicationSchedule("constant", base=1, gamma0=8.0, alpha=0.6),
+            replications=8, methods=("plugin",),
+        )
+        rows = convergence_curve(config, [5, 40])
+        report = run_experiment(config)
+        assert report.methods[0].failures == 4
+        assert np.isfinite(rows[0][1]) and np.isfinite(rows[0][2])
+        assert rows[1][1] == pytest.approx(report.mean_error, rel=1e-9)
 
     def test_single_checkpoint(self):
         config = quadratic_config(replications=2)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedstat import schedules
+from fedstat.harness import rounds_for_target
 from fedstat.schedules import CommunicationSchedule, ExplicitSchedule
 
 
@@ -13,17 +14,26 @@ def constant(base, **kw):
     return CommunicationSchedule("constant", base=base, **kw)
 
 
+def interval(sched, m, total):
+    return schedules.intervals(sched, total)[m - 1]
+
+
+def steps(sched, m, total):
+    gammas, etas = schedules.effective_steps(sched, total)
+    return gammas[m - 1], etas[m - 1]
+
+
 class TestIntervalAt:
     def test_constant_family(self):
-        assert schedules.interval_at(constant(5), 7, 100) == 5
+        assert interval(constant(5), 7, 100) == 5
 
     def test_log_family_matches_ceil_log2(self):
         sched = CommunicationSchedule("log", base=1, exponent=1.0)
-        assert schedules.interval_at(sched, 7, 100) == math.ceil(math.log2(8)) == 3
+        assert interval(sched, 7, 100) == math.ceil(math.log2(8)) == 3
 
     def test_power_family_matches_ceil_sqrt(self):
         sched = CommunicationSchedule("power", base=1, exponent=0.5)
-        assert schedules.interval_at(sched, 9, 100) == 3
+        assert interval(sched, 9, 100) == 3
 
     def test_power_rejects_beta_at_least_one(self):
         with pytest.raises(ValueError):
@@ -34,48 +44,44 @@ class TestIntervalAt:
         total = 2400
         w = schedules.warmup_rounds(sched, total)
         assert w == 500  # 5% of the 10000 total observations
-        assert all(schedules.interval_at(sched, m, total) == 1 for m in range(1, w + 1))
-        assert schedules.interval_at(sched, w + 1, total) == 5
+        assert all(interval(sched, m, total) == 1 for m in range(1, w + 1))
+        assert interval(sched, w + 1, total) == 5
 
     def test_family_index_shifts_by_warmup(self):
         sched = CommunicationSchedule("power", base=1, exponent=0.5, warmup_fraction=0.05)
         total = 300
         w = schedules.warmup_rounds(sched, total)
-        assert schedules.interval_at(sched, w + 9, total) == 3  # ceil(sqrt(9))
+        assert interval(sched, w + 9, total) == 3  # ceil(sqrt(9))
 
     def test_pure_function(self):
         sched = CommunicationSchedule("log", base=2, exponent=1.0, warmup_fraction=0.1)
-        values = [schedules.interval_at(sched, 17, 500) for _ in range(5)]
+        values = [interval(sched, 17, 500) for _ in range(5)]
         assert len(set(values)) == 1
-
-    def test_invalid_round_index(self):
-        with pytest.raises(ValueError):
-            schedules.interval_at(constant(1), 0, 10)
 
 
 class TestStepSizes:
     def test_gamma_at_first_round(self):
-        gamma, eta = schedules.step_sizes(constant(1, gamma0=0.5, alpha=0.505), 1, 100)
+        gamma, eta = steps(constant(1, gamma0=0.5, alpha=0.505), 1, 100)
         assert gamma == 0.5
         assert eta == 0.5
 
     def test_eta_divides_by_interval(self):
-        gamma, eta = schedules.step_sizes(constant(5, gamma0=0.5, alpha=0.505), 1, 100)
+        gamma, eta = steps(constant(5, gamma0=0.5, alpha=0.505), 1, 100)
         assert gamma == 0.5
         assert eta == pytest.approx(0.1)
 
     def test_power_law_decay(self):
-        gamma, _ = schedules.step_sizes(constant(1, gamma0=2.0, alpha=0.505), 1024, 2000)
+        gamma, _ = steps(constant(1, gamma0=2.0, alpha=0.505), 1024, 2000)
         assert gamma == pytest.approx(2.0 * 1024.0 ** (-0.505), rel=1e-14)
 
     def test_gamma_strictly_decreasing(self):
         sched = constant(3, gamma0=0.5, alpha=0.6)
-        gammas = [schedules.step_sizes(sched, m, 50)[0] for m in range(1, 51)]
+        gammas = [steps(sched, m, 50)[0] for m in range(1, 51)]
         assert all(a > b for a, b in zip(gammas, gammas[1:]))
 
     def test_explicit_schedule_overrides_steps(self):
         sched = ExplicitSchedule(intervals=(2, 2), etas=(0.5, 0.25))
-        gamma, eta = schedules.step_sizes(sched, 2, 2)
+        gamma, eta = steps(sched, 2, 2)
         assert (gamma, eta) == (0.5, 0.25)
 
 
@@ -178,3 +184,127 @@ class TestWarmupAccounting:
         t_total = schedules.diagnostics(sched, total).t_T
         assert w >= sched.warmup_fraction * t_total - 1
         assert (w - 1) < sched.warmup_fraction * (t_total + 1)
+
+
+# --- scalar reference: one formula per round, Python scalar arithmetic --------
+
+
+def ref_family(sched, index):
+    if sched.kind == "constant":
+        return sched.base
+    if sched.kind == "log":
+        value = sched.base * math.log2(index + 1) ** sched.exponent
+    else:
+        value = sched.base * index**sched.exponent
+    return max(1, math.ceil(value - 1e-12))
+
+
+def ref_warmup(sched, total):
+    if isinstance(sched, ExplicitSchedule) or sched.warmup_fraction == 0.0:
+        return 0
+    frac = sched.warmup_fraction
+    prefix = [0]
+    for i in range(1, total + 1):
+        prefix.append(prefix[-1] + ref_family(sched, i))
+
+    def short(w):
+        return w < frac * (w + prefix[total - w])
+
+    lo, hi = 0, total
+    if short(hi):
+        return hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if short(mid):
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+def ref_intervals(sched, total):
+    if isinstance(sched, ExplicitSchedule):
+        seq = sched.intervals
+        return [seq[min(m, len(seq)) - 1] for m in range(1, total + 1)]
+    w = ref_warmup(sched, total)
+    return [1 if m <= w else ref_family(sched, m - w) for m in range(1, total + 1)]
+
+
+def ref_steps(sched, total):
+    e = ref_intervals(sched, total)
+    if isinstance(sched, ExplicitSchedule) and sched.etas:
+        etas = [sched.etas[min(m, len(sched.etas)) - 1] for m in range(1, total + 1)]
+        return [eta * e_m for eta, e_m in zip(etas, e)], etas
+    gammas = [sched.gamma0 * m ** (-sched.alpha) for m in range(1, total + 1)]
+    return gammas, [gamma / e_m for gamma, e_m in zip(gammas, e)]
+
+
+def ref_rounds_for_target(sched, target):
+    def total(t):
+        return sum(ref_intervals(sched, t))
+
+    lo, hi = 1, target
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if total(mid) >= target:
+            hi = mid
+        else:
+            lo = mid + 1
+    while total(lo) < target:
+        lo += 1
+    return lo
+
+
+parametric = st.builds(
+    CommunicationSchedule,
+    kind=st.sampled_from(["constant", "log", "power"]),
+    base=st.integers(min_value=1, max_value=8),
+    exponent=st.floats(min_value=0.05, max_value=0.95),
+    gamma0=st.floats(min_value=0.01, max_value=5.0),
+    alpha=st.floats(min_value=0.501, max_value=0.99),
+    warmup_fraction=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.95)),
+)
+explicit = st.builds(
+    lambda seq, with_etas, alpha: ExplicitSchedule(
+        intervals=tuple(seq),
+        etas=tuple(0.5 / (i + 1) for i in range(len(seq))) if with_etas else (),
+        alpha=alpha,
+    ),
+    st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=30),
+    st.booleans(),
+    st.floats(min_value=0.501, max_value=0.99),
+)
+
+
+class TestScalarParity:
+    """The array tables equal the per-round scalar formulas bit for bit."""
+
+    @given(
+        sched=st.one_of(parametric, explicit),
+        total=st.integers(min_value=1, max_value=3000),
+        target=st.integers(min_value=1, max_value=5000),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_tables_equal_scalar_reference(self, sched, total, target):
+        e = schedules.intervals(sched, total)
+        np.testing.assert_array_equal(e, ref_intervals(sched, total))
+        assert e.dtype == np.int64
+        gammas, etas = schedules.effective_steps(sched, total)
+        ref_gammas, ref_etas = ref_steps(sched, total)
+        np.testing.assert_array_equal(gammas, ref_gammas)
+        np.testing.assert_array_equal(etas, ref_etas)
+        assert schedules.warmup_rounds(sched, total) == ref_warmup(sched, total)
+        assert rounds_for_target(sched, target) == ref_rounds_for_target(sched, target)
+
+    @pytest.mark.parametrize(
+        "sched, target, rounds",
+        [
+            (constant(1, warmup_fraction=0.05), 10_000, 10_000),
+            (CommunicationSchedule("power", exponent=0.5, warmup_fraction=0.05), 100_000, 7705),
+        ],
+        ids=["C1-1e4", "P0.5-1e5"],
+    )
+    def test_benchmark_setups(self, sched, target, rounds):
+        assert rounds_for_target(sched, target) == rounds
+        e = schedules.intervals(sched, rounds)
+        assert e.sum() >= target > schedules.intervals(sched, rounds - 1).sum()
