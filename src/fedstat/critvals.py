@@ -12,6 +12,14 @@ the empirical distribution.  Paths come in antithetic pairs (B, -B); since
 t*(-B) = -t*(B) exactly, the realization sample is symmetric by construction,
 which pins the median at zero and sharpens the extreme quantiles.
 
+The simulation runs in blocks of about 2**18 path values (2 MB), the number
+of paths per block fixed by the step count, in buffers allocated once, so its
+working memory does not grow with the number of replications.  A one-worker
+helper thread draws the next block's normals while the calling thread reduces
+the current one.  The draws still come from one generator, one thread and in
+path order, and each path is reduced on its own, so the sample does not
+depend on the block size or on timing (see ``simulate_statistics``).
+
 A pre-generated table ships with the package; inference never simulates at
 runtime.  Regenerate with ``fedstat critvals``.
 """
@@ -19,6 +27,7 @@ runtime.  Regenerate with ``fedstat critvals``.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -35,7 +44,7 @@ __all__ = [
     "default_table",
 ]
 
-_CHUNK = 4096
+_BLOCK_VALUES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -61,8 +70,21 @@ def simulate_statistics(
     """Realizations of t*(beta), one row per beta.
 
     All betas share the same Brownian paths, and paths come in antithetic
-    pairs, so the returned sample per beta is exactly symmetric (up to one
-    unpaired path when ``replications`` is odd).
+    pairs: with P = ceil(replications / 2) paths, columns 0..P-1 of a row hold
+    the statistics of paths 1..P in stream order and columns P..2P-1 their
+    negations.  When ``replications`` is odd, the negation of the last path
+    is dropped, so every sample is exactly symmetric up to that one value.
+
+    Paths are simulated ``_block_rows(steps)`` at a time (about 2 MB of
+    increments per block) in buffers allocated once: two increment buffers,
+    one grid buffer (a zero column, then the partial sums) and one deviation
+    buffer reused by every beta.  A one-worker thread draws the next block's
+    normals into the idle increment buffer while this thread reduces the
+    current block; numpy releases the GIL for both.  All draws come from one
+    ``default_rng(seed)`` stream, in path order and from one thread, and each
+    path's arithmetic (scale, sequential ``cumsum``, then per beta the
+    deviation, its square and the row mean) touches only that path's row, so
+    every statistic is the same whatever the block size or the timing.
     """
     for beta in beta_list:
         if not 0.0 <= beta < 1.0:
@@ -70,24 +92,44 @@ def simulate_statistics(
     rng = np.random.default_rng(seed)
     r = np.arange(steps) / steps  # left endpoints, r[0] = 0
     g = np.stack([r ** (1.0 / (1.0 - beta)) for beta in beta_list])
-    pairs = (replications + 1) // 2
-    out = np.empty((len(beta_list), 2 * pairs))
-    done = 0
     scale = 1.0 / math.sqrt(steps)
-    while done < pairs:
-        n = min(_CHUNK, pairs - done)
-        increments = rng.standard_normal((n, steps)) * scale
-        paths = np.cumsum(increments, axis=1)
-        b_one = paths[:, -1]
-        b_grid = np.concatenate([np.zeros((n, 1)), paths[:, :-1]], axis=1)
-        for i in range(len(beta_list)):
-            dev = b_grid - np.outer(b_one, g[i])
-            integral = np.mean(dev * dev, axis=1)
-            stats = b_one / np.sqrt(integral)
-            out[i, 2 * done : 2 * done + n] = stats
-            out[i, 2 * done + n : 2 * done + 2 * n] = -stats
-        done += n
+    pairs = (replications + 1) // 2
+    rows = _block_rows(steps)
+    increments = (np.empty((rows, steps)), np.empty((rows, steps)))
+    grid = np.zeros((rows, steps + 1))  # column 0 stays 0: B(0)
+    dev = np.empty((rows, steps))
+    out = np.empty((len(beta_list), 2 * pairs))
+
+    def draw(buffer: np.ndarray) -> np.ndarray:
+        rng.standard_normal(out=buffer)
+        return np.multiply(buffer, scale, out=buffer)
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        pending = pool.submit(draw, increments[0][:pairs])
+        for block, start in enumerate(range(0, pairs, rows)):
+            inc = pending.result()
+            n = len(inc)
+            if start + n < pairs:
+                idle = increments[(block + 1) % 2]
+                pending = pool.submit(draw, idle[: pairs - start - n])
+            path = grid[:n]
+            np.cumsum(inc, axis=1, out=path[:, 1:])
+            b_one = path[:, steps]
+            b_grid = path[:, :steps]
+            d = dev[:n]
+            for i in range(len(beta_list)):
+                np.multiply.outer(b_one, g[i], out=d)
+                np.subtract(b_grid, d, out=d)
+                np.multiply(d, d, out=d)
+                integral = np.mean(d, axis=1)
+                np.divide(b_one, np.sqrt(integral), out=out[i, start : start + n])
+    np.negative(out[:, :pairs], out=out[:, pairs:])
     return out[:, :replications]
+
+
+def _block_rows(steps: int) -> int:
+    """Paths per block: about 2**18 values (2 MB) per buffer, whatever ``steps``."""
+    return max(1, _BLOCK_VALUES // steps)
 
 
 def simulate_table(

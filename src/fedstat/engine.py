@@ -194,7 +194,7 @@ def run(
     opt_rngs, inf_rngs = client_generators(seed, federation.size)
 
     e_all = schedules.intervals(schedule, total_rounds)
-    _, etas = schedules.effective_steps(schedule, total_rounds)
+    _, etas = schedules.steps_for_intervals(schedule, e_all)
 
     quadratic = kind == "quadratic"
     logistic = kind == "logistic"

@@ -34,6 +34,7 @@ __all__ = [
     "family_prefix",
     "intervals",
     "effective_steps",
+    "steps_for_intervals",
     "diagnostics",
     "fclt_time_scale",
     "validate_schedule",
@@ -235,7 +236,16 @@ def effective_steps(schedule: Schedule, total_rounds: int) -> tuple[np.ndarray, 
     gamma_m = gamma0 * m**(-alpha), unless an explicit schedule supplies its
     etas (repeating the final one), in which case gamma_m = eta_m * E_m.
     """
-    e = intervals(schedule, total_rounds)
+    return steps_for_intervals(schedule, intervals(schedule, total_rounds))
+
+
+def steps_for_intervals(schedule: Schedule, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``effective_steps`` for a run whose table ``e = intervals(schedule, T)`` is built.
+
+    A caller that needs both tables builds the intervals once and passes them
+    here; T is ``len(e)``.
+    """
+    total_rounds = len(e)
     if isinstance(schedule, ExplicitSchedule) and schedule.etas:
         etas = _extended(schedule.etas, total_rounds, np.float64)
         return etas * e, etas

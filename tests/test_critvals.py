@@ -1,9 +1,11 @@
 import io
+import math
+import time
 
 import numpy as np
 import pytest
 
-from fedstat import critvals
+from fedstat import cli, critvals
 from fedstat.critvals import CriticalValueTable, lookup, simulate_table
 
 REFERENCE_LEVELS = (0.01, 0.025, 0.05, 0.1, 0.5, 0.9, 0.95, 0.975, 0.99)
@@ -115,6 +117,113 @@ class TestSimulation:
             simulate_table((0.0,), (0.5,), steps=500, replications=10)
         with pytest.raises(ValueError):
             simulate_table((1.2,), (0.5,), steps=500, replications=5000)
+
+
+def reference_statistics(beta_list, steps, replications, seed):
+    """The 4096-pair chunked simulation that preceded the block layout.
+
+    Statistics of each chunk, then their negations, chunk after chunk.
+    """
+    rng = np.random.default_rng(seed)
+    r = np.arange(steps) / steps
+    g = np.stack([r ** (1.0 / (1.0 - beta)) for beta in beta_list])
+    pairs = (replications + 1) // 2
+    out = np.empty((len(beta_list), 2 * pairs))
+    done = 0
+    scale = 1.0 / math.sqrt(steps)
+    while done < pairs:
+        n = min(4096, pairs - done)
+        increments = rng.standard_normal((n, steps)) * scale
+        paths = np.cumsum(increments, axis=1)
+        b_one = paths[:, -1]
+        b_grid = np.concatenate([np.zeros((n, 1)), paths[:, :-1]], axis=1)
+        for i in range(len(beta_list)):
+            dev = b_grid - np.outer(b_one, g[i])
+            integral = np.mean(dev * dev, axis=1)
+            stats = b_one / np.sqrt(integral)
+            out[i, 2 * done : 2 * done + n] = stats
+            out[i, 2 * done + n : 2 * done + 2 * n] = -stats
+        done += n
+    return out[:, :replications]
+
+
+FOUR_BETAS = (0.0, 1.0 / 3.0, 0.5, 2.0 / 3.0)
+
+
+class TestBlockParity:
+    """Block layout against the chunked reference: same sample bit for bit.
+
+    Each case is (betas, steps, full blocks, pairs in a last partial block,
+    odd), so that the cases keep straddling block edges whatever the block
+    size is: replications = 2 * (full * rows + rest) - odd.
+    """
+
+    CASES = [
+        ((0.5,), 100, 0, 1001, 1),  # odd, inside one block
+        (FOUR_BETAS, 100, 2, 758, 0),  # even, three blocks, the last partial
+        (FOUR_BETAS, 257, 2, 1, 1),  # odd, a last block of one pair
+        ((0.0,), 257, 2, 0, 0),  # even, an exact multiple of the block
+        ((2.0 / 3.0,), 257, 1, 600, 1),  # odd, two blocks
+    ]
+
+    @staticmethod
+    def replications(steps, full, rest, odd):
+        return 2 * (full * critvals._block_rows(steps) + rest) - odd
+
+    @pytest.mark.parametrize("betas, steps, full, rest, odd", CASES)
+    def test_sorted_samples_equal_reference(self, betas, steps, full, rest, odd):
+        reps = self.replications(steps, full, rest, odd)
+        seed = steps + reps
+        stats = critvals.simulate_statistics(betas, steps, reps, seed)
+        reference = reference_statistics(betas, steps, reps, seed)
+        assert stats.shape == reference.shape == (len(betas), reps)
+        for row, ref_row in zip(stats, reference):
+            assert np.array_equal(np.sort(row), np.sort(ref_row))
+        # Statistics first, negations after; odd drops the last path's negation.
+        pairs = (reps + 1) // 2
+        assert np.array_equal(stats[:, pairs:], -stats[:, : reps - pairs])
+
+    @pytest.mark.parametrize("betas, steps, full, rest, odd", CASES)
+    def test_table_values_equal_reference(self, betas, steps, full, rest, odd):
+        reps = self.replications(steps, full, rest, odd)
+        table = simulate_table(betas, REFERENCE_LEVELS, steps=steps, replications=reps, seed=7)
+        reference = reference_statistics(betas, steps, reps, 7)
+        expected = np.quantile(reference, REFERENCE_LEVELS, axis=1).T
+        assert np.array_equal(table.values, expected)
+
+
+    def test_no_block_is_drawn_while_it_is_reduced(self, monkeypatch):
+        # Each reduction starts only after any draw in flight has had time to
+        # finish, so a draw into the buffer being reduced would change the sample.
+        class SlowCumsum:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def cumsum(*args, **kwargs):
+                time.sleep(0.05)
+                return np.cumsum(*args, **kwargs)
+
+        betas, steps, full, rest, odd = self.CASES[1]
+        reps = self.replications(steps, full, rest, odd)
+        reference = reference_statistics(betas, steps, reps, 5)
+        monkeypatch.setattr(critvals, "np", SlowCumsum())
+        stats = critvals.simulate_statistics(betas, steps, reps, 5)
+        for row, ref_row in zip(stats, reference):
+            assert np.array_equal(np.sort(row), np.sort(ref_row))
+
+
+class TestCommandLine:
+    def test_critvals_writes_the_table_bytes(self, tmp_path):
+        out = tmp_path / "table.csv"
+        argv = ["critvals", "--steps", "100", "--reps", "2000", "--seed", "3", "--out", str(out)]
+        assert cli.main(argv) == 0
+        # The documented defaults of `fedstat critvals --betas/--levels`.
+        betas = (0.0, 0.3333333333333333, 0.5, 0.6666666666666666)
+        table = simulate_table(betas, REFERENCE_LEVELS, steps=100, replications=2000, seed=3)
+        expected = io.StringIO()
+        critvals.save_csv(table, expected)
+        assert out.read_bytes() == expected.getvalue().encode()
 
 
 class TestSerialization:

@@ -132,6 +132,26 @@ class TestFederation:
                 clients=tuple(clients), weights=np.array([0.6, 0.6]), global_optimum=np.zeros(2)
             )
 
+    def test_weights_off_one_beyond_roundoff_rejected(self):
+        # Accepted under a 1e-12 bound, these weights let a noiseless run of
+        # two quadratic clients settle 3.2e-11 off x*.
+        clients = [ClientModel("quadratic", np.full(2, c)) for c in (1.0, 3.0)]
+        with pytest.raises(ValueError, match="normalize"):
+            federation_of(clients, weights=[0.5, 0.5 + 9e-13])
+
+    def test_equal_weights_accepted(self):
+        for k in range(1, 65):
+            clients = [ClientModel("linear", np.zeros(2)) for _ in range(k)]
+            assert federation_of(clients, weights=np.full(k, 1.0 / k)).size == k
+
+    @pytest.mark.parametrize(
+        "weights",
+        [[0.25, 0.75], [0.1, 0.2, 0.3, 0.4], [0.5, 0.3, 0.2], [0.25] * 4, [0.7, 0.1, 0.1, 0.1]],
+    )
+    def test_weight_vectors_of_the_suite_accepted(self, weights):
+        clients = [ClientModel("linear", np.zeros(2)) for _ in weights]
+        np.testing.assert_array_equal(federation_of(clients, weights=weights).weights, weights)
+
     def test_linear_global_optimum_is_weighted_average(self):
         clients = [
             ClientModel("linear", np.array([1.0, 0.0])),
