@@ -14,15 +14,29 @@ from each stream in chunks of `_BUFFER_CHUNK` for speed; within a stream they
 are always consumed sequentially, one row per local iteration (or per sync for
 the inference stream).
 
-Observers are notified in blocks of `BLOCK_ROUNDS` rounds: the engine runs a
-block's rounds, takes the block's inference rows with one buffer call,
-evaluates its gradient and Hessian draws with one stacked kernel call, and
-then notifies every observer once per round, in round order.  An observer is
-therefore at most one block behind the path, and it has seen every completed
-round before ``run`` returns or raises.  `BLOCK_ROUNDS` divides
-`_BUFFER_CHUNK`, so a block take never straddles a refill: the inference
-buffer refills at the same stream positions as one take per round would, and
-every kind's inference draws are those of a per-round evaluation, bit for bit.
+Each round's local steps run in one in-place kernel per model kind
+(``models.linear_steps``, ``logistic_steps`` or ``quadratic_steps``), called
+once per round on the stacked client states X (K, d) with the round's
+``SampleBuffer.take(E)``; the synchronized average is written straight into
+the path and copied back to every client.
+
+Rounds run in blocks of `BLOCK_ROUNDS`.  After a block's rounds, the
+divergence test runs once on the block's rows: the first round m whose
+squared norm is not <= divergence_bound**2 is named by `DivergenceError`,
+exactly as a test after every round would name it.  The block's rounds after
+m have been computed as well; they may overflow to inf or nan, silently, and
+are discarded, so neither an observer nor a warning sees them.
+
+Observers are notified once per block, after its divergence test: the engine
+takes the block's inference rows with one buffer call, evaluates its gradient
+and Hessian draws with one stacked kernel call, and then notifies every
+observer once per round, in round order.  An observer is therefore at most
+one block behind the path, and it has seen every completed round (rounds
+1..m-1 of a diverging run) before ``run`` returns or raises.  `BLOCK_ROUNDS`
+divides `_BUFFER_CHUNK`, so a block take never straddles a refill: the
+inference buffer refills at the same stream positions as one take per round
+would, and every kind's inference draws are those of a per-round
+evaluation, bit for bit.
 """
 
 from __future__ import annotations
@@ -195,22 +209,23 @@ def run(
 
     e_all = schedules.intervals(schedule, total_rounds)
     _, etas = schedules.steps_for_intervals(schedule, e_all)
+    comm_times = np.cumsum(e_all)
+    e_list, eta_list = e_all.tolist(), etas.tolist()
 
     quadratic = kind == "quadratic"
-    logistic = kind == "logistic"
     if quadratic:
         centers = np.stack([c.local_optimum for c in clients])
         curvatures = np.array([c.curvature for c in clients])
-        opt_samples = inf_samples = None
     else:
+        logistic = kind == "logistic"
+        local_steps = models.logistic_steps if logistic else models.linear_steps
+        sample_draws = models.logistic_draws if logistic else models.linear_draws
         opt_samples = SampleBuffer(clients, opt_rngs)
         inf_samples = SampleBuffer(clients, inf_rngs) if need_draws else None
 
     X = np.tile(x0, (federation.size, 1))
     points = np.empty((total_rounds, d))
-    comm_times = np.empty(total_rounds, dtype=np.int64)
     bound_sq = divergence_bound**2
-    iteration = 0
 
     def notify(first: int, stop: int) -> None:
         """Push rounds first+1..stop to every observer, in round order."""
@@ -224,13 +239,12 @@ def run(
             grads, hessians = models.quadratic_draws(weights, centers, curvatures, xs)
         else:
             A, B = inf_samples.take(stop - first)
-            kernel = models.logistic_draws if logistic else models.linear_draws
-            grads, hessians = kernel(weights, A, B, xs)
+            grads, hessians = sample_draws(weights, A, B, xs)
         rounds = zip(
             range(first + 1, stop + 1),
             comm_times[first:stop].tolist(),
             xs,
-            e_all[first:stop].tolist(),
+            e_list[first:stop],
             grads,
             hessians,
         )
@@ -238,41 +252,32 @@ def run(
             for obs in observers:
                 obs.observe_sync(m, t, x_bar, interval, grad_draw, hess_draw)
 
-    for m in range(1, total_rounds + 1):
-        interval = int(e_all[m - 1])
-        eta = etas[m - 1]
-        if quadratic:
-            for _ in range(interval):
-                X -= eta * (curvatures[:, None] * (X - centers))
-        else:
-            A, B = opt_samples.take(interval)
-            if logistic:
-                for t in range(interval):
-                    a_t = A[:, t, :]
-                    p = models.sigmoid(np.einsum("kd,kd->k", a_t, X))
-                    X -= eta * (a_t * (p - B[:, t])[:, None])
-            else:
-                for t in range(interval):
-                    a_t = A[:, t, :]
-                    resid = np.einsum("kd,kd->k", a_t, X) - B[:, t]
-                    X -= eta * (a_t * resid[:, None])
-
-        x_bar = weights @ X
-        norm_sq = float(x_bar @ x_bar)
-        if not norm_sq <= bound_sq:
-            notify(m - 1 - (m - 1) % BLOCK_ROUNDS, m - 1)
+    for first in range(0, total_rounds, BLOCK_ROUNDS):
+        stop = min(first + BLOCK_ROUNDS, total_rounds)
+        block = points[first:stop]
+        # Rounds after a diverging one may overflow; they are discarded unseen.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for interval, eta, x_bar in zip(e_list[first:stop], eta_list[first:stop], block):
+                if quadratic:
+                    models.quadratic_steps(X, centers, curvatures, eta, interval)
+                else:
+                    local_steps(X, *opt_samples.take(interval), eta)
+                np.matmul(weights, X, x_bar)
+                X[...] = x_bar
+            # Row by row the same dot as x_bar @ x_bar.
+            norm_sq = np.matmul(block[:, None, :], block[:, :, None])[:, 0, 0]
+        failed = np.flatnonzero(~(norm_sq <= bound_sq))
+        if failed.size:
+            m = first + int(failed[0]) + 1
+            notify(first, m - 1)
             raise DivergenceError(
                 f"synchronized iterate exceeded bound {divergence_bound:g} at round {m}"
             )
-        X[:] = x_bar
-        iteration += interval
-        points[m - 1] = x_bar
-        comm_times[m - 1] = iteration
-        if m % BLOCK_ROUNDS == 0:
-            notify(m - BLOCK_ROUNDS, m)
+        notify(first, stop)
 
-    notify(total_rounds - total_rounds % BLOCK_ROUNDS, total_rounds)
-    return SyncPath(points=points, comm_times=comm_times, total_iterations=iteration)
+    return SyncPath(
+        points=points, comm_times=comm_times, total_iterations=int(comm_times[-1])
+    )
 
 
 def average_estimate(path: SyncPath) -> np.ndarray:

@@ -8,9 +8,11 @@ Three model kinds are supported:
 * ``quadratic`` the noiseless oracle f_k(x) = curvature/2 * ||x - center||^2,
                 used for exactness tests.
 
-Gradient/Hessian formulas live in the stacked batch helpers below; the
-single-draw methods are thin wrappers so that the simulation engine and the
-spec-level operations share one implementation.
+Each kind's math is written once per use, on stacked arrays: ``*_steps`` runs
+one round's local SGD steps in place on all client states (the engine calls
+it once per round), and ``*_draws`` evaluates the weighted gradient and
+Hessian draws that inference observers consume, one row per synchronized
+point.  ``ClientModel.draw`` is the one sample generator per kind.
 """
 
 from __future__ import annotations
@@ -26,12 +28,9 @@ __all__ = [
     "federation_of",
     "true_sandwich",
     "sigmoid",
-    "linear_gradients",
-    "logistic_gradients",
-    "quadratic_gradients",
-    "linear_hessians",
-    "logistic_hessians",
-    "quadratic_hessians",
+    "linear_steps",
+    "logistic_steps",
+    "quadratic_steps",
     "linear_draws",
     "logistic_draws",
     "quadratic_draws",
@@ -40,40 +39,60 @@ __all__ = [
 _KINDS = ("linear", "logistic", "quadratic")
 
 
-# --- stacked batch kernels -------------------------------------------------
-# A, B hold one fresh sample per row; X holds the matching state per row.
+# --- local SGD steps, in place on the stacked client states -----------------
+# X (K, d) holds one state per client.  A (K, E, d) and B (K, E) hold each
+# client's next E optimization samples, as one ``SampleBuffer.take(E)`` returns
+# them.  Each step computes x <- x - eta * (a * (r - b)) with r = a'x (linear)
+# or sigmoid(a'x) (logistic), one operation at a time in that order, into
+# buffers allocated once per call.  The only reduction is the einsum dot, so
+# every step rounds exactly as the expression written out per step would.
+# The ufuncs take their output positionally, and eta as a 0-d array: both skip
+# per-call argument conversion.
+
+_einsum = np.einsum.__wrapped__  # np.einsum without the __array_function__ dispatch
 
 
-def linear_gradients(A: np.ndarray, B: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Rows a_i * (a_i' x_i - b_i)."""
-    resid = np.einsum("kd,kd->k", A, X) - B
-    return A * resid[:, None]
+def linear_steps(X: np.ndarray, A: np.ndarray, B: np.ndarray, eta: float) -> None:
+    """E local steps x_k -= eta * a_kt (a_kt' x_k - b_kt) on every client."""
+    resid = np.empty(len(X))
+    column = resid[:, None]
+    step = np.empty(X.shape)
+    rate = np.array(eta)
+    for a_t, b_t in zip(A.transpose(1, 0, 2), B.T):
+        _einsum("kd,kd->k", a_t, X, out=resid)
+        np.subtract(resid, b_t, resid)
+        np.multiply(a_t, column, step)
+        np.multiply(step, rate, step)
+        np.subtract(X, step, X)
 
 
-def logistic_gradients(A: np.ndarray, B: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Rows a_i * (sigmoid(a_i' x_i) - b_i)."""
-    p = sigmoid(np.einsum("kd,kd->k", A, X))
-    return A * (p - B)[:, None]
+def logistic_steps(X: np.ndarray, A: np.ndarray, B: np.ndarray, eta: float) -> None:
+    """E local steps x_k -= eta * a_kt (sigmoid(a_kt' x_k) - b_kt) on every client."""
+    resid = np.empty(len(X))
+    column = resid[:, None]
+    step = np.empty(X.shape)
+    rate = np.array(eta)
+    for a_t, b_t in zip(A.transpose(1, 0, 2), B.T):
+        _einsum("kd,kd->k", a_t, X, out=resid)
+        sigmoid(resid, resid)
+        np.subtract(resid, b_t, resid)
+        np.multiply(a_t, column, step)
+        np.multiply(step, rate, step)
+        np.subtract(X, step, X)
 
 
-def quadratic_gradients(centers: np.ndarray, curvatures: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Rows curvature_i * (x_i - c_i); exact, no sampling noise."""
-    return curvatures[:, None] * (X - centers)
-
-
-def linear_hessians(A: np.ndarray) -> np.ndarray:
-    """Rows a_i a_i'."""
-    return np.einsum("ki,kj->kij", A, A)
-
-
-def logistic_hessians(A: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Rows sigmoid(a'x)(1 - sigmoid(a'x)) a_i a_i'."""
-    p = sigmoid(np.einsum("kd,kd->k", A, X))
-    return np.einsum("k,ki,kj->kij", p * (1.0 - p), A, A)
-
-
-def quadratic_hessians(curvatures: np.ndarray, dimension: int) -> np.ndarray:
-    return curvatures[:, None, None] * np.eye(dimension)
+def quadratic_steps(
+    X: np.ndarray, centers: np.ndarray, curvatures: np.ndarray, eta: float, steps: int
+) -> None:
+    """``steps`` exact local steps x_k -= eta * curvature_k (x_k - c_k) on every client."""
+    scale = curvatures[:, None]
+    step = np.empty(X.shape)
+    rate = np.array(eta)
+    for _ in range(steps):
+        np.subtract(X, centers, step)
+        np.multiply(scale, step, step)
+        np.multiply(step, rate, step)
+        np.subtract(X, step, X)
 
 
 # --- weighted inference draws, one row per synchronized point ----------------
@@ -160,50 +179,6 @@ class ClientModel:
             b = (u < sigmoid(a @ self.local_optimum)).astype(np.float64)
             return a, b
         return np.empty((n, 0)), np.empty(n)
-
-    def _check_point(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.dimension,):
-            raise ValueError(f"expected a vector of length {self.dimension}")
-        if not np.all(np.isfinite(x)):
-            raise ValueError("evaluation point must be finite")
-        return x
-
-    def sample_gradient(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Stochastic gradient at x from one fresh sample."""
-        x = self._check_point(x)
-        a, b = self.draw(rng, 1)
-        return self._gradient_rows(a, b, x[None, :])[0]
-
-    def sample_hessian(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Stochastic Hessian at x from one fresh sample."""
-        x = self._check_point(x)
-        a, _ = self.draw(rng, 1)
-        return self._hessian_rows(a, x[None, :])[0]
-
-    def sample_gradient_hessian(
-        self, x: np.ndarray, rng: np.random.Generator
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Gradient and Hessian at x evaluated on the same fresh sample."""
-        x = self._check_point(x)
-        a, b = self.draw(rng, 1)
-        xs = x[None, :]
-        return self._gradient_rows(a, b, xs)[0], self._hessian_rows(a, xs)[0]
-
-    def _gradient_rows(self, A: np.ndarray, B: np.ndarray, X: np.ndarray) -> np.ndarray:
-        if self.kind == "linear":
-            return linear_gradients(A, B, X)
-        if self.kind == "logistic":
-            return logistic_gradients(A, B, X)
-        centers = np.broadcast_to(self.local_optimum, X.shape)
-        return quadratic_gradients(centers, np.full(len(X), self.curvature), X)
-
-    def _hessian_rows(self, A: np.ndarray, X: np.ndarray) -> np.ndarray:
-        if self.kind == "linear":
-            return linear_hessians(A)
-        if self.kind == "logistic":
-            return logistic_hessians(A, X)
-        return quadratic_hessians(np.full(len(X), self.curvature), self.dimension)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ elements (50,508 of m = 1..10^6 at alpha = 0.505).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
@@ -139,17 +139,14 @@ class ScheduleDiagnostics:
 
     t_T is the total iteration count, nu_hat the finite-T variance inflation
     estimate (1/T^2)(sum E_m)(sum 1/E_m), nu_limit its closed-form limit when
-    known, and acf = T / t_T the averaged communication frequency.  The trend
-    fields sample the slow-step-size conditions on a geometric round grid.
+    known, and acf = T / t_T the averaged communication frequency.  The
+    slow-growth trends are ``validate_schedule``'s.
     """
 
     t_T: int
     nu_hat: float
     nu_limit: float | None
     acf: float
-    trend_grid: tuple[int, ...] = field(default=())
-    step_sum_trend: tuple[float, ...] = field(default=())
-    gamma_floor_trend: tuple[float, ...] = field(default=())
 
 
 def _extended(values: tuple, n: int, dtype: type) -> np.ndarray:
@@ -262,11 +259,6 @@ def _nu_limit(schedule: Schedule) -> float | None:
     return 1.0
 
 
-def _default_grid(total_rounds: int) -> tuple[int, ...]:
-    grid = sorted({max(1, math.ceil(total_rounds / s)) for s in (8, 4, 2, 1)})
-    return tuple(grid)
-
-
 def diagnostics(schedule: Schedule, total_rounds: int) -> ScheduleDiagnostics:
     """Direct-summation diagnostics of the first ``total_rounds`` rounds."""
     if total_rounds < 1:
@@ -275,16 +267,11 @@ def diagnostics(schedule: Schedule, total_rounds: int) -> ScheduleDiagnostics:
     t_total = int(e.sum())
     inv_sum = float((1.0 / e).sum())
     nu_hat = t_total * inv_sum / total_rounds**2
-    grid = _default_grid(total_rounds)
-    step_sum, gamma_floor, _ = _trends(schedule, grid)
     return ScheduleDiagnostics(
         t_T=t_total,
         nu_hat=nu_hat,
         nu_limit=_nu_limit(schedule),
         acf=total_rounds / t_total,
-        trend_grid=grid,
-        step_sum_trend=step_sum,
-        gamma_floor_trend=gamma_floor,
     )
 
 
@@ -308,7 +295,7 @@ def _trends(
     step_sum, gamma_floor, growth = [], [], []
     for t in grid:
         e = intervals(schedule, t)
-        gammas, _ = effective_steps(schedule, t)
+        gammas, _ = steps_for_intervals(schedule, e)
         sqrt_t = math.sqrt(float(e.sum()))
         step_sum.append(sqrt_t / t * float(gammas.sum()))
         gamma_floor.append(sqrt_t / (t * math.sqrt(gammas[-1])))

@@ -1,4 +1,5 @@
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -224,6 +225,37 @@ class TestObserversAndDeterminism:
                 observers=(recorder,), divergence_bound=1e3)
         assert [row[0] for row in recorder.rows] == list(range(1, 10))
         assert recorder.rows[-1][2][0] == (-2.0) ** 9
+
+    def test_divergence_in_a_later_block_names_the_first_failing_round(self):
+        # 1 - eta = -1.1 grows the iterate by 1.1 per round; it first exceeds
+        # 1e13 in the second block.  The reference runs the per-step
+        # expression and the norm test one round at a time.
+        fed = quadratic_fed([0.0])
+        eta, bound = 2.1, 1e13
+        x, seen = np.array([1.0]), []
+        while True:
+            x = x - np.float64(eta) * (1.0 * (x - 0.0))
+            if not float(x @ x) <= bound**2:
+                break
+            seen.append(x)
+        m = len(seen) + 1
+        assert engine.BLOCK_ROUNDS < m < 2 * engine.BLOCK_ROUNDS
+        recorder = PathRecorder()
+        with pytest.raises(DivergenceError, match=f"at round {m}$"):
+            run(fed, fixed_step(eta, 600), 600, np.array([1.0]), seed=0,
+                observers=(recorder,), divergence_bound=bound)
+        assert [row[0] for row in recorder.rows] == list(range(1, m))
+        np.testing.assert_array_equal([row[2] for row in recorder.rows], seen)
+
+    def test_overflow_after_the_diverging_round_is_silent(self):
+        # 1 - eta = -1000: round 3 exceeds 1e8, and the rest of the block's
+        # rounds overflow to inf and then nan before the block is tested.
+        fed = quadratic_fed([0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError, match="at round 3$"):
+                run(fed, fixed_step(1001.0, engine.BLOCK_ROUNDS), engine.BLOCK_ROUNDS,
+                    np.array([1.0]), seed=0, divergence_bound=1e8)
 
     def test_bit_identical_reruns(self):
         fed = linear_fed(np.random.default_rng(1).standard_normal((3, 2)))

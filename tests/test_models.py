@@ -2,29 +2,48 @@ import numpy as np
 import pytest
 
 from fedstat import models
+from fedstat.engine import SampleBuffer
 from fedstat.models import ClientModel, federation_of, true_sandwich
+
+ONE = np.ones(1)  # the weights of a single client
 
 
 def rng_pair(seed=0):
     return np.random.default_rng(seed), np.random.default_rng(seed)
 
 
+def draws_at(model, a, b, X):
+    """Gradient and Hessian draws of one client of weight 1, one row per sample."""
+    kernel = models.linear_draws if model.kind == "linear" else models.logistic_draws
+    return kernel(ONE, a[None], b[None], X)
+
+
+def quadratic_draws_at(model, X):
+    centers = model.local_optimum[None]
+    return models.quadratic_draws(ONE, centers, np.array([model.curvature]), X)
+
+
 class TestQuadratic:
     def test_gradient_is_exact(self):
         model = ClientModel("quadratic", np.zeros(3))
         x = np.array([1.0, -2.0, 0.5])
-        grad = model.sample_gradient(x, np.random.default_rng(0))
-        np.testing.assert_array_equal(grad, x)
+        grads, _ = quadratic_draws_at(model, x[None])
+        np.testing.assert_array_equal(grads[0], x)
 
     def test_hessian_is_curvature_times_identity(self):
         model = ClientModel("quadratic", np.zeros(2), curvature=3.0)
-        hess = model.sample_hessian(np.ones(2), np.random.default_rng(0))
-        np.testing.assert_array_equal(hess, 3.0 * np.eye(2))
+        _, hess = quadratic_draws_at(model, np.ones((1, 2)))
+        np.testing.assert_array_equal(hess[0], 3.0 * np.eye(2))
 
     def test_zero_gradient_noise(self):
         model = ClientModel("quadratic", np.array([1.0, 2.0]))
         x = np.array([0.3, -0.7])
-        grads = [model.sample_gradient(x, np.random.default_rng(s)) for s in range(5)]
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        a, b = model.draw(rng, 5)
+        assert a.shape == (5, 0) and b.shape == (5,)
+        assert rng.bit_generator.state == state
+        grads, _ = quadratic_draws_at(model, np.tile(x, (5, 1)))
         for g in grads[1:]:
             np.testing.assert_array_equal(g, grads[0])
 
@@ -35,7 +54,7 @@ class TestLinear:
         model = ClientModel("linear", np.array([0.5, -1.0, 2.0, 0.0]))
         rng = np.random.default_rng(11)
         a, b = model.draw(rng, n)
-        grads = models.linear_gradients(a, b, np.tile(model.local_optimum, (n, 1)))
+        grads, _ = draws_at(model, a, b, np.tile(model.local_optimum, (n, 1)))
         mean = grads.mean(axis=0)
         se = grads.std(axis=0, ddof=1) / np.sqrt(n)
         assert np.all(np.abs(mean) <= 3.0 * se)
@@ -43,19 +62,14 @@ class TestLinear:
     def test_hessian_mean_is_identity(self):
         d, n = 3, 100_000
         model = ClientModel("linear", np.zeros(d))
-        a, _ = model.draw(np.random.default_rng(5), n)
-        mean = models.linear_hessians(a).mean(axis=0)
-        assert np.all(np.abs(mean - np.eye(d)) < 0.05)
+        a, b = model.draw(np.random.default_rng(5), n)
+        _, hessians = draws_at(model, a, b, np.zeros((n, d)))
+        assert np.all(np.abs(hessians.mean(axis=0) - np.eye(d)) < 0.05)
 
     def test_response_uses_noise_scale(self):
         model = ClientModel("linear", np.zeros(2), noise_scale=0.0)
         a, b = model.draw(np.random.default_rng(3), 1000)
         np.testing.assert_allclose(b, a @ model.local_optimum, atol=1e-15)
-
-    def test_rejects_nonfinite_point(self):
-        model = ClientModel("linear", np.zeros(2))
-        with pytest.raises(ValueError):
-            model.sample_gradient(np.array([np.nan, 0.0]), np.random.default_rng(0))
 
 
 class TestLogistic:
@@ -64,7 +78,7 @@ class TestLogistic:
         xstar = np.linspace(0.0, 1.0, d)
         model = ClientModel("logistic", xstar)
         a, b = model.draw(np.random.default_rng(17), n)
-        grads = models.logistic_gradients(a, b, np.tile(xstar, (n, 1)))
+        grads, _ = draws_at(model, a, b, np.tile(xstar, (n, 1)))
         mean = grads.mean(axis=0)
         se = grads.std(axis=0, ddof=1) / np.sqrt(n)
         assert np.all(np.abs(mean) <= 3.0 * se)
@@ -72,8 +86,9 @@ class TestLogistic:
     def test_hessian_mean_at_zero_is_quarter_identity(self):
         d, n = 3, 100_000
         model = ClientModel("logistic", np.linspace(0, 1, d))
-        a, _ = model.draw(np.random.default_rng(23), n)
-        mean = models.logistic_hessians(a, np.zeros((n, d))).mean(axis=0)
+        a, b = model.draw(np.random.default_rng(23), n)
+        _, hessians = draws_at(model, a, b, np.zeros((n, d)))
+        mean = hessians.mean(axis=0)
         assert np.all(np.abs(mean - 0.25 * np.eye(d)) < 0.05 * 0.25 + 0.01)
 
     def test_labels_are_binary(self):
@@ -87,10 +102,12 @@ class TestSharedSampleDraws:
         model = ClientModel("linear", np.array([1.0, -1.0]))
         x = np.array([0.2, 0.4])
         r1, r2 = rng_pair(9)
-        g, h = model.sample_gradient_hessian(x, r1)
+        g, h = draws_at(model, *model.draw(r1, 1), x[None])
         a, b = model.draw(r2, 1)
-        np.testing.assert_array_equal(h, np.outer(a[0], a[0]))
-        np.testing.assert_array_equal(g, a[0] * (a[0] @ x - b[0]))
+        # The kernel's reduction: one stacked matmul dot per row.
+        resid = np.matmul(a[None], x[None, :, None])[0, 0, 0] - b[0]
+        np.testing.assert_array_equal(h[0], np.outer(a[0], a[0]))
+        np.testing.assert_array_equal(g[0], a[0] * resid)
 
     def test_identical_seed_identical_stream(self):
         model = ClientModel("logistic", np.linspace(0, 1, 4))
@@ -99,6 +116,45 @@ class TestSharedSampleDraws:
         a2, b2 = model.draw(r2, 64)
         np.testing.assert_array_equal(a1, a2)
         np.testing.assert_array_equal(b1, b2)
+
+
+class TestStepKernels:
+    @pytest.mark.parametrize("k", [1, 3, 10])
+    @pytest.mark.parametrize("steps", [1, 7, 300])
+    @pytest.mark.parametrize("kind", ["linear", "logistic", "quadratic"])
+    def test_kernel_equals_per_step_expression(self, kind, steps, k):
+        """One round's local steps, in place, bit for bit as the per-step
+        expression run on the same (K, E, d) take of a sample buffer."""
+        d, eta = 5, 0.05
+        rng = np.random.default_rng(100 * steps + k)
+        optima = rng.standard_normal((k, d))
+        if kind == "logistic":
+            clients = tuple(ClientModel(kind, optima[0]) for _ in range(k))
+        else:
+            clients = tuple(ClientModel(kind, o, curvature=1.0 + i) for i, o in enumerate(optima))
+        X = rng.standard_normal((k, d))
+        expected = X.copy()
+        eta64 = np.float64(eta)
+        if kind == "quadratic":
+            curvatures = np.array([c.curvature for c in clients])
+            models.quadratic_steps(X, optima, curvatures, eta, steps)
+            for _ in range(steps):
+                expected -= eta64 * (curvatures[:, None] * (expected - optima))
+        else:
+            buffer = SampleBuffer(clients, [np.random.default_rng(s) for s in range(k)])
+            buffer.take(5)
+            A, B = buffer.take(steps)
+            kernel = models.logistic_steps if kind == "logistic" else models.linear_steps
+            kernel(X, A, B, eta)
+            for t in range(steps):
+                a_t = A[:, t, :]
+                if kind == "logistic":
+                    p = models.sigmoid(np.einsum("kd,kd->k", a_t, expected))
+                    expected -= eta64 * (a_t * (p - B[:, t])[:, None])
+                else:
+                    resid = np.einsum("kd,kd->k", a_t, expected) - B[:, t]
+                    expected -= eta64 * (a_t * resid[:, None])
+        np.testing.assert_array_equal(X, expected)
 
 
 class TestGradientHessianConsistency:
@@ -212,7 +268,7 @@ class TestTrueSandwich:
         agg = np.zeros((n, 2))
         for client, p in zip(fed.clients, fed.weights):
             a, b = client.draw(rng, n)
-            grads = models.linear_gradients(a, b, np.tile(fed.global_optimum, (n, 1)))
+            grads, _ = draws_at(client, a, b, np.tile(fed.global_optimum, (n, 1)))
             agg += p * (grads - grads.mean(axis=0))
         s_mc = agg.T @ agg / n
         np.testing.assert_allclose(s_mc, s_closed, rtol=0.05, atol=0.02)
