@@ -14,18 +14,35 @@ from each stream in chunks of `_BUFFER_CHUNK` for speed; within a stream they
 are always consumed sequentially, one row per local iteration (or per sync for
 the inference stream).
 
-Each round's local steps run in one in-place kernel per model kind
-(``models.linear_steps``, ``logistic_steps`` or ``quadratic_steps``), called
-once per round on the stacked client states X (K, d) with the round's
-``SampleBuffer.take(E)``; the synchronized average is written straight into
-the path and copied back to every client.
-
 Rounds run in blocks of `BLOCK_ROUNDS`.  After a block's rounds, the
 divergence test runs once on the block's rows: the first round m whose
 squared norm is not <= divergence_bound**2 is named by `DivergenceError`,
 exactly as a test after every round would name it.  The block's rounds after
 m have been computed as well; they may overflow to inf or nan, silently, and
 are discarded, so neither an observer nor a warning sees them.
+
+Local steps and synchronization run in one in-place kernel per model kind
+(``models.linear_rounds``, ``logistic_rounds`` or ``quadratic_rounds``) on the
+stacked client states X (K, d), called once per group of consecutive rounds.
+Within each block of `BLOCK_ROUNDS` rounds, consecutive rounds whose intervals
+sum to at most `BLOCK_ROUNDS` rows form one group, and a round whose interval
+alone is longer is a group of its own.  Each group makes one
+``SampleBuffer.take(sum E)`` and one kernel call; the kernel writes each
+round's synchronized average straight into the path and copies it back to
+every client.
+
+Grouping leaves every bit as one take per round would.  A take holds at most
+`BLOCK_ROUNDS` <= `_BUFFER_CHUNK` rows, or exactly one round's rows.  A
+refill draws max(`_BUFFER_CHUNK`, rows still missing) rows per client, so a
+group that crosses the end of the buffer refills once, with `_BUFFER_CHUNK`
+rows, exactly where its crossing round alone would have, and a long round
+refills as it does alone (`_BUFFER_CHUNK`, or E minus the rows left).  Every
+refill therefore draws the same number of rows, in the same order, and the
+logistic stream (whose rows depend on the draw size) does not move.  A cap
+of `_BUFFER_CHUNK` would keep the bits too, but the rows left over at a
+refill (fewer than the take that triggers it) are copied into the refilled
+buffer: a group of up to 256 rows adds less than an eighth of a chunk to it,
+where a 2048-row group could nearly double it.
 
 Observers are notified once per block, after its divergence test: the engine
 takes the block's inference rows with one buffer call, evaluates its gradient
@@ -140,35 +157,32 @@ class SampleBuffer:
     exactly the order its generator produces them, so the buffering granularity
     never changes which sample lands on which iteration for the linear kind
     (one normal block per draw); it is fixed at `_BUFFER_CHUNK` rows so results
-    are reproducible for all kinds.
+    are reproducible for all kinds, and so that grouped takes of at most
+    `BLOCK_ROUNDS` rows refill exactly as per-round takes would.
     """
 
-    def __init__(
-        self,
-        clients: tuple[models.ClientModel, ...],
-        rngs: list[np.random.Generator],
-        chunk: int = _BUFFER_CHUNK,
-    ):
+    def __init__(self, clients: tuple[models.ClientModel, ...], rngs: list[np.random.Generator]):
         self._clients = clients
         self._rngs = rngs
-        self._chunk = chunk
         self._cursor = 0
         self._size = 0
-        self._A: np.ndarray | None = None
-        self._B: np.ndarray | None = None
+        self._A = np.empty((len(clients), 0, clients[0].dimension))
+        self._B = np.empty((len(clients), 0))
 
     def _refill(self, needed: int) -> None:
-        size = max(self._chunk, needed)
-        draws = [c.draw(rng, size) for c, rng in zip(self._clients, self._rngs)]
-        fresh_a = np.stack([d[0] for d in draws])
-        fresh_b = np.stack([d[1] for d in draws])
+        """Keep the unread rows and append ``max(_BUFFER_CHUNK, needed)`` fresh
+        rows per client, each written once into the new arrays."""
+        size = max(_BUFFER_CHUNK, needed)
         left = self._size - self._cursor
-        if left > 0:
-            fresh_a = np.concatenate([self._A[:, self._cursor :, :], fresh_a], axis=1)
-            fresh_b = np.concatenate([self._B[:, self._cursor :], fresh_b], axis=1)
-        self._A, self._B = fresh_a, fresh_b
+        A = np.empty((len(self._clients), left + size, self._A.shape[2]))
+        B = np.empty(A.shape[:2])
+        A[:, :left] = self._A[:, self._cursor :]
+        B[:, :left] = self._B[:, self._cursor :]
+        for k, (client, rng) in enumerate(zip(self._clients, self._rngs)):
+            A[k, left:], B[k, left:] = client.draw(rng, size)
+        self._A, self._B = A, B
         self._cursor = 0
-        self._size = fresh_a.shape[1]
+        self._size = left + size
 
     def take(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         if self._cursor + n > self._size:
@@ -176,6 +190,21 @@ class SampleBuffer:
         start = self._cursor
         self._cursor += n
         return self._A[:, start : self._cursor, :], self._B[:, start : self._cursor]
+
+
+def _groups(e_list: list[int], first: int, stop: int):
+    """(lo, hi, rows) for the groups of rounds first..stop-1, in order.
+
+    Consecutive rounds whose intervals sum to at most `BLOCK_ROUNDS` rows form
+    one group; a round whose interval alone is longer is a group of its own.
+    """
+    lo, rows = first, 0
+    for m in range(first, stop):
+        if rows and rows + e_list[m] > BLOCK_ROUNDS:
+            yield lo, m, rows
+            lo, rows = m, 0
+        rows += e_list[m]
+    yield lo, stop, rows
 
 
 def run(
@@ -191,10 +220,14 @@ def run(
 
     Deterministic given (federation, schedule, total_rounds, x0, seed).  Every
     synchronized average is appended to the path and pushed to each observer,
-    at most `BLOCK_ROUNDS` rounds later, so inference runs online.
+    at most `BLOCK_ROUNDS` rounds later, so inference runs online.  A round
+    whose average has norm above ``divergence_bound`` (positive; inf never
+    trips) raises `DivergenceError`.
     """
     if total_rounds < 1:
         raise ValueError("total_rounds must be >= 1")
+    if not divergence_bound > 0:
+        raise ValueError(f"divergence_bound must be positive, got {divergence_bound!r}")
     x0 = np.asarray(x0, dtype=np.float64)
     d = federation.dimension
     if x0.shape != (d,) or not np.all(np.isfinite(x0)):
@@ -218,7 +251,7 @@ def run(
         curvatures = np.array([c.curvature for c in clients])
     else:
         logistic = kind == "logistic"
-        local_steps = models.logistic_steps if logistic else models.linear_steps
+        local_rounds = models.logistic_rounds if logistic else models.linear_rounds
         sample_draws = models.logistic_draws if logistic else models.linear_draws
         opt_samples = SampleBuffer(clients, opt_rngs)
         inf_samples = SampleBuffer(clients, inf_rngs) if need_draws else None
@@ -257,13 +290,12 @@ def run(
         block = points[first:stop]
         # Rounds after a diverging one may overflow; they are discarded unseen.
         with np.errstate(over="ignore", invalid="ignore"):
-            for interval, eta, x_bar in zip(e_list[first:stop], eta_list[first:stop], block):
+            for lo, hi, rows in _groups(e_list, first, stop):
+                group = (weights, e_list[lo:hi], eta_list[lo:hi], points[lo:hi])
                 if quadratic:
-                    models.quadratic_steps(X, centers, curvatures, eta, interval)
+                    models.quadratic_rounds(X, centers, curvatures, *group)
                 else:
-                    local_steps(X, *opt_samples.take(interval), eta)
-                np.matmul(weights, X, x_bar)
-                X[...] = x_bar
+                    local_rounds(X, *opt_samples.take(rows), *group)
             # Row by row the same dot as x_bar @ x_bar.
             norm_sq = np.matmul(block[:, None, :], block[:, :, None])[:, 0, 0]
         failed = np.flatnonzero(~(norm_sq <= bound_sq))

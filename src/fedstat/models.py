@@ -8,16 +8,20 @@ Three model kinds are supported:
 * ``quadratic`` the noiseless oracle f_k(x) = curvature/2 * ||x - center||^2,
                 used for exactness tests.
 
-Each kind's math is written once per use, on stacked arrays: ``*_steps`` runs
-one round's local SGD steps in place on all client states (the engine calls
-it once per round), and ``*_draws`` evaluates the weighted gradient and
-Hessian draws that inference observers consume, one row per synchronized
-point.  ``ClientModel.draw`` is the one sample generator per kind.
+Each kind's math is written once per use, on stacked arrays: ``*_rounds``
+runs a group of consecutive rounds (local SGD steps, then the weighted
+average) in place on all client states, and ``*_draws`` evaluates the
+weighted gradient and Hessian draws that inference observers consume, one row
+per synchronized point.  The engine calls ``*_rounds`` once per group of at
+most 256 sample rows (or one longer round), so the buffers a kernel allocates
+once per call are shared by many rounds when E_m is small.
+``ClientModel.draw`` is the one sample generator per kind.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 from scipy.special import expit as sigmoid
@@ -28,9 +32,9 @@ __all__ = [
     "federation_of",
     "true_sandwich",
     "sigmoid",
-    "linear_steps",
-    "logistic_steps",
-    "quadratic_steps",
+    "linear_rounds",
+    "logistic_rounds",
+    "quadratic_rounds",
     "linear_draws",
     "logistic_draws",
     "quadratic_draws",
@@ -39,60 +43,103 @@ __all__ = [
 _KINDS = ("linear", "logistic", "quadratic")
 
 
-# --- local SGD steps, in place on the stacked client states -----------------
-# X (K, d) holds one state per client.  A (K, E, d) and B (K, E) hold each
-# client's next E optimization samples, as one ``SampleBuffer.take(E)`` returns
-# them.  Each step computes x <- x - eta * (a * (r - b)) with r = a'x (linear)
-# or sigmoid(a'x) (logistic), one operation at a time in that order, into
-# buffers allocated once per call.  The only reduction is the einsum dot, so
-# every step rounds exactly as the expression written out per step would.
-# The ufuncs take their output positionally, and eta as a 0-d array: both skip
-# per-call argument conversion.
+# --- local SGD rounds, in place on the stacked client states -----------------
+# X (K, d) holds one state per client.  One call runs a group of consecutive
+# rounds: round j runs intervals[j] local steps at rate etas[j], then writes
+# the weighted average into points[j] (``np.matmul(weights, X, points[j])``)
+# and copies it back to every client.  A (K, sum E, d) and B (K, sum E) hold
+# each client's next optimization samples for the whole group, as one
+# ``SampleBuffer.take(sum E)`` returns them.  Each step computes
+# x <- x - eta * (a * (r - b)) with r = a'x (linear) or sigmoid(a'x)
+# (logistic), one operation at a time in that order, into buffers allocated
+# once per call.  The only reductions are the einsum dot and the weighted
+# average, so every step and every average rounds exactly as the expressions
+# written out per step and per round would.  The ufuncs take their output
+# positionally, and eta as a 0-d array: both skip per-call argument conversion.
 
 _einsum = np.einsum.__wrapped__  # np.einsum without the __array_function__ dispatch
 
 
-def linear_steps(X: np.ndarray, A: np.ndarray, B: np.ndarray, eta: float) -> None:
-    """E local steps x_k -= eta * a_kt (a_kt' x_k - b_kt) on every client."""
-    resid = np.empty(len(X))
-    column = resid[:, None]
-    step = np.empty(X.shape)
-    rate = np.array(eta)
-    for a_t, b_t in zip(A.transpose(1, 0, 2), B.T):
-        _einsum("kd,kd->k", a_t, X, out=resid)
-        np.subtract(resid, b_t, resid)
-        np.multiply(a_t, column, step)
-        np.multiply(step, rate, step)
-        np.subtract(X, step, X)
-
-
-def logistic_steps(X: np.ndarray, A: np.ndarray, B: np.ndarray, eta: float) -> None:
-    """E local steps x_k -= eta * a_kt (sigmoid(a_kt' x_k) - b_kt) on every client."""
-    resid = np.empty(len(X))
-    column = resid[:, None]
-    step = np.empty(X.shape)
-    rate = np.array(eta)
-    for a_t, b_t in zip(A.transpose(1, 0, 2), B.T):
-        _einsum("kd,kd->k", a_t, X, out=resid)
-        sigmoid(resid, resid)
-        np.subtract(resid, b_t, resid)
-        np.multiply(a_t, column, step)
-        np.multiply(step, rate, step)
-        np.subtract(X, step, X)
-
-
-def quadratic_steps(
-    X: np.ndarray, centers: np.ndarray, curvatures: np.ndarray, eta: float, steps: int
+def linear_rounds(
+    X: np.ndarray,
+    A: np.ndarray,
+    B: np.ndarray,
+    weights: np.ndarray,
+    intervals: list[int],
+    etas: list[float],
+    points: np.ndarray,
 ) -> None:
-    """``steps`` exact local steps x_k -= eta * curvature_k (x_k - c_k) on every client."""
+    """Rounds of local steps x_k -= eta * a_kt (a_kt' x_k - b_kt), each
+    followed by the weighted average into its row of ``points``."""
+    resid = np.empty(len(X))
+    column = resid[:, None]
+    step = np.empty(X.shape)
+    rate = np.empty(())
+    samples = zip(A.transpose(1, 0, 2), B.T)
+    for interval, eta, x_bar in zip(intervals, etas, points):
+        rate[()] = eta
+        for a_t, b_t in islice(samples, interval):
+            _einsum("kd,kd->k", a_t, X, out=resid)
+            np.subtract(resid, b_t, resid)
+            np.multiply(a_t, column, step)
+            np.multiply(step, rate, step)
+            np.subtract(X, step, X)
+        np.matmul(weights, X, x_bar)
+        X[...] = x_bar
+
+
+def logistic_rounds(
+    X: np.ndarray,
+    A: np.ndarray,
+    B: np.ndarray,
+    weights: np.ndarray,
+    intervals: list[int],
+    etas: list[float],
+    points: np.ndarray,
+) -> None:
+    """Rounds of local steps x_k -= eta * a_kt (sigmoid(a_kt' x_k) - b_kt),
+    each followed by the weighted average into its row of ``points``."""
+    resid = np.empty(len(X))
+    column = resid[:, None]
+    step = np.empty(X.shape)
+    rate = np.empty(())
+    samples = zip(A.transpose(1, 0, 2), B.T)
+    for interval, eta, x_bar in zip(intervals, etas, points):
+        rate[()] = eta
+        for a_t, b_t in islice(samples, interval):
+            _einsum("kd,kd->k", a_t, X, out=resid)
+            sigmoid(resid, resid)
+            np.subtract(resid, b_t, resid)
+            np.multiply(a_t, column, step)
+            np.multiply(step, rate, step)
+            np.subtract(X, step, X)
+        np.matmul(weights, X, x_bar)
+        X[...] = x_bar
+
+
+def quadratic_rounds(
+    X: np.ndarray,
+    centers: np.ndarray,
+    curvatures: np.ndarray,
+    weights: np.ndarray,
+    intervals: list[int],
+    etas: list[float],
+    points: np.ndarray,
+) -> None:
+    """Rounds of exact local steps x_k -= eta * curvature_k (x_k - c_k), each
+    followed by the weighted average into its row of ``points``."""
     scale = curvatures[:, None]
     step = np.empty(X.shape)
-    rate = np.array(eta)
-    for _ in range(steps):
-        np.subtract(X, centers, step)
-        np.multiply(scale, step, step)
-        np.multiply(step, rate, step)
-        np.subtract(X, step, X)
+    rate = np.empty(())
+    for interval, eta, x_bar in zip(intervals, etas, points):
+        rate[()] = eta
+        for _ in range(interval):
+            np.subtract(X, centers, step)
+            np.multiply(scale, step, step)
+            np.multiply(step, rate, step)
+            np.subtract(X, step, X)
+        np.matmul(weights, X, x_bar)
+        X[...] = x_bar
 
 
 # --- weighted inference draws, one row per synchronized point ----------------

@@ -324,16 +324,154 @@ class TestGuardsAndHelpers:
         assert lines[1].startswith("1,1,0.5")
         assert len(lines) == 4
 
-    def test_sample_buffer_matches_direct_draws(self):
+    def test_sample_buffer_matches_direct_draws(self, monkeypatch):
+        """Takes that cross refills, one longer than a chunk, read the stream
+        in order; each refill draws max(chunk, rows still missing)."""
+        sizes = draw_sizes(monkeypatch)
         client = ClientModel("linear", np.array([1.0, -1.0]))
-        rng_buf = np.random.default_rng(3)
-        rng_direct = np.random.default_rng(3)
-        buf = SampleBuffer((client,), [rng_buf], chunk=7)
+        buf = SampleBuffer((client,), [np.random.default_rng(3)])
+        takes = (5, 2040, 10, 5000, 1, 300)
         taken_a, taken_b = [], []
-        for n in (3, 5, 2, 9, 1):
+        for n in takes:
             a, b = buf.take(n)
+            assert a.shape == (1, n, 2) and b.shape == (1, n)
             taken_a.append(a[0])
             taken_b.append(b[0])
-        direct_a, direct_b = client.draw(rng_direct, 20)
+        chunk = engine._BUFFER_CHUNK
+        assert chunk == 2048
+        assert [n for _, n in sizes] == [chunk, chunk, 5000 - (2 * chunk - 5 - 2040 - 10), chunk]
+        direct_a, direct_b = client.draw(np.random.default_rng(3), sum(takes))
         np.testing.assert_array_equal(np.concatenate(taken_a), direct_a)
         np.testing.assert_array_equal(np.concatenate(taken_b), direct_b)
+
+    @pytest.mark.parametrize("bound", [0.0, -1.0, float("nan")])
+    def test_rejects_nonpositive_divergence_bound(self, bound):
+        with pytest.raises(ValueError, match="divergence_bound"):
+            run(quadratic_fed([0.0]), fixed_step(0.5, 3), 3, np.array([1.0]), seed=0,
+                divergence_bound=bound)
+
+    def test_infinite_divergence_bound_never_trips(self):
+        path = run(quadratic_fed([0.0]), fixed_step(3.0, 40), 40, np.array([1.0]), seed=0,
+                   divergence_bound=float("inf"))
+        assert path.points[-1, 0] == (-2.0) ** 40
+
+
+def per_round_run(fed, sched, rounds, x0, seed, bound=1e8):
+    """The engine as one sample take and one average per round.
+
+    Each round takes its E rows of the optimization stream, runs the per-step
+    expression, averages with ``weights @ X`` and tests the norm; each
+    synchronized point then takes one row of the inference stream for its
+    gradient and Hessian draws.  Returns the points, the draws, and the round
+    that diverged (or None).
+    """
+    k, d = fed.size, fed.dimension
+    weights, logistic = fed.weights, fed.kind == "logistic"
+    opt_rngs, inf_rngs = engine.client_generators(seed, k)
+    opt, inf = SampleBuffer(fed.clients, opt_rngs), SampleBuffer(fed.clients, inf_rngs)
+    e = schedules.intervals(sched, rounds)
+    _, etas = schedules.steps_for_intervals(sched, e)
+    X = np.tile(x0, (k, 1))
+    points, grads, hessians = [], [], []
+    for m, (interval, eta) in enumerate(zip(e.tolist(), etas), start=1):
+        A, B = opt.take(interval)
+        for t in range(interval):
+            a_t = A[:, t, :]
+            r = np.einsum("kd,kd->k", a_t, X)
+            if logistic:
+                r = models.sigmoid(r)
+            X -= np.float64(eta) * (a_t * (r - B[:, t])[:, None])
+        x_bar = weights @ X
+        X[...] = x_bar
+        if not x_bar @ x_bar <= bound**2:
+            return points, grads, hessians, m
+        points.append(x_bar)
+        a_block, b_block = inf.take(1)
+        a, b = a_block[:, 0, :], b_block[:, 0]
+        if logistic:
+            p = models.sigmoid(a @ x_bar)
+            grads.append(weights @ (a * (p - b)[:, None]))
+            hessians.append(np.einsum("k,ki,kj->ij", weights * p * (1.0 - p), a, a))
+        else:
+            grads.append(weights @ (a * (a @ x_bar - b)[:, None]))
+            hessians.append(np.einsum("k,ki,kj->ij", weights, a, a))
+    return points, grads, hessians, None
+
+
+def draw_sizes(monkeypatch):
+    """Record every ClientModel.draw as (stream key, rows), in call order."""
+    sizes = []
+    draw = ClientModel.draw
+
+    def recorded(self, rng, n):
+        sizes.append((rng.bit_generator.seed_seq.spawn_key, n))
+        return draw(self, rng, n)
+
+    monkeypatch.setattr(ClientModel, "draw", recorded)
+    return sizes
+
+
+def per_stream(sizes):
+    streams = {}
+    for key, n in sizes:
+        streams.setdefault(key, []).append(n)
+    return streams
+
+
+class TestRoundGroups:
+    """Rounds run in groups of at most `BLOCK_ROUNDS` rows per sample take.
+
+    The intervals give: a block of 256 one-step rounds (one group), a group
+    cut short by the block, rounds just under, at and over the cap, rounds
+    just under and over a chunk (refills of more than a chunk), and a short
+    tail group.
+    """
+
+    INTERVALS = (1,) * 300 + (255, 256, 257, 2047, 2049, 3000, 5000) + (1,) * 40
+
+    @staticmethod
+    def federation(kind):
+        k, d = 3, 3
+        optima = np.random.default_rng(17).standard_normal((k, d))
+        weights = [0.2, 0.3, 0.5]
+        if kind == "logistic":
+            return federation_of([ClientModel(kind, optima[0]) for _ in range(k)], weights)
+        return linear_fed(optima, weights=weights)
+
+    @pytest.mark.parametrize("kind", ["linear", "logistic"])
+    def test_groups_equal_one_take_per_round(self, kind, monkeypatch):
+        fed = self.federation(kind)
+        rounds = len(self.INTERVALS)
+        sched = schedules.ExplicitSchedule(intervals=self.INTERVALS, etas=(0.002,) * rounds)
+        x0 = np.full(3, 0.5)
+        sizes = draw_sizes(monkeypatch)
+        points, grads, hessians, diverged = per_round_run(fed, sched, rounds, x0, seed=4)
+        assert diverged is None
+        reference_sizes = per_stream(sizes)
+        sizes.clear()
+        recorder = DrawRecorder()
+        path = run(fed, sched, rounds, x0, seed=4, observers=(recorder,))
+        assert per_stream(sizes) == reference_sizes
+        assert max(n for _, n in sizes) > engine._BUFFER_CHUNK
+        np.testing.assert_array_equal(path.points, np.array(points))
+        seen = list(zip(*recorder.rows))
+        assert list(seen[0]) == list(range(1, rounds + 1))
+        np.testing.assert_array_equal(seen[1], path.comm_times)
+        np.testing.assert_array_equal(np.stack(seen[2]), path.points)
+        np.testing.assert_array_equal(seen[3], self.INTERVALS)
+        np.testing.assert_array_equal(np.stack(seen[4]), np.stack(grads))
+        np.testing.assert_array_equal(np.stack(seen[5]), np.stack(hessians))
+
+    def test_divergence_inside_a_group(self):
+        fed = self.federation("linear")
+        rounds = engine.BLOCK_ROUNDS
+        sched = fixed_step(1.5, rounds)
+        x0 = np.full(3, 0.5)
+        points, _, _, m = per_round_run(fed, sched, rounds, x0, seed=8, bound=1e4)
+        # All rounds of the first block are one group.
+        assert m is not None and 1 < m < rounds
+        recorder = PathRecorder()
+        with pytest.raises(DivergenceError, match=f"at round {m}$"):
+            run(fed, sched, rounds, x0, seed=8, observers=(recorder,), divergence_bound=1e4)
+        assert [row[0] for row in recorder.rows] == list(range(1, m))
+        np.testing.assert_array_equal([row[2] for row in recorder.rows], points)

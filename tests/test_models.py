@@ -118,43 +118,75 @@ class TestSharedSampleDraws:
         np.testing.assert_array_equal(b1, b2)
 
 
+def per_round_reference(kind, X, optima, curvatures, A, B, weights, intervals, etas):
+    """The rounds as the per-step expression and ``weights @ X`` per round."""
+    X, points, t = X.copy(), [], 0
+    for interval, eta in zip(intervals, etas):
+        eta64 = np.float64(eta)
+        for _ in range(interval):
+            if kind == "quadratic":
+                X -= eta64 * (curvatures[:, None] * (X - optima))
+                continue
+            a_t = A[:, t, :]
+            r = np.einsum("kd,kd->k", a_t, X)
+            if kind == "logistic":
+                r = models.sigmoid(r)
+            X -= eta64 * (a_t * (r - B[:, t])[:, None])
+            t += 1
+        x_bar = weights @ X
+        X[...] = x_bar
+        points.append(x_bar)
+    return X, np.array(points)
+
+
 class TestStepKernels:
-    @pytest.mark.parametrize("k", [1, 3, 10])
-    @pytest.mark.parametrize("steps", [1, 7, 300])
-    @pytest.mark.parametrize("kind", ["linear", "logistic", "quadratic"])
-    def test_kernel_equals_per_step_expression(self, kind, steps, k):
-        """One round's local steps, in place, bit for bit as the per-step
-        expression run on the same (K, E, d) take of a sample buffer."""
-        d, eta = 5, 0.05
-        rng = np.random.default_rng(100 * steps + k)
+    """The ``*_rounds`` kernels against the per-step, per-round expression."""
+
+    @staticmethod
+    def check(kind, k, intervals, etas, seed):
+        d = 5
+        rng = np.random.default_rng(seed)
         optima = rng.standard_normal((k, d))
+        weights = rng.random(k) + 0.5
+        weights /= weights.sum()
         if kind == "logistic":
             clients = tuple(ClientModel(kind, optima[0]) for _ in range(k))
         else:
             clients = tuple(ClientModel(kind, o, curvature=1.0 + i) for i, o in enumerate(optima))
+        curvatures = np.array([c.curvature for c in clients])
         X = rng.standard_normal((k, d))
-        expected = X.copy()
-        eta64 = np.float64(eta)
-        if kind == "quadratic":
-            curvatures = np.array([c.curvature for c in clients])
-            models.quadratic_steps(X, optima, curvatures, eta, steps)
-            for _ in range(steps):
-                expected -= eta64 * (curvatures[:, None] * (expected - optima))
-        else:
+        points = np.empty((len(intervals), d))
+        A = B = None
+        if kind != "quadratic":
             buffer = SampleBuffer(clients, [np.random.default_rng(s) for s in range(k)])
             buffer.take(5)
-            A, B = buffer.take(steps)
-            kernel = models.logistic_steps if kind == "logistic" else models.linear_steps
-            kernel(X, A, B, eta)
-            for t in range(steps):
-                a_t = A[:, t, :]
-                if kind == "logistic":
-                    p = models.sigmoid(np.einsum("kd,kd->k", a_t, expected))
-                    expected -= eta64 * (a_t * (p - B[:, t])[:, None])
-                else:
-                    resid = np.einsum("kd,kd->k", a_t, expected) - B[:, t]
-                    expected -= eta64 * (a_t * resid[:, None])
-        np.testing.assert_array_equal(X, expected)
+            A, B = buffer.take(sum(intervals))
+        expected_X, expected = per_round_reference(
+            kind, X, optima, curvatures, A, B, weights, intervals, etas
+        )
+        if kind == "quadratic":
+            models.quadratic_rounds(X, optima, curvatures, weights, intervals, etas, points)
+        else:
+            kernel = models.logistic_rounds if kind == "logistic" else models.linear_rounds
+            kernel(X, A, B, weights, intervals, etas, points)
+        np.testing.assert_array_equal(points, expected)
+        np.testing.assert_array_equal(X, expected_X)
+
+    @pytest.mark.parametrize("k", [1, 3, 10])
+    @pytest.mark.parametrize("steps", [1, 7, 300])
+    @pytest.mark.parametrize("kind", ["linear", "logistic", "quadratic"])
+    def test_kernel_equals_per_step_expression(self, kind, steps, k):
+        """One round of ``steps`` local steps and its average, in place, bit for
+        bit as the per-step expression run on the same take of a sample buffer."""
+        self.check(kind, k, [steps], [0.05], seed=100 * steps + k)
+
+    @pytest.mark.parametrize("k", [1, 3, 10])
+    @pytest.mark.parametrize("kind", ["linear", "logistic", "quadratic"])
+    def test_several_rounds_in_one_call(self, kind, k):
+        """Rounds of unequal lengths and rates in one call, each averaged."""
+        intervals = [1, 1, 3, 1, 7, 2, 1, 12, 1]
+        etas = [0.05, 0.04, 0.03, 0.05, 0.01, 0.02, 0.06, 0.005, 0.03]
+        self.check(kind, k, intervals, etas, seed=k)
 
 
 class TestGradientHessianConsistency:
