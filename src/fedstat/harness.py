@@ -346,7 +346,14 @@ def _replicate(payload: _RepPayload, rep: int) -> _RepResult:
     return _RepResult(outcomes=tuple(outcomes), error=error)
 
 
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+
+
 def _map_replications(fn, count: int, workers: int) -> list:
+    """fn(0..count-1) in order, on at most min(workers, count) processes."""
+    workers = min(workers, count)
     if workers <= 1:
         return [fn(rep) for rep in range(count)]
     chunksize = max(1, count // (8 * workers))
@@ -379,7 +386,12 @@ def run_experiment(
     and the true coordinate is covered when it lies within max(half-width,
     floor) of the centre.  A noiseless run started at the optimum therefore
     reports coverage 1 and length 0.
+
+    Replications run on ``workers`` processes (at least 1), but never on more
+    processes than there are replications; one worker runs them in this
+    process.  The output bytes do not depend on the worker count.
     """
+    _check_workers(workers)
     started = time.perf_counter()
     federation = build_federation(config)
     schedule = config.schedule
@@ -553,8 +565,10 @@ def convergence_curve(
     the configured number of replications; one engine run per replication.
     As in ``run_experiment``, a replication whose run diverges (the engine's
     ``DivergenceError``) is left out of every checkpoint's mean and standard
-    error, and both are nan when every replication diverged.
+    error, and both are nan when every replication diverged.  ``workers`` is
+    capped as in ``run_experiment``.
     """
+    _check_workers(workers)
     checkpoints = tuple(int(t) for t in checkpoints)
     if not checkpoints or any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
         raise ValueError("checkpoints must be nonempty and strictly increasing")

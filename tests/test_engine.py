@@ -99,8 +99,9 @@ class TestReductionToParallelSgd:
 
         The reference keeps exactly one state vector (that is the property
         under test: the engine's K per-client states cannot drift apart), and
-        evaluates the K per-client gradients with the same stacked layout the
-        engine uses so the floating-point kernels agree exactly.
+        evaluates the K per-client steps with the same stacked layout and the
+        same expression the engine uses (``np.vecdot``, the rate folded into
+        the covariates) so the floating-point kernels agree exactly.
         """
         rng = np.random.default_rng(8)
         optima = rng.standard_normal((3, 4))
@@ -120,8 +121,8 @@ class TestReductionToParallelSgd:
             a_block, b_block = buffer.take(1)
             a = a_block[:, 0, :]
             state = np.tile(x, (3, 1))
-            resid = np.einsum("kd,kd->k", a, state) - b_block[:, 0]
-            state -= eta * (a * resid[:, None])
+            resid = np.vecdot(a, state) - b_block[:, 0]
+            state -= (eta * a) * resid[:, None]
             x = weights @ state
             reference.append(x.copy())
         np.testing.assert_array_equal(path.points, np.array(reference))
@@ -360,7 +361,9 @@ def per_round_run(fed, sched, rounds, x0, seed, bound=1e8):
     """The engine as one sample take and one average per round.
 
     Each round takes its E rows of the optimization stream, runs the per-step
-    expression, averages with ``weights @ X`` and tests the norm; each
+    expression in the kernels' form (``np.vecdot``, logistic covariates signed
+    by 1 - 2b, the rate folded into the covariates), averages with
+    ``weights @ X`` and tests the norm; each
     synchronized point then takes one row of the inference stream for its
     gradient and Hessian draws.  Returns the points, the draws, and the round
     that diverged (or None).
@@ -376,11 +379,13 @@ def per_round_run(fed, sched, rounds, x0, seed, bound=1e8):
     for m, (interval, eta) in enumerate(zip(e.tolist(), etas), start=1):
         A, B = opt.take(interval)
         for t in range(interval):
-            a_t = A[:, t, :]
-            r = np.einsum("kd,kd->k", a_t, X)
+            a_t, b_t = A[:, t, :], B[:, t]
             if logistic:
-                r = models.sigmoid(r)
-            X -= np.float64(eta) * (a_t * (r - B[:, t])[:, None])
+                a_t = (1.0 - 2.0 * b_t)[:, None] * a_t
+                r = models.sigmoid(np.vecdot(a_t, X))
+            else:
+                r = np.vecdot(a_t, X) - b_t
+            X -= (np.float64(eta) * a_t) * r[:, None]
         x_bar = weights @ X
         X[...] = x_bar
         if not x_bar @ x_bar <= bound**2:

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fedstat import engine, harness, schedules
+from fedstat import cli, engine, harness, schedules
 from fedstat.harness import (
     ExperimentConfig,
     convergence_curve,
@@ -217,6 +217,64 @@ class TestRunExperiment:
             assert summary.coverage_se == pytest.approx(
                 np.sqrt(p * (1 - p) / config.replications)
             )
+
+
+class RecordingPool:
+    """A stand-in for ProcessPoolExecutor that records ``max_workers`` and maps
+    in this process, so no worker is started."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable, chunksize=1):
+        return map(fn, iterable)
+
+
+class TestWorkerCount:
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        monkeypatch.setattr(RecordingPool, "sizes", [])
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        return RecordingPool.sizes
+
+    @pytest.mark.parametrize("workers", [3, 8, 10**6])
+    def test_pool_at_most_one_process_per_replication(self, pool_sizes, workers, tmp_path):
+        config = quadratic_config(replications=2)
+        run_experiment(config, workers=workers, out_dir=tmp_path / "pool")
+        convergence_curve(config, [5, 25], workers=workers)
+        assert pool_sizes == [2, 2]
+        run_experiment(config, workers=1, out_dir=tmp_path / "serial")
+        for name in ("report.csv", "replications.csv"):
+            serial = (tmp_path / "serial" / name).read_bytes()
+            assert (tmp_path / "pool" / name).read_bytes() == serial
+
+    def test_one_worker_or_one_replication_runs_in_process(self, pool_sizes):
+        run_experiment(quadratic_config(replications=1), workers=4)
+        convergence_curve(quadratic_config(replications=3), [5], workers=1)
+        assert pool_sizes == []
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_below_one_rejected(self, pool_sizes, workers):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            run_experiment(quadratic_config(), workers=workers)
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            convergence_curve(quadratic_config(), [5], workers=workers)
+        assert pool_sizes == []
+
+    @pytest.mark.parametrize("command", [["run"], ["curve", "--checkpoints", "5"]])
+    def test_cli_rejects_zero_threads(self, command, tmp_path, capsys):
+        path = tmp_path / "config.txt"
+        path.write_text(BASE_CONFIG)
+        assert cli.main([*command, "--config", str(path), "--threads", "0"]) == 1
+        assert "fedstat: error: workers must be >= 1, got 0" in capsys.readouterr().err
 
 
 class TestConvergenceCurve:

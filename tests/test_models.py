@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -118,8 +120,30 @@ class TestSharedSampleDraws:
         np.testing.assert_array_equal(b1, b2)
 
 
+def signed_step(kind, a, b, eta, X):
+    """eta * a (a'x - b) (linear) or eta * a~ sigmoid(a~'x) with a~ = (1 - 2b) a
+    (logistic), for every client, as the kernels round it."""
+    if kind == "logistic":
+        a = (1.0 - 2.0 * b)[:, None] * a
+        return (eta * a) * models.sigmoid(np.vecdot(a, X))[:, None]
+    return (eta * a) * (np.vecdot(a, X) - b)[:, None]
+
+
+def textbook_step(kind, a, b, eta, X):
+    """eta * (a (r - b)) with r = a'x (linear) or sigmoid(a'x) (logistic), the
+    dot by ``np.einsum``: the gradient step as usually written."""
+    r = np.einsum("kd,kd->k", a, X)
+    if kind == "logistic":
+        r = models.sigmoid(r)
+    return eta * (a * (r - b)[:, None])
+
+
 def per_round_reference(kind, X, optima, curvatures, A, B, weights, intervals, etas):
-    """The rounds as the per-step expression and ``weights @ X`` per round."""
+    """The rounds as the per-step expression and ``weights @ X`` per round.
+
+    Linear and logistic steps are written in the kernels' form: the dot by
+    ``np.vecdot``, logistic covariates signed by 1 - 2b, and the rate folded
+    into a scaled copy of the covariates."""
     X, points, t = X.copy(), [], 0
     for interval, eta in zip(intervals, etas):
         eta64 = np.float64(eta)
@@ -127,11 +151,7 @@ def per_round_reference(kind, X, optima, curvatures, A, B, weights, intervals, e
             if kind == "quadratic":
                 X -= eta64 * (curvatures[:, None] * (X - optima))
                 continue
-            a_t = A[:, t, :]
-            r = np.einsum("kd,kd->k", a_t, X)
-            if kind == "logistic":
-                r = models.sigmoid(r)
-            X -= eta64 * (a_t * (r - B[:, t])[:, None])
+            X -= signed_step(kind, A[:, t, :], B[:, t], eta64, X)
             t += 1
         x_bar = weights @ X
         X[...] = x_bar
@@ -187,6 +207,55 @@ class TestStepKernels:
         intervals = [1, 1, 3, 1, 7, 2, 1, 12, 1]
         etas = [0.05, 0.04, 0.03, 0.05, 0.01, 0.02, 0.06, 0.005, 0.03]
         self.check(kind, k, intervals, etas, seed=k)
+
+
+class TestTextbookStep:
+    """The kernels against the gradient step as usually written, and where the
+    signed logistic form is more accurate than it."""
+
+    @pytest.mark.parametrize("k", [1, 3, 10])
+    @pytest.mark.parametrize("kind", ["linear", "logistic"])
+    def test_kernel_near_textbook_step(self, kind, k):
+        """300 steps from a buffer take, in rounds of unequal lengths and
+        rates, within 1e-13 max(1, ||x||_inf) of the textbook step.  Unlike the
+        exact tests above, this catches an error in the kernels' own algebra,
+        such as a wrong sign in 1 - 2b."""
+        d = 5
+        rng = np.random.default_rng(40 + k)
+        optimum = rng.standard_normal(d)
+        weights = rng.random(k) + 0.5
+        weights /= weights.sum()
+        clients = tuple(ClientModel(kind, optimum) for _ in range(k))
+        buffer = SampleBuffer(clients, [np.random.default_rng(s) for s in range(k)])
+        buffer.take(3)
+        intervals, etas = [100, 1, 50, 149], [0.05, 0.1, 0.02, 0.03]
+        A, B = buffer.take(sum(intervals))
+        X = rng.standard_normal((k, d))
+        reference, expected, t = X.copy(), [], 0
+        for interval, eta in zip(intervals, etas):
+            for _ in range(interval):
+                reference -= textbook_step(kind, A[:, t, :], B[:, t], eta, reference)
+                t += 1
+            reference[...] = weights @ reference
+            expected.append(reference[0].copy())
+        kernel = models.logistic_rounds if kind == "logistic" else models.linear_rounds
+        points = np.empty((len(intervals), d))
+        kernel(X, A, B, weights, intervals, etas, points)
+        scale = max(1.0, np.abs(expected).max())
+        np.testing.assert_allclose(points, expected, rtol=0, atol=1e-13 * scale)
+
+    def test_large_margin_label_one_step(self):
+        """b = 1 at a'x = 40: the step is eta a sigmoid(-40), about 4.2e-18 eta a,
+        where sigmoid(40) - 1 rounds to 0 and would not move x."""
+        eta = 0.5
+        X = np.array([[20.0, 0.0]])
+        A = np.array([[[2.0, 1.0]]])
+        points = np.empty((1, 2))
+        models.logistic_rounds(X, A, np.ones((1, 1)), ONE, [1], [eta], points)
+        moved = eta * 1.0 / (1.0 + math.exp(40.0))
+        assert points[0, 0] == 20.0  # 20 + 4.2e-18 rounds to 20
+        assert abs(points[0, 1] / moved - 1.0) < 1e-15
+        np.testing.assert_array_equal(X, points)
 
 
 class TestGradientHessianConsistency:
