@@ -29,9 +29,12 @@ sum to at most `BLOCK_ROUNDS` rows form one group, and a round whose interval
 alone is longer is a group of its own.  Each group makes one
 ``SampleBuffer.take(sum E)`` and one kernel call; the kernel writes each
 round's synchronized average straight into the path and copies it back to
-every client.
+every client.  A linear group whose rounds all have E = 1 runs as one affine
+map per round, built around the point the group starts from (see
+``models.linear_rounds``).
 
-Grouping leaves every bit as one take per round would.  A take holds at most
+Grouping leaves every random stream as one take per round would.  A take
+holds at most
 `BLOCK_ROUNDS` <= `_BUFFER_CHUNK` rows, or exactly one round's rows.  A
 refill draws max(`_BUFFER_CHUNK`, rows still missing) rows per client, so a
 group that crosses the end of the buffer refills once, with `_BUFFER_CHUNK`
@@ -42,7 +45,11 @@ logistic stream (whose rows depend on the draw size) does not move.  A cap
 of `_BUFFER_CHUNK` would keep the bits too, but the rows left over at a
 refill (fewer than the take that triggers it) are copied into the refilled
 buffer: a group of up to 256 rows adds less than an eighth of a chunk to it,
-where a 2048-row group could nearly double it.
+where a 2048-row group could nearly double it.  The roundoff of a linear
+group of E = 1 rounds does depend on where the group starts, its pivot.  The
+groups follow from the schedule's intervals alone, so the bytes of a run
+still depend only on (config, seed): never on the worker count, and never on
+the observers.
 
 Observers are notified once per block, after its divergence test: the engine
 takes the block's inference rows with one buffer call, evaluates its gradient

@@ -19,7 +19,14 @@ logistic local step is four numpy calls on the stacked (K, d) states: the
 kernel folds each round's rate into a scaled copy of its covariates, and
 writes the logistic step in its signed form a~ sigmoid(a~'x), a~ = (1 - 2b) a,
 which needs labels of exactly 0 or 1 (see the comment above
-``linear_rounds``).
+``linear_rounds``).  A linear call whose rounds all have E_m = 1 runs no
+local steps: after a sync every client holds the same point, so such a round
+is one minibatch SGD step, an affine map of the synchronized point that does
+not depend on the path.  The kernel builds the maps of the whole call with a
+few batched array calls, around the point the call starts from, and applies
+one matrix-vector product per round; a call with any longer round runs the
+step loop.  The weighted Gram sum_k w_k a_k a_k' of the maps and of the
+Hessian draws is one expression, ``weighted_gram``.
 ``ClientModel.draw`` is the one sample generator per kind.
 """
 
@@ -37,6 +44,7 @@ __all__ = [
     "federation_of",
     "true_sandwich",
     "sigmoid",
+    "weighted_gram",
     "linear_rounds",
     "logistic_rounds",
     "quadratic_rounds",
@@ -77,6 +85,37 @@ _KINDS = ("linear", "logistic", "quadratic")
 # the same expressions written out per step and per round would.  The ufuncs
 # take their output positionally, and ``quadratic_rounds`` takes eta as a 0-d
 # array: both skip per-call argument conversion.
+#
+# A linear call whose rounds all have E_m = 1 (every call of a C1 schedule,
+# the calls of warm-up rounds in the others) runs no step loop.  Every client
+# starts such a round at the synchronized point x, so the round is
+# x' = (sum w) x - eta_m sum_k w_k a_k (a_k'x - b_k), affine in x, with a map
+# that does not depend on x.  The kernel builds the maps of the whole
+# call relative to the pivot p = X[0], the synchronized point it starts from.
+# With delta = x - p:
+#
+#     delta' = ((sum w) I - eta_m G_m) delta - eta_m h_m + (sum w - 1) p,
+#     G_m = sum_k w_k a_k a_k',   h_m = sum_k w_k a_k (a_k'p - b_k),
+#
+# as one augmented (d+1, d+1) matrix per round, from a handful of batched
+# calls on the group's take.  The (sum w) terms keep ``Federation``'s rule
+# that weights are used as given.  It then applies one
+# ``np.matmul(M[m], z, out)`` per round, in round order, to z = (delta, 1),
+# and writes p + delta into ``points``.  One matvec per round lets a
+# per-round reference reproduce the result exactly.
+#
+# Why around p and not around 0: near a noiseless fixed point x*, maps built
+# around 0 subtract two terms of size eta |a|^2 |x*| (G x and sum w a b) to
+# leave a step of size eta |a|^2 |x - x*|, and the cancellation leaves their
+# roundoff behind.  Around p the residuals a'p - b are formed once per
+# client, as the step loop forms them, and the map acts on the small delta.
+# In noise-free C1 runs started at x* (``fedstat.roundoff``), points drifted
+# up to 13 eps * scale from x* with maps around 0, against 4.3 around p and
+# 3.4 with the step loop.
+#
+# The map form needs equal rows of X, as every synchronization leaves them;
+# the kernel reads only X[0], so a call on unequal rows raises ``ValueError``.
+# A call with any round of E_m > 1 runs the step loop.
 
 
 def linear_rounds(
@@ -89,7 +128,13 @@ def linear_rounds(
     points: np.ndarray,
 ) -> None:
     """Rounds of local steps x_k -= eta * a_kt (a_kt' x_k - b_kt), each
-    followed by the weighted average into its row of ``points``."""
+    followed by the weighted average into its row of ``points``.
+
+    When every round has one step the rounds run as affine maps, which needs
+    equal rows of X; unequal rows then raise ``ValueError``."""
+    if set(intervals) == {1}:
+        _affine_rounds(X, A, B, weights, etas, points)
+        return
     covariates = np.ascontiguousarray(A.transpose(1, 0, 2))
     scaled = np.repeat(etas, intervals)[:, None, None] * covariates
     resid = np.empty(len(X))
@@ -104,6 +149,37 @@ def linear_rounds(
             np.subtract(X, step, X)
         np.matmul(weights, X, x_bar)
         X[...] = x_bar
+
+
+def _affine_rounds(
+    X: np.ndarray,
+    A: np.ndarray,
+    B: np.ndarray,
+    weights: np.ndarray,
+    etas: list[float],
+    points: np.ndarray,
+) -> None:
+    """Linear rounds of one local step each, as one affine map per round
+    around the pivot X[0] (see the comment above ``linear_rounds``)."""
+    pivot = X[0]
+    if not np.array_equal(X, np.broadcast_to(pivot, X.shape), equal_nan=True):
+        raise ValueError("rounds of one local step need equal rows of X")
+    rows = A.transpose(1, 0, 2)
+    n, _, d = rows.shape
+    eta = np.array(etas)[:, None]
+    total = weights.sum()
+    resid = np.matmul(rows, pivot) - B.T
+    maps = np.zeros((n, d + 1, d + 1))
+    maps[:, :d, :d] = total * np.eye(d) - eta[:, :, None] * weighted_gram(rows, weights)
+    h = np.matmul((weights * resid)[:, None, :], rows)[:, 0]
+    maps[:, :d, d] = (total - 1.0) * pivot - eta * h
+    maps[:, d, d] = 1.0
+    z = np.zeros((n + 1, d + 1))
+    z[0, d] = 1.0
+    for M, z_m, z_next in zip(maps, z, z[1:]):
+        np.matmul(M, z_m, z_next)
+    np.add(z[1:, :d], pivot, points)
+    X[...] = points[-1]
 
 
 def logistic_rounds(
@@ -165,9 +241,15 @@ def quadratic_rounds(
 # --- weighted inference draws, one row per synchronized point ----------------
 # X (n, d) holds n synchronized points; A (K, n, d) and B (K, n) hold one fresh
 # sample per client for each of them.  Row t of the results is the weighted
-# gradient and Hessian draw at X[t].  The stacked matmul and einsum calls run
-# the same reduction per row as on a single (K, d) block, so every row is
+# gradient and Hessian draw at X[t].  The stacked matmul calls run the same
+# reduction per row as on a single (K, d) block, so every row is
 # bit-identical to evaluating its round on its own.
+
+
+def weighted_gram(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_k w_k a_k a_k' for each row of ``rows`` (n, K, d), as one stacked
+    matmul; w is (K,) or one weight vector per row, (n, K)."""
+    return np.matmul(rows.transpose(0, 2, 1) * w[..., None, :], rows)
 
 
 def linear_draws(
@@ -176,7 +258,7 @@ def linear_draws(
     """sum_k w_k a_k (a_k' x - b_k) and sum_k w_k a_k a_k' per row of X."""
     rows = A.transpose(1, 0, 2)
     resid = np.matmul(rows, X[:, :, None])[..., 0] - B.T
-    return weights @ (rows * resid[..., None]), np.einsum("k,nki,nkj->nij", weights, rows, rows)
+    return weights @ (rows * resid[..., None]), weighted_gram(rows, weights)
 
 
 def logistic_draws(
@@ -187,7 +269,7 @@ def logistic_draws(
     rows = A.transpose(1, 0, 2)
     p = sigmoid(np.matmul(rows, X[:, :, None])[..., 0])
     grads = weights @ (rows * (p - B.T)[..., None])
-    return grads, np.einsum("nk,nki,nkj->nij", weights * p * (1.0 - p), rows, rows)
+    return grads, weighted_gram(rows, weights * p * (1.0 - p))
 
 
 def quadratic_draws(

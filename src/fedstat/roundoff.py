@@ -25,17 +25,33 @@ places:
   an earlier step's error and never grows it;
 * one K-term weighted sum, with at most K roundings.
 
-That bounds one round's error by (4 E_m + K) * eps * scale / 2.  The
-contraction toward x* pulls each round's error back before the next one
-arrives, so the drift stays of the order of one round's bound, and 64 is that
-bound for 4 E_m + K = 128: ten clients with up to 29 local steps per round, as
-in the paper-style cells.  Both the centre's distance from x* and a half-width
-made of roundoff alone are driven by this drift.  On noiseless quadratic and
-linear runs (d in {1, 2, 5}, K in {2, 10, 50}, constant, logarithmic and power
-schedules, 25 and 400 rounds) neither exceeded 2.1 * eps * scale.  A noisy
-run's half-width is many orders of magnitude above the floor (about 1e-2 in the
-default linear cell, against a floor near 1e-14), so the rule never changes a
-noisy interval.
+That bounds one round's error by (4 E_m + K) * eps * scale / 2.  A linear
+call whose rounds all have E_m = 1 runs each round as an affine map of
+z = (x - p, 1), p the point the call starts from (``models.linear_rounds``),
+and rounds in the same two places:
+
+* building the map, where the residuals a_k'p - b_k round as a local step's
+  do, and the K-term sums of G_m and h_m round at the size of those
+  residuals;
+* applying it, where the matvec rounds at the size of x - p, and p + (x - p)
+  rounds once, by at most eps * scale / 2.
+
+Near x* the residuals and x - p are themselves a few ulps of scale, so a map
+round stays within the one-step bound (4 + K) * eps * scale / 2, and the
+rounding of p + (x - p) is fed back only once per call, as the next call's
+pivot.  The contraction toward x* pulls each round's error back before the next
+one arrives, so the drift stays of the order of one round's bound, and 64 is
+that bound for 4 E_m + K = 128: ten clients with up to 29 local steps per
+round, as in the paper-style cells.  Both the centre's distance from x* and a
+half-width made of roundoff alone are driven by this drift.  On noiseless
+quadratic and linear runs (d in {1, 2, 5}, K in {2, 10, 50}, constant,
+logarithmic and power schedules, 25 and 400 rounds) neither exceeded
+2.1 * eps * scale.  On noise-free homogeneous linear C1 runs started at x* (d in {2, 5},
+K in {10, 50}, 4000 and 10^4 rounds, six federations of three runs each), no
+synchronized point was further than 4.3 * eps * scale from x* with the maps,
+and 3.4 * eps * scale with the step loop.  A noisy run's half-width is many
+orders of magnitude above the floor (about 1e-2 in the default linear cell,
+against a floor near 1e-14), so the rule never changes a noisy interval.
 """
 
 from __future__ import annotations

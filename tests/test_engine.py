@@ -25,6 +25,29 @@ def fixed_step(eta, rounds, interval=1):
     )
 
 
+def round_map(a, b, weights, eta, pivot):
+    """The augmented (d+1, d+1) map of one linear round of one local step
+    around ``pivot``, built with ``models.linear_rounds``' expressions on the
+    round's own (K, 1, d) and (K, 1) sample slices."""
+    rows = a.transpose(1, 0, 2)
+    d = rows.shape[2]
+    total = weights.sum()
+    resid = np.matmul(rows, pivot) - b.T
+    M = np.zeros((d + 1, d + 1))
+    M[:d, :d] = total * np.eye(d) - eta * models.weighted_gram(rows, weights)[0]
+    h = np.matmul((weights * resid)[:, None, :], rows)[0, 0]
+    M[:d, d] = (total - 1.0) * pivot - eta * h
+    M[d, d] = 1.0
+    return M
+
+
+def unit_z(d):
+    """z = (x - pivot, 1) at the pivot itself."""
+    z = np.zeros(d + 1)
+    z[d] = 1.0
+    return z
+
+
 class PathRecorder:
     needs_inference_draws = False
 
@@ -98,10 +121,11 @@ class TestReductionToParallelSgd:
         the weighted gradient; same substreams must give bit-equal paths.
 
         The reference keeps exactly one state vector (that is the property
-        under test: the engine's K per-client states cannot drift apart), and
-        evaluates the K per-client steps with the same stacked layout and the
-        same expression the engine uses (``np.vecdot``, the rate folded into
-        the covariates) so the floating-point kernels agree exactly.
+        under test: the engine's K per-client states cannot drift apart).  The
+        60 rounds are one kernel call, so each round is the kernel's affine
+        map around x0, built with the same expressions from the round's own
+        sample row and applied with one matvec, and the floating-point
+        kernels agree exactly.
         """
         rng = np.random.default_rng(8)
         optima = rng.standard_normal((3, 4))
@@ -115,16 +139,11 @@ class TestReductionToParallelSgd:
         opt_rngs, _ = engine.client_generators(seed, 3)
         buffer = SampleBuffer(fed.clients, opt_rngs)
         _, etas = schedules.effective_steps(sched, rounds)
-        x = np.zeros(4)
+        pivot, z = np.zeros(4), unit_z(4)
         reference = []
         for eta in etas:
-            a_block, b_block = buffer.take(1)
-            a = a_block[:, 0, :]
-            state = np.tile(x, (3, 1))
-            resid = np.vecdot(a, state) - b_block[:, 0]
-            state -= (eta * a) * resid[:, None]
-            x = weights @ state
-            reference.append(x.copy())
+            z = round_map(*buffer.take(1), weights, eta, pivot) @ z
+            reference.append(z[:4] + pivot)
         np.testing.assert_array_equal(path.points, np.array(reference))
 
     def test_weight_invariance_for_identical_noiseless_clients(self):
@@ -203,11 +222,11 @@ class TestObserversAndDeterminism:
             if kind == "logistic":
                 p = models.sigmoid(a @ x_bar)
                 grads.append(weights @ (a * (p - b)[:, None]))
-                hessians.append(np.einsum("k,ki,kj->ij", weights * p * (1.0 - p), a, a))
+                hessians.append(models.weighted_gram(a[None], weights * p * (1.0 - p))[0])
             else:
                 resid = a @ x_bar - b
                 grads.append(weights @ (a * resid[:, None]))
-                hessians.append(np.einsum("k,ki,kj->ij", weights, a, a))
+                hessians.append(models.weighted_gram(a[None], weights)[0])
 
         seen = list(zip(*recorder.rows))
         assert list(seen[0]) == list(range(1, rounds + 1))
@@ -357,13 +376,27 @@ class TestGuardsAndHelpers:
         assert path.points[-1, 0] == (-2.0) ** 40
 
 
+def affine_group_starts(e_list, rounds):
+    """For each round of a linear group that ``engine.run`` forms of one-step
+    rounds only, the first round of its group (0-based); None elsewhere."""
+    starts = [None] * rounds
+    for first in range(0, rounds, engine.BLOCK_ROUNDS):
+        stop = min(first + engine.BLOCK_ROUNDS, rounds)
+        for lo, hi, _ in engine._groups(e_list, first, stop):
+            if set(e_list[lo:hi]) == {1}:
+                starts[lo:hi] = [lo] * (hi - lo)
+    return starts
+
+
 def per_round_run(fed, sched, rounds, x0, seed, bound=1e8):
     """The engine as one sample take and one average per round.
 
     Each round takes its E rows of the optimization stream, runs the per-step
     expression in the kernels' form (``np.vecdot``, logistic covariates signed
     by 1 - 2b, the rate folded into the covariates), averages with
-    ``weights @ X`` and tests the norm; each
+    ``weights @ X`` and tests the norm.  A linear round in a group of one-step
+    rounds (as ``engine._groups`` forms them) is instead its affine map around
+    the point the group starts from, applied with one matvec.  Each
     synchronized point then takes one row of the inference stream for its
     gradient and Hessian draws.  Returns the points, the draws, and the round
     that diverged (or None).
@@ -374,19 +407,26 @@ def per_round_run(fed, sched, rounds, x0, seed, bound=1e8):
     opt, inf = SampleBuffer(fed.clients, opt_rngs), SampleBuffer(fed.clients, inf_rngs)
     e = schedules.intervals(sched, rounds)
     _, etas = schedules.steps_for_intervals(sched, e)
+    starts = [None] * rounds if logistic else affine_group_starts(e.tolist(), rounds)
     X = np.tile(x0, (k, 1))
     points, grads, hessians = [], [], []
-    for m, (interval, eta) in enumerate(zip(e.tolist(), etas), start=1):
+    for m, (interval, eta, start) in enumerate(zip(e.tolist(), etas, starts), start=1):
         A, B = opt.take(interval)
-        for t in range(interval):
-            a_t, b_t = A[:, t, :], B[:, t]
-            if logistic:
-                a_t = (1.0 - 2.0 * b_t)[:, None] * a_t
-                r = models.sigmoid(np.vecdot(a_t, X))
-            else:
-                r = np.vecdot(a_t, X) - b_t
-            X -= (np.float64(eta) * a_t) * r[:, None]
-        x_bar = weights @ X
+        if start is not None:
+            if start == m - 1:
+                pivot, z = X[0].copy(), unit_z(d)
+            z = round_map(A, B, weights, np.float64(eta), pivot) @ z
+            x_bar = z[:d] + pivot
+        else:
+            for t in range(interval):
+                a_t, b_t = A[:, t, :], B[:, t]
+                if logistic:
+                    a_t = (1.0 - 2.0 * b_t)[:, None] * a_t
+                    r = models.sigmoid(np.vecdot(a_t, X))
+                else:
+                    r = np.vecdot(a_t, X) - b_t
+                X -= (np.float64(eta) * a_t) * r[:, None]
+            x_bar = weights @ X
         X[...] = x_bar
         if not x_bar @ x_bar <= bound**2:
             return points, grads, hessians, m
@@ -396,10 +436,10 @@ def per_round_run(fed, sched, rounds, x0, seed, bound=1e8):
         if logistic:
             p = models.sigmoid(a @ x_bar)
             grads.append(weights @ (a * (p - b)[:, None]))
-            hessians.append(np.einsum("k,ki,kj->ij", weights * p * (1.0 - p), a, a))
+            hessians.append(models.weighted_gram(a[None], weights * p * (1.0 - p))[0])
         else:
             grads.append(weights @ (a * (a @ x_bar - b)[:, None]))
-            hessians.append(np.einsum("k,ki,kj->ij", weights, a, a))
+            hessians.append(models.weighted_gram(a[None], weights)[0])
     return points, grads, hessians, None
 
 

@@ -138,12 +138,44 @@ def textbook_step(kind, a, b, eta, X):
     return eta * (a * (r - b)[:, None])
 
 
+def round_map(a, b, weights, eta, pivot):
+    """The augmented (d+1, d+1) map of one linear round of one local step
+    around ``pivot``, built with ``linear_rounds``' expressions on the round's
+    own (K, 1, d) and (K, 1) sample slices."""
+    rows = a.transpose(1, 0, 2)
+    d = rows.shape[2]
+    total = weights.sum()
+    resid = np.matmul(rows, pivot) - b.T
+    M = np.zeros((d + 1, d + 1))
+    M[:d, :d] = total * np.eye(d) - eta * models.weighted_gram(rows, weights)[0]
+    h = np.matmul((weights * resid)[:, None, :], rows)[0, 0]
+    M[:d, d] = (total - 1.0) * pivot - eta * h
+    M[d, d] = 1.0
+    return M
+
+
+def affine_reference(X, A, B, weights, etas):
+    """Linear rounds of one step each as affine maps around X[0], one round
+    at a time: each round's map, then one matvec on z = (x - X[0], 1)."""
+    pivot, d = X[0].copy(), X.shape[1]
+    z = np.zeros(d + 1)
+    z[d] = 1.0
+    points = []
+    for t, eta in enumerate(etas):
+        z = round_map(A[:, t : t + 1], B[:, t : t + 1], weights, np.float64(eta), pivot) @ z
+        points.append(z[:d] + pivot)
+    return np.tile(points[-1], (len(X), 1)), np.array(points)
+
+
 def per_round_reference(kind, X, optima, curvatures, A, B, weights, intervals, etas):
     """The rounds as the per-step expression and ``weights @ X`` per round.
 
     Linear and logistic steps are written in the kernels' form: the dot by
     ``np.vecdot``, logistic covariates signed by 1 - 2b, and the rate folded
-    into a scaled copy of the covariates."""
+    into a scaled copy of the covariates.  Linear rounds that all have one
+    step are the kernel's affine maps (``affine_reference``)."""
+    if kind == "linear" and set(intervals) == {1}:
+        return affine_reference(X, A, B, weights, etas)
     X, points, t = X.copy(), [], 0
     for interval, eta in zip(intervals, etas):
         eta64 = np.float64(eta)
@@ -163,7 +195,7 @@ class TestStepKernels:
     """The ``*_rounds`` kernels against the per-step, per-round expression."""
 
     @staticmethod
-    def check(kind, k, intervals, etas, seed):
+    def check(kind, k, intervals, etas, seed, equal_rows=False):
         d = 5
         rng = np.random.default_rng(seed)
         optima = rng.standard_normal((k, d))
@@ -175,6 +207,8 @@ class TestStepKernels:
             clients = tuple(ClientModel(kind, o, curvature=1.0 + i) for i, o in enumerate(optima))
         curvatures = np.array([c.curvature for c in clients])
         X = rng.standard_normal((k, d))
+        if equal_rows:
+            X[...] = X[0]
         points = np.empty((len(intervals), d))
         A = B = None
         if kind != "quadratic":
@@ -197,8 +231,11 @@ class TestStepKernels:
     @pytest.mark.parametrize("kind", ["linear", "logistic", "quadratic"])
     def test_kernel_equals_per_step_expression(self, kind, steps, k):
         """One round of ``steps`` local steps and its average, in place, bit for
-        bit as the per-step expression run on the same take of a sample buffer."""
-        self.check(kind, k, [steps], [0.05], seed=100 * steps + k)
+        bit as the per-step expression run on the same take of a sample buffer.
+        A linear round of one step starts from equal rows, as a synchronization
+        leaves them, and runs as its affine map."""
+        equal_rows = kind == "linear" and steps == 1
+        self.check(kind, k, [steps], [0.05], seed=100 * steps + k, equal_rows=equal_rows)
 
     @pytest.mark.parametrize("k", [1, 3, 10])
     @pytest.mark.parametrize("kind", ["linear", "logistic", "quadratic"])
@@ -207,6 +244,31 @@ class TestStepKernels:
         intervals = [1, 1, 3, 1, 7, 2, 1, 12, 1]
         etas = [0.05, 0.04, 0.03, 0.05, 0.01, 0.02, 0.06, 0.005, 0.03]
         self.check(kind, k, intervals, etas, seed=k)
+
+    @pytest.mark.parametrize("k", [1, 3, 10])
+    def test_linear_one_step_rounds_as_affine_maps(self, k):
+        """300 one-step linear rounds of unequal rates in one call, bit for bit
+        as one map and one matvec per round."""
+        etas = list(0.3 / np.arange(1, 301) ** 0.6)
+        self.check("linear", k, [1] * 300, etas, seed=7 + k, equal_rows=True)
+
+    @pytest.mark.parametrize("k", [1, 3, 10])
+    def test_one_longer_round_runs_the_step_loop(self, k):
+        """One-step rounds around a round of three steps run the per-step
+        expression, bit for bit, from equal rows as the map form would."""
+        intervals = [1] * 20 + [3] + [1] * 20
+        etas = list(np.linspace(0.08, 0.02, len(intervals)))
+        self.check("linear", k, intervals, etas, seed=20 + k, equal_rows=True)
+
+    def test_one_step_rounds_need_equal_rows(self):
+        k, d = 3, 4
+        clients = tuple(ClientModel("linear", np.zeros(d)) for _ in range(k))
+        buffer = SampleBuffer(clients, [np.random.default_rng(s) for s in range(k)])
+        A, B = buffer.take(2)
+        X = np.zeros((k, d))
+        X[1, 2] = 1e-300
+        with pytest.raises(ValueError, match="equal rows"):
+            models.linear_rounds(X, A, B, np.full(k, 1 / k), [1, 1], [0.1, 0.1], np.empty((2, d)))
 
 
 class TestTextbookStep:
@@ -243,6 +305,36 @@ class TestTextbookStep:
         kernel(X, A, B, weights, intervals, etas, points)
         scale = max(1.0, np.abs(expected).max())
         np.testing.assert_allclose(points, expected, rtol=0, atol=1e-13 * scale)
+
+    @pytest.mark.parametrize("k", [1, 3, 10])
+    def test_one_step_rounds_near_textbook_step(self, k):
+        """300 one-step linear rounds of unequal rates in one call, run as
+        affine maps, within 1e-13 max(1, ||x||_inf) of the textbook step and
+        the weighted average.  The exact tests share the maps' algebra; this
+        one catches a wrong sign in h_m or a dropped sum of the weights.  The
+        weights sum to 0.999, and the kernel uses them as given."""
+        d = 5
+        rng = np.random.default_rng(70 + k)
+        optima = rng.standard_normal((k, d))
+        weights = rng.random(k) + 0.5
+        weights *= 0.999 / weights.sum()
+        clients = tuple(ClientModel("linear", o) for o in optima)
+        buffer = SampleBuffer(clients, [np.random.default_rng(s) for s in range(k)])
+        buffer.take(3)
+        rounds = 300
+        etas = list(0.4 / np.arange(1, rounds + 1) ** 0.6)
+        A, B = buffer.take(rounds)
+        X = np.tile(rng.standard_normal(d), (k, 1))
+        reference, expected = X.copy(), []
+        for t, eta in enumerate(etas):
+            reference -= textbook_step("linear", A[:, t, :], B[:, t], eta, reference)
+            reference[...] = weights @ reference
+            expected.append(reference[0].copy())
+        points = np.empty((rounds, d))
+        models.linear_rounds(X, A, B, weights, [1] * rounds, etas, points)
+        scale = max(1.0, np.abs(expected).max())
+        np.testing.assert_allclose(points, expected, rtol=0, atol=1e-13 * scale)
+        np.testing.assert_array_equal(X, np.tile(points[-1], (k, 1)))
 
     def test_large_margin_label_one_step(self):
         """b = 1 at a'x = 40: the step is eta a sigmoid(-40), about 4.2e-18 eta a,

@@ -165,3 +165,19 @@ class TestNoiselessRuns:
             assert summary.coverage == 1.0
             assert summary.mean_length == 0.0
             assert summary.failures == 0
+
+    @pytest.mark.parametrize("clients", [10, 50])
+    def test_noise_free_c1_run_of_several_affine_calls(self, clients):
+        """C1 rounds run as affine maps, one kernel call per 256-round block;
+        700 rounds make three calls, each around the point it starts from."""
+        config = harness.ExperimentConfig(
+            model="linear", dimension=5, clients=clients, noise_scale=0.0,
+            heterogeneity=False, schedule=schedules.CommunicationSchedule("constant", base=1),
+            rounds=700, target_observations=None, replications=3, seed=11,
+            methods=("plugin", "rscale"), x0="optimum",
+        )
+        report = harness.run_experiment(config)
+        for summary in report.methods:
+            assert summary.coverage == 1.0
+            assert summary.mean_length == 0.0
+            assert summary.failures == 0
