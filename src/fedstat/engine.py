@@ -229,7 +229,8 @@ def run(
     synchronized average is appended to the path and pushed to each observer,
     at most `BLOCK_ROUNDS` rounds later, so inference runs online.  A round
     whose average has norm above ``divergence_bound`` (positive; inf never
-    trips) raises `DivergenceError`.
+    trips, nor does a bound whose square overflows, above about 1.34e154)
+    raises `DivergenceError`.
     """
     if total_rounds < 1:
         raise ValueError("total_rounds must be >= 1")
@@ -265,7 +266,8 @@ def run(
 
     X = np.tile(x0, (federation.size, 1))
     points = np.empty((total_rounds, d))
-    bound_sq = divergence_bound**2
+    with np.errstate(over="ignore"):
+        bound_sq = np.square(np.float64(divergence_bound))  # inf above about 1.34e154
 
     def notify(first: int, stop: int) -> None:
         """Push rounds first+1..stop to every observer, in round order."""

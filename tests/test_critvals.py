@@ -1,6 +1,11 @@
 import io
 import math
+import os
+import subprocess
+import sys
 import time
+from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -120,13 +125,16 @@ class TestSimulation:
 
 
 def reference_statistics(beta_list, steps, replications, seed):
-    """The 4096-pair chunked simulation that preceded the block layout.
+    """The 4096-pair chunked simulation that preceded the block layout, with
+    the block layout's per-path arithmetic: the expanded integral
+    (sum B^2 - B(1) (2 sum g B - B(1) sum g^2)) / steps from BLAS-free sums.
 
     Statistics of each chunk, then their negations, chunk after chunk.
     """
     rng = np.random.default_rng(seed)
     r = np.arange(steps) / steps
     g = np.stack([r ** (1.0 / (1.0 - beta)) for beta in beta_list])
+    g_sq = np.einsum("ij,ij->i", g, g)
     pairs = (replications + 1) // 2
     out = np.empty((len(beta_list), 2 * pairs))
     done = 0
@@ -137,14 +145,31 @@ def reference_statistics(beta_list, steps, replications, seed):
         paths = np.cumsum(increments, axis=1)
         b_one = paths[:, -1]
         b_grid = np.concatenate([np.zeros((n, 1)), paths[:, :-1]], axis=1)
+        b_sq = np.einsum("ij,ij->i", b_grid, b_grid)
         for i in range(len(beta_list)):
-            dev = b_grid - np.outer(b_one, g[i])
-            integral = np.mean(dev * dev, axis=1)
+            g_b = np.einsum("ij,j->i", b_grid, g[i])
+            integral = (b_sq - b_one * (2.0 * g_b - b_one * g_sq[i])) / steps
             stats = b_one / np.sqrt(integral)
             out[i, 2 * done : 2 * done + n] = stats
             out[i, 2 * done + n : 2 * done + 2 * n] = -stats
         done += n
     return out[:, :replications]
+
+
+def centered_statistics(beta_list, steps, paths, seed):
+    """Statistics of the first ``paths`` paths by the centered rectangle rule,
+    mean((B - g B(1))^2), and those integrals."""
+    rng = np.random.default_rng(seed)
+    r = np.arange(steps) / steps
+    increments = rng.standard_normal((paths, steps)) * (1.0 / math.sqrt(steps))
+    b = np.cumsum(increments, axis=1)
+    b_one = b[:, -1]
+    b_grid = np.concatenate([np.zeros((paths, 1)), b[:, :-1]], axis=1)
+    integrals = np.stack(
+        [np.mean((b_grid - np.outer(b_one, r ** (1.0 / (1.0 - beta)))) ** 2, axis=1)
+         for beta in beta_list]
+    )
+    return b_one / np.sqrt(integrals), integrals
 
 
 FOUR_BETAS = (0.0, 1.0 / 3.0, 0.5, 2.0 / 3.0)
@@ -192,9 +217,18 @@ class TestBlockParity:
         assert np.array_equal(table.values, expected)
 
 
+    def test_one_path_block_of_long_paths(self):
+        # Paths longer than 8192 steps, and a last block of one path: the
+        # reduction still sums each whole row at once, as in a longer block.
+        steps = 9000
+        reps = 2 * (critvals._block_rows(steps) + 1)
+        stats = critvals.simulate_statistics(FOUR_BETAS, steps, reps, 3)
+        np.testing.assert_array_equal(stats, reference_statistics(FOUR_BETAS, steps, reps, 3))
+
     def test_no_block_is_drawn_while_it_is_reduced(self, monkeypatch):
-        # Each reduction starts only after any draw in flight has had time to
-        # finish, so a draw into the buffer being reduced would change the sample.
+        # Each reduction starts only after the two draws in flight have had
+        # time to finish, so a draw into the buffer being reduced (or into
+        # one not yet reduced) would change the sample.
         class SlowCumsum:
             def __getattr__(self, name):
                 return getattr(np, name)
@@ -204,13 +238,46 @@ class TestBlockParity:
                 time.sleep(0.05)
                 return np.cumsum(*args, **kwargs)
 
-        betas, steps, full, rest, odd = self.CASES[1]
-        reps = self.replications(steps, full, rest, odd)
+        betas, steps = FOUR_BETAS, 100
+        reps = self.replications(steps, 4, 5, 0)  # five blocks, the last partial
         reference = reference_statistics(betas, steps, reps, 5)
         monkeypatch.setattr(critvals, "np", SlowCumsum())
         stats = critvals.simulate_statistics(betas, steps, reps, 5)
         for row, ref_row in zip(stats, reference):
             assert np.array_equal(np.sort(row), np.sort(ref_row))
+
+
+class TestArithmetic:
+    @pytest.mark.parametrize("steps", [100, 1000])
+    def test_near_the_centered_formula(self, steps):
+        reps = 8000
+        stats = critvals.simulate_statistics(FOUR_BETAS, steps, reps, steps)
+        centered, integrals = centered_statistics(FOUR_BETAS, steps, reps // 2, steps)
+        assert np.all(np.isfinite(integrals)) and np.all(integrals > 0)
+        assert np.all(np.isfinite(stats))
+        np.testing.assert_allclose(stats[:, : reps // 2], centered, rtol=1e-12, atol=0)
+
+    def test_same_bytes_for_any_blas_thread_count(self):
+        # Rows of 20000 values are long enough for a threaded BLAS dot to
+        # split them; the statistics must not depend on it.
+        src = Path(critvals.__file__).resolve().parents[1]
+        script = (
+            "import sys\n"
+            "from fedstat import critvals\n"
+            "betas = (0.0, 1.0 / 3.0, 0.5, 2.0 / 3.0)\n"
+            "stats = critvals.simulate_statistics(betas, 20000, 80, 11)\n"
+            "sys.stdout.buffer.write(stats.tobytes())\n"
+        )
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads)
+            done = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, timeout=120
+            )
+            assert done.returncode == 0, done.stderr.decode()
+            outputs.append(done.stdout)
+        assert len(outputs[0]) == 4 * 80 * 8
+        assert outputs[0] == outputs[1]
 
 
 class TestCommandLine:
@@ -224,6 +291,7 @@ class TestCommandLine:
         expected = io.StringIO()
         critvals.save_csv(table, expected)
         assert out.read_bytes() == expected.getvalue().encode()
+        assert out.read_text().splitlines()[0] == "# steps=100 replications=2000 seed=3"
 
 
 class TestSerialization:
@@ -237,7 +305,15 @@ class TestSerialization:
         assert loaded.levels == table.levels
         assert loaded.steps == table.steps
         assert loaded.replications == table.replications
+        assert loaded.seed == table.seed == 1
         np.testing.assert_array_equal(loaded.values, table.values)
+
+    def test_unknown_seed_is_not_written(self):
+        buffer = io.StringIO()
+        critvals.save_csv(reference_table(), buffer)
+        assert buffer.getvalue().splitlines()[0] == "# steps=1000 replications=50000"
+        buffer.seek(0)
+        assert critvals.load_csv(buffer).seed is None
 
     def test_malformed_rejected(self):
         with pytest.raises(ValueError):
@@ -249,7 +325,14 @@ class TestPackagedTable:
         table = critvals.default_table()
         assert table.steps == 1000
         assert table.replications == 50000
+        assert table.seed is None
         assert len(table.betas) == 4
         # Within the accepted band of the reference asymptotic values.
         for beta, target in ((0.0, 6.753), (1.0 / 3.0, 6.339), (0.5, 5.851), (2.0 / 3.0, 4.993)):
             assert lookup(table, 0.05, beta) == pytest.approx(target, rel=0.02)
+
+    def test_saving_reproduces_the_shipped_bytes(self):
+        ref = resources.files("fedstat").joinpath("data/critical_values.csv")
+        buffer = io.StringIO()
+        critvals.save_csv(critvals.default_table(), buffer)
+        assert buffer.getvalue() == ref.read_text()

@@ -142,7 +142,7 @@ class TestReductionToParallelSgd:
         pivot, z = np.zeros(4), unit_z(4)
         reference = []
         for eta in etas:
-            z = round_map(*buffer.take(1), weights, eta, pivot) @ z
+            z = np.dot(round_map(*buffer.take(1), weights, eta, pivot), z)
             reference.append(z[:4] + pivot)
         np.testing.assert_array_equal(path.points, np.array(reference))
 
@@ -376,6 +376,16 @@ class TestGuardsAndHelpers:
         assert path.points[-1, 0] == (-2.0) ** 40
 
 
+    def test_bound_whose_square_overflows(self):
+        # 1e300 squared overflows a float; the run must still start, warn of
+        # nothing, and follow the same path as under the default bound.
+        fed = linear_fed(np.random.default_rng(2).standard_normal((3, 2)))
+        sched = schedules.CommunicationSchedule("power", base=1, exponent=0.5, gamma0=0.5)
+        default = run(fed, sched, 300, np.zeros(2), seed=4)
+        huge = run(fed, sched, 300, np.zeros(2), seed=4, divergence_bound=1e300)
+        np.testing.assert_array_equal(huge.points, default.points)
+
+
 def affine_group_starts(e_list, rounds):
     """For each round of a linear group that ``engine.run`` forms of one-step
     rounds only, the first round of its group (0-based); None elsewhere."""
@@ -415,7 +425,7 @@ def per_round_run(fed, sched, rounds, x0, seed, bound=1e8):
         if start is not None:
             if start == m - 1:
                 pivot, z = X[0].copy(), unit_z(d)
-            z = round_map(A, B, weights, np.float64(eta), pivot) @ z
+            z = np.dot(round_map(A, B, weights, np.float64(eta), pivot), z)
             x_bar = z[:d] + pivot
         else:
             for t in range(interval):

@@ -162,7 +162,8 @@ def affine_reference(X, A, B, weights, etas):
     z[d] = 1.0
     points = []
     for t, eta in enumerate(etas):
-        z = round_map(A[:, t : t + 1], B[:, t : t + 1], weights, np.float64(eta), pivot) @ z
+        M = round_map(A[:, t : t + 1], B[:, t : t + 1], weights, np.float64(eta), pivot)
+        z = np.dot(M, z)
         points.append(z[:d] + pivot)
     return np.tile(points[-1], (len(X), 1)), np.array(points)
 
