@@ -12,8 +12,8 @@ from .harness import (
     run_experiment,
 )
 from .models import ClientModel, Federation, federation_of, true_sandwich
-from .plugin import PluginObserver, PluginState, SingularHessian
-from .rscale import RScaleObserver, RScaleState, beta_for_schedule
+from .plugin import PluginState, SingularHessian
+from .rscale import RScaleState, beta_for_schedule
 from .schedules import (
     CommunicationSchedule,
     ExplicitSchedule,
@@ -45,10 +45,8 @@ __all__ = [
     "Federation",
     "federation_of",
     "true_sandwich",
-    "PluginObserver",
     "PluginState",
     "SingularHessian",
-    "RScaleObserver",
     "RScaleState",
     "beta_for_schedule",
     "CommunicationSchedule",

@@ -32,7 +32,7 @@ def _build_parser() -> argparse.ArgumentParser:
     curve.add_argument("--config", required=True)
     curve.add_argument(
         "--checkpoints", required=True,
-        help="comma-separated, strictly increasing round counts",
+        help="comma-separated, strictly increasing round counts, each >= 1",
     )
     curve.add_argument("--threads", type=int, default=1)
     curve.add_argument("--out", default=None, help="directory for curve.csv")

@@ -66,7 +66,7 @@ evaluation, bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import IO, Iterable, Protocol, runtime_checkable
+from typing import IO, Iterable, Protocol
 
 import numpy as np
 
@@ -115,9 +115,13 @@ class SyncPath:
         return len(self.points)
 
 
-@runtime_checkable
 class SyncObserver(Protocol):
     """Sink notified once per synchronization, in round order.
+
+    The inference states are the observers: ``plugin.PluginState`` asks for
+    the inference draws and folds them every round, ``rscale.RScaleState``
+    reads only the point and the interval.  The draws are None when no
+    observer of the run sets ``needs_inference_draws``.
 
     Notifications arrive in blocks of `BLOCK_ROUNDS` rounds, so an observer is
     at most one block behind the path; every completed round has been pushed

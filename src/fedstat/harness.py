@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import critvals, engine, models, roundoff, rscale, schedules
-from .plugin import PluginObserver, SingularHessian
-from .rscale import RScaleObserver
+from .plugin import PluginState, SingularHessian
+from .rscale import RScaleState
 
 __all__ = [
     "ExperimentConfig",
@@ -61,7 +61,6 @@ class ExperimentConfig:
     alpha_level: float = 0.05
     coordinate: int = 0
     x0: tuple[float, ...] | str = "zeros"
-    plugin_skip_warmup: bool = False
     critical_values: str | None = None
 
     def __post_init__(self) -> None:
@@ -125,8 +124,46 @@ def _parse_bool(value: str, key: str) -> bool:
         raise ValueError(f"{key} must be on/off") from None
 
 
+def _parse_methods(value: str) -> tuple[str, ...]:
+    return tuple(m.strip() for m in value.split(",") if m.strip())
+
+
+def _parse_x0(value: str) -> tuple[float, ...] | str:
+    if value in ("zeros", "optimum"):
+        return value
+    return tuple(float(v) for v in value.split(","))
+
+
+# Config key -> (field, converter); a "schedule." field goes to the schedule.
+_KEYS = {
+    "model": ("model", str),
+    "dimension": ("dimension", int),
+    "clients": ("clients", int),
+    "noise_scale": ("noise_scale", float),
+    "heterogeneity": ("heterogeneity", partial(_parse_bool, key="heterogeneity")),
+    "schedule": ("schedule.kind", str),
+    "schedule_base": ("schedule.base", int),
+    "schedule_exponent": ("schedule.exponent", float),
+    "gamma0": ("schedule.gamma0", float),
+    "alpha": ("schedule.alpha", float),
+    "warmup_fraction": ("schedule.warmup_fraction", float),
+    "rounds": ("rounds", int),
+    "target_observations": ("target_observations", int),
+    "replications": ("replications", int),
+    "seed": ("seed", int),
+    "methods": ("methods", _parse_methods),
+    "alpha_level": ("alpha_level", float),
+    "coordinate": ("coordinate", int),
+    "x0": ("x0", _parse_x0),
+    "critical_values": ("critical_values", str),
+}
+
+
 def parse_config_text(text: str) -> ExperimentConfig:
-    """Parse the flat ``key = value`` configuration format (# for comments)."""
+    """Parse the flat ``key = value`` configuration format (# for comments).
+
+    Setting ``rounds`` clears the default ``target_observations``.
+    """
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -139,58 +176,18 @@ def parse_config_text(text: str) -> ExperimentConfig:
             raise ValueError(f"line {lineno}: duplicate key {key!r}")
         raw[key] = value
 
-    known = {
-        "model", "dimension", "clients", "noise_scale", "heterogeneity",
-        "schedule", "schedule_base", "schedule_exponent", "gamma0", "alpha",
-        "warmup_fraction", "rounds", "target_observations", "replications",
-        "seed", "methods", "alpha_level", "coordinate", "x0",
-        "plugin_skip_warmup", "critical_values",
-    }
-    unknown = set(raw) - known
+    unknown = set(raw) - set(_KEYS)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
 
     kwargs: dict = {}
-    if "model" in raw:
-        kwargs["model"] = raw["model"]
-    for key in ("dimension", "clients", "replications", "seed", "coordinate"):
-        if key in raw:
-            kwargs[key] = int(raw[key])
-    for key in ("noise_scale", "alpha_level"):
-        if key in raw:
-            kwargs[key] = float(raw[key])
-    if "heterogeneity" in raw:
-        kwargs["heterogeneity"] = _parse_bool(raw["heterogeneity"], "heterogeneity")
-    if "plugin_skip_warmup" in raw:
-        kwargs["plugin_skip_warmup"] = _parse_bool(raw["plugin_skip_warmup"], "plugin_skip_warmup")
-    if "rounds" in raw:
-        kwargs["rounds"] = int(raw["rounds"])
-        kwargs["target_observations"] = None
-    if "target_observations" in raw:
-        kwargs["target_observations"] = int(raw["target_observations"])
-    if "methods" in raw:
-        kwargs["methods"] = tuple(m.strip() for m in raw["methods"].split(",") if m.strip())
-    if "critical_values" in raw:
-        kwargs["critical_values"] = raw["critical_values"]
-    if "x0" in raw:
-        value = raw["x0"]
-        kwargs["x0"] = value if value in ("zeros", "optimum") else tuple(
-            float(v) for v in value.split(",")
-        )
-
     sched_kwargs: dict = {}
-    if "schedule" in raw:
-        sched_kwargs["kind"] = raw["schedule"]
-    if "schedule_base" in raw:
-        sched_kwargs["base"] = int(raw["schedule_base"])
-    if "schedule_exponent" in raw:
-        sched_kwargs["exponent"] = float(raw["schedule_exponent"])
-    if "gamma0" in raw:
-        sched_kwargs["gamma0"] = float(raw["gamma0"])
-    if "alpha" in raw:
-        sched_kwargs["alpha"] = float(raw["alpha"])
-    if "warmup_fraction" in raw:
-        sched_kwargs["warmup_fraction"] = float(raw["warmup_fraction"])
+    for key, (field, convert) in _KEYS.items():
+        if key in raw:
+            scope, _, name = field.rpartition(".")
+            (sched_kwargs if scope else kwargs)[name] = convert(raw[key])
+    if "rounds" in raw:
+        kwargs.setdefault("target_observations", None)
     if sched_kwargs:
         default = ExperimentConfig.__dataclass_fields__["schedule"].default
         kwargs["schedule"] = replace(default, **sched_kwargs)
@@ -279,7 +276,6 @@ class _RepPayload:
     diag: schedules.ScheduleDiagnostics
     beta: float | None
     table: critvals.CriticalValueTable | None
-    plugin_skip: int
     target_value: float
     floor: float
     paths_dir: str | None
@@ -306,9 +302,9 @@ def _replicate(payload: _RepPayload, rep: int) -> _RepResult:
     d = payload.federation.dimension
     observers: dict[str, object] = {}
     if "plugin" in payload.methods:
-        observers["plugin"] = PluginObserver(d, skip_rounds=payload.plugin_skip)
+        observers["plugin"] = PluginState(d)
     if "rscale" in payload.methods:
-        observers["rscale"] = RScaleObserver(d)
+        observers["rscale"] = RScaleState(d)
     try:
         path = engine.run(
             payload.federation,
@@ -330,11 +326,11 @@ def _replicate(payload: _RepPayload, rep: int) -> _RepResult:
     for method in payload.methods:
         try:
             if method == "plugin":
-                lo, hi = observers["plugin"].state.confidence_interval(
+                lo, hi = observers["plugin"].confidence_interval(
                     payload.diag, payload.coordinate, payload.alpha, payload.floor
                 )
             else:
-                lo, hi = observers["rscale"].state.confidence_interval(
+                lo, hi = observers["rscale"].confidence_interval(
                     payload.beta, payload.coordinate, payload.alpha, payload.table, payload.floor
                 )
         except SingularHessian:
@@ -427,9 +423,6 @@ def run_experiment(
         diag=diag,
         beta=beta,
         table=table,
-        plugin_skip=(
-            schedules.warmup_rounds(schedule, total_rounds) if config.plugin_skip_warmup else 0
-        ),
         target_value=float(federation.global_optimum[config.coordinate]),
         floor=roundoff.floor_for(roundoff.run_scale(federation, x0)),
         paths_dir=str(paths_dir) if paths_dir is not None else None,
@@ -524,33 +517,19 @@ def replication_rows_csv(
 # --- convergence curves and the partial-sum process ---------------------------
 
 
-class _CheckpointObserver:
-    """Records the running-mean estimate at chosen rounds."""
-
-    needs_inference_draws = False
-
-    def __init__(self, dimension: int, checkpoints: tuple[int, ...]):
-        self.wanted = set(checkpoints)
-        self.mean = np.zeros(dimension)
-        self.snapshots: dict[int, np.ndarray] = {}
-
-    def observe_sync(self, round_index, iteration, x_bar, interval, grad_draw, hess_draw):
-        self.mean += (x_bar - self.mean) / round_index
-        if round_index in self.wanted:
-            self.snapshots[round_index] = self.mean.copy()
-
-
 def _curve_replicate(payload: tuple, rep: int) -> np.ndarray | None:
     """Errors at the checkpoints of one replication; None when it diverged."""
     federation, schedule, checkpoints, x0, master_seed = payload
     seed = np.random.SeedSequence(master_seed, spawn_key=(1, rep))
-    observer = _CheckpointObserver(federation.dimension, checkpoints)
     try:
-        engine.run(federation, schedule, max(checkpoints), x0, seed, observers=(observer,))
+        path = engine.run(federation, schedule, checkpoints[-1], x0, seed)
     except engine.DivergenceError:
         return None
     return np.array(
-        [np.linalg.norm(observer.snapshots[t] - federation.global_optimum) for t in checkpoints]
+        [
+            np.linalg.norm(path.points[:t].mean(axis=0) - federation.global_optimum)
+            for t in checkpoints
+        ]
     )
 
 
@@ -559,10 +538,13 @@ def convergence_curve(
     checkpoints: list[int] | tuple[int, ...],
     workers: int = 1,
 ) -> list[tuple[int, float, float]]:
-    """Mean estimation error ||y_bar_T - x*|| at each checkpoint round.
+    """Mean estimation error ||y_bar_t - x*|| at each checkpoint round t.
 
-    Returns (rounds, mean error, standard error) per checkpoint, averaged over
-    the configured number of replications; one engine run per replication.
+    The estimate at t is the mean of the first t synchronized points, the
+    estimator of ``engine.average_estimate`` on a t-round run.  Returns
+    (rounds, mean error, standard error) per checkpoint, averaged over the
+    configured number of replications; one engine run per replication, to
+    the last checkpoint.  Checkpoints must be strictly increasing and >= 1.
     As in ``run_experiment``, a replication whose run diverges (the engine's
     ``DivergenceError``) is left out of every checkpoint's mean and standard
     error, and both are nan when every replication diverged.  ``workers`` is
@@ -572,6 +554,9 @@ def convergence_curve(
     checkpoints = tuple(int(t) for t in checkpoints)
     if not checkpoints or any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
         raise ValueError("checkpoints must be nonempty and strictly increasing")
+    below = [t for t in checkpoints if t < 1]
+    if below:
+        raise ValueError(f"checkpoints must be >= 1, got {below}")
     federation = build_federation(config)
     payload = (
         federation,

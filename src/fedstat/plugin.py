@@ -10,13 +10,16 @@ the roundoff rule of ``fedstat.roundoff``: a half-width at or below the floor
 is exactly 0, and a negative variance of the centre, (nu_hat / t_T) times the
 sandwich diagonal, within floor**2 counts as 0.
 
-The state keeps block sums: ``observe`` only validates its arguments and writes
-one row into a block of `BLOCK_ROUNDS` rows, and a full block is folded into
-the sums of x, of the Hessian draws and of g g' with a few stacked operations.
-The sum of x is kept to double length (``roundoff.add_rows``), so only the sums
-inside each block round, not the growing total.  A read folds the
-pending rows into a snapshot and never into the sums, so the results never
-depend on when, or how often, the state was read.
+`PluginState` is itself the engine's observer (``engine.SyncObserver``): it
+asks for the inference draws, and every round folds one synchronized point
+with its gradient and Hessian draws.  The state keeps block sums: ``observe``
+only validates its arguments and writes one row into a block of
+`BLOCK_ROUNDS` rows, and a full block is folded into the sums of x, of the
+Hessian draws and of g g' with a few stacked operations.  The sum of x is kept
+to double length (``roundoff.add_rows``), so only the sums inside each block
+round, not the growing total.  A read folds the pending rows into a snapshot
+and never into the sums, so the results never depend on when, or how often,
+the state was read.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from . import roundoff
 from .engine import BLOCK_ROUNDS
 from .schedules import ScheduleDiagnostics
 
-__all__ = ["PluginState", "PluginObserver", "SingularHessian"]
+__all__ = ["PluginState", "SingularHessian"]
 
 _MAX_CONDITION = 1e12
 
@@ -57,79 +60,74 @@ def _z_quantile(alpha: float) -> float:
 
 
 class PluginState:
-    """Streaming accumulators for the sandwich covariance estimate.
+    """Streaming accumulators for the sandwich covariance estimate, and the
+    engine observer that feeds them.
 
-    ``rounds_seen`` counts synchronized points folded into the center y_bar;
-    ``gs_rounds`` counts gradient/Hessian draws folded into G_hat and S_hat
-    (these differ only when warm-up rounds are excluded from estimation).
-    ``y_bar``, ``g_hat`` and ``s_hat`` are read from a snapshot that is kept
-    until the next ``observe``.
+    ``rounds_seen`` counts the rounds folded in, each a synchronized point
+    with its gradient and Hessian draws.  ``y_bar``, ``g_hat`` and ``s_hat``
+    are read from a snapshot that is kept until the next ``observe``.
     """
+
+    needs_inference_draws = True
 
     def __init__(self, dimension: int):
         if dimension < 1:
             raise ValueError("dimension must be >= 1")
         d = self.dimension = dimension
         self.rounds_seen = 0
-        self.gs_rounds = 0
         self._points = np.empty((BLOCK_ROUNDS, d))
         self._grads = np.empty((BLOCK_ROUNDS, d))
         self._hessians = np.empty((BLOCK_ROUNDS, d, d))
-        self._pending = 0  # rows of _points not yet folded
-        self._pending_draws = 0  # rows of _grads/_hessians not yet folded
+        self._pending = 0  # rows not yet folded
         self._sums = _Sums((np.zeros(d), np.zeros(d)), np.zeros((d, d)), np.zeros((d, d)))
         self._snapshot: _Means | None = None
 
+    def observe_sync(self, round_index, iteration, x_bar, interval, grad_draw, hess_draw):
+        """Engine hook: fold the round's point with its draws."""
+        self.observe(x_bar, grad_draw, hess_draw)
+
     def observe(
-        self,
-        x_bar: np.ndarray,
-        grad_draw: np.ndarray | None = None,
-        hess_draw: np.ndarray | None = None,
+        self, x_bar: np.ndarray, grad_draw: np.ndarray, hess_draw: np.ndarray
     ) -> "PluginState":
-        """Fold one synchronized point, and optionally its draws, into the means."""
+        """Fold one synchronized point and its draws into the means."""
         d = self.dimension
         x_bar = np.asarray(x_bar, dtype=np.float64)
+        grad_draw = np.asarray(grad_draw, dtype=np.float64)
+        hess_draw = np.asarray(hess_draw, dtype=np.float64)
         if x_bar.shape != (d,):
             raise ValueError(f"x_bar must have shape ({d},)")
-        if (grad_draw is None) != (hess_draw is None):
-            raise ValueError("gradient and Hessian draws come in pairs")
-        if grad_draw is not None:
-            grad_draw = np.asarray(grad_draw, dtype=np.float64)
-            hess_draw = np.asarray(hess_draw, dtype=np.float64)
-            if grad_draw.shape != (d,) or hess_draw.shape != (d, d):
-                raise ValueError("draw dimensions do not match the state")
-            j = self._pending_draws
-            self._grads[j] = grad_draw
-            self._hessians[j] = hess_draw
-            self._pending_draws = j + 1
-            self.gs_rounds += 1
-        self._points[self._pending] = x_bar
-        self._pending += 1
+        if grad_draw.shape != (d,) or hess_draw.shape != (d, d):
+            raise ValueError("draw dimensions do not match the state")
+        k = self._pending
+        self._points[k] = x_bar
+        self._grads[k] = grad_draw
+        self._hessians[k] = hess_draw
+        self._pending = k + 1
         self.rounds_seen += 1
         self._snapshot = None
         if self._pending == BLOCK_ROUNDS:
             self._sums = self._fold()
-            self._pending = self._pending_draws = 0
+            self._pending = 0
         return self
 
     def _fold(self) -> "_Sums":
         """The sums with the pending rows folded in; changes nothing."""
-        k, j, sums = self._pending, self._pending_draws, self._sums
+        k, sums = self._pending, self._sums
         if k == 0:
             return sums
-        grads = self._grads[:j]
+        grads = self._grads[:k]
         return _Sums(
             roundoff.add_rows(sums.points, self._points[:k]),
-            sums.hessian + self._hessians[:j].sum(axis=0),
+            sums.hessian + self._hessians[:k].sum(axis=0),
             sums.outer + grads.T @ grads,
         )
 
     def _read(self) -> "_Means":
         if self._snapshot is None:
             sums = self._fold()
-            n, gs = max(self.rounds_seen, 1), max(self.gs_rounds, 1)
+            n = max(self.rounds_seen, 1)
             hi, lo = sums.points
-            self._snapshot = _Means((hi + lo) / n, sums.hessian / gs, sums.outer / gs)
+            self._snapshot = _Means((hi + lo) / n, sums.hessian / n, sums.outer / n)
         return self._snapshot
 
     @property
@@ -152,9 +150,9 @@ class PluginState:
         both signal that the round count is still too small.
         """
         d = self.dimension
-        if self.gs_rounds < d:
+        if self.rounds_seen < d:
             raise SingularHessian(
-                f"need at least {d} gradient/Hessian draws, have {self.gs_rounds}"
+                f"need at least {d} gradient/Hessian draws, have {self.rounds_seen}"
             )
         cond = np.linalg.cond(self.g_hat)
         if not np.isfinite(cond) or cond > _MAX_CONDITION:
@@ -180,23 +178,3 @@ class PluginState:
         )
         half = _z_quantile(alpha) * np.sqrt(diag.nu_hat / diag.t_T) * np.sqrt(var_j)
         return roundoff.interval(float(self.y_bar[j]), half, floor)
-
-
-class PluginObserver:
-    """Engine adapter; optionally keeps warm-up rounds out of G_hat/S_hat.
-
-    The interval center always averages the full path (that is the estimator);
-    ``skip_rounds`` only controls which draws feed the covariance estimate.
-    """
-
-    needs_inference_draws = True
-
-    def __init__(self, dimension: int, skip_rounds: int = 0):
-        self.state = PluginState(dimension)
-        self.skip_rounds = skip_rounds
-
-    def observe_sync(self, round_index, iteration, x_bar, interval, grad_draw, hess_draw):
-        if round_index <= self.skip_rounds:
-            self.state.observe(x_bar)
-        else:
-            self.state.observe(x_bar, grad_draw, hess_draw)

@@ -6,6 +6,8 @@ running means around the final mean.  The resulting statistic is pivotal but
 not normal; its critical values depend only on the growth exponent beta of the
 interval sequence and are tabulated separately.
 
+`RScaleState` is itself the engine's observer (``engine.SyncObserver``): it
+needs no inference draws, only each round's synchronized point and interval.
 V_hat is accumulated around a pivot, the first synchronized point, so its
 accuracy depends on the spread of the path and not on its distance from zero.
 The recursion needs only sums over the path, so the state keeps block sums:
@@ -32,7 +34,7 @@ from . import critvals, roundoff
 from .engine import BLOCK_ROUNDS
 from .schedules import CommunicationSchedule, Schedule
 
-__all__ = ["RScaleState", "RScaleObserver", "beta_for_schedule"]
+__all__ = ["RScaleState", "beta_for_schedule"]
 
 
 class _Sums(NamedTuple):
@@ -46,7 +48,8 @@ class _Sums(NamedTuple):
 
 
 class RScaleState:
-    """Streaming accumulators behind V_hat.
+    """Streaming accumulators behind V_hat, and the engine observer that
+    feeds them.
 
     After m rounds, with p the first synchronized point (the pivot) and
     z_n = y_bar_n - p:
@@ -57,6 +60,8 @@ class RScaleState:
         q     = sum_n n^2/E_n.
     They are read from a snapshot that is kept until the next ``observe``.
     """
+
+    needs_inference_draws = False
 
     def __init__(self, dimension: int):
         if dimension < 1:
@@ -69,6 +74,10 @@ class RScaleState:
         zeros = np.zeros(d)
         self._sums = _Sums((zeros, zeros), zeros, (zeros, zeros), np.zeros((d, d)), zeros, 0.0, 0.0)
         self._snapshot: _Sums | None = None
+
+    def observe_sync(self, round_index, iteration, x_bar, interval, grad_draw, hess_draw):
+        """Engine hook: fold the round's point with its interval."""
+        self.observe(x_bar, interval)
 
     def observe(self, x_bar: np.ndarray, interval: int) -> "RScaleState":
         """Fold one synchronized point with its round's interval E_m."""
@@ -187,15 +196,3 @@ def beta_for_schedule(schedule: Schedule) -> float:
     if schedule.kind == "power":
         return schedule.exponent
     return 0.0
-
-
-class RScaleObserver:
-    """Engine adapter feeding the random-scaling recursions."""
-
-    needs_inference_draws = False
-
-    def __init__(self, dimension: int):
-        self.state = RScaleState(dimension)
-
-    def observe_sync(self, round_index, iteration, x_bar, interval, grad_draw, hess_draw):
-        self.state.observe(x_bar, interval)

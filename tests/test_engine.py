@@ -166,13 +166,13 @@ class TestObserversAndDeterminism:
         fed = linear_fed(np.random.default_rng(0).standard_normal((2, 3)))
         sched = schedules.CommunicationSchedule("power", base=1, exponent=0.5, gamma0=0.5)
         bare = run(fed, sched, rounds, np.zeros(3), seed=5)
-        from fedstat.plugin import PluginObserver
-        from fedstat.rscale import RScaleObserver
+        from fedstat.plugin import PluginState
+        from fedstat.rscale import RScaleState
 
         recorder = PathRecorder()
         watched = run(
             fed, sched, rounds, np.zeros(3), seed=5,
-            observers=(PluginObserver(3), RScaleObserver(3), recorder),
+            observers=(PluginState(3), RScaleState(3), recorder),
         )
         np.testing.assert_array_equal(bare.points, watched.points)
         np.testing.assert_array_equal(bare.comm_times, watched.comm_times)

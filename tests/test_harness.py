@@ -1,9 +1,10 @@
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from fedstat import cli, engine, harness, schedules
+from fedstat import cli, critvals, engine, harness, schedules
 from fedstat.harness import (
     ExperimentConfig,
     convergence_curve,
@@ -92,6 +93,10 @@ class TestConfigParsing:
     def test_x0_vector(self):
         config = parse_config_text("model = linear\ndimension = 2\nrounds = 5\nx0 = 0.5,-1\n")
         assert config.x0 == (0.5, -1.0)
+
+    def test_plugin_skip_warmup_is_an_unknown_key(self):
+        with pytest.raises(ValueError, match=r"unknown config keys: \['plugin_skip_warmup'\]"):
+            parse_config_text("plugin_skip_warmup = on\n")
 
 
 class TestRoundsForTarget:
@@ -208,6 +213,27 @@ class TestRunExperiment:
         assert len(rep_lines) == 1 + config.replications * len(config.methods)
         dumped = sorted(p.name for p in (tmp_path / "paths").iterdir())
         assert dumped == ["rep_0000.csv", "rep_0001.csv"]
+
+    def test_critical_values_file_of_the_default_table(self, tmp_path):
+        table_path = tmp_path / "table.csv"
+        with table_path.open("w") as stream:
+            critvals.save_csv(critvals.default_table(), stream)
+        default, named = tmp_path / "default", tmp_path / "named"
+        run_experiment(parse_config_text(BASE_CONFIG), out_dir=default)
+        config = parse_config_text(BASE_CONFIG + f"critical_values = {table_path}\n")
+        assert config.critical_values == str(table_path)
+        run_experiment(config, out_dir=named)
+        assert (named / "report.csv").read_bytes() == (default / "report.csv").read_bytes()
+
+    def test_critical_values_file_without_the_runs_beta(self, tmp_path):
+        table = critvals.default_table()
+        assert table.betas[0] == 0.0  # the row of a constant schedule
+        table_path = tmp_path / "table.csv"
+        with table_path.open("w") as stream:
+            critvals.save_csv(replace(table, betas=table.betas[1:], values=table.values[1:]), stream)
+        config = parse_config_text(BASE_CONFIG + f"critical_values = {table_path}\n")
+        with pytest.raises(KeyError, match="beta 0.0 not tabulated"):
+            run_experiment(config)
 
     def test_coverage_se_formula(self):
         config = parse_config_text(BASE_CONFIG)
@@ -337,6 +363,64 @@ class TestConvergenceCurve:
     def test_checkpoints_must_increase(self):
         with pytest.raises(ValueError):
             convergence_curve(quadratic_config(), [10, 10])
+
+    @pytest.mark.parametrize("checkpoints, named", [([0, 5], "[0]"), ([-3, 0, 5], "[-3, 0]")])
+    def test_nonpositive_checkpoints_rejected(self, checkpoints, named):
+        with pytest.raises(ValueError, match=re.escape(f"checkpoints must be >= 1, got {named}")):
+            convergence_curve(quadratic_config(), checkpoints)
+
+    def test_cli_rejects_nonpositive_checkpoints(self, tmp_path, capsys):
+        path = tmp_path / "config.txt"
+        path.write_text(BASE_CONFIG)
+        assert cli.main(["curve", "--config", str(path), "--checkpoints", "0,5"]) == 1
+        err = capsys.readouterr().err
+        assert err == "fedstat: error: checkpoints must be >= 1, got [0]\n"
+
+    @pytest.mark.parametrize(
+        "config, checkpoints, kept",
+        [
+            pytest.param(
+                ExperimentConfig(
+                    model="linear", dimension=3, clients=4,
+                    schedule=schedules.CommunicationSchedule("constant", base=1),
+                    rounds=600, target_observations=None, replications=3, seed=9,
+                ),
+                [1, 255, 256, 257, 600],  # across two engine blocks and a partial one
+                3,
+                id="stable",
+            ),
+            pytest.param(
+                # At gamma0 = 8 four of these eight replications diverge.
+                quadratic_config(
+                    model="linear", dimension=3, clients=2, rounds=40, x0="zeros",
+                    schedule=schedules.CommunicationSchedule(
+                        "constant", base=1, gamma0=8.0, alpha=0.6
+                    ),
+                    replications=8,
+                ),
+                [1, 7, 40],
+                4,
+                id="diverging",
+            ),
+        ],
+    )
+    def test_rows_are_means_of_path_prefix_errors(self, config, checkpoints, kept):
+        fed = harness.build_federation(config)
+        errors = []
+        for rep in range(config.replications):
+            seed = np.random.SeedSequence(config.seed, spawn_key=(1, rep))
+            try:
+                path = engine.run(fed, config.schedule, checkpoints[-1], np.zeros(3), seed)
+            except engine.DivergenceError:
+                continue
+            x_star = fed.global_optimum
+            errors.append([np.linalg.norm(path.points[:t].mean(0) - x_star) for t in checkpoints])
+        errors = np.array(errors)
+        assert len(errors) == kept
+        means = errors.mean(axis=0)
+        ses = errors.std(axis=0, ddof=1) / np.sqrt(len(errors))
+        expected = [(t, float(mu), float(se)) for t, mu, se in zip(checkpoints, means, ses)]
+        assert convergence_curve(config, checkpoints) == expected
 
 
 class TestPartialSumProcess:

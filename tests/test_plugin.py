@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from fedstat import harness, models, schedules
 from fedstat.engine import BLOCK_ROUNDS
-from fedstat.plugin import PluginObserver, PluginState, SingularHessian, _z_quantile
+from fedstat.plugin import PluginState, SingularHessian, _z_quantile
 from fedstat.schedules import ScheduleDiagnostics
 
 
@@ -81,23 +81,21 @@ class TestBlockFold:
     @settings(max_examples=40, deadline=None)
     @given(
         n=st.integers(1, 3 * BLOCK_ROUNDS),
-        skip=st.integers(0, 2 * BLOCK_ROUNDS),
         reads=st.sets(st.integers(1, 3 * BLOCK_ROUNDS), max_size=8),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_reads_never_change_results(self, n, skip, reads, seed):
+    def test_reads_never_change_results(self, n, reads, seed):
         rng = np.random.default_rng(seed)
         points = rng.standard_normal((n, 2))
         grads = rng.standard_normal((n, 2))
         hessians = rng.standard_normal((n, 2, 2))
         read, unread = PluginState(2), PluginState(2)
         for m, (x, g, h) in enumerate(zip(points, grads, hessians), start=1):
-            draws = (g, h) if m > skip else ()
-            read.observe(x, *draws)
-            unread.observe(x, *draws)
+            read.observe(x, g, h)
+            unread.observe(x, g, h)
             if m in reads:
                 read.y_bar, read.g_hat, read.s_hat  # read and dropped
-        for name in ("y_bar", "g_hat", "s_hat", "rounds_seen", "gs_rounds"):
+        for name in ("y_bar", "g_hat", "s_hat", "rounds_seen"):
             np.testing.assert_array_equal(getattr(read, name), getattr(unread, name))
 
     def test_block_sums_match_exact_arithmetic(self):
@@ -173,12 +171,12 @@ class TestSandwich:
             methods=("plugin",),
         )
         fed = harness.build_federation(config)
-        observer = PluginObserver(5)
+        state = PluginState(5)
         from fedstat import engine
 
-        engine.run(fed, config.schedule, 4000, np.zeros(5), seed=11, observers=(observer,))
+        engine.run(fed, config.schedule, 4000, np.zeros(5), seed=11, observers=(state,))
         _, _, cov = models.true_sandwich(fed)
-        err = np.linalg.norm(observer.state.sandwich() - cov) / np.linalg.norm(cov)
+        err = np.linalg.norm(state.sandwich() - cov) / np.linalg.norm(cov)
         assert err < 0.10
 
 
@@ -225,11 +223,13 @@ class TestConfidenceInterval:
 
 
 class TestObserverAdapter:
-    def test_skip_rounds_excludes_draws_but_not_center(self):
-        observer = PluginObserver(1, skip_rounds=2)
+    def test_every_round_folds_its_draws(self):
+        state = PluginState(1)
+        assert state.needs_inference_draws
         xs = [np.array([float(v)]) for v in (5.0, 3.0, 1.0)]
         for m, x in enumerate(xs, start=1):
-            observer.observe_sync(m, m, x, 1, np.array([1.0]), np.array([[1.0]]))
-        assert observer.state.rounds_seen == 3
-        assert observer.state.gs_rounds == 1
-        np.testing.assert_allclose(observer.state.y_bar, [3.0])
+            state.observe_sync(m, m, x, 1, np.array([float(m)]), np.array([[2.0 * m]]))
+        assert state.rounds_seen == 3
+        np.testing.assert_allclose(state.y_bar, [3.0])
+        np.testing.assert_allclose(state.g_hat, [[4.0]])
+        np.testing.assert_allclose(state.s_hat, [[14.0 / 3.0]])

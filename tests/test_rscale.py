@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from fedstat import critvals, schedules
 from fedstat.engine import BLOCK_ROUNDS
-from fedstat.rscale import RScaleObserver, RScaleState, beta_for_schedule
+from fedstat.rscale import RScaleState, beta_for_schedule
 
 # Quantiles copied from the reference asymptotic table; levels are P(t* <= q).
 PAPER_LEVELS = (0.01, 0.025, 0.05, 0.1, 0.5, 0.9, 0.95, 0.975, 0.99)
@@ -260,7 +260,8 @@ class TestBetaForSchedule:
 
 class TestObserverAdapter:
     def test_feeds_interval_through(self):
-        observer = RScaleObserver(1)
-        observer.observe_sync(1, 3, np.array([1.0]), 3, None, None)
-        assert observer.state.s == pytest.approx(1.0 / 3.0)
-        assert observer.state.rounds_seen == 1
+        state = RScaleState(1)
+        assert not state.needs_inference_draws
+        state.observe_sync(1, 3, np.array([1.0]), 3, None, None)
+        assert state.s == pytest.approx(1.0 / 3.0)
+        assert state.rounds_seen == 1
