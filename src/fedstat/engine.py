@@ -12,7 +12,9 @@ client index, so adding clients or rounds never perturbs existing draws, and
 attaching observers never changes the optimization path.  Samples are drawn
 from each stream in chunks of `_BUFFER_CHUNK` for speed; within a stream they
 are always consumed sequentially, one row per local iteration (or per sync for
-the inference stream).
+the inference stream), and laid out time-major, so that one step or sync
+reads one (K, d) block.  A noiseless client's rows are its center and
+curvature, drawn without randomness.
 
 Rounds run in blocks of `BLOCK_ROUNDS`.  After a block's rounds, the
 divergence test runs once on the block's rows: the first round m whose
@@ -22,11 +24,11 @@ m have been computed as well; they may overflow to inf or nan, silently, and
 are discarded, so neither an observer nor a warning sees them.
 
 Local steps and synchronization run in one in-place kernel per model kind
-(``models.linear_rounds``, ``logistic_rounds`` or ``quadratic_rounds``) on the
-stacked client states X (K, d), called once per group of consecutive rounds.
-Within each block of `BLOCK_ROUNDS` rounds, consecutive rounds whose intervals
-sum to at most `BLOCK_ROUNDS` rows form one group, and a round whose interval
-alone is longer is a group of its own.  Each group makes one
+(its rounds kernel in ``models.KERNELS``) on the stacked client states X
+(K, d), called once per group of consecutive rounds.  Within each block of
+`BLOCK_ROUNDS` rounds, consecutive rounds whose intervals sum to at most
+`BLOCK_ROUNDS` rows form one group, and a round whose interval alone is
+longer is a group of its own.  Each group makes one
 ``SampleBuffer.take(sum E)`` and one kernel call; the kernel writes each
 round's synchronized average straight into the path and copies it back to
 every client.  A linear group whose rounds all have E = 1 runs as one affine
@@ -161,15 +163,17 @@ def client_generators(
 
 
 class SampleBuffer:
-    """Sequential per-client samples, drawn in chunks and stacked client-major.
+    """Sequential per-client samples, drawn in chunks and stacked time-major.
 
-    ``take(n)`` returns (covariates (K, n, d), responses (K, n)) holding the
-    next n samples of every client's stream.  Each client's rows appear in
-    exactly the order its generator produces them, so the buffering granularity
-    never changes which sample lands on which iteration for the linear kind
-    (one normal block per draw); it is fixed at `_BUFFER_CHUNK` rows so results
-    are reproducible for all kinds, and so that grouped takes of at most
-    `BLOCK_ROUNDS` rows refill exactly as per-round takes would.
+    ``take(n)`` returns (covariates (n, K, d), responses (n, K)) holding the
+    next n samples of every client's stream: row t holds every client's t-th
+    sample, as the kernels read it, and a noiseless client's row is its
+    (center, curvature).  Each client's rows appear in exactly the order its
+    generator produces them, so the buffering granularity never changes which
+    sample lands on which iteration for the linear kind (one normal block per
+    draw); it is fixed at `_BUFFER_CHUNK` rows so results are reproducible for
+    all kinds, and so that grouped takes of at most `BLOCK_ROUNDS` rows refill
+    exactly as per-round takes would.
     """
 
     def __init__(self, clients: tuple[models.ClientModel, ...], rngs: list[np.random.Generator]):
@@ -177,20 +181,20 @@ class SampleBuffer:
         self._rngs = rngs
         self._cursor = 0
         self._size = 0
-        self._A = np.empty((len(clients), 0, clients[0].dimension))
-        self._B = np.empty((len(clients), 0))
+        self._A = np.empty((0, len(clients), clients[0].dimension))
+        self._B = np.empty((0, len(clients)))
 
     def _refill(self, needed: int) -> None:
         """Keep the unread rows and append ``max(_BUFFER_CHUNK, needed)`` fresh
         rows per client, each written once into the new arrays."""
         size = max(_BUFFER_CHUNK, needed)
         left = self._size - self._cursor
-        A = np.empty((len(self._clients), left + size, self._A.shape[2]))
+        A = np.empty((left + size, *self._A.shape[1:]))
         B = np.empty(A.shape[:2])
-        A[:, :left] = self._A[:, self._cursor :]
-        B[:, :left] = self._B[:, self._cursor :]
+        A[:left] = self._A[self._cursor :]
+        B[:left] = self._B[self._cursor :]
         for k, (client, rng) in enumerate(zip(self._clients, self._rngs)):
-            A[k, left:], B[k, left:] = client.draw(rng, size)
+            A[left:, k], B[left:, k] = client.draw(rng, size)
         self._A, self._B = A, B
         self._cursor = 0
         self._size = left + size
@@ -200,7 +204,7 @@ class SampleBuffer:
             self._refill(n - (self._size - self._cursor))
         start = self._cursor
         self._cursor += n
-        return self._A[:, start : self._cursor, :], self._B[:, start : self._cursor]
+        return self._A[start : self._cursor], self._B[start : self._cursor]
 
 
 def _groups(e_list: list[int], first: int, stop: int):
@@ -247,8 +251,6 @@ def run(
 
     observers = tuple(observers)
     need_draws = any(getattr(o, "needs_inference_draws", False) for o in observers)
-    kind = federation.kind
-    clients = federation.clients
     weights = federation.weights
     opt_rngs, inf_rngs = client_generators(seed, federation.size)
 
@@ -257,16 +259,9 @@ def run(
     comm_times = np.cumsum(e_all)
     e_list, eta_list = e_all.tolist(), etas.tolist()
 
-    quadratic = kind == "quadratic"
-    if quadratic:
-        centers = np.stack([c.local_optimum for c in clients])
-        curvatures = np.array([c.curvature for c in clients])
-    else:
-        logistic = kind == "logistic"
-        local_rounds = models.logistic_rounds if logistic else models.linear_rounds
-        sample_draws = models.logistic_draws if logistic else models.linear_draws
-        opt_samples = SampleBuffer(clients, opt_rngs)
-        inf_samples = SampleBuffer(clients, inf_rngs) if need_draws else None
+    local_rounds, sample_draws = models.KERNELS[federation.kind]
+    opt_samples = SampleBuffer(federation.clients, opt_rngs)
+    inf_samples = SampleBuffer(federation.clients, inf_rngs) if need_draws else None
 
     X = np.tile(x0, (federation.size, 1))
     points = np.empty((total_rounds, d))
@@ -281,11 +276,8 @@ def run(
         xs.flags.writeable = False
         if not need_draws:
             grads = hessians = (None,) * (stop - first)
-        elif quadratic:
-            grads, hessians = models.quadratic_draws(weights, centers, curvatures, xs)
         else:
-            A, B = inf_samples.take(stop - first)
-            grads, hessians = sample_draws(weights, A, B, xs)
+            grads, hessians = sample_draws(weights, *inf_samples.take(stop - first), xs)
         rounds = zip(
             range(first + 1, stop + 1),
             comm_times[first:stop].tolist(),
@@ -305,10 +297,7 @@ def run(
         with np.errstate(over="ignore", invalid="ignore"):
             for lo, hi, rows in _groups(e_list, first, stop):
                 group = (weights, e_list[lo:hi], eta_list[lo:hi], points[lo:hi])
-                if quadratic:
-                    models.quadratic_rounds(X, centers, curvatures, *group)
-                else:
-                    local_rounds(X, *opt_samples.take(rows), *group)
+                local_rounds(X, *opt_samples.take(rows), *group)
             # Row by row the same dot as x_bar @ x_bar.
             norm_sq = np.matmul(block[:, None, :], block[:, :, None])[:, 0, 0]
         failed = np.flatnonzero(~(norm_sq <= bound_sq))

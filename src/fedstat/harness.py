@@ -39,7 +39,6 @@ __all__ = [
     "replication_rows_csv",
 ]
 
-_MODELS = ("linear", "logistic", "quadratic")
 _METHODS = ("plugin", "rscale")
 
 
@@ -64,7 +63,7 @@ class ExperimentConfig:
     critical_values: str | None = None
 
     def __post_init__(self) -> None:
-        if self.model not in _MODELS:
+        if self.model not in models.KERNELS:
             raise ValueError(f"unknown model {self.model!r}")
         if self.dimension < 1 or self.clients < 1:
             raise ValueError("dimension and clients must be >= 1")

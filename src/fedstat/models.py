@@ -12,10 +12,12 @@ Each kind's math is written once per use, on stacked arrays: ``*_rounds``
 runs a group of consecutive rounds (local SGD steps, then the weighted
 average) in place on all client states, and ``*_draws`` evaluates the
 weighted gradient and Hessian draws that inference observers consume, one row
-per synchronized point.  The engine calls ``*_rounds`` once per group of at
-most 256 sample rows (or one longer round), so the buffers a kernel allocates
-once per call are shared by many rounds when E_m is small.  A linear or
-logistic local step is four numpy calls on the stacked (K, d) states: the
+per synchronized point; ``KERNELS`` maps each kind to the pair.  Both read a
+sample take as the engine's buffer lays it out, time-major: step t (or point
+t) reads the (K, d) block A[t].  The engine calls ``*_rounds`` once per group
+of at most 256 sample rows (or one longer round), so the buffers a kernel
+allocates once per call are shared by many rounds when E_m is small.  A linear
+or logistic local step is four numpy calls on the stacked (K, d) states: the
 kernel folds each round's rate into a scaled copy of its covariates, and
 writes the logistic step in its signed form a~ sigmoid(a~'x), a~ = (1 - 2b) a,
 which needs labels of exactly 0 or 1 (see the comment above
@@ -51,21 +53,20 @@ __all__ = [
     "linear_draws",
     "logistic_draws",
     "quadratic_draws",
+    "KERNELS",
 ]
-
-_KINDS = ("linear", "logistic", "quadratic")
 
 
 # --- local SGD rounds, in place on the stacked client states -----------------
 # X (K, d) holds one state per client.  One call runs a group of consecutive
 # rounds: round j runs intervals[j] local steps at rate etas[j], then writes
 # the weighted average into points[j] (``np.matmul(weights, X, points[j])``)
-# and copies it back to every client.  A (K, sum E, d) and B (K, sum E) hold
-# each client's next optimization samples for the whole group, as one
-# ``SampleBuffer.take(sum E)`` returns them.
-#
-# Once per call the kernel lays the step operands out time-major and
-# contiguous, (sum E, K, d), so that step t reads one (K, d) block:
+# and copies it back to every client.  A (sum E, K, d) and B (sum E, K) hold
+# every client's next optimization samples for the whole group, as one
+# ``SampleBuffer.take(sum E)`` returns them: the buffer, not the kernel, lays
+# them out time-major and contiguous, so that step t reads the (K, d) block
+# A[t] as it comes.  Once per call the kernel forms its step operands from
+# the take:
 #
 # * logistic signs each covariate, a~ = (1 - 2b) a.  For a label b in {0, 1},
 #   a (sigmoid(a'x) - b) = a~ sigmoid(a~'x), so the labels drop out of the
@@ -73,8 +74,8 @@ _KINDS = ("linear", "logistic", "quadratic")
 #   makes them so); the sign is then exact, and a label-1 step evaluates
 #   sigmoid(-a'x) where sigmoid(a'x) - 1 would cancel to 0 once sigmoid(a'x)
 #   rounds to 1 (a'x above about 37);
-# * both kinds fold each round's rate into a scaled copy u = eta a (or
-#   eta a~), one rate per row from ``np.repeat(etas, intervals)``.
+# * linear and logistic fold each round's rate into a scaled copy u = eta a
+#   (or eta a~), one rate per row from ``np.repeat(etas, intervals)``.
 #
 # Each step is then four numpy calls on (K, d) blocks, into buffers allocated
 # once per call: r = a'x with ``np.vecdot``, then r - b (linear) or
@@ -138,12 +139,11 @@ def linear_rounds(
     if set(intervals) == {1}:
         _affine_rounds(X, A, B, weights, etas, points)
         return
-    covariates = np.ascontiguousarray(A.transpose(1, 0, 2))
-    scaled = np.repeat(etas, intervals)[:, None, None] * covariates
+    scaled = np.repeat(etas, intervals)[:, None, None] * A
     resid = np.empty(len(X))
     column = resid[:, None]
     step = np.empty(X.shape)
-    samples = zip(covariates, scaled, np.ascontiguousarray(B.T))
+    samples = zip(A, scaled, B)
     for interval, x_bar in zip(intervals, points):
         for a_t, u_t, b_t in islice(samples, interval):
             np.vecdot(a_t, X, resid)
@@ -167,14 +167,13 @@ def _affine_rounds(
     pivot = X[0]
     if not np.array_equal(X, np.broadcast_to(pivot, X.shape), equal_nan=True):
         raise ValueError("rounds of one local step need equal rows of X")
-    rows = A.transpose(1, 0, 2)
-    n, _, d = rows.shape
+    n, _, d = A.shape
     eta = np.array(etas)[:, None]
     total = weights.sum()
-    resid = np.matmul(rows, pivot) - B.T
+    resid = np.matmul(A, pivot) - B
     maps = np.zeros((n, d + 1, d + 1))
-    maps[:, :d, :d] = total * np.eye(d) - eta[:, :, None] * weighted_gram(rows, weights)
-    h = np.matmul((weights * resid)[:, None, :], rows)[:, 0]
+    maps[:, :d, :d] = total * np.eye(d) - eta[:, :, None] * weighted_gram(A, weights)
+    h = np.matmul((weights * resid)[:, None, :], A)[:, 0]
     maps[:, :d, d] = (total - 1.0) * pivot - eta * h
     maps[:, d, d] = 1.0
     z = np.zeros((n + 1, d + 1))
@@ -199,8 +198,8 @@ def logistic_rounds(
 
     The labels B must be exactly 0 or 1: each step runs in the signed form
     x_k -= eta * a~ sigmoid(a~' x_k) with a~ = (1 - 2 b_kt) a_kt."""
-    covariates = np.empty((A.shape[1], A.shape[0], A.shape[2]))
-    np.multiply(A.transpose(1, 0, 2), (1.0 - 2.0 * B.T)[:, :, None], covariates)
+    covariates = np.empty(A.shape)
+    np.multiply(A, (1.0 - 2.0 * B)[:, :, None], covariates)
     scaled = np.repeat(etas, intervals)[:, None, None] * covariates
     resid = np.empty(len(X))
     column = resid[:, None]
@@ -218,21 +217,22 @@ def logistic_rounds(
 
 def quadratic_rounds(
     X: np.ndarray,
-    centers: np.ndarray,
-    curvatures: np.ndarray,
+    A: np.ndarray,
+    B: np.ndarray,
     weights: np.ndarray,
     intervals: list[int],
     etas: list[float],
     points: np.ndarray,
 ) -> None:
-    """Rounds of exact local steps x_k -= eta * curvature_k (x_k - c_k), each
-    followed by the weighted average into its row of ``points``."""
-    scale = curvatures[:, None]
+    """Rounds of exact local steps x_k -= eta * h_k (x_k - c_k), each followed
+    by the weighted average into its row of ``points``; every row of A holds
+    the centers c_k and every row of B the curvatures h_k."""
     step = np.empty(X.shape)
     rate = np.empty(())
+    samples = zip(A, B[:, :, None])
     for interval, eta, x_bar in zip(intervals, etas, points):
         rate[()] = eta
-        for _ in range(interval):
+        for centers, scale in islice(samples, interval):
             np.subtract(X, centers, step)
             np.multiply(scale, step, step)
             np.multiply(step, rate, step)
@@ -242,7 +242,7 @@ def quadratic_rounds(
 
 
 # --- weighted inference draws, one row per synchronized point ----------------
-# X (n, d) holds n synchronized points; A (K, n, d) and B (K, n) hold one fresh
+# X (n, d) holds n synchronized points; A (n, K, d) and B (n, K) hold one fresh
 # sample per client for each of them.  Row t of the results is the weighted
 # gradient and Hessian draw at X[t].  The stacked matmul calls run the same
 # reduction per row as on a single (K, d) block, so every row is
@@ -259,9 +259,8 @@ def linear_draws(
     weights: np.ndarray, A: np.ndarray, B: np.ndarray, X: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """sum_k w_k a_k (a_k' x - b_k) and sum_k w_k a_k a_k' per row of X."""
-    rows = A.transpose(1, 0, 2)
-    resid = np.matmul(rows, X[:, :, None])[..., 0] - B.T
-    return weights @ (rows * resid[..., None]), weighted_gram(rows, weights)
+    resid = np.matmul(A, X[:, :, None])[..., 0] - B
+    return weights @ (A * resid[..., None]), weighted_gram(A, weights)
 
 
 def logistic_draws(
@@ -269,19 +268,28 @@ def logistic_draws(
 ) -> tuple[np.ndarray, np.ndarray]:
     """sum_k w_k a_k (p_k - b_k) and sum_k w_k p_k (1 - p_k) a_k a_k' per row
     of X, with p_k = sigmoid(a_k' x)."""
-    rows = A.transpose(1, 0, 2)
-    p = sigmoid(np.matmul(rows, X[:, :, None])[..., 0])
-    grads = weights @ (rows * (p - B.T)[..., None])
-    return grads, weighted_gram(rows, weights * p * (1.0 - p))
+    p = sigmoid(np.matmul(A, X[:, :, None])[..., 0])
+    grads = weights @ (A * (p - B)[..., None])
+    return grads, weighted_gram(A, weights * p * (1.0 - p))
 
 
 def quadratic_draws(
-    weights: np.ndarray, centers: np.ndarray, curvatures: np.ndarray, X: np.ndarray
+    weights: np.ndarray, A: np.ndarray, B: np.ndarray, X: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The exact weighted gradient and the constant Hessian per row of X."""
-    grads = weights @ (curvatures[:, None] * (X[:, None, :] - centers))
-    hessian = float(weights @ curvatures) * np.eye(X.shape[1])
+    """The exact weighted gradient sum_k w_k h_k (x - c_k) and the constant
+    Hessian (sum_k w_k h_k) I per row of X, with the centers c_k in every row
+    of A and the curvatures h_k in every row of B."""
+    grads = weights @ (B[:, :, None] * (X[:, None, :] - A))
+    hessian = float(weights @ B[0]) * np.eye(X.shape[1])
     return grads, np.broadcast_to(hessian, (len(X), *hessian.shape))
+
+
+# Each model kind's (rounds kernel, draws kernel); its keys are the kinds.
+KERNELS = {
+    "linear": (linear_rounds, linear_draws),
+    "logistic": (logistic_rounds, logistic_draws),
+    "quadratic": (quadratic_rounds, quadratic_draws),
+}
 
 
 @dataclass(frozen=True)
@@ -299,7 +307,7 @@ class ClientModel:
     curvature: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
+        if self.kind not in KERNELS:
             raise ValueError(f"unknown model kind {self.kind!r}")
         opt = np.asarray(self.local_optimum, dtype=np.float64)
         if opt.ndim != 1 or opt.size < 1:
@@ -317,7 +325,9 @@ class ClientModel:
     def draw(self, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
         """n fresh samples as (covariates (n, d), responses (n,)).
 
-        The quadratic kind consumes no randomness and returns empty arrays.
+        A linear or logistic row is one sample (a, b).  The quadratic kind is
+        noiseless: it consumes no randomness, and every row is the client's
+        center and curvature, the operands of its kernels.
         """
         d = self.dimension
         if self.kind == "linear":
@@ -330,7 +340,7 @@ class ClientModel:
             u = rng.random(n)
             b = (u < sigmoid(a @ self.local_optimum)).astype(np.float64)
             return a, b
-        return np.empty((n, 0)), np.empty(n)
+        return np.tile(self.local_optimum, (n, 1)), np.full(n, self.curvature)
 
 
 @dataclass(frozen=True)

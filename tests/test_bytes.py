@@ -52,9 +52,9 @@ CONFIGS = {
 
 DIGESTS = {
     "linear-c1": {
-        "paths/rep_0000.csv": "b0fa072c5295120f63b2834d5d314ca266f4f567a543e01f3f678eb0cc31302c",
-        "paths/rep_0001.csv": "9b0280f6120075eecb9674175df54294bc9e723d3bd767a6f46e6d083b152129",
-        "paths/rep_0002.csv": "68a45008b90cb33936fb2e30465adfd3948dd81582dfc7da6ee3b96a60dc97cf",
+        "paths/rep_0000.csv": "0e83dfc401b8a4dfcc097fd72ead8bea100839497b3933a816354b52a112cb58",
+        "paths/rep_0001.csv": "80841f87fec173eaa7069cd16584de4b90d1a7c9424dbcd9520358df0c8e985b",
+        "paths/rep_0002.csv": "02a5d4d9a6eaed48ab444f5aebeca2fbd3a113db0671f504eeb5558a8e25410a",
         "replications.csv": "362d939affc2727412e71f83fd192bdfacc2d81f62f73a5910fb934424734a9d",
         "report.csv": "cfa4f349a0fbc9d1c806aeef9757a6cbe50124cf7dd243809e669ca0bc5fb86e",
     },

@@ -7,6 +7,7 @@ import pytest
 from fedstat import engine, models, schedules
 from fedstat.engine import DivergenceError, SampleBuffer, average_estimate, run
 from fedstat.models import ClientModel, federation_of
+from reference import round_map
 
 
 def quadratic_fed(centers, weights=None, curvature=1.0):
@@ -23,22 +24,6 @@ def fixed_step(eta, rounds, interval=1):
     return schedules.ExplicitSchedule(
         intervals=(interval,) * rounds, etas=(eta,) * rounds
     )
-
-
-def round_map(a, b, weights, eta, pivot):
-    """The augmented (d+1, d+1) map of one linear round of one local step
-    around ``pivot``, built with ``models.linear_rounds``' expressions on the
-    round's own (K, 1, d) and (K, 1) sample slices."""
-    rows = a.transpose(1, 0, 2)
-    d = rows.shape[2]
-    total = weights.sum()
-    resid = np.matmul(rows, pivot) - b.T
-    M = np.zeros((d + 1, d + 1))
-    M[:d, :d] = total * np.eye(d) - eta * models.weighted_gram(rows, weights)[0]
-    h = np.matmul((weights * resid)[:, None, :], rows)[0, 0]
-    M[:d, d] = (total - 1.0) * pivot - eta * h
-    M[d, d] = 1.0
-    return M
 
 
 def unit_z(d):
@@ -218,7 +203,7 @@ class TestObserversAndDeterminism:
                 hessians.append(float(weights @ curvatures) * np.eye(d))
                 continue
             a_block, b_block = buffer.take(1)
-            a, b = a_block[:, 0, :], b_block[:, 0]
+            a, b = a_block[0], b_block[0]
             if kind == "logistic":
                 p = models.sigmoid(a @ x_bar)
                 grads.append(weights @ (a * (p - b)[:, None]))
@@ -354,9 +339,9 @@ class TestGuardsAndHelpers:
         taken_a, taken_b = [], []
         for n in takes:
             a, b = buf.take(n)
-            assert a.shape == (1, n, 2) and b.shape == (1, n)
-            taken_a.append(a[0])
-            taken_b.append(b[0])
+            assert a.shape == (n, 1, 2) and b.shape == (n, 1)
+            taken_a.append(a[:, 0])
+            taken_b.append(b[:, 0])
         chunk = engine._BUFFER_CHUNK
         assert chunk == 2048
         assert [n for _, n in sizes] == [chunk, chunk, 5000 - (2 * chunk - 5 - 2040 - 10), chunk]
@@ -429,7 +414,7 @@ def per_round_run(fed, sched, rounds, x0, seed, bound=1e8):
             x_bar = z[:d] + pivot
         else:
             for t in range(interval):
-                a_t, b_t = A[:, t, :], B[:, t]
+                a_t, b_t = A[t], B[t]
                 if logistic:
                     a_t = (1.0 - 2.0 * b_t)[:, None] * a_t
                     r = models.sigmoid(np.vecdot(a_t, X))
@@ -442,7 +427,7 @@ def per_round_run(fed, sched, rounds, x0, seed, bound=1e8):
             return points, grads, hessians, m
         points.append(x_bar)
         a_block, b_block = inf.take(1)
-        a, b = a_block[:, 0, :], b_block[:, 0]
+        a, b = a_block[0], b_block[0]
         if logistic:
             p = models.sigmoid(a @ x_bar)
             grads.append(weights @ (a * (p - b)[:, None]))

@@ -6,6 +6,7 @@ import pytest
 from fedstat import models
 from fedstat.engine import SampleBuffer
 from fedstat.models import ClientModel, federation_of, true_sandwich
+from reference import round_map
 
 ONE = np.ones(1)  # the weights of a single client
 
@@ -17,12 +18,12 @@ def rng_pair(seed=0):
 def draws_at(model, a, b, X):
     """Gradient and Hessian draws of one client of weight 1, one row per sample."""
     kernel = models.linear_draws if model.kind == "linear" else models.logistic_draws
-    return kernel(ONE, a[None], b[None], X)
+    return kernel(ONE, a[:, None], b[:, None], X)
 
 
 def quadratic_draws_at(model, X):
-    centers = model.local_optimum[None]
-    return models.quadratic_draws(ONE, centers, np.array([model.curvature]), X)
+    a, b = model.draw(np.random.default_rng(0), len(X))
+    return models.quadratic_draws(ONE, a[:, None], b[:, None], X)
 
 
 class TestQuadratic:
@@ -43,7 +44,8 @@ class TestQuadratic:
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
         a, b = model.draw(rng, 5)
-        assert a.shape == (5, 0) and b.shape == (5,)
+        np.testing.assert_array_equal(a, np.tile(model.local_optimum, (5, 1)))
+        np.testing.assert_array_equal(b, np.full(5, model.curvature))
         assert rng.bit_generator.state == state
         grads, _ = quadratic_draws_at(model, np.tile(x, (5, 1)))
         for g in grads[1:]:
@@ -138,22 +140,6 @@ def textbook_step(kind, a, b, eta, X):
     return eta * (a * (r - b)[:, None])
 
 
-def round_map(a, b, weights, eta, pivot):
-    """The augmented (d+1, d+1) map of one linear round of one local step
-    around ``pivot``, built with ``linear_rounds``' expressions on the round's
-    own (K, 1, d) and (K, 1) sample slices."""
-    rows = a.transpose(1, 0, 2)
-    d = rows.shape[2]
-    total = weights.sum()
-    resid = np.matmul(rows, pivot) - b.T
-    M = np.zeros((d + 1, d + 1))
-    M[:d, :d] = total * np.eye(d) - eta * models.weighted_gram(rows, weights)[0]
-    h = np.matmul((weights * resid)[:, None, :], rows)[0, 0]
-    M[:d, d] = (total - 1.0) * pivot - eta * h
-    M[d, d] = 1.0
-    return M
-
-
 def affine_reference(X, A, B, weights, etas):
     """Linear rounds of one step each as affine maps around X[0], one round
     at a time: each round's map, then one matvec on z = (x - X[0], 1)."""
@@ -162,7 +148,7 @@ def affine_reference(X, A, B, weights, etas):
     z[d] = 1.0
     points = []
     for t, eta in enumerate(etas):
-        M = round_map(A[:, t : t + 1], B[:, t : t + 1], weights, np.float64(eta), pivot)
+        M = round_map(A[t : t + 1], B[t : t + 1], weights, np.float64(eta), pivot)
         z = np.dot(M, z)
         points.append(z[:d] + pivot)
     return np.tile(points[-1], (len(X), 1)), np.array(points)
@@ -184,7 +170,7 @@ def per_round_reference(kind, X, optima, curvatures, A, B, weights, intervals, e
             if kind == "quadratic":
                 X -= eta64 * (curvatures[:, None] * (X - optima))
                 continue
-            X -= signed_step(kind, A[:, t, :], B[:, t], eta64, X)
+            X -= signed_step(kind, A[t], B[t], eta64, X)
             t += 1
         x_bar = weights @ X
         X[...] = x_bar
@@ -211,19 +197,14 @@ class TestStepKernels:
         if equal_rows:
             X[...] = X[0]
         points = np.empty((len(intervals), d))
-        A = B = None
-        if kind != "quadratic":
-            buffer = SampleBuffer(clients, [np.random.default_rng(s) for s in range(k)])
-            buffer.take(5)
-            A, B = buffer.take(sum(intervals))
+        buffer = SampleBuffer(clients, [np.random.default_rng(s) for s in range(k)])
+        buffer.take(5)
+        A, B = buffer.take(sum(intervals))
         expected_X, expected = per_round_reference(
             kind, X, optima, curvatures, A, B, weights, intervals, etas
         )
-        if kind == "quadratic":
-            models.quadratic_rounds(X, optima, curvatures, weights, intervals, etas, points)
-        else:
-            kernel = models.logistic_rounds if kind == "logistic" else models.linear_rounds
-            kernel(X, A, B, weights, intervals, etas, points)
+        rounds_kernel, _ = models.KERNELS[kind]
+        rounds_kernel(X, A, B, weights, intervals, etas, points)
         np.testing.assert_array_equal(points, expected)
         np.testing.assert_array_equal(X, expected_X)
 
@@ -297,7 +278,7 @@ class TestTextbookStep:
         reference, expected, t = X.copy(), [], 0
         for interval, eta in zip(intervals, etas):
             for _ in range(interval):
-                reference -= textbook_step(kind, A[:, t, :], B[:, t], eta, reference)
+                reference -= textbook_step(kind, A[t], B[t], eta, reference)
                 t += 1
             reference[...] = weights @ reference
             expected.append(reference[0].copy())
@@ -328,7 +309,7 @@ class TestTextbookStep:
         X = np.tile(rng.standard_normal(d), (k, 1))
         reference, expected = X.copy(), []
         for t, eta in enumerate(etas):
-            reference -= textbook_step("linear", A[:, t, :], B[:, t], eta, reference)
+            reference -= textbook_step("linear", A[t], B[t], eta, reference)
             reference[...] = weights @ reference
             expected.append(reference[0].copy())
         points = np.empty((rounds, d))
