@@ -96,7 +96,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return handlers[args.command](args)
     except (ValueError, KeyError, OSError) as exc:
-        print(f"fedstat: error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message; print the message.
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"fedstat: error: {message}", file=sys.stderr)
         return 1
 
 

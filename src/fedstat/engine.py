@@ -72,7 +72,7 @@ from typing import IO, Iterable, Protocol
 
 import numpy as np
 
-from . import models, schedules
+from . import models, roundoff, schedules
 
 __all__ = [
     "SyncPath",
@@ -229,7 +229,7 @@ def run(
     x0: np.ndarray,
     seed: int | np.random.SeedSequence,
     observers: Iterable[SyncObserver] = (),
-    divergence_bound: float = 1e8,
+    divergence_bound: float | None = None,
 ) -> SyncPath:
     """Run ``total_rounds`` communication rounds from ``x0``; returns the path.
 
@@ -238,16 +238,20 @@ def run(
     at most `BLOCK_ROUNDS` rounds later, so inference runs online.  A round
     whose average has norm above ``divergence_bound`` (positive; inf never
     trips, nor does a bound whose square overflows, above about 1.34e154)
-    raises `DivergenceError`.
+    raises `DivergenceError`.  The default bound is 1e8 times the run's
+    scale, ``roundoff.run_scale`` (at least 1), so a run that starts or
+    settles far from 0 is judged by its own size.
     """
     if total_rounds < 1:
         raise ValueError("total_rounds must be >= 1")
-    if not divergence_bound > 0:
-        raise ValueError(f"divergence_bound must be positive, got {divergence_bound!r}")
     x0 = np.asarray(x0, dtype=np.float64)
     d = federation.dimension
     if x0.shape != (d,) or not np.all(np.isfinite(x0)):
         raise ValueError(f"x0 must be a finite vector of length {d}")
+    if divergence_bound is None:
+        divergence_bound = 1e8 * max(1.0, roundoff.run_scale(federation, x0))
+    if not divergence_bound > 0:
+        raise ValueError(f"divergence_bound must be positive, got {divergence_bound!r}")
 
     observers = tuple(observers)
     need_draws = any(getattr(o, "needs_inference_draws", False) for o in observers)

@@ -403,6 +403,7 @@ def run_experiment(
         else:
             with open(config.critical_values) as stream:
                 table = critvals.load_csv(stream)
+        critvals.lookup(table, config.alpha_level, beta)  # an untabulated value fails here
 
     x0 = _resolve_x0(config, federation)
     paths_dir = None

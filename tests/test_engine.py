@@ -355,6 +355,12 @@ class TestGuardsAndHelpers:
             run(quadratic_fed([0.0]), fixed_step(0.5, 3), 3, np.array([1.0]), seed=0,
                 divergence_bound=bound)
 
+    def test_default_bound_scales_with_the_run(self):
+        # The iterate doubles in size per round from 1e3, so it first exceeds
+        # 1e8 * 1e3 at round 27 (2**27 > 1e8).
+        with pytest.raises(DivergenceError, match="bound 1e\\+11 at round 27$"):
+            run(quadratic_fed([0.0]), fixed_step(3.0, 40), 40, np.array([1e3]), seed=0)
+
     def test_infinite_divergence_bound_never_trips(self):
         path = run(quadratic_fed([0.0]), fixed_step(3.0, 40), 40, np.array([1.0]), seed=0,
                    divergence_bound=float("inf"))

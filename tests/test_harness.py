@@ -235,6 +235,40 @@ class TestRunExperiment:
         with pytest.raises(KeyError, match="beta 0.0 not tabulated"):
             run_experiment(config)
 
+    @pytest.mark.parametrize("missing", ["beta 0.0", "level 0.965"], ids=["beta", "level"])
+    def test_untabulated_critical_value_fails_before_any_run(self, missing, tmp_path, monkeypatch):
+        table = critvals.default_table()
+        table_path = tmp_path / "table.csv"
+        with table_path.open("w") as stream:
+            critvals.save_csv(replace(table, betas=table.betas[1:], values=table.values[1:]), stream)
+        if missing.startswith("beta"):
+            text = BASE_CONFIG + f"critical_values = {table_path}\n"
+        else:
+            text = BASE_CONFIG.replace("alpha_level = 0.05", "alpha_level = 0.07")
+        config = parse_config_text(text)
+        runs = []
+        monkeypatch.setattr(engine, "run", lambda *args, **kwargs: runs.append(args))
+        with pytest.raises(KeyError, match=f"{missing} not tabulated"):
+            run_experiment(config)
+        assert runs == []
+
+    def test_cli_prints_an_untabulated_level_unquoted(self, tmp_path, capsys):
+        path = tmp_path / "config.txt"
+        path.write_text(BASE_CONFIG.replace("alpha_level = 0.05", "alpha_level = 0.07"))
+        assert cli.main(["run", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("fedstat: error: level 0.965 not tabulated (columns: (0.01, ")
+
+    def test_large_offset_does_not_diverge(self):
+        """x0 = 3e8 e_1 lies beyond a fixed bound of 1e8; the default bound
+        scales with the run, and no replication fails."""
+        config = parse_config_text(
+            "model = linear\ntarget_observations = 2000\nreplications = 3\nx0 = 3e8,0,0,0,0\n"
+        )
+        report = run_experiment(config)
+        assert [summary.failures for summary in report.methods] == [0, 0]
+        assert np.isfinite(report.mean_error)
+
     def test_coverage_se_formula(self):
         config = parse_config_text(BASE_CONFIG)
         report = run_experiment(config)
