@@ -30,8 +30,9 @@ neither on the block size, nor on the timing, nor on the BLAS thread count
 (see ``simulate_statistics``).
 
 A pre-generated table ships with the package; inference never simulates at
-runtime.  Regenerate with ``fedstat critvals``; tables it writes record their
-seed.
+runtime.  ``default_table`` reads it afresh on every call, so no caller sees
+another's changes to it.  Regenerate with ``fedstat critvals``; tables it
+writes record their seed.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 from importlib import resources
 from typing import IO
 
@@ -254,9 +254,8 @@ def load_csv(stream: IO[str]) -> CriticalValueTable:
     )
 
 
-@lru_cache(maxsize=1)
 def default_table() -> CriticalValueTable:
-    """The table shipped with the package."""
+    """The table shipped with the package, read afresh on every call."""
     ref = resources.files("fedstat").joinpath("data/critical_values.csv")
     with ref.open("r") as stream:
         return load_csv(stream)

@@ -18,8 +18,9 @@ curvature, drawn without randomness.
 
 Rounds run in blocks of `BLOCK_ROUNDS`.  After a block's rounds, the
 divergence test runs once on the block's rows: the first round m whose
-squared norm is not <= divergence_bound**2 is named by `DivergenceError`,
-exactly as a test after every round would name it.  The block's rounds after
+squared norm is not <= bound**2 is named by `DivergenceError`, exactly as a
+test after every round would name it.  The bound is 1e8 times the run's scale
+(``roundoff.run_scale``, at least 1).  The block's rounds after
 m have been computed as well; they may overflow to inf or nan, silently, and
 are discarded, so neither an observer nor a warning sees them.
 
@@ -99,12 +100,11 @@ class SyncPath:
     """The synchronized iterates and their iteration indices.
 
     points[m-1] is the average reached at the m-th synchronization, which
-    happens at iteration comm_times[m-1]; total_iterations == comm_times[-1].
+    happens at iteration comm_times[m-1].
     """
 
     points: np.ndarray
     comm_times: np.ndarray
-    total_iterations: int
 
     def __post_init__(self) -> None:
         if len(self.points) != len(self.comm_times):
@@ -115,6 +115,10 @@ class SyncPath:
     @property
     def rounds(self) -> int:
         return len(self.points)
+
+    @property
+    def total_iterations(self) -> int:
+        return int(self.comm_times[-1])
 
 
 class SyncObserver(Protocol):
@@ -229,18 +233,16 @@ def run(
     x0: np.ndarray,
     seed: int | np.random.SeedSequence,
     observers: Iterable[SyncObserver] = (),
-    divergence_bound: float | None = None,
 ) -> SyncPath:
     """Run ``total_rounds`` communication rounds from ``x0``; returns the path.
 
     Deterministic given (federation, schedule, total_rounds, x0, seed).  Every
     synchronized average is appended to the path and pushed to each observer,
     at most `BLOCK_ROUNDS` rounds later, so inference runs online.  A round
-    whose average has norm above ``divergence_bound`` (positive; inf never
-    trips, nor does a bound whose square overflows, above about 1.34e154)
-    raises `DivergenceError`.  The default bound is 1e8 times the run's
-    scale, ``roundoff.run_scale`` (at least 1), so a run that starts or
-    settles far from 0 is judged by its own size.
+    whose average has norm above 1e8 times the run's scale,
+    ``roundoff.run_scale`` (at least 1), raises `DivergenceError`, so a run
+    that starts or settles far from 0 is judged by its own size.  A bound
+    whose square overflows (a scale above about 1.34e146) never trips.
     """
     if total_rounds < 1:
         raise ValueError("total_rounds must be >= 1")
@@ -248,10 +250,7 @@ def run(
     d = federation.dimension
     if x0.shape != (d,) or not np.all(np.isfinite(x0)):
         raise ValueError(f"x0 must be a finite vector of length {d}")
-    if divergence_bound is None:
-        divergence_bound = 1e8 * max(1.0, roundoff.run_scale(federation, x0))
-    if not divergence_bound > 0:
-        raise ValueError(f"divergence_bound must be positive, got {divergence_bound!r}")
+    bound = 1e8 * max(1.0, roundoff.run_scale(federation, x0))
 
     observers = tuple(observers)
     need_draws = any(getattr(o, "needs_inference_draws", False) for o in observers)
@@ -270,7 +269,7 @@ def run(
     X = np.tile(x0, (federation.size, 1))
     points = np.empty((total_rounds, d))
     with np.errstate(over="ignore"):
-        bound_sq = np.square(np.float64(divergence_bound))  # inf above about 1.34e154
+        bound_sq = np.square(np.float64(bound))  # inf above about 1.34e154
 
     def notify(first: int, stop: int) -> None:
         """Push rounds first+1..stop to every observer, in round order."""
@@ -309,13 +308,11 @@ def run(
             m = first + int(failed[0]) + 1
             notify(first, m - 1)
             raise DivergenceError(
-                f"synchronized iterate exceeded bound {divergence_bound:g} at round {m}"
+                f"synchronized iterate exceeded bound {bound:g} at round {m}"
             )
         notify(first, stop)
 
-    return SyncPath(
-        points=points, comm_times=comm_times, total_iterations=int(comm_times[-1])
-    )
+    return SyncPath(points=points, comm_times=comm_times)
 
 
 def average_estimate(path: SyncPath) -> np.ndarray:

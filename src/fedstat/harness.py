@@ -2,11 +2,16 @@
 
 A configuration fixes the data-generating federation, the communication
 schedule, the run length (either a round count or a target observation count),
-and the inference methods.  ``run_experiment`` executes R independent
-replications with pre-assigned seeds, computes per-method coverage of the true
-coordinate and confidence-interval lengths, and aggregates them into a report
-whose CSV form is byte-reproducible for a fixed (config, seed) regardless of
-worker count.
+and the inference methods; ``ExperimentConfig`` rejects bad input when it is
+built.  ``run_experiment`` executes R independent replications with
+pre-assigned seeds, computes per-method coverage of the true coordinate and
+confidence-interval lengths, and aggregates them into a report whose CSV form
+is byte-reproducible for a fixed (config, seed) regardless of worker count.
+
+``_STATES`` maps each method to its inference state, which is also its engine
+observer.  ``run_experiment`` resolves every method's ``confidence_interval``
+arguments once; a replication builds the states in config order, runs the
+engine and asks each state for its interval.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ __all__ = [
     "replication_rows_csv",
 ]
 
-_METHODS = ("plugin", "rscale")
+_STATES = {"plugin": PluginState, "rscale": RScaleState}
 
 
 @dataclass(frozen=True)
@@ -77,21 +82,25 @@ class ExperimentConfig:
             raise ValueError("target_observations must be >= 1")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
-        if not self.methods or any(m not in _METHODS for m in self.methods):
-            raise ValueError(f"methods must be a nonempty subset of {_METHODS}")
+        if not self.methods or any(m not in _STATES for m in self.methods):
+            raise ValueError(f"methods must be a nonempty subset of {tuple(_STATES)}")
+        if len(set(self.methods)) != len(self.methods):
+            raise ValueError(f"methods must not repeat, got {self.methods}")
         if not 0.0 < self.alpha_level < 1.0:
             raise ValueError("alpha_level must lie in (0, 1)")
         if not 0 <= self.coordinate < self.dimension:
             raise ValueError("coordinate out of range (0-based)")
-        if isinstance(self.x0, str) and self.x0 not in ("zeros", "optimum"):
-            raise ValueError("x0 must be 'zeros', 'optimum' or a vector")
+        if isinstance(self.x0, str):
+            if self.x0 not in ("zeros", "optimum"):
+                raise ValueError("x0 must be 'zeros', 'optimum' or a vector")
+        elif len(self.x0) != self.dimension or not all(map(math.isfinite, self.x0)):
+            raise ValueError(f"x0 must be a finite vector of length {self.dimension}")
 
 
 @dataclass(frozen=True)
 class MethodSummary:
     method: str
     coverage: float       # successes among non-failed replications
-    coverage_raw: float   # successes among all replications
     coverage_se: float
     mean_length: float
     length_sd: float
@@ -253,10 +262,7 @@ def _resolve_x0(config: ExperimentConfig, federation: models.Federation) -> np.n
         return np.zeros(federation.dimension)
     if config.x0 == "optimum":
         return federation.global_optimum.copy()
-    x0 = np.asarray(config.x0, dtype=np.float64)
-    if x0.shape != (federation.dimension,):
-        raise ValueError("x0 vector length does not match the dimension")
-    return x0
+    return np.asarray(config.x0, dtype=np.float64)
 
 
 # --- replication workers -----------------------------------------------------
@@ -264,20 +270,13 @@ def _resolve_x0(config: ExperimentConfig, federation: models.Federation) -> np.n
 
 @dataclass(frozen=True)
 class _RepPayload:
+    config: ExperimentConfig
     federation: models.Federation
-    schedule: schedules.Schedule
     total_rounds: int
     x0: np.ndarray
-    master_seed: int
-    methods: tuple[str, ...]
-    alpha: float
-    coordinate: int
-    diag: schedules.ScheduleDiagnostics
-    beta: float | None
-    table: critvals.CriticalValueTable | None
-    target_value: float
     floor: float
-    paths_dir: str | None
+    interval_args: tuple[tuple, ...]  # per method, its confidence_interval arguments
+    paths_dir: Path | None
     dump_paths: int
 
 
@@ -297,47 +296,32 @@ class _RepResult:
 
 
 def _replicate(payload: _RepPayload, rep: int) -> _RepResult:
-    seed = np.random.SeedSequence(payload.master_seed, spawn_key=(1, rep))
-    d = payload.federation.dimension
-    observers: dict[str, object] = {}
-    if "plugin" in payload.methods:
-        observers["plugin"] = PluginState(d)
-    if "rscale" in payload.methods:
-        observers["rscale"] = RScaleState(d)
+    config, federation = payload.config, payload.federation
+    seed = np.random.SeedSequence(config.seed, spawn_key=(1, rep))
+    states = [_STATES[method](federation.dimension) for method in config.methods]
     try:
         path = engine.run(
-            payload.federation,
-            payload.schedule,
-            payload.total_rounds,
-            payload.x0,
-            seed,
-            observers=tuple(observers.values()),
+            federation, config.schedule, payload.total_rounds, payload.x0, seed, observers=states
         )
     except engine.DivergenceError:
-        failed = tuple(_MethodOutcome(failed=True) for _ in payload.methods)
+        failed = tuple(_MethodOutcome(failed=True) for _ in states)
         return _RepResult(outcomes=failed, error=math.nan)
-    if payload.paths_dir is not None and rep < payload.dump_paths:
-        target = Path(payload.paths_dir) / f"rep_{rep:04d}.csv"
+    if rep < payload.dump_paths:
+        target = payload.paths_dir / f"rep_{rep:04d}.csv"
         with target.open("w") as stream:
             engine.save_path_csv(path, stream)
 
+    target_value = float(federation.global_optimum[config.coordinate])
     outcomes = []
-    for method in payload.methods:
+    for state, args in zip(states, payload.interval_args):
         try:
-            if method == "plugin":
-                lo, hi = observers["plugin"].confidence_interval(
-                    payload.diag, payload.coordinate, payload.alpha, payload.floor
-                )
-            else:
-                lo, hi = observers["rscale"].confidence_interval(
-                    payload.beta, payload.coordinate, payload.alpha, payload.table, payload.floor
-                )
+            lo, hi = state.confidence_interval(*args)
         except SingularHessian:
             outcomes.append(_MethodOutcome(failed=True))
             continue
-        covered = roundoff.covers(lo, hi, payload.target_value, payload.floor)
+        covered = roundoff.covers(lo, hi, target_value, payload.floor)
         outcomes.append(_MethodOutcome(lo=lo, hi=hi, covered=covered, width=hi - lo))
-    error = float(np.linalg.norm(engine.average_estimate(path) - payload.federation.global_optimum))
+    error = float(np.linalg.norm(engine.average_estimate(path) - federation.global_optimum))
     return _RepResult(outcomes=tuple(outcomes), error=error)
 
 
@@ -368,12 +352,14 @@ def run_experiment(
     """Run all replications, aggregate coverage/length statistics per method.
 
     Replications failing with a singular Hessian estimate are counted and
-    excluded from the coverage denominator; the raw rate (failures counted as
-    misses) is also reported.  A replication whose run diverges (the engine's
-    ``DivergenceError``) fails for every method alike, and it is left out of
-    ``mean_error`` too, since it has no estimate; ``mean_error`` is nan when
-    every replication diverged.  When ``out_dir`` is given, writes ``report.csv``
-    and ``replications.csv`` (and optional path dumps) into it.
+    excluded from the coverage and length statistics, which are nan for a
+    method that no replication completed.  A replication whose run diverges
+    (the engine's ``DivergenceError``) fails for every method alike, and it is
+    left out of ``mean_error`` too, since it has no estimate; ``mean_error`` is
+    nan when every replication diverged.  When ``out_dir`` is given, writes
+    ``report.csv`` and ``replications.csv`` into it, and the paths of the
+    first ``dump_paths`` replications into its ``paths`` directory;
+    ``dump_paths`` without ``out_dir`` is an error.
 
     Both methods and the coverage decision share the roundoff rule of
     ``fedstat.roundoff``, with floor ROUNDOFF_FACTOR * eps * max(||x0||_inf,
@@ -387,6 +373,8 @@ def run_experiment(
     process.  The output bytes do not depend on the worker count.
     """
     _check_workers(workers)
+    if dump_paths > 0 and out_dir is None:
+        raise ValueError("dump_paths needs an output directory")
     started = time.perf_counter()
     federation = build_federation(config)
     schedule = config.schedule
@@ -395,9 +383,9 @@ def run_experiment(
     else:
         total_rounds = rounds_for_target(schedule, config.target_observations)
     diag = schedules.diagnostics(schedule, total_rounds)
-    beta = rscale.beta_for_schedule(schedule) if "rscale" in config.methods else None
-    table = None
+    beta = table = None
     if "rscale" in config.methods:
+        beta = rscale.beta_for_schedule(schedule)
         if config.critical_values is None:
             table = critvals.default_table()
         else:
@@ -406,26 +394,25 @@ def run_experiment(
         critvals.lookup(table, config.alpha_level, beta)  # an untabulated value fails here
 
     x0 = _resolve_x0(config, federation)
+    floor = roundoff.floor_for(roundoff.run_scale(federation, x0))
+    j, alpha = config.coordinate, config.alpha_level
+    interval_args = {
+        "plugin": (diag, j, alpha, floor),
+        "rscale": (beta, j, alpha, table, floor),
+    }
     paths_dir = None
-    if out_dir is not None and dump_paths > 0:
+    if dump_paths > 0:
         paths_dir = Path(out_dir) / "paths"
         paths_dir.mkdir(parents=True, exist_ok=True)
 
     payload = _RepPayload(
+        config=config,
         federation=federation,
-        schedule=schedule,
         total_rounds=total_rounds,
         x0=x0,
-        master_seed=config.seed,
-        methods=config.methods,
-        alpha=config.alpha_level,
-        coordinate=config.coordinate,
-        diag=diag,
-        beta=beta,
-        table=table,
-        target_value=float(federation.global_optimum[config.coordinate]),
-        floor=roundoff.floor_for(roundoff.run_scale(federation, x0)),
-        paths_dir=str(paths_dir) if paths_dir is not None else None,
+        floor=floor,
+        interval_args=tuple(interval_args[method] for method in config.methods),
+        paths_dir=paths_dir,
         dump_paths=dump_paths,
     )
     results = _map_replications(partial(_replicate, payload), config.replications, workers)
@@ -433,22 +420,20 @@ def run_experiment(
     summaries = []
     for idx, method in enumerate(config.methods):
         outcomes = [res.outcomes[idx] for res in results]
-        failures = sum(o.failed for o in outcomes)
         successes = [o for o in outcomes if not o.failed]
-        denom = len(successes)
-        covered = sum(o.covered for o in successes)
-        coverage = covered / denom if denom else math.nan
-        coverage_se = (
-            math.sqrt(coverage * (1.0 - coverage) / denom) if denom else math.nan
-        )
+        failures, denom = len(outcomes) - len(successes), len(successes)
+        if not denom:
+            nan = math.nan
+            summaries.append(MethodSummary(method, nan, nan, nan, nan, failures))
+            continue
+        coverage = sum(o.covered for o in successes) / denom
         widths = np.array([o.width for o in successes])
         summaries.append(
             MethodSummary(
                 method=method,
                 coverage=coverage,
-                coverage_raw=covered / len(outcomes),
-                coverage_se=coverage_se,
-                mean_length=float(widths.mean()) if denom else math.nan,
+                coverage_se=math.sqrt(coverage * (1.0 - coverage) / denom),
+                mean_length=float(widths.mean()),
                 length_sd=float(widths.std(ddof=1)) if denom > 1 else 0.0,
                 failures=failures,
             )

@@ -17,9 +17,10 @@ only validates its arguments and writes one row into a block of
 `BLOCK_ROUNDS` rows, and a full block is folded into the sums of x, of the
 Hessian draws and of g g' with a few stacked operations.  The sum of x is kept
 to double length (``roundoff.add_rows``), so only the sums inside each block
-round, not the growing total.  A read folds the pending rows into a snapshot
-and never into the sums, so the results never depend on when, or how often,
-the state was read.
+round, not the growing total.  Every read folds the pending rows into a
+fresh result and stores nothing, so the results never depend on when, or how
+often, the state was read, and a caller that changes a returned array
+changes nothing in the state.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ class PluginState:
 
     ``rounds_seen`` counts the rounds folded in, each a synchronized point
     with its gradient and Hessian draws.  ``y_bar``, ``g_hat`` and ``s_hat``
-    are read from a snapshot that is kept until the next ``observe``.
+    are computed afresh on every read.
     """
 
     needs_inference_draws = True
@@ -80,7 +81,6 @@ class PluginState:
         self._hessians = np.empty((BLOCK_ROUNDS, d, d))
         self._pending = 0  # rows not yet folded
         self._sums = _Sums((np.zeros(d), np.zeros(d)), np.zeros((d, d)), np.zeros((d, d)))
-        self._snapshot: _Means | None = None
 
     def observe_sync(self, round_index, iteration, x_bar, interval, grad_draw, hess_draw):
         """Engine hook: fold the round's point with its draws."""
@@ -104,7 +104,6 @@ class PluginState:
         self._hessians[k] = hess_draw
         self._pending = k + 1
         self.rounds_seen += 1
-        self._snapshot = None
         if self._pending == BLOCK_ROUNDS:
             self._sums = self._fold()
             self._pending = 0
@@ -123,12 +122,10 @@ class PluginState:
         )
 
     def _read(self) -> "_Means":
-        if self._snapshot is None:
-            sums = self._fold()
-            n = max(self.rounds_seen, 1)
-            hi, lo = sums.points
-            self._snapshot = _Means((hi + lo) / n, sums.hessian / n, sums.outer / n)
-        return self._snapshot
+        sums = self._fold()
+        n = max(self.rounds_seen, 1)
+        hi, lo = sums.points
+        return _Means((hi + lo) / n, sums.hessian / n, sums.outer / n)
 
     @property
     def y_bar(self) -> np.ndarray:
@@ -154,13 +151,14 @@ class PluginState:
             raise SingularHessian(
                 f"need at least {d} gradient/Hessian draws, have {self.rounds_seen}"
             )
-        cond = np.linalg.cond(self.g_hat)
+        means = self._read()
+        cond = np.linalg.cond(means.g_hat)
         if not np.isfinite(cond) or cond > _MAX_CONDITION:
             raise SingularHessian(
                 f"Hessian estimate condition number {cond:.3g} exceeds {_MAX_CONDITION:g}"
             )
-        ginv = scipy.linalg.solve(self.g_hat, np.eye(d), assume_a="sym")
-        cov = ginv @ self.s_hat @ ginv.T
+        ginv = scipy.linalg.solve(means.g_hat, np.eye(d), assume_a="sym")
+        cov = ginv @ means.s_hat @ ginv.T
         return (cov + cov.T) / 2.0
 
     def confidence_interval(

@@ -16,9 +16,10 @@ The recursion needs only sums over the path, so the state keeps block sums:
 The cumulative sum of x - pivot gives n z_n = n (y_bar_n - pivot) for every
 round of the block, and from it A, b, s and q.  The running sums of x and of
 x - pivot are kept to double length (``roundoff.add_rows``), so only the sums
-inside each block round, not the growing totals.  A read folds the
-pending rows into a snapshot and never into the sums, so the results never
-depend on when, or how often, the state was read.
+inside each block round, not the growing totals.  Every read folds the
+pending rows into a fresh result and stores nothing, so the results never
+depend on when, or how often, the state was read, and a caller that changes a
+returned array changes nothing in the state.
 Intervals follow the roundoff rule of ``fedstat.roundoff``: a half-width at or
 below the floor is exactly 0, and a negative V_hat diagonal within floor**2
 counts as 0.
@@ -58,7 +59,7 @@ class RScaleState:
         b     = sum_n (n^2/E_n) z_n,
         s     = sum_n 1/E_n,
         q     = sum_n n^2/E_n.
-    They are read from a snapshot that is kept until the next ``observe``.
+    Each read returns arrays of its own.
     """
 
     needs_inference_draws = False
@@ -73,7 +74,6 @@ class RScaleState:
         self._pending = 0  # rows not yet folded
         zeros = np.zeros(d)
         self._sums = _Sums((zeros, zeros), zeros, (zeros, zeros), np.zeros((d, d)), zeros, 0.0, 0.0)
-        self._snapshot: _Sums | None = None
 
     def observe_sync(self, round_index, iteration, x_bar, interval, grad_draw, hess_draw):
         """Engine hook: fold the round's point with its interval."""
@@ -91,7 +91,6 @@ class RScaleState:
         self._intervals[k] = interval
         self._pending = k + 1
         self.rounds_seen += 1
-        self._snapshot = None
         if self._pending == BLOCK_ROUNDS:
             self._sums = self._fold()
             self._pending = 0
@@ -123,41 +122,36 @@ class RScaleState:
             sums.q + float((n * n / self._intervals[:k]).sum()),
         )
 
-    def _read(self) -> _Sums:
-        if self._snapshot is None:
-            self._snapshot = self._fold()
-        return self._snapshot
-
     @property
     def pivot(self) -> np.ndarray:
-        return self._read().pivot
+        return self._fold().pivot.copy()
 
     @property
     def y_bar(self) -> np.ndarray:
-        hi, lo = self._read().points
+        hi, lo = self._fold().points
         return (hi + lo) / max(self.rounds_seen, 1)
 
     @property
     def A(self) -> np.ndarray:
-        return self._read().A
+        return self._fold().A.copy()
 
     @property
     def b(self) -> np.ndarray:
-        return self._read().b
+        return self._fold().b.copy()
 
     @property
     def s(self) -> float:
-        return self._read().s
+        return self._fold().s
 
     @property
     def q(self) -> float:
-        return self._read().q
+        return self._fold().q
 
     def v_hat(self) -> np.ndarray:
         """The studentizing matrix (A - z b' - b z' + q z z') / (m^2 s), z = y_bar - p."""
         if self.rounds_seen < 1:
             raise ValueError("no observations yet")
-        sums = self._read()
+        sums = self._fold()
         m = self.rounds_seen
         hi, lo = sums.dev
         z = (hi + lo) / m

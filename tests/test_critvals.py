@@ -336,3 +336,10 @@ class TestPackagedTable:
         buffer = io.StringIO()
         critvals.save_csv(critvals.default_table(), buffer)
         assert buffer.getvalue() == ref.read_text()
+
+    def test_changing_one_result_leaves_the_next(self):
+        critvals.default_table().values[0, 0] = 123.0
+        ref = resources.files("fedstat").joinpath("data/critical_values.csv")
+        buffer = io.StringIO()
+        critvals.save_csv(critvals.default_table(), buffer)
+        assert buffer.getvalue() == ref.read_text()

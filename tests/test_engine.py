@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fedstat import engine, models, schedules
+from fedstat import engine, models, roundoff, schedules
 from fedstat.engine import DivergenceError, SampleBuffer, average_estimate, run
 from fedstat.models import ClientModel, federation_of
 from reference import round_map
@@ -224,19 +224,19 @@ class TestObserversAndDeterminism:
     def test_observers_see_every_round_before_divergence(self):
         fed = quadratic_fed([0.0])
         recorder = PathRecorder()
-        # 1 - eta = -2 doubles the iterate's size per step: 2**10 > 1e3 at round 10.
-        with pytest.raises(DivergenceError, match="round 10"):
-            run(fed, fixed_step(3.0, 40), 40, np.array([1.0]), seed=0,
-                observers=(recorder,), divergence_bound=1e3)
-        assert [row[0] for row in recorder.rows] == list(range(1, 10))
-        assert recorder.rows[-1][2][0] == (-2.0) ** 9
+        # 1 - eta = -2 doubles the iterate's size per step: 2**27 > 1e8 at round 27.
+        with pytest.raises(DivergenceError, match="round 27"):
+            run(fed, fixed_step(3.0, 40), 40, np.array([1.0]), seed=0, observers=(recorder,))
+        assert [row[0] for row in recorder.rows] == list(range(1, 27))
+        assert recorder.rows[-1][2][0] == (-2.0) ** 26
 
     def test_divergence_in_a_later_block_names_the_first_failing_round(self):
-        # 1 - eta = -1.1 grows the iterate by 1.1 per round; it first exceeds
-        # 1e13 in the second block.  The reference runs the per-step
-        # expression and the norm test one round at a time.
+        # 1 - eta = -1.05 grows the iterate by 1.05 per round; it first
+        # exceeds the bound 1e8 at round 378, in the second block.  The
+        # reference runs the per-step expression and the norm test one round
+        # at a time.
         fed = quadratic_fed([0.0])
-        eta, bound = 2.1, 1e13
+        eta, bound = 2.05, 1e8
         x, seen = np.array([1.0]), []
         while True:
             x = x - np.float64(eta) * (1.0 * (x - 0.0))
@@ -244,11 +244,10 @@ class TestObserversAndDeterminism:
                 break
             seen.append(x)
         m = len(seen) + 1
-        assert engine.BLOCK_ROUNDS < m < 2 * engine.BLOCK_ROUNDS
+        assert m == 378 and engine.BLOCK_ROUNDS < m < 2 * engine.BLOCK_ROUNDS
         recorder = PathRecorder()
         with pytest.raises(DivergenceError, match=f"at round {m}$"):
-            run(fed, fixed_step(eta, 600), 600, np.array([1.0]), seed=0,
-                observers=(recorder,), divergence_bound=bound)
+            run(fed, fixed_step(eta, 600), 600, np.array([1.0]), seed=0, observers=(recorder,))
         assert [row[0] for row in recorder.rows] == list(range(1, m))
         np.testing.assert_array_equal([row[2] for row in recorder.rows], seen)
 
@@ -260,7 +259,7 @@ class TestObserversAndDeterminism:
             warnings.simplefilter("error")
             with pytest.raises(DivergenceError, match="at round 3$"):
                 run(fed, fixed_step(1001.0, engine.BLOCK_ROUNDS), engine.BLOCK_ROUNDS,
-                    np.array([1.0]), seed=0, divergence_bound=1e8)
+                    np.array([1.0]), seed=0)
 
     def test_bit_identical_reruns(self):
         fed = linear_fed(np.random.default_rng(1).standard_normal((3, 2)))
@@ -296,16 +295,12 @@ class TestGuardsAndHelpers:
         # eta = 3 makes |1 - eta| = 2, doubling the iterate per step.
         sched = fixed_step(3.0, 40)
         with pytest.raises(DivergenceError, match="round"):
-            run(fed, sched, 40, np.array([1.0]), seed=0, divergence_bound=1e3)
+            run(fed, sched, 40, np.array([1.0]), seed=0)
 
     def test_average_estimate(self):
-        path = engine.SyncPath(
-            points=np.array([[1.0], [3.0]]), comm_times=np.array([1, 2]), total_iterations=2
-        )
+        path = engine.SyncPath(points=np.array([[1.0], [3.0]]), comm_times=np.array([1, 2]))
         np.testing.assert_allclose(average_estimate(path), [2.0])
-        single = engine.SyncPath(
-            points=np.array([[0.25, 1.0]]), comm_times=np.array([1]), total_iterations=1
-        )
+        single = engine.SyncPath(points=np.array([[0.25, 1.0]]), comm_times=np.array([1]))
         np.testing.assert_allclose(average_estimate(single), [0.25, 1.0])
 
     def test_long_run_estimate_near_optimum(self):
@@ -349,32 +344,20 @@ class TestGuardsAndHelpers:
         np.testing.assert_array_equal(np.concatenate(taken_a), direct_a)
         np.testing.assert_array_equal(np.concatenate(taken_b), direct_b)
 
-    @pytest.mark.parametrize("bound", [0.0, -1.0, float("nan")])
-    def test_rejects_nonpositive_divergence_bound(self, bound):
-        with pytest.raises(ValueError, match="divergence_bound"):
-            run(quadratic_fed([0.0]), fixed_step(0.5, 3), 3, np.array([1.0]), seed=0,
-                divergence_bound=bound)
-
     def test_default_bound_scales_with_the_run(self):
         # The iterate doubles in size per round from 1e3, so it first exceeds
         # 1e8 * 1e3 at round 27 (2**27 > 1e8).
         with pytest.raises(DivergenceError, match="bound 1e\\+11 at round 27$"):
             run(quadratic_fed([0.0]), fixed_step(3.0, 40), 40, np.array([1e3]), seed=0)
 
-    def test_infinite_divergence_bound_never_trips(self):
-        path = run(quadratic_fed([0.0]), fixed_step(3.0, 40), 40, np.array([1.0]), seed=0,
-                   divergence_bound=float("inf"))
-        assert path.points[-1, 0] == (-2.0) ** 40
-
-
     def test_bound_whose_square_overflows(self):
-        # 1e300 squared overflows a float; the run must still start, warn of
-        # nothing, and follow the same path as under the default bound.
-        fed = linear_fed(np.random.default_rng(2).standard_normal((3, 2)))
-        sched = schedules.CommunicationSchedule("power", base=1, exponent=0.5, gamma0=0.5)
-        default = run(fed, sched, 300, np.zeros(2), seed=4)
-        huge = run(fed, sched, 300, np.zeros(2), seed=4, divergence_bound=1e300)
-        np.testing.assert_array_equal(huge.points, default.points)
+        # From x0 = 1e150 the bound is 1e158, whose square overflows a float;
+        # the run must still start, warn of nothing, and halve the iterate
+        # every round.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            path = run(quadratic_fed([0.0]), fixed_step(0.5, 10), 10, np.array([1e150]), seed=0)
+        np.testing.assert_array_equal(path.points[:, 0], 1e150 * 0.5 ** np.arange(1, 11))
 
 
 def affine_group_starts(e_list, rounds):
@@ -513,11 +496,12 @@ class TestRoundGroups:
         rounds = engine.BLOCK_ROUNDS
         sched = fixed_step(1.5, rounds)
         x0 = np.full(3, 0.5)
-        points, _, _, m = per_round_run(fed, sched, rounds, x0, seed=8, bound=1e4)
+        bound = 1e8 * max(1.0, roundoff.run_scale(fed, x0))
+        points, _, _, m = per_round_run(fed, sched, rounds, x0, seed=8, bound=bound)
         # All rounds of the first block are one group.
         assert m is not None and 1 < m < rounds
         recorder = PathRecorder()
         with pytest.raises(DivergenceError, match=f"at round {m}$"):
-            run(fed, sched, rounds, x0, seed=8, observers=(recorder,), divergence_bound=1e4)
+            run(fed, sched, rounds, x0, seed=8, observers=(recorder,))
         assert [row[0] for row in recorder.rows] == list(range(1, m))
         np.testing.assert_array_equal([row[2] for row in recorder.rows], points)

@@ -94,6 +94,16 @@ class TestConfigParsing:
         config = parse_config_text("model = linear\ndimension = 2\nrounds = 5\nx0 = 0.5,-1\n")
         assert config.x0 == (0.5, -1.0)
 
+    @pytest.mark.parametrize("x0", ["0.5", "0.5,-1,2", "nan,0", "0,inf"])
+    def test_x0_vector_of_wrong_length_or_not_finite_rejected(self, x0):
+        text = f"model = linear\ndimension = 2\nrounds = 5\nx0 = {x0}\n"
+        with pytest.raises(ValueError, match="x0 must be a finite vector of length 2"):
+            parse_config_text(text)
+
+    def test_repeated_method_rejected(self):
+        with pytest.raises(ValueError, match="methods must not repeat"):
+            parse_config_text("methods = plugin,rscale,plugin\n")
+
     def test_plugin_skip_warmup_is_an_unknown_key(self):
         with pytest.raises(ValueError, match=r"unknown config keys: \['plugin_skip_warmup'\]"):
             parse_config_text("plugin_skip_warmup = on\n")
@@ -160,7 +170,7 @@ class TestRunExperiment:
         report = run_experiment(config)
         plugin = report.methods[0]
         assert plugin.failures == 3
-        assert np.isnan(plugin.coverage)
+        assert np.isnan(plugin.coverage) and np.isnan(plugin.length_sd)
         rscale = report.methods[1]
         assert rscale.failures == 0
 
@@ -175,7 +185,7 @@ class TestRunExperiment:
         report = run_experiment(config, out_dir=tmp_path)
         for summary in report.methods:
             assert summary.failures == config.replications
-            assert np.isnan(summary.coverage) and summary.coverage_raw == 0.0
+            assert np.isnan(summary.coverage) and np.isnan(summary.length_sd)
         assert np.isnan(report.mean_error)
         rows = (tmp_path / "replications.csv").read_text().strip().splitlines()[1:]
         assert len(rows) == config.replications * len(config.methods)
@@ -213,6 +223,20 @@ class TestRunExperiment:
         assert len(rep_lines) == 1 + config.replications * len(config.methods)
         dumped = sorted(p.name for p in (tmp_path / "paths").iterdir())
         assert dumped == ["rep_0000.csv", "rep_0001.csv"]
+
+    def test_dump_paths_without_an_output_directory_fails_before_any_run(self, monkeypatch):
+        runs = []
+        monkeypatch.setattr(engine, "run", lambda *args, **kwargs: runs.append(args))
+        with pytest.raises(ValueError, match="dump_paths needs an output directory"):
+            run_experiment(quadratic_config(), dump_paths=2)
+        assert runs == []
+
+    def test_cli_dump_paths_without_out_fails(self, tmp_path, capsys):
+        path = tmp_path / "config.txt"
+        path.write_text(BASE_CONFIG)
+        assert cli.main(["run", "--config", str(path), "--dump-paths", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err == "fedstat: error: dump_paths needs an output directory\n"
 
     def test_critical_values_file_of_the_default_table(self, tmp_path):
         table_path = tmp_path / "table.csv"
@@ -461,9 +485,7 @@ class TestPartialSumProcess:
     def test_full_budget_matches_scaled_average(self):
         rng = np.random.default_rng(0)
         points = rng.standard_normal((40, 2))
-        path = engine.SyncPath(
-            points=points, comm_times=np.arange(1, 41), total_iterations=40
-        )
+        path = engine.SyncPath(points=points, comm_times=np.arange(1, 41))
         sched = schedules.CommunicationSchedule("constant", base=1)
         x_star = np.array([0.5, -0.5])
         phi = partial_sum_process(path, sched, x_star, [1.0])
@@ -475,7 +497,6 @@ class TestPartialSumProcess:
         path = engine.SyncPath(
             points=np.tile(x_star, (10, 1)),
             comm_times=np.arange(1, 11),
-            total_iterations=10,
         )
         sched = schedules.CommunicationSchedule("constant", base=1)
         phi = partial_sum_process(path, sched, x_star, [0.25, 0.5, 1.0])
@@ -483,9 +504,7 @@ class TestPartialSumProcess:
 
     def test_grid_prefix_sums(self):
         points = np.arange(8.0)[:, None]
-        path = engine.SyncPath(
-            points=points, comm_times=np.arange(1, 9), total_iterations=8
-        )
+        path = engine.SyncPath(points=points, comm_times=np.arange(1, 9))
         sched = schedules.CommunicationSchedule("constant", base=1)
         phi = partial_sum_process(path, sched, np.zeros(1), [0.5])
         # h(0.5, 8) = 4 -> sum of first four points, scaled by sqrt(8)/8

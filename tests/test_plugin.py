@@ -125,11 +125,30 @@ class TestBlockFold:
 
 class TestSandwich:
     def test_identity(self):
+        # The draws (1, 1) and (1, -1) average g g' to exactly I.
         state = PluginState(2)
-        for _ in range(2):
-            state.observe(np.zeros(2), np.zeros(2), np.eye(2))
-        state.s_hat[:] = np.eye(2)
+        for g in ([1.0, 1.0], [1.0, -1.0]):
+            state.observe(np.zeros(2), np.array(g), np.eye(2))
+        np.testing.assert_array_equal(state.s_hat, np.eye(2))
         np.testing.assert_allclose(state.sandwich(), np.eye(2), atol=1e-14)
+
+    @pytest.mark.parametrize("rounds", [5, BLOCK_ROUNDS], ids=["pending", "folded"])
+    def test_changing_a_read_changes_nothing(self, rounds):
+        rng = np.random.default_rng(3)
+        state = PluginState(2)
+        for _ in range(rounds):
+            a = rng.standard_normal((2, 2))
+            state.observe(rng.standard_normal(2), rng.standard_normal(2), a @ a.T + np.eye(2))
+        reads = ("y_bar", "g_hat", "s_hat")
+        before = [getattr(state, name) for name in reads] + [state.sandwich()]
+        interval = state.confidence_interval(diag_stub(), 0, 0.05)
+        for name in reads:
+            getattr(state, name)[...] *= 4.0
+        state.sandwich()[...] *= 4.0
+        after = [getattr(state, name) for name in reads] + [state.sandwich()]
+        for old, new in zip(before, after):
+            np.testing.assert_array_equal(new, old)
+        assert state.confidence_interval(diag_stub(), 0, 0.05) == interval
 
     def test_scalar_example(self):
         state = PluginState(1)

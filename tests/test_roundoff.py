@@ -96,23 +96,24 @@ class TestNegativeVariance:
         with pytest.raises(ValueError, match="negative beyond roundoff"):
             roundoff.nonnegative(-2.0 * FLOOR**2, FLOOR**2, "v")
 
-    def test_rscale_negative_diagonal(self):
+    def test_rscale_negative_diagonal(self, monkeypatch):
         state = RScaleState(1)
         state.observe(np.array([1.0]), 1)
-        state.A[:] = -0.5 * FLOOR**2  # V_hat = A / (m^2 s) = A here
+        monkeypatch.setattr(state, "v_hat", lambda: np.array([[-0.5 * FLOOR**2]]))
         assert state.confidence_interval(0.0, 0, 0.05, paper_table(), FLOOR) == (1.0, 1.0)
-        state.A[:] = -2.0 * FLOOR**2
+        monkeypatch.setattr(state, "v_hat", lambda: np.array([[-2.0 * FLOOR**2]]))
         with pytest.raises(ValueError, match="V_hat diagonal"):
             state.confidence_interval(0.0, 0, 0.05, paper_table(), FLOOR)
 
-    def test_plugin_negative_diagonal_scaled_by_nu_over_t(self):
+    def test_plugin_negative_diagonal_scaled_by_nu_over_t(self, monkeypatch):
         state = PluginState(1)
         state.observe(np.array([1.0]), np.zeros(1), np.eye(1))
         diag = diag_stub(nu_hat=2.0, t_T=50)
         # The centre's variance is (nu_hat / t_T) * sandwich diagonal.
-        state.s_hat[:] = -0.5 * FLOOR**2 * diag.t_T / diag.nu_hat
+        scale = FLOOR**2 * diag.t_T / diag.nu_hat
+        monkeypatch.setattr(state, "sandwich", lambda: np.array([[-0.5 * scale]]))
         assert state.confidence_interval(diag, 0, 0.05, FLOOR) == (1.0, 1.0)
-        state.s_hat[:] = -2.0 * FLOOR**2 * diag.t_T / diag.nu_hat
+        monkeypatch.setattr(state, "sandwich", lambda: np.array([[-2.0 * scale]]))
         with pytest.raises(ValueError, match="sandwich diagonal"):
             state.confidence_interval(diag, 0, 0.05, FLOOR)
 

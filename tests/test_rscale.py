@@ -25,6 +25,24 @@ def paper_table():
     )
 
 
+@pytest.mark.parametrize("rounds", [5, BLOCK_ROUNDS], ids=["pending", "folded"])
+def test_changing_a_read_changes_nothing(rounds):
+    rng = np.random.default_rng(3)
+    state = RScaleState(2)
+    for m in range(rounds):
+        state.observe(rng.standard_normal(2), 1 + m % 3)
+    reads = ("y_bar", "pivot", "A", "b")
+    before = [getattr(state, name) for name in reads] + [state.v_hat()]
+    interval = state.confidence_interval(0.0, 0, 0.05, paper_table())
+    for name in reads:
+        getattr(state, name)[...] *= 4.0
+    state.v_hat()[...] *= 4.0
+    after = [getattr(state, name) for name in reads] + [state.v_hat()]
+    for old, new in zip(before, after):
+        np.testing.assert_array_equal(new, old)
+    assert state.confidence_interval(0.0, 0, 0.05, paper_table()) == interval
+
+
 def batch_vhat(points, intervals):
     """Direct evaluation of the studentizer from the stored path."""
     points = np.asarray(points, dtype=np.float64)
