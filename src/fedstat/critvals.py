@@ -12,22 +12,22 @@ the empirical distribution.  Paths come in antithetic pairs (B, -B); since
 t*(-B) = -t*(B) exactly, the realization sample is symmetric by construction,
 which pins the median at zero and sharpens the extreme quantiles.
 
-Drawing the normals is the floor of the simulation's cost, and the reduction
-is arranged to hide behind it.  Paths run in blocks of about 2**18 values
-(2 MB), the number of paths per block fixed by the step count, in four
-buffers allocated once, so the working memory does not grow with the number
-of replications.  A one-worker helper thread keeps two blocks' draws queued
-while the calling thread reduces the current block, so it never waits
-between draws (with one draw queued it would idle from the end of each draw
-until the calling thread's next ``submit``).  ``np.cumsum`` holds the GIL:
-two threads each running ``cumsum`` took 0.151 s against 0.107 s one after
-the other, so only the draws, which release it, overlap the reduction.  The
-integral is expanded into per-path sums, one dot per path and beta; the
-statistics stay within 1e-13 relative of those of the centered form.  The
-draws still come from one generator, one thread and in path order, and each
-path is reduced on its own with BLAS-free sums, so the sample depends
-neither on the block size, nor on the timing, nor on the BLAS thread count
-(see ``simulate_statistics``).
+Drawing the normals is the floor of the simulation's cost, so it is spread
+over two cores.  The paths are split into two fixed halves, each drawn from
+its own generator (``SeedSequence(seed).spawn(2)``) and simulated start to
+end by its own worker thread.  The generator releases the GIL while it
+draws; ``np.cumsum`` holds it (two threads each running ``cumsum`` took
+0.151 s against 0.107 s one after the other), so one worker's reduction
+overlaps the other's draws.  Each worker runs its paths in blocks of about
+2**18 values (2 MB), the number of paths per block fixed by the step count,
+in two buffers of its own allocated once, so the working memory does not
+grow with the number of replications.  The integral is expanded into
+per-path sums, one dot per path and beta; the statistics stay within
+1.2e-13 relative of those of the centered form.  The split depends on the
+number of paths alone, and each path is reduced on its own with BLAS-free
+sums, so the sample depends neither on the block size, nor on the timing,
+nor on the BLAS thread count, nor on the number of cores (see
+``simulate_statistics``).
 
 A pre-generated table ships with the package; inference never simulates at
 runtime.  ``default_table`` reads it afresh on every call, so no caller sees
@@ -38,7 +38,6 @@ writes record their seed.
 from __future__ import annotations
 
 import math
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
@@ -56,6 +55,7 @@ __all__ = [
 ]
 
 _BLOCK_VALUES = 1 << 18
+_STREAMS = 2  # seeded streams and worker threads; fixed, so the sample never varies
 
 
 @dataclass(frozen=True)
@@ -83,16 +83,18 @@ def simulate_statistics(
 
     All betas share the same Brownian paths, and paths come in antithetic
     pairs: with P = ceil(replications / 2) paths, columns 0..P-1 of a row hold
-    the statistics of paths 1..P in stream order and columns P..2P-1 their
+    the statistics of paths 0..P-1 in order and columns P..2P-1 their
     negations.  When ``replications`` is odd, the negation of the last path
     is dropped, so every sample is exactly symmetric up to that one value.
 
-    Paths are simulated ``_block_rows(steps)`` at a time (about 2 MB of
-    increments per block) in four buffers allocated once: three increment
-    buffers and one grid buffer (a zero column, then the partial sums).  A
-    one-worker thread keeps two draws queued: block k+2 is drawn into
-    increment buffer (k+2) mod 3 while this thread reduces block k, so the
-    helper never waits for the next ``submit``.
+    ``seed`` seeds two generators, ``SeedSequence(seed).spawn(2)``: paths
+    0..floor(P/2)-1 are drawn from the first, in path order, and the others
+    from the second.  Each half runs in its own worker thread, from its first
+    block to its last, so the two halves' draws and reductions overlap.  A
+    worker simulates ``_block_rows(steps)`` paths at a time (about 2 MB of
+    increments per block) in two buffers of its own, allocated once: one for
+    the increments and one for the grid (a zero column, then the partial
+    sums).  It writes only its own paths' columns of the output.
 
     With n = ``steps`` and B_j the path at r_j = j/n, the integral is the
     expanded rectangle rule
@@ -102,45 +104,37 @@ def simulate_statistics(
 
     with S_BB = sum_j B_j^2 once per block, S_gB = sum_j g_j B_j one dot per
     path and beta, and S_gg = sum_j g_j^2 once per call.  The statistics
-    deviated from those of the centered form by at most 8.0e-14 relative on
+    deviated from those of the centered form by at most 1.1e-13 relative on
     the table's inputs (1000 steps, 10^5 replications, four betas, seeds
     0-2).  The sums are BLAS-free ``np.einsum`` reductions, which give the
     same bits for any BLAS thread count; ``np.vecdot`` (ddot) on rows of
     20000 values did not.
 
-    All draws come from one ``default_rng(seed)`` stream, in path order and
-    from one thread, and each path's arithmetic (scale, sequential
-    ``cumsum``, then its own sums) touches only that path's row, so every
-    statistic is the same whatever the block size or the timing.
+    Each path's arithmetic (scale, sequential ``cumsum``, then its own sums)
+    touches only that path's row, and the split into halves is fixed, so
+    the sample depends only on (``beta_list``, ``steps``, ``replications``,
+    ``seed``): not on the block size, the timing, the BLAS thread count or
+    the number of cores.
     """
     for beta in beta_list:
         if not 0.0 <= beta < 1.0:
             raise ValueError("beta must lie in [0, 1)")
-    rng = np.random.default_rng(seed)
     r = np.arange(steps) / steps  # left endpoints, r[0] = 0
     g = np.stack([r ** (1.0 / (1.0 - beta)) for beta in beta_list])
     g_sq = np.einsum("ij,ij->i", g, g)
     scale = 1.0 / math.sqrt(steps)
     pairs = (replications + 1) // 2
     rows = _block_rows(steps)
-    increments = [np.empty((rows, steps)) for _ in range(3)]
-    grid = np.zeros((max(rows, 2), steps + 1))  # column 0 stays 0: B(0)
     out = np.empty((len(beta_list), 2 * pairs))
-    starts = range(0, pairs, rows)
 
-    def draw(block: int) -> np.ndarray:
-        start = starts[block]
-        buffer = increments[block % 3][: min(rows, pairs - start)]
-        rng.standard_normal(out=buffer)
-        return np.multiply(buffer, scale, out=buffer)
-
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        pending = deque(pool.submit(draw, block) for block in range(min(2, len(starts))))
-        for block, start in enumerate(starts):
-            inc = pending.popleft().result()
-            if block + 2 < len(starts):
-                pending.append(pool.submit(draw, block + 2))
-            n = len(inc)
+    def simulate(stream: np.random.SeedSequence, first: int, stop: int) -> None:
+        rng = np.random.default_rng(stream)
+        increments = np.empty((rows, steps))
+        grid = np.zeros((max(rows, 2), steps + 1))  # column 0 stays 0: B(0)
+        for start in range(first, stop, rows):
+            n = min(rows, stop - start)
+            inc = rng.standard_normal(out=increments[:n])
+            np.multiply(inc, scale, out=inc)
             np.cumsum(inc, axis=1, out=grid[:n, 1:])
             # At least two rows: einsum sums a one-row operand in pieces of
             # 8192 values, which changes the bits of longer paths.
@@ -152,6 +146,11 @@ def simulate_statistics(
                 g_b = np.einsum("ij,j->i", b_grid, g[i])
                 integral = (b_sq - b_one * (2.0 * g_b - b_one * g_sq[i])) / steps
                 np.divide(b_one[:n], np.sqrt(integral[:n]), out=out[i, start : start + n])
+
+    bounds = [pairs * k // _STREAMS for k in range(_STREAMS + 1)]
+    streams = np.random.SeedSequence(seed).spawn(_STREAMS)
+    with ThreadPoolExecutor(max_workers=_STREAMS) as pool:
+        list(pool.map(simulate, streams, bounds, bounds[1:]))  # re-raises a worker's error
     np.negative(out[:, :pairs], out=out[:, pairs:])
     return out[:, :replications]
 
@@ -171,6 +170,8 @@ def simulate_table(
     """Monte Carlo quantile table for the given betas and probability levels."""
     betas = tuple(float(b) for b in betas)
     levels = tuple(float(p) for p in levels)
+    if not betas or not levels:
+        raise ValueError("need at least one beta and one level")
     if steps < 100:
         raise ValueError("steps must be >= 100")
     if replications < 1000:

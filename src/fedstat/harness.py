@@ -258,10 +258,10 @@ def rounds_for_target(schedule: schedules.Schedule, target_observations: int) ->
 
 
 def _resolve_x0(config: ExperimentConfig, federation: models.Federation) -> np.ndarray:
-    if config.x0 == "zeros":
-        return np.zeros(federation.dimension)
-    if config.x0 == "optimum":
-        return federation.global_optimum.copy()
+    if isinstance(config.x0, str):
+        if config.x0 == "zeros":
+            return np.zeros(federation.dimension)
+        return federation.global_optimum.copy()  # "optimum", the only other name
     return np.asarray(config.x0, dtype=np.float64)
 
 

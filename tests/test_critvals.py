@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import time
 from importlib import resources
 from pathlib import Path
@@ -122,26 +123,38 @@ class TestSimulation:
             simulate_table((0.0,), (0.5,), steps=500, replications=10)
         with pytest.raises(ValueError):
             simulate_table((1.2,), (0.5,), steps=500, replications=5000)
+        with pytest.raises(ValueError, match="at least one beta and one level"):
+            simulate_table((), (0.5,), steps=500, replications=5000)
+        with pytest.raises(ValueError, match="at least one beta and one level"):
+            simulate_table((0.0,), (), steps=500, replications=5000)
+
+
+def stream_increments(steps, pairs, seed):
+    """Scaled increments of paths 0..pairs-1 in 4096-path chunks: paths
+    [0, pairs // 2) from the first of ``SeedSequence(seed).spawn(2)``, the
+    rest from the second.  Yields (first path, increments)."""
+    bounds = (0, pairs // 2, pairs)
+    for half, stream in enumerate(np.random.SeedSequence(seed).spawn(2)):
+        rng = np.random.default_rng(stream)
+        for first in range(bounds[half], bounds[half + 1], 4096):
+            n = min(4096, bounds[half + 1] - first)
+            yield first, rng.standard_normal((n, steps)) * (1.0 / math.sqrt(steps))
 
 
 def reference_statistics(beta_list, steps, replications, seed):
-    """The 4096-pair chunked simulation that preceded the block layout, with
-    the block layout's per-path arithmetic: the expanded integral
-    (sum B^2 - B(1) (2 sum g B - B(1) sum g^2)) / steps from BLAS-free sums.
+    """A chunked simulation with the block layout's per-path arithmetic: the
+    expanded integral (sum B^2 - B(1) (2 sum g B - B(1) sum g^2)) / steps
+    from BLAS-free sums.
 
-    Statistics of each chunk, then their negations, chunk after chunk.
+    Statistics of paths 0..P-1 in order, then their negations.
     """
-    rng = np.random.default_rng(seed)
     r = np.arange(steps) / steps
     g = np.stack([r ** (1.0 / (1.0 - beta)) for beta in beta_list])
     g_sq = np.einsum("ij,ij->i", g, g)
     pairs = (replications + 1) // 2
     out = np.empty((len(beta_list), 2 * pairs))
-    done = 0
-    scale = 1.0 / math.sqrt(steps)
-    while done < pairs:
-        n = min(4096, pairs - done)
-        increments = rng.standard_normal((n, steps)) * scale
+    for first, increments in stream_increments(steps, pairs, seed):
+        n = len(increments)
         paths = np.cumsum(increments, axis=1)
         b_one = paths[:, -1]
         b_grid = np.concatenate([np.zeros((n, 1)), paths[:, :-1]], axis=1)
@@ -149,19 +162,16 @@ def reference_statistics(beta_list, steps, replications, seed):
         for i in range(len(beta_list)):
             g_b = np.einsum("ij,j->i", b_grid, g[i])
             integral = (b_sq - b_one * (2.0 * g_b - b_one * g_sq[i])) / steps
-            stats = b_one / np.sqrt(integral)
-            out[i, 2 * done : 2 * done + n] = stats
-            out[i, 2 * done + n : 2 * done + 2 * n] = -stats
-        done += n
+            out[i, first : first + n] = b_one / np.sqrt(integral)
+    out[:, pairs:] = -out[:, :pairs]
     return out[:, :replications]
 
 
 def centered_statistics(beta_list, steps, paths, seed):
-    """Statistics of the first ``paths`` paths by the centered rectangle rule,
-    mean((B - g B(1))^2), and those integrals."""
-    rng = np.random.default_rng(seed)
+    """Statistics of the ``paths`` paths of a ``2 * paths`` sample by the
+    centered rectangle rule, mean((B - g B(1))^2), and those integrals."""
     r = np.arange(steps) / steps
-    increments = rng.standard_normal((paths, steps)) * (1.0 / math.sqrt(steps))
+    increments = np.concatenate([inc for _, inc in stream_increments(steps, paths, seed)])
     b = np.cumsum(increments, axis=1)
     b_one = b[:, -1]
     b_grid = np.concatenate([np.zeros((paths, 1)), b[:, :-1]], axis=1)
@@ -176,24 +186,27 @@ FOUR_BETAS = (0.0, 1.0 / 3.0, 0.5, 2.0 / 3.0)
 
 
 class TestBlockParity:
-    """Block layout against the chunked reference: same sample bit for bit.
+    """Two workers in blocks against the chunked reference: same sample bit
+    for bit.
 
     Each case is (betas, steps, full blocks, pairs in a last partial block,
-    odd), so that the cases keep straddling block edges whatever the block
-    size is: replications = 2 * (full * rows + rest) - odd.
+    odd), so that the cases keep straddling block edges within each half
+    whatever the block size is: each half holds ``full`` full blocks and
+    ``rest`` pairs, and an odd case adds one path to the second half and
+    drops its negation, replications = 4 * (full * rows + rest) + odd.
     """
 
     CASES = [
-        ((0.5,), 100, 0, 1001, 1),  # odd, inside one block
-        (FOUR_BETAS, 100, 2, 758, 0),  # even, three blocks, the last partial
-        (FOUR_BETAS, 257, 2, 1, 1),  # odd, a last block of one pair
-        ((0.0,), 257, 2, 0, 0),  # even, an exact multiple of the block
-        ((2.0 / 3.0,), 257, 1, 600, 1),  # odd, two blocks
+        ((0.5,), 100, 0, 1001, 1),  # odd, each half inside one block
+        (FOUR_BETAS, 100, 2, 758, 0),  # even, three blocks a half, the last partial
+        (FOUR_BETAS, 257, 2, 1, 1),  # odd, last blocks of one and two pairs
+        ((0.0,), 257, 2, 0, 0),  # even, each half an exact multiple of the block
+        ((2.0 / 3.0,), 257, 1, 600, 1),  # odd, two blocks a half
     ]
 
     @staticmethod
     def replications(steps, full, rest, odd):
-        return 2 * (full * critvals._block_rows(steps) + rest) - odd
+        return 4 * (full * critvals._block_rows(steps) + rest) + odd
 
     @pytest.mark.parametrize("betas, steps, full, rest, odd", CASES)
     def test_sorted_samples_equal_reference(self, betas, steps, full, rest, odd):
@@ -218,33 +231,45 @@ class TestBlockParity:
 
 
     def test_one_path_block_of_long_paths(self):
-        # Paths longer than 8192 steps, and a last block of one path: the
-        # reduction still sums each whole row at once, as in a longer block.
+        # Paths longer than 8192 steps, and in each half a last block of one
+        # path: the reduction still sums each whole row at once, as in a
+        # longer block.
         steps = 9000
-        reps = 2 * (critvals._block_rows(steps) + 1)
+        reps = self.replications(steps, 1, 1, 0)
         stats = critvals.simulate_statistics(FOUR_BETAS, steps, reps, 3)
         np.testing.assert_array_equal(stats, reference_statistics(FOUR_BETAS, steps, reps, 3))
 
-    def test_no_block_is_drawn_while_it_is_reduced(self, monkeypatch):
-        # Each reduction starts only after the two draws in flight have had
-        # time to finish, so a draw into the buffer being reduced (or into
-        # one not yet reduced) would change the sample.
+    def test_sample_does_not_depend_on_worker_timing(self, monkeypatch):
+        # The first worker to reach cumsum sleeps before each of its blocks,
+        # so the other worker runs ahead by several blocks, and the threads
+        # switch often; a worker that drew, or wrote, outside its own half
+        # would change the sample.
         class SlowCumsum:
+            slow = None
+            lock = threading.Lock()
+
             def __getattr__(self, name):
                 return getattr(np, name)
 
-            @staticmethod
-            def cumsum(*args, **kwargs):
-                time.sleep(0.05)
+            def cumsum(self, *args, **kwargs):
+                with self.lock:
+                    if self.slow is None:
+                        self.slow = threading.get_ident()
+                if threading.get_ident() == self.slow:
+                    time.sleep(0.05)
                 return np.cumsum(*args, **kwargs)
 
         betas, steps = FOUR_BETAS, 100
-        reps = self.replications(steps, 4, 5, 0)  # five blocks, the last partial
+        reps = self.replications(steps, 4, 5, 1)  # five blocks a half, the last partial
         reference = reference_statistics(betas, steps, reps, 5)
         monkeypatch.setattr(critvals, "np", SlowCumsum())
-        stats = critvals.simulate_statistics(betas, steps, reps, 5)
-        for row, ref_row in zip(stats, reference):
-            assert np.array_equal(np.sort(row), np.sort(ref_row))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+        try:
+            stats = critvals.simulate_statistics(betas, steps, reps, 5)
+        finally:
+            sys.setswitchinterval(interval)
+        np.testing.assert_array_equal(stats, reference)
 
 
 class TestArithmetic:
@@ -259,25 +284,29 @@ class TestArithmetic:
 
     def test_same_bytes_for_any_blas_thread_count(self):
         # Rows of 20000 values are long enough for a threaded BLAS dot to
-        # split them; the statistics must not depend on it.
+        # split them; the statistics must not depend on it.  The last child
+        # is pinned to one CPU, so its two workers share one core; the
+        # statistics must not depend on the core count either.
         src = Path(critvals.__file__).resolve().parents[1]
         script = (
-            "import sys\n"
+            "import os, sys\n"
+            "if sys.argv[1:] == ['pin']:\n"
+            "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
             "from fedstat import critvals\n"
             "betas = (0.0, 1.0 / 3.0, 0.5, 2.0 / 3.0)\n"
             "stats = critvals.simulate_statistics(betas, 20000, 80, 11)\n"
             "sys.stdout.buffer.write(stats.tobytes())\n"
         )
         outputs = []
-        for threads in ("1", "2"):
+        for threads, pin in (("1", []), ("2", []), ("2", ["pin"])):
             env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads)
             done = subprocess.run(
-                [sys.executable, "-c", script], env=env, capture_output=True, timeout=120
+                [sys.executable, "-c", script, *pin], env=env, capture_output=True, timeout=120
             )
             assert done.returncode == 0, done.stderr.decode()
             outputs.append(done.stdout)
         assert len(outputs[0]) == 4 * 80 * 8
-        assert outputs[0] == outputs[1]
+        assert outputs[0] == outputs[1] == outputs[2]
 
 
 class TestCommandLine:
@@ -292,6 +321,14 @@ class TestCommandLine:
         critvals.save_csv(table, expected)
         assert out.read_bytes() == expected.getvalue().encode()
         assert out.read_text().splitlines()[0] == "# steps=100 replications=2000 seed=3"
+
+    @pytest.mark.parametrize("option", ["--betas", "--levels"])
+    def test_critvals_rejects_an_empty_list(self, option, tmp_path, capsys):
+        out = tmp_path / "table.csv"
+        argv = ["critvals", option, "", "--steps", "100", "--reps", "2000", "--out", str(out)]
+        assert cli.main(argv) == 1
+        assert "need at least one beta and one level" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSerialization:

@@ -174,6 +174,15 @@ class TestRunExperiment:
         rscale = report.methods[1]
         assert rscale.failures == 0
 
+    def test_array_x0_runs_like_the_same_tuple(self):
+        # An ExperimentConfig built in Python may hold x0 as a numpy array.
+        reports = [
+            run_experiment(quadratic_config(x0=x0, rounds=5, replications=1))
+            for x0 in (np.array([0.5, 1.0]), (0.5, 1.0))
+        ]
+        assert harness.report_csv(reports[0]) == harness.report_csv(reports[1])
+        assert reports[0].mean_error == reports[1].mean_error
+
     def test_diverging_replications_fail_every_method(self, tmp_path):
         # gamma0 = 50 makes the linear steps expand: each run leaves the
         # divergence bound within ten rounds.
