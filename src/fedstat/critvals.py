@@ -5,29 +5,42 @@ The studentized statistic converges to
     t*(beta) = B(1) / sqrt( integral_0^1 (B(r) - g_beta(r) B(1))^2 dr ),
 
 with B a standard one-dimensional Brownian motion and g_beta(r) = r**(1/(1-beta)).
-Quantiles are obtained by Monte Carlo: Brownian paths are discretized as
-normalized partial sums of N(0,1) increments, the integral by a left-endpoint
-rectangle rule on the same grid (value 0 at r = 0), and quantiles are read off
-the empirical distribution.  Paths come in antithetic pairs (B, -B); since
+Quantiles are obtained by Monte Carlo, on a grid of n steps: the integral is
+the left-endpoint rectangle rule (1/n) sum_j (B_j - g_j B(1))^2 over
+r_j = j/n, j = 0..n-1, with B_j the value at r_j of a random walk of n N(0,1)
+increments scaled by 1/sqrt(n), and quantiles are read off the empirical
+distribution.  Paths come in antithetic pairs (B, -B); since
 t*(-B) = -t*(B) exactly, the realization sample is symmetric by construction,
 which pins the median at zero and sharpens the extreme quantiles.
+
+No path is built.  The discrete bridge b_j = B_j - r_j B(1) is independent of
+B(1), and its covariance (min(i, j) - ij/n)/n has the sine eigenvectors
+sqrt(2/n) sin(k pi j / n) with eigenvalues kappa_k / n,
+kappa_k = 1 / (4 sin^2(k pi / 2n)), k = 1..n-1 (its Karhunen-Loeve
+expansion; Abadir & Paruolo 1997).  So each path draws the same n normals as
+a random walk, B(1) and the bridge's coordinates Y_1..Y_{n-1} in that basis,
+and with d_j = r_j - g(r_j) the rectangle rule is exactly
+
+    n * integral = sum_k (kappa_k / n) Y_k^2 + 2 B(1) e'Y + |d|^2 B(1)^2,
+
+e = sqrt(kappa / n) * sqrt(2/n) * DST-I(d): one weighted sum of squares and
+one dot per beta, with no partial sums.  The weights are computed once per
+call with one FFT per beta; for beta = 0, g(r) = r and d = 0, so that row has
+no cross term.  The statistic is the one of the random-walk discretization,
+in distribution, and its expanded form stays within 3e-14 relative of the
+centered form on the path the draws imply.
 
 Drawing the normals is the floor of the simulation's cost, so it is spread
 over two cores.  The paths are split into two fixed halves, each drawn from
 its own generator (``SeedSequence(seed).spawn(2)``) and simulated start to
-end by its own worker thread.  The generator releases the GIL while it
-draws; ``np.cumsum`` holds it (two threads each running ``cumsum`` took
-0.151 s against 0.107 s one after the other), so one worker's reduction
-overlaps the other's draws.  Each worker runs its paths in blocks of about
-2**18 values (2 MB), the number of paths per block fixed by the step count,
-in two buffers of its own allocated once, so the working memory does not
-grow with the number of replications.  The integral is expanded into
-per-path sums, one dot per path and beta; the statistics stay within
-1.2e-13 relative of those of the centered form.  The split depends on the
-number of paths alone, and each path is reduced on its own with BLAS-free
-sums, so the sample depends neither on the block size, nor on the timing,
-nor on the BLAS thread count, nor on the number of cores (see
-``simulate_statistics``).
+end by its own worker thread; the generator and the sums release the GIL.
+Each worker runs its paths in blocks of about 2**18 values (2 MB), the
+number of paths per block fixed by the step count, in one buffer of its own
+allocated once, so the working memory does not grow with the number of
+replications.  The split depends on the number of paths alone, and each
+path is reduced on its own with BLAS-free sums, so the sample depends
+neither on the block size, nor on the timing, nor on the BLAS thread count,
+nor on the number of cores (see ``simulate_statistics``).
 
 A pre-generated table ships with the package; inference never simulates at
 runtime.  ``default_table`` reads it afresh on every call, so no caller sees
@@ -87,65 +100,66 @@ def simulate_statistics(
     negations.  When ``replications`` is odd, the negation of the last path
     is dropped, so every sample is exactly symmetric up to that one value.
 
+    A path is ``steps`` = n standard normals: B(1), then the bridge's
+    coordinates Y_1..Y_{n-1} in its sine basis (see the module docstring).
     ``seed`` seeds two generators, ``SeedSequence(seed).spawn(2)``: paths
     0..floor(P/2)-1 are drawn from the first, in path order, and the others
     from the second.  Each half runs in its own worker thread, from its first
-    block to its last, so the two halves' draws and reductions overlap.  A
-    worker simulates ``_block_rows(steps)`` paths at a time (about 2 MB of
-    increments per block) in two buffers of its own, allocated once: one for
-    the increments and one for the grid (a zero column, then the partial
-    sums).  It writes only its own paths' columns of the output.
+    block to its last, so the two halves' draws and sums overlap.  A worker
+    simulates ``_block_rows(steps)`` paths at a time (about 2 MB of normals
+    per block) in one buffer of its own, allocated once, and writes only its
+    own paths' columns of the output.
 
-    With n = ``steps`` and B_j the path at r_j = j/n, the integral is the
-    expanded rectangle rule
+    Per block, the integral of every beta is
 
-        (1/n) sum_j (B_j - g_j B(1))^2
-            = (S_BB - B(1) (2 S_gB - B(1) S_gg)) / n,
+        (sum_k w_k Y_k^2 + B(1) (2 e'Y + |d|^2 B(1))) / n,
 
-    with S_BB = sum_j B_j^2 once per block, S_gB = sum_j g_j B_j one dot per
-    path and beta, and S_gg = sum_j g_j^2 once per call.  The statistics
-    deviated from those of the centered form by at most 1.1e-13 relative on
-    the table's inputs (1000 steps, 10^5 replications, four betas, seeds
-    0-2).  The sums are BLAS-free ``np.einsum`` reductions, which give the
-    same bits for any BLAS thread count; ``np.vecdot`` (ddot) on rows of
-    20000 values did not.
+    from one ``np.einsum`` weighted sum of squares and one ``np.einsum`` of
+    the dots e'Y of the betas above 0; w = kappa / n, e and |d|^2 come from
+    ``_bridge_weights`` once per call.  Both sums are BLAS-free, so they
+    give the same bits for any BLAS thread count; ``np.vecdot`` (ddot) on
+    rows of 20000 values did not.
 
-    Each path's arithmetic (scale, sequential ``cumsum``, then its own sums)
-    touches only that path's row, and the split into halves is fixed, so
-    the sample depends only on (``beta_list``, ``steps``, ``replications``,
-    ``seed``): not on the block size, the timing, the BLAS thread count or
-    the number of cores.
+    Each path's arithmetic touches only that path's row, and the split into
+    halves is fixed, so the sample depends only on (``beta_list``,
+    ``steps``, ``replications``, ``seed``): not on the block size, the
+    timing, the BLAS thread count or the number of cores.
     """
+    if not beta_list:
+        raise ValueError("beta_list must hold at least one beta")
     for beta in beta_list:
         if not 0.0 <= beta < 1.0:
             raise ValueError("beta must lie in [0, 1)")
-    r = np.arange(steps) / steps  # left endpoints, r[0] = 0
-    g = np.stack([r ** (1.0 / (1.0 - beta)) for beta in beta_list])
-    g_sq = np.einsum("ij,ij->i", g, g)
-    scale = 1.0 / math.sqrt(steps)
+    if steps < 2:
+        raise ValueError("steps must be >= 2")
+    if replications < 1:
+        raise ValueError("replications must be >= 1")
+    weights, cross, offset = _bridge_weights(beta_list, steps)
+    crossed = np.flatnonzero(offset)  # beta = 0 has d = 0: no cross term
+    cross = cross[crossed]
     pairs = (replications + 1) // 2
     rows = _block_rows(steps)
     out = np.empty((len(beta_list), 2 * pairs))
 
     def simulate(stream: np.random.SeedSequence, first: int, stop: int) -> None:
         rng = np.random.default_rng(stream)
-        increments = np.empty((rows, steps))
-        grid = np.zeros((max(rows, 2), steps + 1))  # column 0 stays 0: B(0)
+        normals = np.zeros((max(rows, 2), steps))  # per path: B(1), Y_1..Y_{n-1}
         for start in range(first, stop, rows):
-            n = min(rows, stop - start)
-            inc = rng.standard_normal(out=increments[:n])
-            np.multiply(inc, scale, out=inc)
-            np.cumsum(inc, axis=1, out=grid[:n, 1:])
+            count = min(rows, stop - start)
+            rng.standard_normal(out=normals[:count])
             # At least two rows: einsum sums a one-row operand in pieces of
             # 8192 values, which changes the bits of longer paths.
-            path = grid[: max(n, 2)]
-            b_one = path[:, steps]
-            b_grid = path[:, :steps]
-            b_sq = np.einsum("ij,ij->i", b_grid, b_grid)
-            for i in range(len(beta_list)):
-                g_b = np.einsum("ij,j->i", b_grid, g[i])
-                integral = (b_sq - b_one * (2.0 * g_b - b_one * g_sq[i])) / steps
-                np.divide(b_one[:n], np.sqrt(integral[:n]), out=out[i, start : start + n])
+            block = normals[: max(count, 2)]
+            b_one = block[:, 0]
+            y = block[:, 1:]
+            squares = np.einsum("ij,ij,j->i", y, y, weights)
+            dots = np.einsum("ij,kj->ki", y, cross)
+            sums = [squares] * len(beta_list)
+            for i, dot in zip(crossed, dots):
+                sums[i] = squares + b_one * (2.0 * dot + b_one * offset[i])
+            for row, total in zip(out, sums):
+                integral = total[:count] / steps
+                np.divide(b_one[:count], np.sqrt(integral), out=row[start : start + count])
 
     bounds = [pairs * k // _STREAMS for k in range(_STREAMS + 1)]
     streams = np.random.SeedSequence(seed).spawn(_STREAMS)
@@ -153,6 +167,26 @@ def simulate_statistics(
         list(pool.map(simulate, streams, bounds, bounds[1:]))  # re-raises a worker's error
     np.negative(out[:, :pairs], out=out[:, pairs:])
     return out[:, :replications]
+
+
+def _bridge_weights(
+    beta_list: tuple[float, ...], steps: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The integral's weights in the bridge's sine basis, for n = ``steps``.
+
+    Returns w_k = kappa_k / n for k = 1..n-1, the bridge's eigenvalues; one
+    row e per beta, e_k = sqrt(w_k) sqrt(2/n) sum_j d_j sin(k pi j / n); and
+    |d|^2 per beta, with d_j = r_j - g(r_j) on the left endpoints r_j = j/n.
+    The sine sums are the imaginary parts of one real FFT of d zero-padded
+    to 2n points: O(n log n) time and O(n) memory per beta.
+    """
+    k = np.arange(1, steps)
+    weights = 0.25 / np.sin(k * (math.pi / (2 * steps))) ** 2 / steps
+    r = np.arange(steps) / steps
+    d = np.stack([r - r ** (1.0 / (1.0 - beta)) for beta in beta_list])
+    sines = -np.fft.rfft(d, 2 * steps, axis=1).imag[:, 1:steps]
+    cross = np.sqrt(weights) * math.sqrt(2.0 / steps) * sines
+    return weights, cross, np.einsum("ij,ij->i", d, d)
 
 
 def _block_rows(steps: int) -> int:

@@ -29,7 +29,6 @@ from statistics import NormalDist
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from . import roundoff
 from .engine import BLOCK_ROUNDS
@@ -157,7 +156,7 @@ class PluginState:
             raise SingularHessian(
                 f"Hessian estimate condition number {cond:.3g} exceeds {_MAX_CONDITION:g}"
             )
-        ginv = scipy.linalg.solve(means.g_hat, np.eye(d), assume_a="sym")
+        ginv = np.linalg.solve(means.g_hat, np.eye(d))
         cov = ginv @ means.s_hat @ ginv.T
         return (cov + cov.T) / 2.0
 

@@ -129,60 +129,161 @@ class TestSimulation:
             simulate_table((0.0,), (), steps=500, replications=5000)
 
 
-def stream_increments(steps, pairs, seed):
-    """Scaled increments of paths 0..pairs-1 in 4096-path chunks: paths
-    [0, pairs // 2) from the first of ``SeedSequence(seed).spawn(2)``, the
-    rest from the second.  Yields (first path, increments)."""
+def stream_normals(steps, pairs, seed):
+    """The normals of paths 0..pairs-1 in 4096-path chunks, ``steps`` a path
+    (B(1), then Y_1..Y_{steps-1}): paths [0, pairs // 2) from the first of
+    ``SeedSequence(seed).spawn(2)``, the rest from the second.  Yields
+    (first path, normals)."""
     bounds = (0, pairs // 2, pairs)
     for half, stream in enumerate(np.random.SeedSequence(seed).spawn(2)):
         rng = np.random.default_rng(stream)
         for first in range(bounds[half], bounds[half + 1], 4096):
             n = min(4096, bounds[half + 1] - first)
-            yield first, rng.standard_normal((n, steps)) * (1.0 / math.sqrt(steps))
+            yield first, rng.standard_normal((n, steps))
 
 
 def reference_statistics(beta_list, steps, replications, seed):
     """A chunked simulation with the block layout's per-path arithmetic: the
-    expanded integral (sum B^2 - B(1) (2 sum g B - B(1) sum g^2)) / steps
-    from BLAS-free sums.
+    integral (sum_k w_k Y_k^2 + B(1) (2 e'Y + |d|^2 B(1))) / steps from
+    BLAS-free sums, one dot per beta, beta = 0 included.
 
     Statistics of paths 0..P-1 in order, then their negations.
     """
-    r = np.arange(steps) / steps
-    g = np.stack([r ** (1.0 / (1.0 - beta)) for beta in beta_list])
-    g_sq = np.einsum("ij,ij->i", g, g)
+    weights, cross, offset = critvals._bridge_weights(beta_list, steps)
     pairs = (replications + 1) // 2
     out = np.empty((len(beta_list), 2 * pairs))
-    for first, increments in stream_increments(steps, pairs, seed):
-        n = len(increments)
-        paths = np.cumsum(increments, axis=1)
-        b_one = paths[:, -1]
-        b_grid = np.concatenate([np.zeros((n, 1)), paths[:, :-1]], axis=1)
-        b_sq = np.einsum("ij,ij->i", b_grid, b_grid)
+    for first, normals in stream_normals(steps, pairs, seed):
+        n = len(normals)
+        b_one, y = normals[:, 0], normals[:, 1:]
+        squares = np.einsum("ij,ij,j->i", y, y, weights)
         for i in range(len(beta_list)):
-            g_b = np.einsum("ij,j->i", b_grid, g[i])
-            integral = (b_sq - b_one * (2.0 * g_b - b_one * g_sq[i])) / steps
+            dot = np.einsum("ij,j->i", y, cross[i])
+            integral = (squares + b_one * (2.0 * dot + b_one * offset[i])) / steps
             out[i, first : first + n] = b_one / np.sqrt(integral)
     out[:, pairs:] = -out[:, :pairs]
     return out[:, :replications]
 
 
-def centered_statistics(beta_list, steps, paths, seed):
-    """Statistics of the ``paths`` paths of a ``2 * paths`` sample by the
-    centered rectangle rule, mean((B - g B(1))^2), and those integrals."""
+def implied_path_statistics(beta_list, normals):
+    """Statistics of the paths that ``normals`` imply, by the centered
+    rectangle rule mean((B - g B(1))^2) in 80-bit arithmetic.
+
+    The bridge is rebuilt from its sine expansion, b = V diag(sqrt(kappa/n)) Y
+    with V_jk = sqrt(2/n) sin(k pi j / n), and B_j = b_j + (j/n) B(1).
+    """
+    steps = normals.shape[1]
+    n = np.longdouble(steps)
+    j = np.arange(steps, dtype=np.longdouble)
+    k = np.arange(1, steps, dtype=np.longdouble)
+    pi = np.longdouble(np.pi)
+    kappa = 1 / (4 * np.sin(k * pi / (2 * n)) ** 2)
+    basis = np.sqrt(2 / n) * np.sin(np.outer(j, k) * pi / n)  # row j = 0 is all 0
+    normals = normals.astype(np.longdouble)
+    b_one = normals[:, 0]
+    bridge = (normals[:, 1:] * np.sqrt(kappa / n)) @ basis.T
+    r = j / n
+    walk = bridge + np.outer(b_one, r)
+    rows = []
+    for beta in beta_list:
+        g = r ** (1 / (1 - np.longdouble(beta)))
+        integral = np.mean((walk - np.outer(b_one, g)) ** 2, axis=1)
+        rows.append(b_one / np.sqrt(integral))
+    return np.stack(rows)
+
+
+def random_walk_statistics(beta_list, steps, paths, seed):
+    """``paths`` independent statistics from the random-walk discretization:
+    normalized partial sums of N(0,1) increments from one generator, in
+    4096-path chunks, and the centered rectangle rule on their left
+    endpoints."""
+    rng = np.random.default_rng(seed)
     r = np.arange(steps) / steps
-    increments = np.concatenate([inc for _, inc in stream_increments(steps, paths, seed)])
-    b = np.cumsum(increments, axis=1)
-    b_one = b[:, -1]
-    b_grid = np.concatenate([np.zeros((paths, 1)), b[:, :-1]], axis=1)
-    integrals = np.stack(
-        [np.mean((b_grid - np.outer(b_one, r ** (1.0 / (1.0 - beta)))) ** 2, axis=1)
-         for beta in beta_list]
-    )
-    return b_one / np.sqrt(integrals), integrals
+    out = np.empty((len(beta_list), paths))
+    for first in range(0, paths, 4096):
+        n = min(4096, paths - first)
+        walk = np.cumsum(rng.standard_normal((n, steps)) / math.sqrt(steps), axis=1)
+        b_one = walk[:, -1]
+        grid = np.concatenate([np.zeros((n, 1)), walk[:, :-1]], axis=1)
+        for i, beta in enumerate(beta_list):
+            dev = grid - np.outer(b_one, r ** (1.0 / (1.0 - beta)))
+            out[i, first : first + n] = b_one / np.sqrt(np.mean(dev * dev, axis=1))
+    return out
+
+
+def ks_statistic(a, b):
+    """Two-sample Kolmogorov-Smirnov distance sup |F_a - F_b|."""
+    a, b = np.sort(a), np.sort(b)
+    both = np.concatenate([a, b])
+    cdf_a = np.searchsorted(a, both, side="right") / len(a)
+    cdf_b = np.searchsorted(b, both, side="right") / len(b)
+    return float(np.max(np.abs(cdf_a - cdf_b)))
 
 
 FOUR_BETAS = (0.0, 1.0 / 3.0, 0.5, 2.0 / 3.0)
+
+
+class TestInputs:
+    @pytest.mark.parametrize("steps", [1, 0, -3])
+    def test_too_few_steps(self, steps):
+        with pytest.raises(ValueError, match="steps must be >= 2"):
+            critvals.simulate_statistics((0.0,), steps, 10, 0)
+
+    def test_no_beta(self):
+        with pytest.raises(ValueError, match="beta_list must hold at least one beta"):
+            critvals.simulate_statistics((), 100, 10, 0)
+
+    @pytest.mark.parametrize("replications", [0, -1])
+    def test_no_replication(self, replications):
+        with pytest.raises(ValueError, match="replications must be >= 1"):
+            critvals.simulate_statistics((0.0,), 100, replications, 0)
+
+    @pytest.mark.parametrize("beta", [-0.1, 1.0])
+    def test_beta_outside_the_unit_interval(self, beta):
+        with pytest.raises(ValueError, match="beta must lie in"):
+            critvals.simulate_statistics((0.0, beta), 100, 10, 0)
+
+    def test_smallest_inputs(self):
+        stats = critvals.simulate_statistics((0.0, 0.5), 2, 1, 0)
+        assert stats.shape == (2, 1) and np.all(np.isfinite(stats))
+
+
+class TestWeights:
+    @pytest.mark.parametrize("steps", [2, 3, 17, 100])
+    def test_against_the_bridge_covariance(self, steps):
+        weights, cross, offset = critvals._bridge_weights(FOUR_BETAS, steps)
+        j = np.arange(1, steps)
+        covariance = (np.minimum.outer(j, j) - np.outer(j, j) / steps) / steps
+        eigenvalues, vectors = np.linalg.eigh(covariance)  # ascending; kappa descends
+        np.testing.assert_allclose(weights[::-1], eigenvalues, rtol=1e-12)
+        r = np.arange(steps) / steps
+        for beta, e, d_sq in zip(FOUR_BETAS, cross, offset):
+            d = r - r ** (1.0 / (1.0 - beta))
+            # Eigenvectors are fixed up to sign: compare |e| coordinate by
+            # coordinate.  Some coordinates are 0 (beta = 1/2 has d symmetric
+            # about 1/2), and eigh gets those only to about 1e-15.
+            expected = np.sqrt(eigenvalues) * np.abs(vectors.T @ d[1:])
+            np.testing.assert_allclose(np.abs(e[::-1]), expected, rtol=1e-12, atol=1e-13)
+            assert d_sq == pytest.approx(d @ d, rel=1e-14)
+
+    @pytest.mark.parametrize("steps", [2, 17, 1000])
+    def test_no_cross_term_at_beta_zero(self, steps):
+        _, cross, offset = critvals._bridge_weights((0.0, 0.5), steps)
+        assert np.all(cross[0] == 0.0) and offset[0] == 0.0
+        assert np.any(cross[1] != 0.0) and offset[1] > 0.0
+
+
+class TestDistribution:
+    @pytest.mark.parametrize("steps", [10, 100])
+    def test_same_law_as_the_random_walk(self, steps):
+        # Two-sample KS per beta between 2 * 10^4 independent paths a side
+        # (the first P columns of an antithetic sample are the P paths);
+        # 0.0195 is the 0.001-level bound for these sample sizes.
+        paths = 20000
+        stats = critvals.simulate_statistics(FOUR_BETAS, steps, 2 * paths, 21)[:, :paths]
+        walk = random_walk_statistics(FOUR_BETAS, steps, paths, 22)
+        bound = math.sqrt(-math.log(0.001 / 2) / 2) * math.sqrt(2 / paths)
+        for row, ref_row in zip(stats, walk):
+            assert ks_statistic(row, ref_row) < bound
 
 
 class TestBlockParity:
@@ -232,7 +333,7 @@ class TestBlockParity:
 
     def test_one_path_block_of_long_paths(self):
         # Paths longer than 8192 steps, and in each half a last block of one
-        # path: the reduction still sums each whole row at once, as in a
+        # path: the sums still run over each whole row at once, as in a
         # longer block.
         steps = 9000
         reps = self.replications(steps, 1, 1, 0)
@@ -240,47 +341,52 @@ class TestBlockParity:
         np.testing.assert_array_equal(stats, reference_statistics(FOUR_BETAS, steps, reps, 3))
 
     def test_sample_does_not_depend_on_worker_timing(self, monkeypatch):
-        # The first worker to reach cumsum sleeps before each of its blocks,
-        # so the other worker runs ahead by several blocks, and the threads
-        # switch often; a worker that drew, or wrote, outside its own half
-        # would change the sample.
-        class SlowCumsum:
+        # The first worker thread to reach einsum sleeps before each of its
+        # sums, so the other worker runs ahead by several blocks, and the
+        # threads switch often; a worker that drew, or wrote, outside its
+        # own half would change the sample.
+        class SlowEinsum:
             slow = None
             lock = threading.Lock()
 
             def __getattr__(self, name):
                 return getattr(np, name)
 
-            def cumsum(self, *args, **kwargs):
-                with self.lock:
-                    if self.slow is None:
-                        self.slow = threading.get_ident()
-                if threading.get_ident() == self.slow:
-                    time.sleep(0.05)
-                return np.cumsum(*args, **kwargs)
+            def einsum(self, *args, **kwargs):
+                if threading.current_thread() is not threading.main_thread():
+                    with self.lock:
+                        if self.slow is None:
+                            self.slow = threading.get_ident()
+                    if threading.get_ident() == self.slow:
+                        time.sleep(0.05)
+                return np.einsum(*args, **kwargs)
 
         betas, steps = FOUR_BETAS, 100
         reps = self.replications(steps, 4, 5, 1)  # five blocks a half, the last partial
         reference = reference_statistics(betas, steps, reps, 5)
-        monkeypatch.setattr(critvals, "np", SlowCumsum())
+        slow = SlowEinsum()
+        monkeypatch.setattr(critvals, "np", slow)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
         try:
             stats = critvals.simulate_statistics(betas, steps, reps, 5)
         finally:
             sys.setswitchinterval(interval)
+        assert slow.slow is not None
         np.testing.assert_array_equal(stats, reference)
 
 
 class TestArithmetic:
     @pytest.mark.parametrize("steps", [100, 1000])
     def test_near_the_centered_formula(self, steps):
-        reps = 8000
-        stats = critvals.simulate_statistics(FOUR_BETAS, steps, reps, steps)
-        centered, integrals = centered_statistics(FOUR_BETAS, steps, reps // 2, steps)
-        assert np.all(np.isfinite(integrals)) and np.all(integrals > 0)
+        # Every path of the sample against the centered form, in 80-bit
+        # arithmetic, on the path its normals imply.
+        paths = 200_000 // steps
+        stats = critvals.simulate_statistics(FOUR_BETAS, steps, 2 * paths, steps)[:, :paths]
+        normals = np.concatenate([chunk for _, chunk in stream_normals(steps, paths, steps)])
+        reference = implied_path_statistics(FOUR_BETAS, normals).astype(np.float64)
         assert np.all(np.isfinite(stats))
-        np.testing.assert_allclose(stats[:, : reps // 2], centered, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(stats, reference, rtol=1e-12, atol=0)
 
     def test_same_bytes_for_any_blas_thread_count(self):
         # Rows of 20000 values are long enough for a threaded BLAS dot to
