@@ -18,8 +18,10 @@ from .schedules import (
     CommunicationSchedule,
     ExplicitSchedule,
     ScheduleDiagnostics,
+    ScheduleTable,
     diagnostics,
     fclt_time_scale,
+    table,
     validate_schedule,
 )
 
@@ -52,8 +54,10 @@ __all__ = [
     "CommunicationSchedule",
     "ExplicitSchedule",
     "ScheduleDiagnostics",
+    "ScheduleTable",
     "diagnostics",
     "fclt_time_scale",
+    "table",
     "validate_schedule",
     "__version__",
 ]

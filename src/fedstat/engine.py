@@ -1,9 +1,10 @@
 """Multi-round locally updated SGD over simulated clients.
 
 Each round m consists of E_m independent SGD steps per client with step size
-eta_m, followed by synchronization: the server replaces every client state by
-the weighted average.  Only the synchronized iterates leave this module; local
-states are internal and discarded at each sync.
+eta_m, both read from the run's frozen ``ScheduleTable``, followed by
+synchronization: the server replaces every client state by the weighted
+average.  Only the synchronized iterates leave this module; local states are
+internal and discarded at each sync.
 
 Randomness layout: every client owns two sequential substreams derived from
 the run seed, one feeding the optimization samples and one feeding the fresh
@@ -50,9 +51,9 @@ refill (fewer than the take that triggers it) are copied into the refilled
 buffer: a group of up to 256 rows adds less than an eighth of a chunk to it,
 where a 2048-row group could nearly double it.  The roundoff of a linear
 group of E = 1 rounds does depend on where the group starts, its pivot.  The
-groups follow from the schedule's intervals alone, so the bytes of a run
-still depend only on (config, seed): never on the worker count, and never on
-the observers.
+groups follow from the table's intervals alone, so the bytes of a run still
+depend only on (config, seed): never on the worker count, and never on the
+observers.
 
 Observers are notified once per block, after its divergence test: the engine
 takes the block's inference rows with one buffer call, evaluates its gradient
@@ -73,7 +74,7 @@ from typing import IO, Iterable, Protocol
 
 import numpy as np
 
-from . import models, roundoff, schedules
+from . import models, roundoff
 
 __all__ = [
     "SyncPath",
@@ -228,15 +229,17 @@ def _groups(e_list: list[int], first: int, stop: int):
 
 def run(
     federation: models.Federation,
-    schedule: schedules.Schedule,
-    total_rounds: int,
+    table,
     x0: np.ndarray,
     seed: int | np.random.SeedSequence,
     observers: Iterable[SyncObserver] = (),
 ) -> SyncPath:
-    """Run ``total_rounds`` communication rounds from ``x0``; returns the path.
+    """Run the table's T communication rounds from ``x0``; returns the path.
 
-    Deterministic given (federation, schedule, total_rounds, x0, seed).  Every
+    Round m runs ``table.intervals[m-1]`` local steps of size
+    ``table.etas[m-1]`` (a ``ScheduleTable``), and the path's ``comm_times``
+    is the read-only ``table.comm_times``.  Deterministic given (federation,
+    table, x0, seed).  Every
     synchronized average is appended to the path and pushed to each observer,
     at most `BLOCK_ROUNDS` rounds later, so inference runs online.  A round
     whose average has norm above 1e8 times the run's scale,
@@ -244,8 +247,6 @@ def run(
     that starts or settles far from 0 is judged by its own size.  A bound
     whose square overflows (a scale above about 1.34e146) never trips.
     """
-    if total_rounds < 1:
-        raise ValueError("total_rounds must be >= 1")
     x0 = np.asarray(x0, dtype=np.float64)
     d = federation.dimension
     if x0.shape != (d,) or not np.all(np.isfinite(x0)):
@@ -257,10 +258,8 @@ def run(
     weights = federation.weights
     opt_rngs, inf_rngs = client_generators(seed, federation.size)
 
-    e_all = schedules.intervals(schedule, total_rounds)
-    _, etas = schedules.steps_for_intervals(schedule, e_all)
-    comm_times = np.cumsum(e_all)
-    e_list, eta_list = e_all.tolist(), etas.tolist()
+    e_list, eta_list = table.intervals.tolist(), table.etas.tolist()
+    total_rounds = len(e_list)
 
     local_rounds, sample_draws = models.KERNELS[federation.kind]
     opt_samples = SampleBuffer(federation.clients, opt_rngs)
@@ -283,7 +282,7 @@ def run(
             grads, hessians = sample_draws(weights, *inf_samples.take(stop - first), xs)
         rounds = zip(
             range(first + 1, stop + 1),
-            comm_times[first:stop].tolist(),
+            table.comm_times[first:stop].tolist(),
             xs,
             e_list[first:stop],
             grads,
@@ -312,7 +311,7 @@ def run(
             )
         notify(first, stop)
 
-    return SyncPath(points=points, comm_times=comm_times)
+    return SyncPath(points=points, comm_times=table.comm_times)
 
 
 def average_estimate(path: SyncPath) -> np.ndarray:

@@ -72,6 +72,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown model {self.model!r}")
         if self.dimension < 1 or self.clients < 1:
             raise ValueError("dimension and clients must be >= 1")
+        if not 0.0 <= self.noise_scale < math.inf:
+            raise ValueError("noise_scale must be nonnegative and finite")
         if self.model == "logistic" and self.heterogeneity:
             raise ValueError("logistic runs do not support heterogeneity; set it off")
         if (self.rounds is None) == (self.target_observations is None):
@@ -272,7 +274,7 @@ def _resolve_x0(config: ExperimentConfig, federation: models.Federation) -> np.n
 class _RepPayload:
     config: ExperimentConfig
     federation: models.Federation
-    total_rounds: int
+    table: schedules.ScheduleTable
     x0: np.ndarray
     floor: float
     interval_args: tuple[tuple, ...]  # per method, its confidence_interval arguments
@@ -300,9 +302,7 @@ def _replicate(payload: _RepPayload, rep: int) -> _RepResult:
     seed = np.random.SeedSequence(config.seed, spawn_key=(1, rep))
     states = [_STATES[method](federation.dimension) for method in config.methods]
     try:
-        path = engine.run(
-            federation, config.schedule, payload.total_rounds, payload.x0, seed, observers=states
-        )
+        path = engine.run(federation, payload.table, payload.x0, seed, observers=states)
     except engine.DivergenceError:
         failed = tuple(_MethodOutcome(failed=True) for _ in states)
         return _RepResult(outcomes=failed, error=math.nan)
@@ -378,27 +378,25 @@ def run_experiment(
     started = time.perf_counter()
     federation = build_federation(config)
     schedule = config.schedule
-    if config.rounds is not None:
-        total_rounds = config.rounds
-    else:
-        total_rounds = rounds_for_target(schedule, config.target_observations)
-    diag = schedules.diagnostics(schedule, total_rounds)
-    beta = table = None
+    total_rounds = config.rounds or rounds_for_target(schedule, config.target_observations)
+    table = schedules.table(schedule, total_rounds)
+    diag = table.diagnostics
+    beta = quantiles = None
     if "rscale" in config.methods:
         beta = rscale.beta_for_schedule(schedule)
         if config.critical_values is None:
-            table = critvals.default_table()
+            quantiles = critvals.default_table()
         else:
             with open(config.critical_values) as stream:
-                table = critvals.load_csv(stream)
-        critvals.lookup(table, config.alpha_level, beta)  # an untabulated value fails here
+                quantiles = critvals.load_csv(stream)
+        critvals.lookup(quantiles, config.alpha_level, beta)  # an untabulated value fails here
 
     x0 = _resolve_x0(config, federation)
     floor = roundoff.floor_for(roundoff.run_scale(federation, x0))
     j, alpha = config.coordinate, config.alpha_level
     interval_args = {
         "plugin": (diag, j, alpha, floor),
-        "rscale": (beta, j, alpha, table, floor),
+        "rscale": (beta, j, alpha, quantiles, floor),
     }
     paths_dir = None
     if dump_paths > 0:
@@ -408,7 +406,7 @@ def run_experiment(
     payload = _RepPayload(
         config=config,
         federation=federation,
-        total_rounds=total_rounds,
+        table=table,
         x0=x0,
         floor=floor,
         interval_args=tuple(interval_args[method] for method in config.methods),
@@ -504,10 +502,10 @@ def replication_rows_csv(
 
 def _curve_replicate(payload: tuple, rep: int) -> np.ndarray | None:
     """Errors at the checkpoints of one replication; None when it diverged."""
-    federation, schedule, checkpoints, x0, master_seed = payload
+    federation, table, checkpoints, x0, master_seed = payload
     seed = np.random.SeedSequence(master_seed, spawn_key=(1, rep))
     try:
-        path = engine.run(federation, schedule, checkpoints[-1], x0, seed)
+        path = engine.run(federation, table, x0, seed)
     except engine.DivergenceError:
         return None
     return np.array(
@@ -543,13 +541,8 @@ def convergence_curve(
     if below:
         raise ValueError(f"checkpoints must be >= 1, got {below}")
     federation = build_federation(config)
-    payload = (
-        federation,
-        config.schedule,
-        checkpoints,
-        _resolve_x0(config, federation),
-        config.seed,
-    )
+    table = schedules.table(config.schedule, checkpoints[-1])
+    payload = (federation, table, checkpoints, _resolve_x0(config, federation), config.seed)
     results = _map_replications(partial(_curve_replicate, payload), config.replications, workers)
     kept = [errors for errors in results if errors is not None]
     if not kept:
@@ -572,11 +565,11 @@ def partial_sum_process(
     at r = 1 this equals sqrt(t_T) * (y_bar_T - x*).
     """
     x_star = np.asarray(x_star, dtype=np.float64)
-    total_rounds = path.rounds
-    scale = math.sqrt(path.total_iterations) / total_rounds
+    table = schedules.table(schedule, path.rounds)
+    scale = math.sqrt(path.total_iterations) / path.rounds
     cumulative = np.cumsum(path.points - x_star, axis=0)
     rows = []
     for r in grid:
-        h = schedules.fclt_time_scale(schedule, float(r), total_rounds)
+        h = schedules.fclt_time_scale(table, float(r))
         rows.append(scale * cumulative[h - 1] if h >= 1 else np.zeros(path.points.shape[1]))
     return np.stack(rows)

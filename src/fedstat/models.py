@@ -313,8 +313,8 @@ class ClientModel:
         if opt.ndim != 1 or opt.size < 1:
             raise ValueError("local_optimum must be a nonempty vector")
         object.__setattr__(self, "local_optimum", opt)
-        if self.noise_scale < 0:
-            raise ValueError("noise_scale must be nonnegative")
+        if not 0.0 <= self.noise_scale < np.inf:
+            raise ValueError("noise_scale must be nonnegative and finite")
         if self.kind == "quadratic" and self.curvature <= 0:
             raise ValueError("curvature must be positive")
 

@@ -7,16 +7,18 @@ eta_m = gamma_m / E_m.  Three parametric families are supported (constant,
 logarithmic and power growth), optionally preceded by a warm-up phase where
 E_m = 1 for the first ``warmup_fraction`` of all observations.
 
-Each call builds its table afresh from array expressions over all T rounds;
-nothing is cached, so a caller that needs a table for a whole run builds it
-once.  The integer intervals use numpy's ``power`` and ``log2``: the
-``- 1e-12`` guard of the ceiling absorbs their last-bit differences from
-Python's scalar ``**`` and ``math.log2`` (no interval differs for T up to
-10^6 on C1, C5, P(1/3), P(1/2), P(2,1/2), P(2/3), P(0.9), Log, Log(2,1) and
-Log(1,1.5)).  The step sizes gamma_m are computed with Python's ``pow``
-instead, because nothing absorbs a last-bit difference in eta_m and numpy's
-vectorized ``power`` differs from ``pow`` in the last bit in about 5% of
-elements (50,508 of m = 1..10^6 at alpha = 0.505).
+``table(schedule, T)`` builds a run's one frozen ``ScheduleTable``: the
+read-only arrays of E_m, gamma_m, eta_m and the synchronization times, the
+warm-up round count, and the ``ScheduleDiagnostics`` of the same intervals.
+The harness builds it once per experiment and every replication's engine run
+reads it; nothing is cached.  The integer intervals use numpy's ``power``
+and ``log2``: the ``- 1e-12`` guard of the ceiling absorbs their last-bit
+differences from Python's scalar ``**`` and ``math.log2`` (no interval
+differs for T up to 10^6 on C1, C5, P(1/3), P(1/2), P(2,1/2), P(2/3),
+P(0.9), Log, Log(2,1) and Log(1,1.5)).  The step sizes gamma_m are computed
+with Python's ``pow`` instead, because nothing absorbs a last-bit difference
+in eta_m and numpy's vectorized ``power`` differs from ``pow`` in the last bit
+in about 5% of elements (50,508 of m = 1..10^6 at alpha = 0.505).
 """
 
 from __future__ import annotations
@@ -31,15 +33,14 @@ __all__ = [
     "CommunicationSchedule",
     "ExplicitSchedule",
     "ScheduleDiagnostics",
+    "ScheduleTable",
     "family_prefix",
     "intervals",
-    "effective_steps",
-    "steps_for_intervals",
+    "table",
     "diagnostics",
     "fclt_time_scale",
     "validate_schedule",
     "warmup_from_prefix",
-    "warmup_rounds",
 ]
 
 _KINDS = ("constant", "log", "power")
@@ -76,17 +77,17 @@ class CommunicationSchedule:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if int(self.base) != self.base or self.base < 1:
+        if not (math.isfinite(self.base) and int(self.base) == self.base >= 1):
             raise ValueError("base interval must be an integer >= 1")
         if self.kind == "power" and not 0.0 < self.exponent < 1.0:
             raise ValueError(
                 "power schedule needs exponent in (0, 1); faster growth makes "
                 "the harmonic interval sum converge and breaks the variance scale"
             )
-        if self.kind == "log" and self.exponent <= 0.0:
-            raise ValueError("log schedule needs a positive exponent")
-        if self.gamma0 <= 0.0:
-            raise ValueError("gamma0 must be positive")
+        if self.kind == "log" and not 0.0 < self.exponent < math.inf:
+            raise ValueError("log schedule needs a positive finite exponent")
+        if not 0.0 < self.gamma0 < math.inf:
+            raise ValueError("gamma0 must be positive and finite")
         if not 0.5 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0.5, 1)")
         if not 0.0 <= self.warmup_fraction < 1.0:
@@ -119,12 +120,14 @@ class ExplicitSchedule:
     def __post_init__(self) -> None:
         if not self.intervals:
             raise ValueError("need at least one interval")
-        if any(int(e) != e or e < 1 for e in self.intervals):
+        if not all(math.isfinite(e) and int(e) == e >= 1 for e in self.intervals):
             raise ValueError("all intervals must be integers >= 1")
         if self.etas and len(self.etas) != len(self.intervals):
             raise ValueError("etas must match intervals in length")
-        if any(e <= 0 for e in self.etas):
-            raise ValueError("etas must be positive")
+        if not all(0.0 < e < math.inf for e in self.etas):
+            raise ValueError("etas must be positive and finite")
+        if not (0.0 < self.gamma0 < math.inf and math.isfinite(self.alpha)):
+            raise ValueError("gamma0 must be positive and finite, alpha finite")
 
     def label(self) -> str:
         return f"explicit[{len(self.intervals)}]"
@@ -147,6 +150,29 @@ class ScheduleDiagnostics:
     nu_hat: float
     nu_limit: float | None
     acf: float
+
+
+@dataclass(frozen=True)
+class ScheduleTable:
+    """Round m's E_m, gamma_m, eta_m and E_1 + ... + E_m at index m - 1, for T rounds.
+
+    The first ``warmup`` rounds are the warm-up's.  Every array is read-only,
+    an unpickled copy's too, so one table serves every replication.
+    """
+
+    intervals: np.ndarray
+    gammas: np.ndarray
+    etas: np.ndarray
+    comm_times: np.ndarray
+    warmup: int
+    diagnostics: ScheduleDiagnostics
+
+    def __post_init__(self) -> None:
+        for array in (self.intervals, self.gammas, self.etas, self.comm_times):
+            array.flags.writeable = False
+
+    def __reduce__(self):
+        return ScheduleTable, tuple(vars(self).values())
 
 
 def _extended(values: tuple, n: int, dtype: type) -> np.ndarray:
@@ -208,11 +234,6 @@ def warmup_from_prefix(schedule: Schedule, prefix: np.ndarray, total_rounds: int
     return lo
 
 
-def warmup_rounds(schedule: Schedule, total_rounds: int) -> int:
-    """Number of leading rounds with E_m = 1 for a run of ``total_rounds``."""
-    return warmup_from_prefix(schedule, family_prefix(schedule, total_rounds), total_rounds)
-
-
 def intervals(schedule: Schedule, total_rounds: int) -> np.ndarray:
     """All intervals E_1..E_T as an integer array.
 
@@ -227,56 +248,39 @@ def intervals(schedule: Schedule, total_rounds: int) -> np.ndarray:
     return np.concatenate([np.ones(w, dtype=np.int64), np.diff(prefix[: total_rounds - w + 1])])
 
 
-def effective_steps(schedule: Schedule, total_rounds: int) -> tuple[np.ndarray, np.ndarray]:
-    """(gamma_1..gamma_T, eta_1..eta_T) as float arrays; eta_m = gamma_m / E_m.
-
-    gamma_m = gamma0 * m**(-alpha), unless an explicit schedule supplies its
-    etas (repeating the final one), in which case gamma_m = eta_m * E_m.
-    """
-    return steps_for_intervals(schedule, intervals(schedule, total_rounds))
-
-
-def steps_for_intervals(schedule: Schedule, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``effective_steps`` for a run whose table ``e = intervals(schedule, T)`` is built.
-
-    A caller that needs both tables builds the intervals once and passes them
-    here; T is ``len(e)``.
-    """
-    total_rounds = len(e)
+def table(schedule: Schedule, total_rounds: int) -> ScheduleTable:
+    """The first ``total_rounds`` rounds' ``ScheduleTable``: gamma_m = gamma0 * m**(-alpha)
+    and eta_m = gamma_m / E_m, unless an explicit schedule supplies its etas
+    (repeating the final one), in which case gamma_m = eta_m * E_m."""
+    e = intervals(schedule, total_rounds)
     if isinstance(schedule, ExplicitSchedule) and schedule.etas:
         etas = _extended(schedule.etas, total_rounds, np.float64)
-        return etas * e, etas
-    powers = map(pow, range(1, total_rounds + 1), repeat(-schedule.alpha))
-    gammas = schedule.gamma0 * np.fromiter(powers, dtype=np.float64, count=total_rounds)
-    return gammas, gammas / e
+        gammas = etas * e
+    else:
+        powers = map(pow, range(1, total_rounds + 1), repeat(-schedule.alpha))
+        gammas = schedule.gamma0 * np.fromiter(powers, dtype=np.float64, count=total_rounds)
+        etas = gammas / e
+    warmup = warmup_from_prefix(schedule, family_prefix(schedule, total_rounds), total_rounds)
+    return ScheduleTable(e, gammas, etas, np.cumsum(e), warmup, _diagnostics(schedule, e))
 
 
-def _nu_limit(schedule: Schedule) -> float | None:
+def _diagnostics(schedule: Schedule, e: np.ndarray) -> ScheduleDiagnostics:
+    t_total, total_rounds = int(e.sum()), len(e)
     if isinstance(schedule, ExplicitSchedule):
-        return None
-    if schedule.kind == "power":
-        return 1.0 / (1.0 - schedule.exponent**2)
-    return 1.0
+        nu_limit = None
+    else:
+        nu_limit = 1.0 / (1.0 - schedule.exponent**2) if schedule.kind == "power" else 1.0
+    nu_hat = t_total * float((1.0 / e).sum()) / total_rounds**2
+    return ScheduleDiagnostics(t_total, nu_hat, nu_limit, total_rounds / t_total)
 
 
 def diagnostics(schedule: Schedule, total_rounds: int) -> ScheduleDiagnostics:
-    """Direct-summation diagnostics of the first ``total_rounds`` rounds."""
-    if total_rounds < 1:
-        raise ValueError("total_rounds must be >= 1")
-    e = intervals(schedule, total_rounds)
-    t_total = int(e.sum())
-    inv_sum = float((1.0 / e).sum())
-    nu_hat = t_total * inv_sum / total_rounds**2
-    return ScheduleDiagnostics(
-        t_T=t_total,
-        nu_hat=nu_hat,
-        nu_limit=_nu_limit(schedule),
-        acf=total_rounds / t_total,
-    )
+    """``table(schedule, total_rounds).diagnostics``, without the step sizes."""
+    return _diagnostics(schedule, intervals(schedule, total_rounds))
 
 
-def fclt_time_scale(schedule: Schedule, r: float, total_rounds: int) -> int:
-    """Largest n with sum_{m<=n} 1/E_m <= r * sum_{m<=T} 1/E_m.
+def fclt_time_scale(table: ScheduleTable, r: float) -> int:
+    """Largest n with sum_{m<=n} 1/E_m <= r * sum_{m<=T} 1/E_m over the table's T rounds.
 
     This is the time index at which the rescaled partial-sum process is
     evaluated; r = 1 always maps to T.  Returns 0 when even the first round
@@ -284,7 +288,7 @@ def fclt_time_scale(schedule: Schedule, r: float, total_rounds: int) -> int:
     """
     if not 0.0 < r <= 1.0:
         raise ValueError("r must lie in (0, 1]")
-    css = np.cumsum(1.0 / intervals(schedule, total_rounds))
+    css = np.cumsum(1.0 / table.intervals)
     budget = r * css[-1]
     return int(np.searchsorted(css, budget * (1.0 + 1e-12), side="right"))
 
@@ -294,9 +298,8 @@ def _trends(
 ) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
     step_sum, gamma_floor, growth = [], [], []
     for t in grid:
-        e = intervals(schedule, t)
-        gammas, _ = steps_for_intervals(schedule, e)
-        sqrt_t = math.sqrt(float(e.sum()))
+        rows = table(schedule, t)
+        e, gammas, sqrt_t = rows.intervals, rows.gammas, math.sqrt(rows.diagnostics.t_T)
         step_sum.append(sqrt_t / t * float(gammas.sum()))
         gamma_floor.append(sqrt_t / (t * math.sqrt(gammas[-1])))
         growth.append(0.0 if t < 2 else t * (1.0 - e[-2] / e[-1]))

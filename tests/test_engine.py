@@ -7,6 +7,7 @@ import pytest
 from fedstat import engine, models, roundoff, schedules
 from fedstat.engine import DivergenceError, SampleBuffer, average_estimate, run
 from fedstat.models import ClientModel, federation_of
+from fedstat.schedules import table
 from reference import round_map
 
 
@@ -58,7 +59,7 @@ class DrawRecorder:
 class TestDeterministicContraction:
     def test_halving_path(self):
         fed = quadratic_fed([0.0])
-        path = run(fed, fixed_step(0.5, 10), 10, np.array([1.0]), seed=0)
+        path = run(fed, table(fixed_step(0.5, 10), 10), np.array([1.0]), seed=0)
         np.testing.assert_allclose(path.points[:, 0], 0.5 ** np.arange(1, 11), rtol=1e-15)
         assert path.total_iterations == 10
         np.testing.assert_array_equal(path.comm_times, np.arange(1, 11))
@@ -76,7 +77,7 @@ class TestDeterministicContraction:
             etas=(0.3, 0.5, 0.2, 0.4, 0.1, 0.25, 0.35, 0.15),
         )
         x0 = np.array([2.0, -1.0, 0.5])
-        path = run(fed, sched, 8, x0, seed=0)
+        path = run(fed, table(sched, 8), x0, seed=0)
         c_bar = weights @ centers
         factor = 1.0
         for e, eta in zip(sched.intervals, sched.etas):
@@ -94,7 +95,8 @@ class TestDeterministicContraction:
         centers = [np.array([1.0]), np.array([-3.0])]
         fed = quadratic_fed(centers)
         eta, e, rounds = 0.4, 5, 12
-        path = run(fed, fixed_step(eta, rounds, interval=e), rounds, np.array([10.0]), seed=0)
+        rows = table(fixed_step(eta, rounds, interval=e), rounds)
+        path = run(fed, rows, np.array([10.0]), seed=0)
         c_bar = 0.5 * (1.0 - 3.0)
         expected = c_bar + (1 - eta) ** (e * np.arange(1, rounds + 1)) * (10.0 - c_bar)
         np.testing.assert_allclose(path.points[:, 0], expected, atol=1e-12, rtol=0)
@@ -119,11 +121,11 @@ class TestReductionToParallelSgd:
         sched = schedules.CommunicationSchedule("constant", base=1, gamma0=0.4, alpha=0.6)
         rounds = 60
         seed = 123
-        path = run(fed, sched, rounds, np.zeros(4), seed=seed)
+        path = run(fed, table(sched, rounds), np.zeros(4), seed=seed)
 
         opt_rngs, _ = engine.client_generators(seed, 3)
         buffer = SampleBuffer(fed.clients, opt_rngs)
-        _, etas = schedules.effective_steps(sched, rounds)
+        etas = table(sched, rounds).etas
         pivot, z = np.zeros(4), unit_z(4)
         reference = []
         for eta in etas:
@@ -133,14 +135,14 @@ class TestReductionToParallelSgd:
 
     def test_weight_invariance_for_identical_noiseless_clients(self):
         centers = [np.array([2.0, -1.0])] * 4
-        sched = fixed_step(0.3, 20)
+        rows = table(fixed_step(0.3, 20), 20)
         x0 = np.array([5.0, 5.0])
-        single = run(quadratic_fed(centers[:1]), sched, 20, x0, seed=0)
+        single = run(quadratic_fed(centers[:1]), rows, x0, seed=0)
         # Dyadic equal weights recombine exactly; uneven weights only up to
         # one rounding in the weighted average per round.
-        exact = run(quadratic_fed(centers, weights=[0.25] * 4), sched, 20, x0, seed=0)
+        exact = run(quadratic_fed(centers, weights=[0.25] * 4), rows, x0, seed=0)
         np.testing.assert_array_equal(exact.points, single.points)
-        uneven = run(quadratic_fed(centers, weights=[0.7, 0.1, 0.1, 0.1]), sched, 20, x0, seed=0)
+        uneven = run(quadratic_fed(centers, weights=[0.7, 0.1, 0.1, 0.1]), rows, x0, seed=0)
         np.testing.assert_allclose(uneven.points, single.points, rtol=1e-13, atol=0)
 
 
@@ -150,13 +152,13 @@ class TestObserversAndDeterminism:
         rounds = 2 * engine.BLOCK_ROUNDS + 40
         fed = linear_fed(np.random.default_rng(0).standard_normal((2, 3)))
         sched = schedules.CommunicationSchedule("power", base=1, exponent=0.5, gamma0=0.5)
-        bare = run(fed, sched, rounds, np.zeros(3), seed=5)
+        bare = run(fed, table(sched, rounds), np.zeros(3), seed=5)
         from fedstat.plugin import PluginState
         from fedstat.rscale import RScaleState
 
         recorder = PathRecorder()
         watched = run(
-            fed, sched, rounds, np.zeros(3), seed=5,
+            fed, table(sched, rounds), np.zeros(3), seed=5,
             observers=(PluginState(3), RScaleState(3), recorder),
         )
         np.testing.assert_array_equal(bare.points, watched.points)
@@ -189,7 +191,7 @@ class TestObserversAndDeterminism:
             intervals=tuple(1 + m % 3 for m in range(rounds)), etas=(0.05,) * rounds
         )
         recorder = DrawRecorder()
-        path = run(fed, sched, rounds, np.zeros(d), seed=seed, observers=(recorder,))
+        path = run(fed, table(sched, rounds), np.zeros(d), seed=seed, observers=(recorder,))
 
         _, inf_rngs = engine.client_generators(seed, k)
         buffer = SampleBuffer(fed.clients, inf_rngs)
@@ -226,7 +228,7 @@ class TestObserversAndDeterminism:
         recorder = PathRecorder()
         # 1 - eta = -2 doubles the iterate's size per step: 2**27 > 1e8 at round 27.
         with pytest.raises(DivergenceError, match="round 27"):
-            run(fed, fixed_step(3.0, 40), 40, np.array([1.0]), seed=0, observers=(recorder,))
+            run(fed, table(fixed_step(3.0, 40), 40), np.array([1.0]), seed=0, observers=(recorder,))
         assert [row[0] for row in recorder.rows] == list(range(1, 27))
         assert recorder.rows[-1][2][0] == (-2.0) ** 26
 
@@ -247,33 +249,43 @@ class TestObserversAndDeterminism:
         assert m == 378 and engine.BLOCK_ROUNDS < m < 2 * engine.BLOCK_ROUNDS
         recorder = PathRecorder()
         with pytest.raises(DivergenceError, match=f"at round {m}$"):
-            run(fed, fixed_step(eta, 600), 600, np.array([1.0]), seed=0, observers=(recorder,))
+            run(fed, table(fixed_step(eta, 600), 600), np.array([1.0]), 0, observers=(recorder,))
         assert [row[0] for row in recorder.rows] == list(range(1, m))
         np.testing.assert_array_equal([row[2] for row in recorder.rows], seen)
 
     def test_overflow_after_the_diverging_round_is_silent(self):
         # 1 - eta = -1000: round 3 exceeds 1e8, and the rest of the block's
         # rounds overflow to inf and then nan before the block is tested.
-        fed = quadratic_fed([0.0])
+        fed, rounds = quadratic_fed([0.0]), engine.BLOCK_ROUNDS
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DivergenceError, match="at round 3$"):
-                run(fed, fixed_step(1001.0, engine.BLOCK_ROUNDS), engine.BLOCK_ROUNDS,
-                    np.array([1.0]), seed=0)
+                run(fed, table(fixed_step(1001.0, rounds), rounds), np.array([1.0]), seed=0)
 
     def test_bit_identical_reruns(self):
         fed = linear_fed(np.random.default_rng(1).standard_normal((3, 2)))
         sched = schedules.CommunicationSchedule("log", base=1, exponent=1.0, gamma0=0.5)
-        a = run(fed, sched, 50, np.zeros(2), seed=9)
-        b = run(fed, sched, 50, np.zeros(2), seed=9)
+        a = run(fed, table(sched, 50), np.zeros(2), seed=9)
+        b = run(fed, table(sched, 50), np.zeros(2), seed=9)
         np.testing.assert_array_equal(a.points, b.points)
         np.testing.assert_array_equal(a.comm_times, b.comm_times)
+
+    def test_shared_table_gives_the_paths_of_separate_tables(self):
+        fed = linear_fed(np.random.default_rng(3).standard_normal((3, 2)))
+        sched = schedules.CommunicationSchedule("power", exponent=0.5, warmup_fraction=0.05)
+        shared = table(sched, 300)
+        for seed in (1, 2):
+            path = run(fed, shared, np.zeros(2), seed)
+            alone = run(fed, table(sched, 300), np.zeros(2), seed)
+            np.testing.assert_array_equal(path.points, alone.points)
+            np.testing.assert_array_equal(path.comm_times, alone.comm_times)
+            assert path.comm_times is shared.comm_times
 
     def test_observer_sees_round_metadata(self):
         fed = quadratic_fed([0.0, 1.0])
         sched = schedules.ExplicitSchedule(intervals=(2, 3, 1), etas=(0.1, 0.1, 0.1))
         recorder = PathRecorder()
-        path = run(fed, sched, 3, np.array([1.0]), seed=0, observers=(recorder,))
+        path = run(fed, table(sched, 3), np.array([1.0]), seed=0, observers=(recorder,))
         assert [(m, t, e) for m, t, _, e in recorder.rows] == [(1, 2, 2), (2, 5, 3), (3, 6, 1)]
         assert path.total_iterations == 6
 
@@ -295,7 +307,7 @@ class TestGuardsAndHelpers:
         # eta = 3 makes |1 - eta| = 2, doubling the iterate per step.
         sched = fixed_step(3.0, 40)
         with pytest.raises(DivergenceError, match="round"):
-            run(fed, sched, 40, np.array([1.0]), seed=0)
+            run(fed, table(sched, 40), np.array([1.0]), seed=0)
 
     def test_average_estimate(self):
         path = engine.SyncPath(points=np.array([[1.0], [3.0]]), comm_times=np.array([1, 2]))
@@ -307,7 +319,7 @@ class TestGuardsAndHelpers:
         # Monte Carlo sanity of the mean estimate at 3 sigma of its CLT scale.
         fed = linear_fed(np.random.default_rng(6).standard_normal((10, 2)))
         sched = schedules.CommunicationSchedule("constant", base=1, gamma0=0.5, alpha=0.505)
-        path = run(fed, sched, 1000, np.zeros(2), seed=31)
+        path = run(fed, table(sched, 1000), np.zeros(2), seed=31)
         from fedstat.models import true_sandwich
 
         _, _, cov = true_sandwich(fed)
@@ -316,7 +328,7 @@ class TestGuardsAndHelpers:
 
     def test_path_csv_dump(self):
         fed = quadratic_fed([0.0])
-        path = run(fed, fixed_step(0.5, 3), 3, np.array([1.0]), seed=0)
+        path = run(fed, table(fixed_step(0.5, 3), 3), np.array([1.0]), seed=0)
         out = io.StringIO()
         engine.save_path_csv(path, out)
         lines = out.getvalue().strip().splitlines()
@@ -348,7 +360,7 @@ class TestGuardsAndHelpers:
         # The iterate doubles in size per round from 1e3, so it first exceeds
         # 1e8 * 1e3 at round 27 (2**27 > 1e8).
         with pytest.raises(DivergenceError, match="bound 1e\\+11 at round 27$"):
-            run(quadratic_fed([0.0]), fixed_step(3.0, 40), 40, np.array([1e3]), seed=0)
+            run(quadratic_fed([0.0]), table(fixed_step(3.0, 40), 40), np.array([1e3]), seed=0)
 
     def test_bound_whose_square_overflows(self):
         # From x0 = 1e150 the bound is 1e158, whose square overflows a float;
@@ -356,7 +368,7 @@ class TestGuardsAndHelpers:
         # every round.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            path = run(quadratic_fed([0.0]), fixed_step(0.5, 10), 10, np.array([1e150]), seed=0)
+            path = run(quadratic_fed([0.0]), table(fixed_step(0.5, 10), 10), np.array([1e150]), 0)
         np.testing.assert_array_equal(path.points[:, 0], 1e150 * 0.5 ** np.arange(1, 11))
 
 
@@ -389,8 +401,8 @@ def per_round_run(fed, sched, rounds, x0, seed, bound=1e8):
     weights, logistic = fed.weights, fed.kind == "logistic"
     opt_rngs, inf_rngs = engine.client_generators(seed, k)
     opt, inf = SampleBuffer(fed.clients, opt_rngs), SampleBuffer(fed.clients, inf_rngs)
-    e = schedules.intervals(sched, rounds)
-    _, etas = schedules.steps_for_intervals(sched, e)
+    rows = table(sched, rounds)
+    e, etas = rows.intervals, rows.etas
     starts = [None] * rounds if logistic else affine_group_starts(e.tolist(), rounds)
     X = np.tile(x0, (k, 1))
     points, grads, hessians = [], [], []
@@ -479,7 +491,7 @@ class TestRoundGroups:
         reference_sizes = per_stream(sizes)
         sizes.clear()
         recorder = DrawRecorder()
-        path = run(fed, sched, rounds, x0, seed=4, observers=(recorder,))
+        path = run(fed, table(sched, rounds), x0, seed=4, observers=(recorder,))
         assert per_stream(sizes) == reference_sizes
         assert max(n for _, n in sizes) > engine._BUFFER_CHUNK
         np.testing.assert_array_equal(path.points, np.array(points))
@@ -502,6 +514,6 @@ class TestRoundGroups:
         assert m is not None and 1 < m < rounds
         recorder = PathRecorder()
         with pytest.raises(DivergenceError, match=f"at round {m}$"):
-            run(fed, sched, rounds, x0, seed=8, observers=(recorder,))
+            run(fed, table(sched, rounds), x0, seed=8, observers=(recorder,))
         assert [row[0] for row in recorder.rows] == list(range(1, m))
         np.testing.assert_array_equal([row[2] for row in recorder.rows], points)

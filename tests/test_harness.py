@@ -104,6 +104,31 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="methods must not repeat"):
             parse_config_text("methods = plugin,rscale,plugin\n")
 
+    @pytest.mark.parametrize(
+        "line, field",
+        [
+            ("gamma0 = nan", "gamma0"),
+            ("gamma0 = inf", "gamma0"),
+            ("schedule = log\nschedule_exponent = nan", "exponent"),
+            ("schedule = log\nschedule_exponent = inf", "exponent"),
+            ("noise_scale = nan", "noise_scale"),
+            ("noise_scale = inf", "noise_scale"),
+        ],
+        ids=["gamma0-nan", "gamma0-inf", "exponent-nan", "exponent-inf", "noise-nan", "noise-inf"],
+    )
+    def test_non_finite_value_rejected(self, line, field):
+        with pytest.raises(ValueError, match=field):
+            parse_config_text(f"model = linear\nrounds = 5\n{line}\n")
+
+    def test_cli_rejects_a_nan_gamma0_before_any_run(self, tmp_path, capsys, monkeypatch):
+        runs = []
+        monkeypatch.setattr(engine, "run", lambda *args, **kwargs: runs.append(args))
+        path = tmp_path / "config.txt"
+        path.write_text(BASE_CONFIG.replace("gamma0 = 0.5", "gamma0 = nan"))
+        assert cli.main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == "fedstat: error: gamma0 must be positive and finite\n"
+        assert runs == []
+
     def test_plugin_skip_warmup_is_an_unknown_key(self):
         with pytest.raises(ValueError, match=r"unknown config keys: \['plugin_skip_warmup'\]"):
             parse_config_text("plugin_skip_warmup = on\n")
@@ -473,11 +498,11 @@ class TestConvergenceCurve:
     )
     def test_rows_are_means_of_path_prefix_errors(self, config, checkpoints, kept):
         fed = harness.build_federation(config)
-        errors = []
+        rows, errors = schedules.table(config.schedule, checkpoints[-1]), []
         for rep in range(config.replications):
             seed = np.random.SeedSequence(config.seed, spawn_key=(1, rep))
             try:
-                path = engine.run(fed, config.schedule, checkpoints[-1], np.zeros(3), seed)
+                path = engine.run(fed, rows, np.zeros(3), seed)
             except engine.DivergenceError:
                 continue
             x_star = fed.global_optimum
@@ -488,6 +513,67 @@ class TestConvergenceCurve:
         ses = errors.std(axis=0, ddof=1) / np.sqrt(len(errors))
         expected = [(t, float(mu), float(se)) for t, mu, se in zip(checkpoints, means, ses)]
         assert convergence_curve(config, checkpoints) == expected
+
+
+def count_interval_builds(monkeypatch):
+    """Record the round count of every ``schedules.intervals`` call."""
+    calls = []
+    build = schedules.intervals
+
+    def counted(schedule, total_rounds):
+        calls.append(total_rounds)
+        return build(schedule, total_rounds)
+
+    monkeypatch.setattr(schedules, "intervals", counted)
+    return calls
+
+
+class TestOneScheduleTable:
+    def test_run_experiment_builds_it_once(self, monkeypatch):
+        calls = count_interval_builds(monkeypatch)
+        config = parse_config_text(BASE_CONFIG.replace("replications = 6", "replications = 3"))
+        report = run_experiment(config, workers=1)
+        assert calls == [report.rounds]
+
+    def test_replications_share_one_read_only_table(self, monkeypatch):
+        tables = []
+        run = engine.run
+
+        def recorded(federation, table, *args, **kwargs):
+            tables.append(table)
+            return run(federation, table, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "run", recorded)
+        run_experiment(quadratic_config(replications=3), workers=1)
+        assert len(tables) == 3 and all(t is tables[0] for t in tables)
+        for array in (tables[0].intervals, tables[0].gammas, tables[0].etas, tables[0].comm_times):
+            assert not array.flags.writeable
+
+    def test_convergence_curve_builds_it_once(self, monkeypatch):
+        calls = count_interval_builds(monkeypatch)
+        convergence_curve(quadratic_config(replications=3), [5, 25])
+        assert calls == [25]
+
+    def test_partial_sum_process_builds_it_once(self, monkeypatch):
+        """37 grid points, one table; the rows equal a scan of the cumulative
+        1/E_m for h(r, T) at every point."""
+        sched = schedules.CommunicationSchedule("power", exponent=0.5, warmup_fraction=0.05)
+        fed = harness.build_federation(quadratic_config())
+        path = engine.run(fed, schedules.table(sched, 200), np.zeros(2), seed=3)
+        x_star, grid = fed.global_optimum, np.linspace(0.01, 1.0, 37)
+        css = np.cumsum(1.0 / schedules.intervals(sched, 200))
+        scale = np.sqrt(path.total_iterations) / 200
+        cumulative = np.cumsum(path.points - x_star, axis=0)
+        expected = []
+        for r in grid:
+            h = int(np.sum(css <= r * css[-1] * (1.0 + 1e-12)))
+            expected.append(scale * cumulative[h - 1] if h else np.zeros(2))
+        assert int(np.sum(css <= 0.01 * css[-1])) == 0  # the grid reaches h = 0
+        calls = count_interval_builds(monkeypatch)
+        np.testing.assert_array_equal(
+            partial_sum_process(path, sched, x_star, grid), np.stack(expected)
+        )
+        assert calls == [200]
 
 
 class TestPartialSumProcess:

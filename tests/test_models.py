@@ -355,6 +355,13 @@ class TestGradientHessianConsistency:
             np.testing.assert_allclose(column, mean_hess[:, i], atol=1e-4)
 
 
+class TestClientModelInputs:
+    @pytest.mark.parametrize("noise", [-1.0, math.nan, math.inf])
+    def test_noise_scale_must_be_nonnegative_and_finite(self, noise):
+        with pytest.raises(ValueError, match="noise_scale"):
+            ClientModel("linear", np.zeros(2), noise_scale=noise)
+
+
 class TestFederation:
     def test_weights_must_sum_to_one(self):
         clients = [ClientModel("linear", np.zeros(2)) for _ in range(2)]

@@ -193,7 +193,8 @@ class TestSandwich:
         state = PluginState(5)
         from fedstat import engine
 
-        engine.run(fed, config.schedule, 4000, np.zeros(5), seed=11, observers=(state,))
+        rows = schedules.table(config.schedule, 4000)
+        engine.run(fed, rows, np.zeros(5), seed=11, observers=(state,))
         _, _, cov = models.true_sandwich(fed)
         err = np.linalg.norm(state.sandwich() - cov) / np.linalg.norm(cov)
         assert err < 0.10

@@ -1,4 +1,6 @@
 import math
+import pickle
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -19,8 +21,12 @@ def interval(sched, m, total):
 
 
 def steps(sched, m, total):
-    gammas, etas = schedules.effective_steps(sched, total)
-    return gammas[m - 1], etas[m - 1]
+    rows = schedules.table(sched, total)
+    return rows.gammas[m - 1], rows.etas[m - 1]
+
+
+def fclt(sched, r, total):
+    return schedules.fclt_time_scale(schedules.table(sched, total), r)
 
 
 class TestIntervalAt:
@@ -42,7 +48,7 @@ class TestIntervalAt:
     def test_warmup_rounds_are_one(self):
         sched = constant(5, warmup_fraction=0.05)
         total = 2400
-        w = schedules.warmup_rounds(sched, total)
+        w = schedules.table(sched, total).warmup
         assert w == 500  # 5% of the 10000 total observations
         assert all(interval(sched, m, total) == 1 for m in range(1, w + 1))
         assert interval(sched, w + 1, total) == 5
@@ -50,7 +56,7 @@ class TestIntervalAt:
     def test_family_index_shifts_by_warmup(self):
         sched = CommunicationSchedule("power", base=1, exponent=0.5, warmup_fraction=0.05)
         total = 300
-        w = schedules.warmup_rounds(sched, total)
+        w = schedules.table(sched, total).warmup
         assert interval(sched, w + 9, total) == 3  # ceil(sqrt(9))
 
     def test_pure_function(self):
@@ -129,28 +135,82 @@ class TestDiagnostics:
 
 class TestFcltTimeScale:
     def test_direct_scan_example(self):
-        assert schedules.fclt_time_scale(constant(1), 0.35, 10) == 3
+        assert fclt(constant(1), 0.35, 10) == 3
 
     def test_full_budget_returns_total(self):
         for sched in (constant(1), constant(4), CommunicationSchedule("power", exponent=0.5)):
-            assert schedules.fclt_time_scale(sched, 1.0, 17) == 17
+            assert fclt(sched, 1.0, 17) == 17
 
     def test_constant_interval_cancels(self):
-        assert schedules.fclt_time_scale(constant(2), 0.5, 10) == 5
+        assert fclt(constant(2), 0.5, 10) == 5
 
     def test_monotone_in_r(self):
         sched = CommunicationSchedule("power", base=2, exponent=0.5)
-        values = [
-            schedules.fclt_time_scale(sched, r, 200) for r in np.linspace(0.01, 1.0, 37)
-        ]
+        values = [fclt(sched, r, 200) for r in np.linspace(0.01, 1.0, 37)]
         assert all(a <= b for a, b in zip(values, values[1:]))
         assert all(isinstance(v, int) for v in values)
 
     def test_rejects_r_outside_unit_interval(self):
         with pytest.raises(ValueError):
-            schedules.fclt_time_scale(constant(1), 0.0, 5)
+            fclt(constant(1), 0.0, 5)
         with pytest.raises(ValueError):
-            schedules.fclt_time_scale(constant(1), 1.5, 5)
+            fclt(constant(1), 1.5, 5)
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            (dict(kind="constant", gamma0=math.nan), "gamma0"),
+            (dict(kind="constant", gamma0=math.inf), "gamma0"),
+            (dict(kind="log", exponent=math.nan), "exponent"),
+            (dict(kind="log", exponent=math.inf), "exponent"),
+            (dict(kind="constant", base=math.inf), "base"),
+        ],
+        ids=["gamma0-nan", "gamma0-inf", "log-exponent-nan", "log-exponent-inf", "base-inf"],
+    )
+    def test_parametric_schedule(self, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            CommunicationSchedule(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            (dict(intervals=(1, math.inf)), "intervals"),
+            (dict(intervals=(1, math.nan)), "intervals"),
+            (dict(intervals=(1, 2), etas=(0.1, math.nan)), "etas"),
+            (dict(intervals=(1, 2), etas=(0.1, math.inf)), "etas"),
+            (dict(intervals=(1,), gamma0=math.nan), "gamma0"),
+            (dict(intervals=(1,), alpha=math.inf), "alpha"),
+        ],
+        ids=["interval-inf", "interval-nan", "eta-nan", "eta-inf", "gamma0-nan", "alpha-inf"],
+    )
+    def test_explicit_schedule(self, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            ExplicitSchedule(**kwargs)
+
+
+class TestTable:
+    SCHED = CommunicationSchedule("power", exponent=0.5, warmup_fraction=0.05)
+    ARRAYS = ("intervals", "gammas", "etas", "comm_times")
+
+    def test_cannot_be_changed(self):
+        rows = schedules.table(self.SCHED, 300)
+        for name in self.ARRAYS:
+            array = getattr(rows, name)
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 7
+        with pytest.raises(FrozenInstanceError):
+            rows.warmup = 0
+
+    def test_unpickled_copy_is_equal_and_read_only(self):
+        rows = schedules.table(self.SCHED, 300)
+        copy = pickle.loads(pickle.dumps(rows))
+        for name in self.ARRAYS:
+            assert not getattr(copy, name).flags.writeable
+            np.testing.assert_array_equal(getattr(copy, name), getattr(rows, name))
+        assert (copy.warmup, copy.diagnostics) == (rows.warmup, rows.diagnostics)
 
 
 class TestValidateSchedule:
@@ -174,14 +234,14 @@ class TestValidateSchedule:
 
 class TestWarmupAccounting:
     def test_no_warmup_means_zero_rounds(self):
-        assert schedules.warmup_rounds(constant(5), 100) == 0
+        assert schedules.table(constant(5), 100).warmup == 0
 
     def test_warmup_observation_fraction(self):
         # The warm-up rounds themselves are observations: W ~ frac * t_T(W).
         sched = CommunicationSchedule("power", base=1, exponent=0.5, warmup_fraction=0.05)
         total = 1076
-        w = schedules.warmup_rounds(sched, total)
-        t_total = schedules.diagnostics(sched, total).t_T
+        rows = schedules.table(sched, total)
+        w, t_total = rows.warmup, rows.diagnostics.t_T
         assert w >= sched.warmup_fraction * t_total - 1
         assert (w - 1) < sched.warmup_fraction * (t_total + 1)
 
@@ -289,11 +349,14 @@ class TestScalarParity:
         e = schedules.intervals(sched, total)
         np.testing.assert_array_equal(e, ref_intervals(sched, total))
         assert e.dtype == np.int64
-        gammas, etas = schedules.effective_steps(sched, total)
+        rows = schedules.table(sched, total)
+        np.testing.assert_array_equal(rows.intervals, e)
+        np.testing.assert_array_equal(rows.comm_times, np.cumsum(ref_intervals(sched, total)))
         ref_gammas, ref_etas = ref_steps(sched, total)
-        np.testing.assert_array_equal(gammas, ref_gammas)
-        np.testing.assert_array_equal(etas, ref_etas)
-        assert schedules.warmup_rounds(sched, total) == ref_warmup(sched, total)
+        np.testing.assert_array_equal(rows.gammas, ref_gammas)
+        np.testing.assert_array_equal(rows.etas, ref_etas)
+        assert rows.warmup == ref_warmup(sched, total)
+        assert rows.diagnostics == schedules.diagnostics(sched, total)
         assert rounds_for_target(sched, target) == ref_rounds_for_target(sched, target)
 
     @pytest.mark.parametrize(
