@@ -57,6 +57,7 @@ from importlib import resources
 from typing import IO
 
 import numpy as np
+import numpy.random  # noqa: F401  (numpy loads it lazily; load it with the package)
 
 __all__ = [
     "CriticalValueTable",

@@ -73,6 +73,7 @@ from dataclasses import dataclass
 from typing import IO, Iterable, Protocol
 
 import numpy as np
+import numpy.random  # noqa: F401  (numpy loads it lazily; load it with the package)
 
 from . import models, roundoff
 

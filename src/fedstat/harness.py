@@ -24,6 +24,7 @@ from functools import partial
 from pathlib import Path
 
 import numpy as np
+import numpy.random  # noqa: F401  (numpy loads it lazily; load it with the package)
 
 from . import critvals, engine, models, roundoff, rscale, schedules
 from .plugin import PluginState, SingularHessian
@@ -49,6 +50,18 @@ _STATES = {"plugin": PluginState, "rscale": RScaleState}
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment: the federation, the schedule, the run length, the
+    replications and the inference methods.  Bad input raises ``ValueError``
+    when the config is built.
+
+    A logistic config loads the sigmoid (``models.sigmoid``, from
+    scipy.special, most of a cold import's time) when it is built, and no
+    other kind loads it.  Building the config comes before ``run_experiment``,
+    and so before its pool forks: forked workers inherit the loaded module,
+    and neither ``build_federation`` nor the first replication pays for the
+    import.
+    """
+
     model: str = "linear"
     dimension: int = 5
     clients: int = 10
@@ -74,8 +87,10 @@ class ExperimentConfig:
             raise ValueError("dimension and clients must be >= 1")
         if not 0.0 <= self.noise_scale < math.inf:
             raise ValueError("noise_scale must be nonnegative and finite")
-        if self.model == "logistic" and self.heterogeneity:
-            raise ValueError("logistic runs do not support heterogeneity; set it off")
+        if self.model == "logistic":
+            if self.heterogeneity:
+                raise ValueError("logistic runs do not support heterogeneity; set it off")
+            models.sigmoid  # noqa: B018  (loads scipy.special now; see the docstring)
         if (self.rounds is None) == (self.target_observations is None):
             raise ValueError("set exactly one of rounds / target_observations")
         if self.rounds is not None and self.rounds < 1:
@@ -330,14 +345,33 @@ def _check_workers(workers: int) -> None:
         raise ValueError(f"workers must be >= 1, got {workers}")
 
 
-def _map_replications(fn, count: int, workers: int) -> list:
-    """fn(0..count-1) in order, on at most min(workers, count) processes."""
+# A pool worker's replication function and payload, set once per worker by
+# the pool's initializer, so that the tasks carry only their indices.
+_worker_task: tuple | None = None
+
+
+def _set_worker_task(fn, payload) -> None:
+    global _worker_task
+    _worker_task = (fn, payload)
+
+
+def _run_worker_task(rep: int):
+    fn, payload = _worker_task
+    return fn(payload, rep)
+
+
+def _map_replications(fn, payload, count: int, workers: int) -> list:
+    """fn(payload, rep) for rep in 0..count-1, in order, on at most
+    min(workers, count) processes.  Each worker receives the payload once,
+    through the pool's initializer."""
     workers = min(workers, count)
     if workers <= 1:
-        return [fn(rep) for rep in range(count)]
+        return [fn(payload, rep) for rep in range(count)]
     chunksize = max(1, count // (8 * workers))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(count), chunksize=chunksize))
+    with ProcessPoolExecutor(
+        max_workers=workers, initializer=_set_worker_task, initargs=(fn, payload)
+    ) as pool:
+        return list(pool.map(_run_worker_task, range(count), chunksize=chunksize))
 
 
 # --- experiment driver --------------------------------------------------------
@@ -413,7 +447,7 @@ def run_experiment(
         paths_dir=paths_dir,
         dump_paths=dump_paths,
     )
-    results = _map_replications(partial(_replicate, payload), config.replications, workers)
+    results = _map_replications(_replicate, payload, config.replications, workers)
 
     summaries = []
     for idx, method in enumerate(config.methods):
@@ -543,7 +577,7 @@ def convergence_curve(
     federation = build_federation(config)
     table = schedules.table(config.schedule, checkpoints[-1])
     payload = (federation, table, checkpoints, _resolve_x0(config, federation), config.seed)
-    results = _map_replications(partial(_curve_replicate, payload), config.replications, workers)
+    results = _map_replications(_curve_replicate, payload, config.replications, workers)
     kept = [errors for errors in results if errors is not None]
     if not kept:
         return [(t, math.nan, math.nan) for t in checkpoints]

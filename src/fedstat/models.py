@@ -30,6 +30,15 @@ one matrix-vector product per round; a call with any longer round runs the
 step loop.  The weighted Gram sum_k w_k a_k a_k' of the maps and of the
 Hessian draws is one expression, ``weighted_gram``.
 ``ClientModel.draw`` is the one sample generator per kind.
+
+The sigmoid is ``scipy.special.expit``, which only the logistic kind uses.
+Loading scipy.special took about 0.2 s and 18 MB of a 0.37 s, 55 MB cold
+``import fedstat`` (scipy 1.17, 2-core Xeon), so the module imports only the
+``scipy`` package, whose subpackages load on first attribute access: each
+logistic kernel and the logistic ``draw`` read ``scipy.special.expit`` once
+per call, and the exported ``sigmoid`` is the same ufunc, resolved on first
+access.  The bare ``import scipy`` also keeps ``scipy`` in ``sys.modules``
+for callers that read its version from there.
 """
 
 from __future__ import annotations
@@ -38,7 +47,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
-from scipy.special import expit as sigmoid
+import scipy
 
 __all__ = [
     "ClientModel",
@@ -55,6 +64,14 @@ __all__ = [
     "quadratic_draws",
     "KERNELS",
 ]
+
+
+def __getattr__(name: str):
+    # ``sigmoid`` resolves on first access, so that importing the module does
+    # not load scipy.special (see the module docstring).
+    if name == "sigmoid":
+        return scipy.special.expit
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # --- local SGD rounds, in place on the stacked client states -----------------
@@ -198,6 +215,7 @@ def logistic_rounds(
 
     The labels B must be exactly 0 or 1: each step runs in the signed form
     x_k -= eta * a~ sigmoid(a~' x_k) with a~ = (1 - 2 b_kt) a_kt."""
+    sigmoid = scipy.special.expit
     covariates = np.empty(A.shape)
     np.multiply(A, (1.0 - 2.0 * B)[:, :, None], covariates)
     scaled = np.repeat(etas, intervals)[:, None, None] * covariates
@@ -268,7 +286,7 @@ def logistic_draws(
 ) -> tuple[np.ndarray, np.ndarray]:
     """sum_k w_k a_k (p_k - b_k) and sum_k w_k p_k (1 - p_k) a_k a_k' per row
     of X, with p_k = sigmoid(a_k' x)."""
-    p = sigmoid(np.matmul(A, X[:, :, None])[..., 0])
+    p = scipy.special.expit(np.matmul(A, X[:, :, None])[..., 0])
     grads = weights @ (A * (p - B)[..., None])
     return grads, weighted_gram(A, weights * p * (1.0 - p))
 
@@ -338,7 +356,7 @@ class ClientModel:
         if self.kind == "logistic":
             a = rng.standard_normal((n, d))
             u = rng.random(n)
-            b = (u < sigmoid(a @ self.local_optimum)).astype(np.float64)
+            b = (u < scipy.special.expit(a @ self.local_optimum)).astype(np.float64)
             return a, b
         return np.tile(self.local_optimum, (n, 1)), np.full(n, self.curvature)
 

@@ -195,12 +195,24 @@ def family_prefix(schedule: Schedule, n: int) -> np.ndarray:
     elif schedule.kind == "constant":
         family = np.full(n, schedule.base, dtype=np.int64)
     else:
+        # One buffer, updated in place: each temporary of the plain expression
+        # is n * 8 bytes of fresh pages, and at n = 10^5 (``rounds_for_target``
+        # for 10^5 observations) their page faults were most of the call.
+        # ``**=`` takes the same scalar shortcuts as ``**`` (sqrt at 0.5), so
+        # the bits are those of ceil(base * grow**exponent - 1e-12).
         grow = np.arange(1, n + 1, dtype=np.float64)
         if schedule.kind == "log":
-            grow = np.log2(grow + 1.0)
-        values = np.ceil(schedule.base * grow**schedule.exponent - 1e-12)
-        family = np.maximum(values, 1.0).astype(np.int64)
-    return np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(family)])
+            grow += 1.0
+            np.log2(grow, out=grow)
+        grow **= schedule.exponent
+        grow *= schedule.base
+        grow -= 1e-12
+        np.ceil(grow, out=grow)
+        np.maximum(grow, 1.0, out=grow)
+        family = grow.astype(np.int64)
+    prefix = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(family, out=prefix[1:])
+    return prefix
 
 
 def warmup_from_prefix(schedule: Schedule, prefix: np.ndarray, total_rounds: int) -> int:
@@ -241,18 +253,24 @@ def intervals(schedule: Schedule, total_rounds: int) -> np.ndarray:
     explicit schedule, requests past the supplied sequence repeat its final
     value.
     """
+    return _warmup_and_intervals(schedule, total_rounds)[1]
+
+
+def _warmup_and_intervals(schedule: Schedule, total_rounds: int) -> tuple[int, np.ndarray]:
+    """The warm-up round count W and E_1..E_T, from one family prefix."""
     if total_rounds < 1:
         raise ValueError("total_rounds must be >= 1")
     prefix = family_prefix(schedule, total_rounds)
     w = warmup_from_prefix(schedule, prefix, total_rounds)
-    return np.concatenate([np.ones(w, dtype=np.int64), np.diff(prefix[: total_rounds - w + 1])])
+    family = np.diff(prefix[: total_rounds - w + 1])
+    return w, np.concatenate([np.ones(w, dtype=np.int64), family])
 
 
 def table(schedule: Schedule, total_rounds: int) -> ScheduleTable:
     """The first ``total_rounds`` rounds' ``ScheduleTable``: gamma_m = gamma0 * m**(-alpha)
     and eta_m = gamma_m / E_m, unless an explicit schedule supplies its etas
     (repeating the final one), in which case gamma_m = eta_m * E_m."""
-    e = intervals(schedule, total_rounds)
+    warmup, e = _warmup_and_intervals(schedule, total_rounds)
     if isinstance(schedule, ExplicitSchedule) and schedule.etas:
         etas = _extended(schedule.etas, total_rounds, np.float64)
         gammas = etas * e
@@ -260,7 +278,6 @@ def table(schedule: Schedule, total_rounds: int) -> ScheduleTable:
         powers = map(pow, range(1, total_rounds + 1), repeat(-schedule.alpha))
         gammas = schedule.gamma0 * np.fromiter(powers, dtype=np.float64, count=total_rounds)
         etas = gammas / e
-    warmup = warmup_from_prefix(schedule, family_prefix(schedule, total_rounds), total_rounds)
     return ScheduleTable(e, gammas, etas, np.cumsum(e), warmup, _diagnostics(schedule, e))
 
 

@@ -25,18 +25,41 @@ def test_every_exported_name_resolves(name):
     assert missing == []
 
 
-def test_import_leaves_scipy_linalg_unloaded():
-    # A cold import pays for scipy.special (the logistic sigmoid) but not
-    # for scipy.linalg, which only a plug-in sandwich read needs.
+def _fresh_interpreter(script: str) -> list[str]:
+    """The words that ``script`` prints in a new interpreter importing from src."""
     src = Path(fedstat.__file__).resolve().parents[1]
-    script = (
-        "import sys, fedstat, fedstat.cli\n"
-        "print('scipy.special' in sys.modules, 'scipy.linalg' in sys.modules)\n"
-    )
     env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["True", "False"]
+    return done.stdout.split()
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    # A cold import loads neither scipy.special (the logistic sigmoid, loaded
+    # by a logistic config) nor scipy.linalg, which only a plug-in sandwich
+    # read needs.  It does load the bare scipy package, whose version
+    # sys.modules["scipy"] gives, and numpy.random, which numpy loads lazily.
+    script = (
+        "import sys, fedstat, fedstat.cli\n"
+        "print(*(name in sys.modules for name in\n"
+        "        ('scipy.special', 'scipy.linalg', 'scipy', 'numpy.random')))\n"
+    )
+    assert _fresh_interpreter(script) == ["False", "False", "True", "True"]
+
+
+def test_only_a_logistic_config_loads_scipy_special():
+    script = (
+        "import sys\n"
+        "from fedstat import ExperimentConfig, run_experiment, simulate_table\n"
+        "config = ExperimentConfig(dimension=2, clients=2, rounds=20,\n"
+        "                          target_observations=None, replications=2)\n"
+        "run_experiment(config)\n"
+        "simulate_table([0.5], [0.95], steps=100, replications=1000, seed=1)\n"
+        "print('scipy.special' in sys.modules)\n"
+        "ExperimentConfig(model='logistic', heterogeneity=False)\n"
+        "print('scipy.special' in sys.modules)\n"
+    )
+    assert _fresh_interpreter(script) == ["False", "True"]
 
 
 def test_engine_does_not_reference_schedules():

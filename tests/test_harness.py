@@ -237,6 +237,19 @@ class TestRunExperiment:
         reps_a = (out_a / "replications.csv").read_bytes()
         assert reps_a == (out_c / "replications.csv").read_bytes()
 
+    def test_reproducible_logistic_report_across_workers(self, tmp_path):
+        # The pool's workers get the config-time sigmoid and the payload
+        # from the parent, and must write the serial run's bytes.
+        config = ExperimentConfig(
+            model="logistic", dimension=3, clients=3, heterogeneity=False,
+            rounds=200, target_observations=None, replications=4, seed=7,
+        )
+        run_experiment(config, workers=1, out_dir=tmp_path / "serial")
+        run_experiment(config, workers=2, out_dir=tmp_path / "pool")
+        for name in ("report.csv", "replications.csv"):
+            serial = (tmp_path / "serial" / name).read_bytes()
+            assert (tmp_path / "pool" / name).read_bytes() == serial
+
     def test_report_fields_match_diagnostics(self):
         config = parse_config_text(BASE_CONFIG)
         report = run_experiment(config)
@@ -338,13 +351,15 @@ class TestRunExperiment:
 
 
 class RecordingPool:
-    """A stand-in for ProcessPoolExecutor that records ``max_workers`` and maps
-    in this process, so no worker is started."""
+    """A stand-in for ProcessPoolExecutor that records ``max_workers``, runs
+    the initializer and maps in this process, so no worker is started."""
 
     sizes: list[int] = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer=None, initargs=()):
         self.sizes.append(max_workers)
+        if initializer is not None:
+            initializer(*initargs)
 
     def __enter__(self):
         return self
@@ -516,15 +531,17 @@ class TestConvergenceCurve:
 
 
 def count_interval_builds(monkeypatch):
-    """Record the round count of every ``schedules.intervals`` call."""
+    """Record the round count of every build of E_1..E_T: ``intervals``,
+    ``diagnostics`` and ``table`` all build them with one
+    ``schedules._warmup_and_intervals`` call."""
     calls = []
-    build = schedules.intervals
+    build = schedules._warmup_and_intervals
 
     def counted(schedule, total_rounds):
         calls.append(total_rounds)
         return build(schedule, total_rounds)
 
-    monkeypatch.setattr(schedules, "intervals", counted)
+    monkeypatch.setattr(schedules, "_warmup_and_intervals", counted)
     return calls
 
 
