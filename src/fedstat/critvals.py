@@ -74,7 +74,11 @@ _STREAMS = 2  # seeded streams and worker threads; fixed, so the sample never va
 
 @dataclass(frozen=True)
 class CriticalValueTable:
-    """Quantiles q such that P(t*(beta) <= q) = level, per (beta, level)."""
+    """Quantiles q such that P(t*(beta) <= q) = level, per (beta, level).
+
+    A table read from outside must hold finite values that do not decrease
+    as the level increases along a row; anything else raises ``ValueError``.
+    """
 
     betas: tuple[float, ...]
     levels: tuple[float, ...]
@@ -87,6 +91,10 @@ class CriticalValueTable:
         values = np.asarray(self.values, dtype=np.float64)
         if values.shape != (len(self.betas), len(self.levels)):
             raise ValueError("values must be one row per beta, one column per level")
+        if not np.isfinite(values).all():
+            raise ValueError("critical values must be finite")
+        if (np.diff(values[:, np.argsort(self.levels)], axis=1) < 0.0).any():
+            raise ValueError("critical values must not decrease as the level increases")
         object.__setattr__(self, "values", values)
 
 
@@ -213,6 +221,8 @@ def simulate_table(
         raise ValueError("replications must be >= 1000")
     if any(not 0.0 < p < 1.0 for p in levels):
         raise ValueError("levels must lie strictly inside (0, 1)")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     stats = simulate_statistics(betas, steps, replications, seed)
     values = np.quantile(stats, levels, axis=1).T
     return CriticalValueTable(
@@ -228,7 +238,9 @@ def simulate_table(
 def lookup(table: CriticalValueTable, alpha: float, beta: float) -> float:
     """Two-sided critical value: the (1 - alpha/2) quantile for row ``beta``.
 
-    Exact-match contract: no interpolation across betas or levels.
+    Exact-match contract: no interpolation across betas or levels.  The value
+    must be positive: t*(beta) is symmetric about 0, and a value at or below
+    0 would give zero-width intervals.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
@@ -239,7 +251,10 @@ def lookup(table: CriticalValueTable, alpha: float, beta: float) -> float:
     level_idx = [i for i, p in enumerate(table.levels) if abs(p - level) <= 1e-9]
     if not level_idx:
         raise KeyError(f"level {level!r} not tabulated (columns: {table.levels})")
-    return float(table.values[beta_idx[0], level_idx[0]])
+    value = float(table.values[beta_idx[0], level_idx[0]])
+    if value <= 0.0:
+        raise ValueError(f"critical value {value:g} at beta {beta!r}, level {level!r} must be > 0")
+    return value
 
 
 def save_csv(table: CriticalValueTable, stream: IO[str]) -> None:

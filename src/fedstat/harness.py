@@ -12,6 +12,14 @@ is byte-reproducible for a fixed (config, seed) regardless of worker count.
 observer.  ``run_experiment`` resolves every method's ``confidence_interval``
 arguments once; a replication builds the states in config order, runs the
 engine and asks each state for its interval.
+
+``_replicate`` is the one replication function of both drivers.  It returns
+arrays, and nan encodes a failure: an interval row is nan when its method
+failed (singular Hessian) or the run diverged, and the errors are nan when the
+run diverged.  ``run_experiment`` stacks the rows of all replications and
+computes coverage, lengths, failures and the mean error on the stack;
+``convergence_curve`` runs the same function with its checkpoints and no
+methods.
 """
 
 from __future__ import annotations
@@ -99,6 +107,8 @@ class ExperimentConfig:
             raise ValueError("target_observations must be >= 1")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not self.methods or any(m not in _STATES for m in self.methods):
             raise ValueError(f"methods must be a nonempty subset of {tuple(_STATES)}")
         if len(set(self.methods)) != len(self.methods):
@@ -291,53 +301,43 @@ class _RepPayload:
     federation: models.Federation
     table: schedules.ScheduleTable
     x0: np.ndarray
-    floor: float
-    interval_args: tuple[tuple, ...]  # per method, its confidence_interval arguments
-    paths_dir: Path | None
-    dump_paths: int
+    checkpoints: tuple[int, ...]  # rounds t at which ||y_bar_t - x*|| is measured
+    methods: tuple[tuple[str, tuple], ...] = ()  # (method, confidence_interval arguments)
+    paths_dir: Path | None = None
+    dump_paths: int = 0
 
 
-@dataclass(frozen=True)
-class _MethodOutcome:
-    lo: float = math.nan
-    hi: float = math.nan
-    covered: bool = False
-    width: float = math.nan
-    failed: bool = False
+def _replicate(payload: _RepPayload, rep: int) -> tuple[np.ndarray, np.ndarray]:
+    """One replication: ``(intervals, errors)``.
 
-
-@dataclass(frozen=True)
-class _RepResult:
-    outcomes: tuple[_MethodOutcome, ...]
-    error: float  # nan when the run diverged
-
-
-def _replicate(payload: _RepPayload, rep: int) -> _RepResult:
+    ``intervals`` holds one (lo, hi) row per method of the payload, and
+    ``errors`` holds ||y_bar_t - x*|| at each of its checkpoints.  A method's
+    row is nan when its Hessian estimate was singular; when the run diverges
+    (the engine's ``DivergenceError``), every row and every error is nan.
+    """
     config, federation = payload.config, payload.federation
     seed = np.random.SeedSequence(config.seed, spawn_key=(1, rep))
-    states = [_STATES[method](federation.dimension) for method in config.methods]
+    intervals = np.full((len(payload.methods), 2), math.nan)
+    errors = np.full(len(payload.checkpoints), math.nan)
+    states = [_STATES[method](federation.dimension) for method, _ in payload.methods]
     try:
         path = engine.run(federation, payload.table, payload.x0, seed, observers=states)
     except engine.DivergenceError:
-        failed = tuple(_MethodOutcome(failed=True) for _ in states)
-        return _RepResult(outcomes=failed, error=math.nan)
+        return intervals, errors
     if rep < payload.dump_paths:
         target = payload.paths_dir / f"rep_{rep:04d}.csv"
         with target.open("w") as stream:
             engine.save_path_csv(path, stream)
 
-    target_value = float(federation.global_optimum[config.coordinate])
-    outcomes = []
-    for state, args in zip(states, payload.interval_args):
+    for row, state, (_, args) in zip(intervals, states, payload.methods):
         try:
-            lo, hi = state.confidence_interval(*args)
+            row[:] = state.confidence_interval(*args)
         except SingularHessian:
-            outcomes.append(_MethodOutcome(failed=True))
-            continue
-        covered = roundoff.covers(lo, hi, target_value, payload.floor)
-        outcomes.append(_MethodOutcome(lo=lo, hi=hi, covered=covered, width=hi - lo))
-    error = float(np.linalg.norm(engine.average_estimate(path) - federation.global_optimum))
-    return _RepResult(outcomes=tuple(outcomes), error=error)
+            pass  # the row stays nan: a failed method
+    optimum = federation.global_optimum
+    for i, t in enumerate(payload.checkpoints):
+        errors[i] = np.linalg.norm(path.points[:t].mean(axis=0) - optimum)
+    return intervals, errors
 
 
 def _check_workers(workers: int) -> None:
@@ -345,31 +345,30 @@ def _check_workers(workers: int) -> None:
         raise ValueError(f"workers must be >= 1, got {workers}")
 
 
-# A pool worker's replication function and payload, set once per worker by
-# the pool's initializer, so that the tasks carry only their indices.
-_worker_task: tuple | None = None
+# A pool worker's payload, set once per worker by the pool's initializer, so
+# that the tasks carry only their indices.
+_worker_payload: _RepPayload | None = None
 
 
-def _set_worker_task(fn, payload) -> None:
-    global _worker_task
-    _worker_task = (fn, payload)
+def _set_worker_payload(payload: _RepPayload) -> None:
+    global _worker_payload
+    _worker_payload = payload
 
 
-def _run_worker_task(rep: int):
-    fn, payload = _worker_task
-    return fn(payload, rep)
+def _run_worker_task(rep: int) -> tuple[np.ndarray, np.ndarray]:
+    return _replicate(_worker_payload, rep)
 
 
-def _map_replications(fn, payload, count: int, workers: int) -> list:
-    """fn(payload, rep) for rep in 0..count-1, in order, on at most
+def _map_replications(payload: _RepPayload, count: int, workers: int) -> list:
+    """_replicate(payload, rep) for rep in 0..count-1, in order, on at most
     min(workers, count) processes.  Each worker receives the payload once,
     through the pool's initializer."""
     workers = min(workers, count)
     if workers <= 1:
-        return [fn(payload, rep) for rep in range(count)]
+        return [_replicate(payload, rep) for rep in range(count)]
     chunksize = max(1, count // (8 * workers))
     with ProcessPoolExecutor(
-        max_workers=workers, initializer=_set_worker_task, initargs=(fn, payload)
+        max_workers=workers, initializer=_set_worker_payload, initargs=(payload,)
     ) as pool:
         return list(pool.map(_run_worker_task, range(count), chunksize=chunksize))
 
@@ -423,7 +422,7 @@ def run_experiment(
         else:
             with open(config.critical_values) as stream:
                 quantiles = critvals.load_csv(stream)
-        critvals.lookup(quantiles, config.alpha_level, beta)  # an untabulated value fails here
+        critvals.lookup(quantiles, config.alpha_level, beta)  # a bad or missing value fails here
 
     x0 = _resolve_x0(config, federation)
     floor = roundoff.floor_for(roundoff.run_scale(federation, x0))
@@ -442,36 +441,42 @@ def run_experiment(
         federation=federation,
         table=table,
         x0=x0,
-        floor=floor,
-        interval_args=tuple(interval_args[method] for method in config.methods),
+        checkpoints=(total_rounds,),
+        methods=tuple((method, interval_args[method]) for method in config.methods),
         paths_dir=paths_dir,
         dump_paths=dump_paths,
     )
-    results = _map_replications(_replicate, payload, config.replications, workers)
+    results = _map_replications(payload, config.replications, workers)
+    intervals, errors = map(np.stack, zip(*results))
+    lo, hi = intervals[..., 0], intervals[..., 1]
+    failed = np.isnan(lo)
+    target = float(federation.global_optimum[config.coordinate])
+    covered = roundoff.covers(lo, hi, target, floor)
+    widths = hi - lo
 
     summaries = []
     for idx, method in enumerate(config.methods):
-        outcomes = [res.outcomes[idx] for res in results]
-        successes = [o for o in outcomes if not o.failed]
-        failures, denom = len(outcomes) - len(successes), len(successes)
+        ok = ~failed[:, idx]
+        denom = int(np.count_nonzero(ok))
+        failures = len(ok) - denom
         if not denom:
             nan = math.nan
             summaries.append(MethodSummary(method, nan, nan, nan, nan, failures))
             continue
-        coverage = sum(o.covered for o in successes) / denom
-        widths = np.array([o.width for o in successes])
+        coverage = int(np.count_nonzero(covered[ok, idx])) / denom
+        kept = widths[ok, idx]
         summaries.append(
             MethodSummary(
                 method=method,
                 coverage=coverage,
                 coverage_se=math.sqrt(coverage * (1.0 - coverage) / denom),
-                mean_length=float(widths.mean()),
-                length_sd=float(widths.std(ddof=1)) if denom > 1 else 0.0,
+                mean_length=float(kept.mean()),
+                length_sd=float(kept.std(ddof=1)) if denom > 1 else 0.0,
                 failures=failures,
             )
         )
 
-    errors = [res.error for res in results if not math.isnan(res.error)]
+    errors = errors[~np.isnan(errors[:, 0]), 0]
     report = ExperimentReport(
         schedule_label=schedule.label(),
         rounds=total_rounds,
@@ -480,7 +485,7 @@ def run_experiment(
         nu_hat=diag.nu_hat,
         beta=beta,
         methods=tuple(summaries),
-        mean_error=float(np.mean(errors)) if errors else math.nan,
+        mean_error=float(errors.mean()) if errors.size else math.nan,
         wall_clock=time.perf_counter() - started,
     )
 
@@ -489,7 +494,7 @@ def run_experiment(
         out.mkdir(parents=True, exist_ok=True)
         (out / "report.csv").write_text(report_csv(report))
         (out / "replications.csv").write_text(
-            replication_rows_csv(config, report, results)
+            replication_rows_csv(config, report, intervals, covered)
         )
     return report
 
@@ -510,44 +515,32 @@ def report_csv(report: ExperimentReport) -> str:
 
 
 def replication_rows_csv(
-    config: ExperimentConfig, report: ExperimentReport, results: list[_RepResult]
+    config: ExperimentConfig,
+    report: ExperimentReport,
+    intervals: np.ndarray,
+    covered: np.ndarray,
 ) -> str:
-    """Per-replication detail rows; beta is empty for the plug-in method."""
+    """Per-replication detail rows from the stacked (replication, method, 2)
+    intervals and their (replication, method) coverage decisions.  A nan
+    interval is a failed method and its row reads ``failed``; beta is empty
+    for the plug-in method."""
     lines = ["rep,method,schedule,beta,t_T,coordinate,lo,hi,covered,width"]
-    for rep, res in enumerate(results):
-        for idx, method in enumerate(config.methods):
-            o = res.outcomes[idx]
-            beta = f"{report.beta:.12g}" if (method == "rscale" and report.beta is not None) else ""
-            if o.failed:
-                lines.append(
-                    f"{rep},{method},{report.schedule_label},{beta},{report.t_T},"
-                    f"{config.coordinate},,,failed,"
-                )
+    betas = [
+        f"{report.beta:.12g}" if (method == "rscale" and report.beta is not None) else ""
+        for method in config.methods
+    ]
+    label = report.schedule_label
+    for rep, (rows, hits) in enumerate(zip(intervals.tolist(), covered.tolist())):
+        for method, beta, (lo, hi), hit in zip(config.methods, betas, rows, hits):
+            head = f"{rep},{method},{label},{beta},{report.t_T},{config.coordinate}"
+            if math.isnan(lo):
+                lines.append(f"{head},,,failed,")
             else:
-                lines.append(
-                    f"{rep},{method},{report.schedule_label},{beta},{report.t_T},"
-                    f"{config.coordinate},{o.lo:.12g},{o.hi:.12g},{int(o.covered)},{o.width:.12g}"
-                )
+                lines.append(f"{head},{lo:.12g},{hi:.12g},{int(hit)},{hi - lo:.12g}")
     return "\n".join(lines) + "\n"
 
 
 # --- convergence curves and the partial-sum process ---------------------------
-
-
-def _curve_replicate(payload: tuple, rep: int) -> np.ndarray | None:
-    """Errors at the checkpoints of one replication; None when it diverged."""
-    federation, table, checkpoints, x0, master_seed = payload
-    seed = np.random.SeedSequence(master_seed, spawn_key=(1, rep))
-    try:
-        path = engine.run(federation, table, x0, seed)
-    except engine.DivergenceError:
-        return None
-    return np.array(
-        [
-            np.linalg.norm(path.points[:t].mean(axis=0) - federation.global_optimum)
-            for t in checkpoints
-        ]
-    )
 
 
 def convergence_curve(
@@ -576,12 +569,12 @@ def convergence_curve(
         raise ValueError(f"checkpoints must be >= 1, got {below}")
     federation = build_federation(config)
     table = schedules.table(config.schedule, checkpoints[-1])
-    payload = (federation, table, checkpoints, _resolve_x0(config, federation), config.seed)
-    results = _map_replications(_curve_replicate, payload, config.replications, workers)
-    kept = [errors for errors in results if errors is not None]
-    if not kept:
+    payload = _RepPayload(config, federation, table, _resolve_x0(config, federation), checkpoints)
+    results = _map_replications(payload, config.replications, workers)
+    _, errors = map(np.stack, zip(*results))
+    errors = errors[~np.isnan(errors[:, 0])]  # a diverged run's errors are all nan
+    if not len(errors):
         return [(t, math.nan, math.nan) for t in checkpoints]
-    errors = np.stack(kept)
     means = errors.mean(axis=0)
     ses = errors.std(axis=0, ddof=1) / math.sqrt(len(errors)) if len(errors) > 1 else 0 * means
     return [(t, float(mu), float(se)) for t, mu, se in zip(checkpoints, means, ses)]

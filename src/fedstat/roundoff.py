@@ -104,13 +104,17 @@ def interval(center: float, half: float, floor: float) -> tuple[float, float]:
     return center - half, center + half
 
 
-def covers(lo: float, hi: float, target: float, floor: float) -> bool:
-    """|target - centre| <= max(half-width, floor) for the interval (lo, hi).
+def covers(
+    lo: float | np.ndarray, hi: float | np.ndarray, target: float, floor: float
+) -> bool | np.ndarray:
+    """|target - centre| <= max(half-width, floor) for the interval (lo, hi),
+    elementwise over arrays of endpoints.
 
     The half-width test is made on the endpoints themselves, so a noisy
-    interval covers exactly when lo <= target <= hi.
+    interval covers exactly when lo <= target <= hi.  A nan interval (a failed
+    method) covers nothing.
     """
-    return lo <= target <= hi or abs(target - 0.5 * (lo + hi)) <= floor
+    return (lo <= target) & (target <= hi) | (np.abs(target - 0.5 * (lo + hi)) <= floor)
 
 
 def add_rows(

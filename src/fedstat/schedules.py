@@ -79,6 +79,8 @@ class CommunicationSchedule:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         if not (math.isfinite(self.base) and int(self.base) == self.base >= 1):
             raise ValueError("base interval must be an integer >= 1")
+        # Stored as an int: base=2.0 or base=True would be labelled "C2.0" or "CTrue".
+        object.__setattr__(self, "base", int(self.base))
         if self.kind == "power" and not 0.0 < self.exponent < 1.0:
             raise ValueError(
                 "power schedule needs exponent in (0, 1); faster growth makes "

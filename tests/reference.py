@@ -1,4 +1,6 @@
-"""Reference expressions shared by the kernel and engine tests."""
+"""Reference expressions and inputs shared by the test modules."""
+
+from importlib import resources
 
 import numpy as np
 
@@ -18,3 +20,14 @@ def round_map(a, b, weights, eta, pivot):
     M[:d, d] = (total - 1.0) * pivot - eta * h
     M[d, d] = 1.0
     return M
+
+
+def shipped_table_with(cell: str) -> str:
+    """The shipped critical-value CSV with ``cell`` in its beta = 0, level
+    0.975 entry, the one a constant schedule at alpha_level 0.05 reads."""
+    lines = resources.files("fedstat").joinpath("data/critical_values.csv").read_text().splitlines()
+    header, row = lines[1].split(","), lines[2].split(",")
+    assert float(row[0]) == 0.0 and float(header[8]) == 0.975
+    row[8] = cell
+    lines[2] = ",".join(row)
+    return "\n".join(lines) + "\n"

@@ -4,13 +4,20 @@ A change that keeps every path bit for bit keeps these digests.  A change
 that moves bits on purpose updates them and records the move in CHANGES.md.
 The configs cover each model kind: linear on C1 (affine-map rounds),
 logistic on P(0.5) with warm-up (step loop, a buffer refill) and
-heterogeneous quadratic (noiseless, both methods).
+heterogeneous quadratic (noiseless, both methods).  The same digests hold
+when OpenBLAS runs two threads.
 """
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fedstat
 from fedstat.harness import parse_config_text, run_experiment
 
 CONFIGS = {
@@ -85,3 +92,29 @@ def test_output_bytes_are_pinned(name, tmp_path):
     config = parse_config_text(CONFIGS[name])
     run_experiment(config, out_dir=tmp_path, dump_paths=config.replications)
     assert digests(tmp_path) == DIGESTS[name]
+
+
+def test_output_bytes_are_pinned_under_two_blas_threads(tmp_path):
+    # OpenBLAS may split a product over its threads; no output byte may move.
+    here = Path(__file__).resolve().parent
+    src = Path(fedstat.__file__).resolve().parents[1]
+    script = (
+        "import json, sys\n"
+        "from pathlib import Path\n"
+        "from test_bytes import CONFIGS, digests, parse_config_text, run_experiment\n"
+        "found = {}\n"
+        "for name, text in CONFIGS.items():\n"
+        "    config = parse_config_text(text)\n"
+        "    out = Path(sys.argv[1]) / name\n"
+        "    run_experiment(config, out_dir=out, dump_paths=config.replications)\n"
+        "    found[name] = digests(out)\n"
+        "print(json.dumps(found))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(here)]),
+               OPENBLAS_NUM_THREADS="2")
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == DIGESTS

@@ -13,6 +13,7 @@ import pytest
 
 from fedstat import cli, critvals
 from fedstat.critvals import CriticalValueTable, lookup, simulate_table
+from reference import shipped_table_with
 
 REFERENCE_LEVELS = (0.01, 0.025, 0.05, 0.1, 0.5, 0.9, 0.95, 0.975, 0.99)
 REFERENCE_ROWS = {
@@ -43,6 +44,14 @@ class TestLookup:
     def test_missing_beta_is_an_error(self):
         with pytest.raises(KeyError):
             lookup(reference_table(), 0.05, 0.4)
+
+    @pytest.mark.parametrize("value", [0.0, -6.753])
+    def test_value_at_or_below_zero_is_an_error(self, value):
+        table = CriticalValueTable(
+            betas=(0.0,), levels=(0.975,), values=np.array([[value]]), steps=1000, replications=1
+        )
+        with pytest.raises(ValueError, match="must be > 0"):
+            lookup(table, 0.05, 0.0)
 
     def test_missing_level_is_an_error(self):
         with pytest.raises(KeyError):
@@ -461,6 +470,36 @@ class TestSerialization:
     def test_malformed_rejected(self):
         with pytest.raises(ValueError):
             critvals.load_csv(io.StringIO("# nothing\n"))
+
+
+class TestTableChecks:
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("nan", "must be finite"),
+            ("inf", "must be finite"),
+            ("-6.7", "must not decrease as the level increases"),
+            ("9", "must not decrease as the level increases"),
+        ],
+        ids=["nan", "inf", "negative", "above-the-next-level"],
+    )
+    def test_load_rejects_a_bad_cell(self, value, message):
+        with pytest.raises(ValueError, match=message):
+            critvals.load_csv(io.StringIO(shipped_table_with(value)))
+
+    def test_shipped_and_simulated_tables_load(self):
+        shipped = resources.files("fedstat").joinpath("data/critical_values.csv").read_text()
+        assert critvals.load_csv(io.StringIO(shipped)).values.shape == (4, 9)
+        # Levels out of order: a row is checked in increasing level.
+        table = simulate_table((0.0, 0.5), (0.9, 0.1, 0.5), steps=100, replications=1000, seed=2)
+        buffer = io.StringIO()
+        critvals.save_csv(table, buffer)
+        buffer.seek(0)
+        np.testing.assert_array_equal(critvals.load_csv(buffer).values, table.values)
+
+    def test_simulate_table_rejects_a_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            simulate_table((0.0,), (0.5,), steps=100, replications=1000, seed=-1)
 
 
 class TestPackagedTable:

@@ -1,5 +1,6 @@
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from fedstat.harness import (
     rounds_for_target,
     run_experiment,
 )
+from reference import shipped_table_with
 
 BASE_CONFIG = """
 # linear coverage experiment
@@ -128,6 +130,16 @@ class TestConfigParsing:
         assert cli.main(["run", "--config", str(path)]) == 1
         assert capsys.readouterr().err == "fedstat: error: gamma0 must be positive and finite\n"
         assert runs == []
+
+    def test_readme_names_every_config_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        assert [key for key in harness._KEYS if f"| `{key}` |" not in readme] == []
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            ExperimentConfig(seed=-1)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            parse_config_text("seed = -1\n")
 
     def test_plugin_skip_warmup_is_an_unknown_key(self):
         with pytest.raises(ValueError, match=r"unknown config keys: \['plugin_skip_warmup'\]"):
@@ -323,6 +335,22 @@ class TestRunExperiment:
             run_experiment(config)
         assert runs == []
 
+    @pytest.mark.parametrize(
+        "text",
+        [shipped_table_with("nan"), shipped_table_with("-6.7"), "beta,0.975\n0,-1.0\n"],
+        ids=["nan", "decreasing", "lone-negative-column"],
+    )
+    def test_cli_rejects_a_bad_critical_values_file(self, text, tmp_path, capsys, monkeypatch):
+        table_path = tmp_path / "table.csv"
+        table_path.write_text(text)
+        path = tmp_path / "config.txt"
+        path.write_text(BASE_CONFIG + f"critical_values = {table_path}\n")
+        runs = []
+        monkeypatch.setattr(engine, "run", lambda *args, **kwargs: runs.append(args))
+        assert cli.main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("fedstat: error: critical value")
+        assert runs == []
+
     def test_cli_prints_an_untabulated_level_unquoted(self, tmp_path, capsys):
         path = tmp_path / "config.txt"
         path.write_text(BASE_CONFIG.replace("alpha_level = 0.05", "alpha_level = 0.07"))
@@ -460,6 +488,27 @@ class TestConvergenceCurve:
         assert report.methods[0].failures == 4
         assert np.isfinite(rows[0][1]) and np.isfinite(rows[0][2])
         assert rows[1][1] == pytest.approx(report.mean_error, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            ExperimentConfig(
+                dimension=3, clients=4, rounds=300, target_observations=None,
+                replications=3, seed=7,
+            ),
+            ExperimentConfig(
+                model="logistic", dimension=3, clients=3, heterogeneity=False,
+                schedule=schedules.CommunicationSchedule(
+                    "power", exponent=0.5, warmup_fraction=0.05
+                ),
+                rounds=120, target_observations=None, replications=2, seed=4,
+            ),
+        ],
+        ids=["linear-c1", "logistic-p05"],
+    )
+    def test_last_checkpoint_is_the_reports_mean_error(self, config):
+        rows = convergence_curve(config, [config.rounds // 2, config.rounds])
+        assert rows[-1][1] == run_experiment(config).mean_error
 
     def test_single_checkpoint(self):
         config = quadratic_config(replications=2)

@@ -87,6 +87,18 @@ class TestCoverage:
         assert roundoff.covers(-1.0, 1.0, 1.0, FLOOR)
         assert not roundoff.covers(-1.0, 1.0, 1.0 + 2 * FLOOR, FLOOR)
 
+    def test_arrays_give_the_scalar_decision_elementwise(self):
+        c, nan = X_STAR[0], np.nan
+        # Zero width within and beyond the floor, a covering and a missing
+        # noisy interval, and nan rows: a failed method covers nothing.
+        lo = np.array([[c + FLOOR, c + 2 * FLOOR], [c - 1.0, c + 1.0], [nan, c]])
+        hi = np.array([[c + FLOOR, c + 2 * FLOOR], [c + 1.0, c + 2.0], [nan, nan]])
+        got = roundoff.covers(lo, hi, c, FLOOR)
+        expected = [[True, False], [True, False], [False, False]]
+        assert got.tolist() == expected
+        for lo_row, hi_row, row in zip(lo, hi, expected):
+            assert [roundoff.covers(a, b, c, FLOOR) for a, b in zip(lo_row, hi_row)] == row
+
 
 class TestNegativeVariance:
     def test_within_floor_squared_counts_as_zero(self):

@@ -157,6 +157,23 @@ class TestFcltTimeScale:
             fclt(constant(1), 1.5, 5)
 
 
+class TestLabel:
+    @pytest.mark.parametrize(
+        "kwargs, label",
+        [
+            (dict(kind="constant", base=2.0), "C2"),
+            (dict(kind="constant", base=True), "C1"),
+            (dict(kind="log", base=3.0), "Log(3,1)"),
+            (dict(kind="power", base=2.0, exponent=0.5), "P(2,0.5)"),
+        ],
+        ids=["constant-float", "constant-bool", "log-float", "power-float"],
+    )
+    def test_integral_base_is_labelled_as_an_int(self, kwargs, label):
+        schedule = CommunicationSchedule(**kwargs)
+        assert schedule.label() == label
+        assert type(schedule.base) is int
+
+
 class TestNonFiniteInputs:
     @pytest.mark.parametrize(
         "kwargs, field",
