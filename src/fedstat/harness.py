@@ -10,26 +10,30 @@ is byte-reproducible for a fixed (config, seed) regardless of worker count.
 
 ``_STATES`` maps each method to its inference state, which is also its engine
 observer.  ``run_experiment`` resolves every method's ``confidence_interval``
-arguments once; a replication builds the states in config order, runs the
-engine and asks each state for its interval.
+arguments once, the critical value among them: z_{1-alpha/2} for the
+plug-in, the tabulated t*(beta) quantile for random scaling.  The states never
+see alpha or the table.  A replication builds the states in config order, runs
+the engine and asks each state for its interval.
 
 ``_replicate`` is the one replication function of both drivers.  It returns
 arrays, and nan encodes a failure: an interval row is nan when its method
-failed (singular Hessian) or the run diverged, and the errors are nan when the
-run diverged.  ``run_experiment`` stacks the rows of all replications and
-computes coverage, lengths, failures and the mean error on the stack;
-``convergence_curve`` runs the same function with its checkpoints and no
-methods.
+failed (singular Hessian or a nan variance estimate) or the run diverged, and
+the errors are nan when the run diverged.  ``run_experiment`` stacks the rows
+of all replications and computes coverage, lengths, failures and the mean
+error on the stack; ``convergence_curve`` runs the same function with its
+checkpoints and no methods.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import numpy.random  # noqa: F401  (numpy loads it lazily; load it with the package)
@@ -54,6 +58,9 @@ __all__ = [
 ]
 
 _STATES = {"plugin": PluginState, "rscale": RScaleState}
+_INTEGER_FIELDS = (
+    "dimension", "clients", "rounds", "target_observations", "replications", "seed", "coordinate"
+)
 
 
 @dataclass(frozen=True)
@@ -89,6 +96,13 @@ class ExperimentConfig:
     critical_values: str | None = None
 
     def __post_init__(self) -> None:
+        for name in _INTEGER_FIELDS:
+            value = getattr(self, name)
+            if value is not None:
+                try:
+                    operator.index(value)
+                except TypeError:
+                    raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.model not in models.KERNELS:
             raise ValueError(f"unknown model {self.model!r}")
         if self.dimension < 1 or self.clients < 1:
@@ -297,7 +311,7 @@ def _resolve_x0(config: ExperimentConfig, federation: models.Federation) -> np.n
 
 @dataclass(frozen=True)
 class _RepPayload:
-    config: ExperimentConfig
+    seed: int
     federation: models.Federation
     table: schedules.ScheduleTable
     x0: np.ndarray
@@ -312,11 +326,12 @@ def _replicate(payload: _RepPayload, rep: int) -> tuple[np.ndarray, np.ndarray]:
 
     ``intervals`` holds one (lo, hi) row per method of the payload, and
     ``errors`` holds ||y_bar_t - x*|| at each of its checkpoints.  A method's
-    row is nan when its Hessian estimate was singular; when the run diverges
-    (the engine's ``DivergenceError``), every row and every error is nan.
+    row is nan when its Hessian estimate was singular or a variance estimate
+    was nan; when the run diverges (the engine's ``DivergenceError``), every
+    row and every error is nan.
     """
-    config, federation = payload.config, payload.federation
-    seed = np.random.SeedSequence(config.seed, spawn_key=(1, rep))
+    federation = payload.federation
+    seed = np.random.SeedSequence(payload.seed, spawn_key=(1, rep))
     intervals = np.full((len(payload.methods), 2), math.nan)
     errors = np.full(len(payload.checkpoints), math.nan)
     states = [_STATES[method](federation.dimension) for method, _ in payload.methods]
@@ -414,7 +429,8 @@ def run_experiment(
     total_rounds = config.rounds or rounds_for_target(schedule, config.target_observations)
     table = schedules.table(schedule, total_rounds)
     diag = table.diagnostics
-    beta = quantiles = None
+    z = NormalDist().inv_cdf(1.0 - config.alpha_level / 2.0)
+    beta = q = None
     if "rscale" in config.methods:
         beta = rscale.beta_for_schedule(schedule)
         if config.critical_values is None:
@@ -422,22 +438,20 @@ def run_experiment(
         else:
             with open(config.critical_values) as stream:
                 quantiles = critvals.load_csv(stream)
-        critvals.lookup(quantiles, config.alpha_level, beta)  # a bad or missing value fails here
+        # The one lookup: a bad or missing value fails here, before any replication.
+        q = critvals.lookup(quantiles, config.alpha_level, beta)
 
     x0 = _resolve_x0(config, federation)
     floor = roundoff.floor_for(roundoff.run_scale(federation, x0))
-    j, alpha = config.coordinate, config.alpha_level
-    interval_args = {
-        "plugin": (diag, j, alpha, floor),
-        "rscale": (beta, j, alpha, quantiles, floor),
-    }
+    j = config.coordinate
+    interval_args = {"plugin": (z, diag, j, floor), "rscale": (q, j, floor)}
     paths_dir = None
     if dump_paths > 0:
         paths_dir = Path(out_dir) / "paths"
         paths_dir.mkdir(parents=True, exist_ok=True)
 
     payload = _RepPayload(
-        config=config,
+        seed=config.seed,
         federation=federation,
         table=table,
         x0=x0,
@@ -569,7 +583,8 @@ def convergence_curve(
         raise ValueError(f"checkpoints must be >= 1, got {below}")
     federation = build_federation(config)
     table = schedules.table(config.schedule, checkpoints[-1])
-    payload = _RepPayload(config, federation, table, _resolve_x0(config, federation), checkpoints)
+    x0 = _resolve_x0(config, federation)
+    payload = _RepPayload(config.seed, federation, table, x0, checkpoints)
     results = _map_replications(payload, config.replications, workers)
     _, errors = map(np.stack, zip(*results))
     errors = errors[~np.isnan(errors[:, 0])]  # a diverged run's errors are all nan
@@ -589,10 +604,17 @@ def partial_sum_process(
     """The rescaled partial-sum process of the path on a grid of r values.
 
     Row i holds sqrt(t_T)/T * sum of the first h(r_i, T) centered iterates;
-    at r = 1 this equals sqrt(t_T) * (y_bar_T - x*).
+    at r = 1 this equals sqrt(t_T) * (y_bar_T - x*).  ``schedule`` must be the
+    one that produced the path: h(r, T) is read from its intervals, so a
+    schedule whose communication times differ from the path's raises
+    ``ValueError``.
     """
     x_star = np.asarray(x_star, dtype=np.float64)
     table = schedules.table(schedule, path.rounds)
+    if not np.array_equal(table.comm_times, path.comm_times):
+        raise ValueError(
+            f"schedule {schedule.label()} does not match the path's communication times"
+        )
     scale = math.sqrt(path.total_iterations) / path.rounds
     cumulative = np.cumsum(path.points - x_star, axis=0)
     rows = []

@@ -5,10 +5,12 @@ and one weighted stochastic Hessian evaluated at the current average, both
 built from a single fresh sample per client.  Their running means estimate the
 Hessian G and the gradient-noise covariance S; the confidence interval for a
 coordinate is centered at the running average of the synchronized iterates
-with normal-quantile half-width scaled by sqrt(nu_hat / t_T).  Intervals follow
-the roundoff rule of ``fedstat.roundoff``: a half-width at or below the floor
-is exactly 0, and a negative variance of the centre, (nu_hat / t_T) times the
-sandwich diagonal, within floor**2 counts as 0.
+with half-width z * sqrt(nu_hat / t_T) * sqrt(sandwich diagonal);
+``harness.run_experiment`` resolves the normal quantile z = z_{1-alpha/2} once
+per experiment.  Intervals follow the roundoff rule of ``fedstat.roundoff``: a
+half-width at or below the floor is exactly 0, and a negative variance of the
+centre, (nu_hat / t_T) times the sandwich diagonal, within floor**2 counts
+as 0.
 
 `PluginState` is itself the engine's observer (``engine.SyncObserver``): it
 asks for the inference draws, and every round folds one synchronized point
@@ -25,7 +27,6 @@ changes nothing in the state.
 
 from __future__ import annotations
 
-from statistics import NormalDist
 from typing import NamedTuple
 
 import numpy as np
@@ -53,10 +54,6 @@ class _Means(NamedTuple):
 
 class SingularHessian(RuntimeError):
     """The running Hessian estimate is not invertible yet; run more rounds."""
-
-
-def _z_quantile(alpha: float) -> float:
-    return NormalDist().inv_cdf(1.0 - alpha / 2.0)
 
 
 class PluginState:
@@ -161,17 +158,17 @@ class PluginState:
         return (cov + cov.T) / 2.0
 
     def confidence_interval(
-        self, diag: ScheduleDiagnostics, j: int, alpha: float, floor: float = 0.0
+        self, z: float, diag: ScheduleDiagnostics, j: int, floor: float = 0.0
     ) -> tuple[float, float]:
-        """Two-sided level-(1-alpha) interval for coordinate ``j`` of the optimum.
+        """Interval for coordinate ``j`` of the optimum with critical value
+        ``z``; z = z_{1-alpha/2} gives the two-sided level-(1-alpha) interval.
 
         ``floor`` is the roundoff floor of ``fedstat.roundoff``; the default 0
-        assumes exact arithmetic.
+        assumes exact arithmetic.  A nan sandwich diagonal gives a nan
+        interval.
         """
-        if not 0.0 < alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
         var_j = roundoff.nonnegative(
             float(self.sandwich()[j, j]), floor**2 * diag.t_T / diag.nu_hat, "sandwich diagonal"
         )
-        half = _z_quantile(alpha) * np.sqrt(diag.nu_hat / diag.t_T) * np.sqrt(var_j)
+        half = z * np.sqrt(diag.nu_hat / diag.t_T) * np.sqrt(var_j)
         return roundoff.interval(float(self.y_bar[j]), half, floor)

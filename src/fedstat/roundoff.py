@@ -12,7 +12,8 @@ that both methods and the harness's coverage decision share:
 * a half-width at or below the floor is exactly 0 and the interval is
   (centre, centre);
 * a negative variance of the centre within floor**2 counts as 0; one beyond
-  it raises ``ValueError``;
+  it raises ``ValueError``; a nan variance stays nan, so its interval is nan,
+  which the harness counts as a failed method;
 * a target is covered when |target - centre| <= max(half-width, floor).
 
 Why ``ROUNDOFF_FACTOR = 64``.  Every client state of a contracting noiseless
@@ -88,8 +89,9 @@ def floor_for(scale: float) -> float:
 
 def nonnegative(value: float, tolerance: float, what: str) -> float:
     """A variance that is PSD in exact arithmetic: negatives within
-    ``tolerance`` are roundoff and count as 0, larger ones raise."""
-    if value >= 0.0:
+    ``tolerance`` are roundoff and count as 0, larger ones raise.  A nan
+    passes through."""
+    if value >= 0.0 or np.isnan(value):
         return value
     if value < -tolerance:
         raise ValueError(f"{what} {value:g} is negative beyond roundoff")
@@ -98,7 +100,7 @@ def nonnegative(value: float, tolerance: float, what: str) -> float:
 
 def interval(center: float, half: float, floor: float) -> tuple[float, float]:
     """(center - half, center + half), or exactly (center, center) when the
-    half-width is at or below the floor."""
+    half-width is at or below the floor.  A nan half-width gives (nan, nan)."""
     if half <= floor:
         return center, center
     return center - half, center + half

@@ -4,7 +4,9 @@ Instead of estimating the asymptotic covariance, the running average of the
 synchronized iterates is studentized by V_hat, a weighted second moment of the
 running means around the final mean.  The resulting statistic is pivotal but
 not normal; its critical values depend only on the growth exponent beta of the
-interval sequence and are tabulated separately.
+interval sequence and are tabulated separately (``fedstat.critvals``);
+``harness.run_experiment`` looks the value up once per experiment and hands
+the number to ``RScaleState.confidence_interval``.
 
 `RScaleState` is itself the engine's observer (``engine.SyncObserver``): it
 needs no inference draws, only each round's synchronized point and interval.
@@ -31,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import critvals, roundoff
+from . import roundoff
 from .engine import BLOCK_ROUNDS
 from .schedules import CommunicationSchedule, Schedule
 
@@ -159,23 +161,16 @@ class RScaleState:
         v /= m**2 * sums.s
         return (v + v.T) / 2.0
 
-    def confidence_interval(
-        self,
-        beta: float,
-        j: int,
-        alpha: float,
-        table: critvals.CriticalValueTable,
-        floor: float = 0.0,
-    ) -> tuple[float, float]:
-        """Two-sided level-(1-alpha) interval for coordinate ``j`` of the optimum.
+    def confidence_interval(self, q: float, j: int, floor: float = 0.0) -> tuple[float, float]:
+        """Interval for coordinate ``j`` of the optimum with critical value
+        ``q``; the (1 - alpha/2) quantile of t*(beta) gives the two-sided
+        level-(1-alpha) interval.
 
         ``floor`` is the roundoff floor of ``fedstat.roundoff``; the default 0
-        assumes exact arithmetic.
+        assumes exact arithmetic.  A nan V_hat diagonal gives a nan interval.
         """
-        if not 0.0 < alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
         v_jj = roundoff.nonnegative(float(self.v_hat()[j, j]), floor**2, "V_hat diagonal")
-        half = critvals.lookup(table, alpha, beta) * np.sqrt(v_jj)
+        half = q * np.sqrt(v_jj)
         return roundoff.interval(float(self.y_bar[j]), half, floor)
 
 

@@ -68,6 +68,12 @@ def test_engine_does_not_reference_schedules():
     assert "schedules" not in vars(fedstat.engine)
 
 
+def test_inference_states_take_the_critical_value_as_a_number():
+    # The harness turns alpha into a critical value once per experiment.
+    assert "critvals" not in vars(fedstat.rscale)
+    assert "NormalDist" not in vars(fedstat.plugin)
+
+
 def test_run_from_the_package_namespace():
     fed = fedstat.federation_of([fedstat.ClientModel("quadratic", np.zeros(1))])
     rows = fedstat.table(fedstat.ExplicitSchedule(intervals=(1,), etas=(0.5,)), 3)

@@ -14,6 +14,7 @@ from fedstat.harness import (
     rounds_for_target,
     run_experiment,
 )
+from fedstat.plugin import PluginState
 from reference import shipped_table_with
 
 BASE_CONFIG = """
@@ -144,6 +145,27 @@ class TestConfigParsing:
     def test_plugin_skip_warmup_is_an_unknown_key(self):
         with pytest.raises(ValueError, match=r"unknown config keys: \['plugin_skip_warmup'\]"):
             parse_config_text("plugin_skip_warmup = on\n")
+
+    @pytest.mark.parametrize(
+        "field",
+        ["dimension", "clients", "rounds", "target_observations", "replications", "seed",
+         "coordinate"],
+    )
+    def test_non_integer_count_rejected(self, field):
+        kwargs = dict(rounds=5, target_observations=None)
+        if field == "target_observations":
+            kwargs = dict(rounds=None, target_observations=400)
+        kwargs[field] = 2.5
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got 2.5"):
+            ExperimentConfig(**kwargs)
+
+    def test_numpy_integer_counts_run_like_python_ints(self):
+        fields = ("dimension", "clients", "rounds", "replications", "seed", "coordinate")
+        config = quadratic_config(coordinate=1)
+        numpy_config = replace(config, **{f: np.int64(getattr(config, f)) for f in fields})
+        assert harness.report_csv(run_experiment(numpy_config)) == harness.report_csv(
+            run_experiment(config)
+        )
 
 
 class TestRoundsForTarget:
@@ -357,6 +379,65 @@ class TestRunExperiment:
         assert cli.main(["run", "--config", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("fedstat: error: level 0.965 not tabulated (columns: (0.01, ")
+
+    def test_critical_value_is_looked_up_once_per_experiment(self, tmp_path):
+        """A table with every entry doubled doubles every rscale width, to the
+        twelve digits the CSV carries, and leaves every plug-in row as it was."""
+        table = critvals.default_table()
+        table_path = tmp_path / "doubled.csv"
+        with table_path.open("w") as stream:
+            critvals.save_csv(replace(table, values=2.0 * table.values), stream)
+        base, doubled = tmp_path / "base", tmp_path / "doubled"
+        run_experiment(parse_config_text(BASE_CONFIG), out_dir=base)
+        config = parse_config_text(BASE_CONFIG + f"critical_values = {table_path}\n")
+        run_experiment(config, out_dir=doubled)
+
+        def rows(out, name):
+            return [line.split(",") for line in (out / name).read_text().splitlines()[1:]]
+
+        widths = []
+        for name in ("report.csv", "replications.csv"):
+            for old, new in zip(rows(base, name), rows(doubled, name), strict=True):
+                if "plugin" in old:
+                    assert new == old
+                elif name == "replications.csv":
+                    widths.append((float(old[9]), float(new[9])))
+        assert len(widths) == config.replications
+        for old, new in widths:
+            assert old > 0 and new == pytest.approx(2.0 * old, rel=2e-11)
+
+    def test_plugin_critical_value_is_the_normal_quantile(self, monkeypatch):
+        seen = []
+        interval = PluginState.confidence_interval
+
+        def recorded(self, z, *args):
+            seen.append(z)
+            return interval(self, z, *args)
+
+        monkeypatch.setattr(PluginState, "confidence_interval", recorded)
+        for alpha_level in (0.05, 0.32):
+            run_experiment(quadratic_config(methods=("plugin",), alpha_level=alpha_level))
+        assert seen[:4] == [pytest.approx(1.959964, abs=1e-6)] * 4
+        assert seen[4:] == [pytest.approx(0.994458, abs=1e-6)] * 4
+
+    def test_nan_variance_is_a_failed_method(self, monkeypatch, tmp_path):
+        """One nan gradient draw makes the sandwich nan: the plug-in fails in
+        every replication, and no zero-width interval counts as covered."""
+        observe_sync = PluginState.observe_sync
+
+        def poisoned(self, round_index, iteration, x_bar, interval, grad_draw, hess_draw):
+            if self.rounds_seen == 0:
+                grad_draw = np.full_like(grad_draw, np.nan)
+            observe_sync(self, round_index, iteration, x_bar, interval, grad_draw, hess_draw)
+
+        monkeypatch.setattr(PluginState, "observe_sync", poisoned)
+        config = quadratic_config()  # noiseless, from the optimum: zero width otherwise
+        plugin, rscale = run_experiment(config, out_dir=tmp_path).methods
+        assert plugin.failures == config.replications and np.isnan(plugin.coverage)
+        assert rscale.failures == 0 and rscale.coverage == 1.0
+        rows = (tmp_path / "replications.csv").read_text().splitlines()[1:]
+        plugin_rows = [row.split(",") for row in rows if ",plugin," in row]
+        assert [row[8] for row in plugin_rows] == ["failed"] * config.replications
 
     def test_large_offset_does_not_diverge(self):
         """x0 = 3e8 e_1 lies beyond a fixed bound of 1e8; the default bound
@@ -670,3 +751,11 @@ class TestPartialSumProcess:
         phi = partial_sum_process(path, sched, np.zeros(1), [0.5])
         # h(0.5, 8) = 4 -> sum of first four points, scaled by sqrt(8)/8
         assert phi[0, 0] == pytest.approx(np.sqrt(8) / 8 * points[:4].sum())
+
+    def test_schedule_other_than_the_paths_is_rejected(self):
+        fed = harness.build_federation(quadratic_config())
+        c1 = schedules.CommunicationSchedule("constant", base=1)
+        path = engine.run(fed, schedules.table(c1, 50), np.zeros(2), seed=3)
+        p05 = schedules.CommunicationSchedule("power", exponent=0.5)
+        with pytest.raises(ValueError, match=r"P\(0.5\) does not match"):
+            partial_sum_process(path, p05, fed.global_optimum, [0.5, 1.0])

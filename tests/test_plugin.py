@@ -7,8 +7,11 @@ from hypothesis import strategies as st
 
 from fedstat import harness, models, schedules
 from fedstat.engine import BLOCK_ROUNDS
-from fedstat.plugin import PluginState, SingularHessian, _z_quantile
+from fedstat.plugin import PluginState, SingularHessian
 from fedstat.schedules import ScheduleDiagnostics
+
+
+Z_95 = 1.9599639845400536  # z_0.975, the critical value of a two-sided 95% interval
 
 
 def diag_stub(nu_hat=1.0, t_T=1):
@@ -141,14 +144,14 @@ class TestSandwich:
             state.observe(rng.standard_normal(2), rng.standard_normal(2), a @ a.T + np.eye(2))
         reads = ("y_bar", "g_hat", "s_hat")
         before = [getattr(state, name) for name in reads] + [state.sandwich()]
-        interval = state.confidence_interval(diag_stub(), 0, 0.05)
+        interval = state.confidence_interval(Z_95, diag_stub(), 0)
         for name in reads:
             getattr(state, name)[...] *= 4.0
         state.sandwich()[...] *= 4.0
         after = [getattr(state, name) for name in reads] + [state.sandwich()]
         for old, new in zip(before, after):
             np.testing.assert_array_equal(new, old)
-        assert state.confidence_interval(diag_stub(), 0, 0.05) == interval
+        assert state.confidence_interval(Z_95, diag_stub(), 0) == interval
 
     def test_scalar_example(self):
         state = PluginState(1)
@@ -201,29 +204,33 @@ class TestSandwich:
 
 
 class TestConfidenceInterval:
-    def test_normal_quantile_accuracy(self):
-        assert _z_quantile(0.05) == pytest.approx(1.959964, abs=1e-6)
-        assert _z_quantile(0.32) == pytest.approx(0.994458, abs=1e-6)
-
     def test_halfwidth_composition(self):
         state = PluginState(1)
         state.observe(np.array([4.0]), np.array([1.0]), np.array([[1.0]]))
-        lo, hi = state.confidence_interval(diag_stub(nu_hat=4.0, t_T=16), 0, 0.05)
-        half = _z_quantile(0.05) * np.sqrt(4.0 / 16.0) * 1.0
+        lo, hi = state.confidence_interval(Z_95, diag_stub(nu_hat=4.0, t_T=16), 0)
+        half = Z_95 * np.sqrt(4.0 / 16.0) * 1.0
         assert (lo, hi) == pytest.approx((4.0 - half, 4.0 + half), rel=1e-12)
 
     def test_degenerate_interval(self):
         state = PluginState(2)
         for _ in range(3):
             state.observe(np.array([1.0, 2.0]), np.zeros(2), np.eye(2))
-        lo, hi = state.confidence_interval(diag_stub(), 1, 0.05)
+        lo, hi = state.confidence_interval(Z_95, diag_stub(), 1)
         assert lo == hi == 2.0
+
+    def test_nan_gradient_draw_gives_a_nan_interval(self):
+        state = PluginState(2)
+        state.observe(np.zeros(2), np.array([np.nan, 0.0]), np.eye(2))
+        for _ in range(3):
+            state.observe(np.zeros(2), np.ones(2), np.eye(2))
+        lo, hi = state.confidence_interval(Z_95, diag_stub(), 0)
+        assert np.isnan(lo) and np.isnan(hi)
 
     def test_propagates_singular_hessian(self):
         state = PluginState(2)
         state.observe(np.zeros(2), np.zeros(2), np.eye(2))
         with pytest.raises(SingularHessian):
-            state.confidence_interval(diag_stub(), 0, 0.05)
+            state.confidence_interval(Z_95, diag_stub(), 0)
 
     def test_width_scales_with_inverse_sqrt_iterations(self):
         """Doubling t_T must shrink mean width by sqrt(2) within 10%."""

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fedstat import critvals, harness, models, roundoff, schedules
+from fedstat import harness, models, roundoff, schedules
 from fedstat.plugin import PluginState
 from fedstat.rscale import RScaleState
 from fedstat.schedules import ScheduleDiagnostics
@@ -19,12 +19,9 @@ def ulp_path(rounds=30, seed=0):
     return X_STAR + steps * np.spacing(X_STAR)
 
 
-def paper_table():
-    """The beta = 0 row of the reference table at the 95% two-sided level."""
-    return critvals.CriticalValueTable(
-        betas=(0.0,), levels=(0.025, 0.975), values=np.array([[-6.753, 6.753]]),
-        steps=1000, replications=50000,
-    )
+# The two-sided 95% critical values: the beta = 0 entry of the reference
+# t*(beta) table, and the normal quantile z_0.975.
+Q_RSCALE, Z_PLUGIN = 6.753, 1.9599639845400536
 
 
 def diag_stub(nu_hat=1.0, t_T=30):
@@ -53,7 +50,7 @@ class TestZeroWidth:
         for x in ulp_path():
             state.observe(x, 2)
         for j in range(2):
-            lo, hi = state.confidence_interval(0.0, j, 0.05, paper_table(), FLOOR)
+            lo, hi = state.confidence_interval(Q_RSCALE, j, FLOOR)
             assert lo == hi == state.y_bar[j]
 
     def test_plugin_ulp_draws_give_centre_exactly(self):
@@ -61,14 +58,14 @@ class TestZeroWidth:
         for x in ulp_path():
             state.observe(x, (x - X_STAR), np.eye(2))
         for j in range(2):
-            lo, hi = state.confidence_interval(diag_stub(), j, 0.05, FLOOR)
+            lo, hi = state.confidence_interval(Z_PLUGIN, diag_stub(), j, FLOOR)
             assert lo == hi == state.y_bar[j]
 
     def test_exact_arithmetic_default_keeps_ulp_width(self):
         state = PluginState(2)
         for x in ulp_path():
             state.observe(x, (x - X_STAR), np.eye(2))
-        lo, hi = state.confidence_interval(diag_stub(), 0, 0.05)
+        lo, hi = state.confidence_interval(Z_PLUGIN, diag_stub(), 0)
         assert lo < hi
 
 
@@ -104,6 +101,11 @@ class TestNegativeVariance:
     def test_within_floor_squared_counts_as_zero(self):
         assert roundoff.nonnegative(-0.5 * FLOOR**2, FLOOR**2, "v") == 0.0
 
+    def test_nan_passes_through_to_a_nan_interval(self):
+        value = roundoff.nonnegative(float("nan"), FLOOR**2, "v")
+        assert np.isnan(value)
+        assert all(np.isnan(roundoff.interval(1.0, value, FLOOR)))
+
     def test_beyond_floor_squared_raises(self):
         with pytest.raises(ValueError, match="negative beyond roundoff"):
             roundoff.nonnegative(-2.0 * FLOOR**2, FLOOR**2, "v")
@@ -112,10 +114,10 @@ class TestNegativeVariance:
         state = RScaleState(1)
         state.observe(np.array([1.0]), 1)
         monkeypatch.setattr(state, "v_hat", lambda: np.array([[-0.5 * FLOOR**2]]))
-        assert state.confidence_interval(0.0, 0, 0.05, paper_table(), FLOOR) == (1.0, 1.0)
+        assert state.confidence_interval(Q_RSCALE, 0, FLOOR) == (1.0, 1.0)
         monkeypatch.setattr(state, "v_hat", lambda: np.array([[-2.0 * FLOOR**2]]))
         with pytest.raises(ValueError, match="V_hat diagonal"):
-            state.confidence_interval(0.0, 0, 0.05, paper_table(), FLOOR)
+            state.confidence_interval(Q_RSCALE, 0, FLOOR)
 
     def test_plugin_negative_diagonal_scaled_by_nu_over_t(self, monkeypatch):
         state = PluginState(1)
@@ -124,10 +126,10 @@ class TestNegativeVariance:
         # The centre's variance is (nu_hat / t_T) * sandwich diagonal.
         scale = FLOOR**2 * diag.t_T / diag.nu_hat
         monkeypatch.setattr(state, "sandwich", lambda: np.array([[-0.5 * scale]]))
-        assert state.confidence_interval(diag, 0, 0.05, FLOOR) == (1.0, 1.0)
+        assert state.confidence_interval(Z_PLUGIN, diag, 0, FLOOR) == (1.0, 1.0)
         monkeypatch.setattr(state, "sandwich", lambda: np.array([[-2.0 * scale]]))
         with pytest.raises(ValueError, match="sandwich diagonal"):
-            state.confidence_interval(diag, 0, 0.05, FLOOR)
+            state.confidence_interval(Z_PLUGIN, diag, 0, FLOOR)
 
 
 class TestNoisyIntervalsUnchanged:
@@ -139,11 +141,11 @@ class TestNoisyIntervalsUnchanged:
             plugin.observe(x, rng.standard_normal(2), np.eye(2))
             rscale.observe(x, 1)
         for j in range(2):
-            assert plugin.confidence_interval(diag_stub(), j, 0.05, FLOOR) == (
-                plugin.confidence_interval(diag_stub(), j, 0.05)
+            assert plugin.confidence_interval(Z_PLUGIN, diag_stub(), j, FLOOR) == (
+                plugin.confidence_interval(Z_PLUGIN, diag_stub(), j)
             )
-            assert rscale.confidence_interval(0.0, j, 0.05, paper_table(), FLOOR) == (
-                rscale.confidence_interval(0.0, j, 0.05, paper_table())
+            assert rscale.confidence_interval(Q_RSCALE, j, FLOOR) == (
+                rscale.confidence_interval(Q_RSCALE, j)
             )
 
 

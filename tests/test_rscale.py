@@ -5,24 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedstat import critvals, schedules
+from fedstat import schedules
 from fedstat.engine import BLOCK_ROUNDS
 from fedstat.rscale import RScaleState, beta_for_schedule
 
-# Quantiles copied from the reference asymptotic table; levels are P(t* <= q).
-PAPER_LEVELS = (0.01, 0.025, 0.05, 0.1, 0.5, 0.9, 0.95, 0.975, 0.99)
-PAPER_ROWS = {
-    0.0: (-8.634, -6.753, -5.324, -3.877, 0.0, 3.877, 5.324, 6.753, 8.634),
-    0.5: (-7.386, -5.851, -4.621, -3.446, 0.0, 3.446, 4.621, 5.851, 7.386),
-}
-
-
-def paper_table():
-    betas = tuple(PAPER_ROWS)
-    values = np.array([PAPER_ROWS[b] for b in betas])
-    return critvals.CriticalValueTable(
-        betas=betas, levels=PAPER_LEVELS, values=values, steps=1000, replications=50000
-    )
+# The 0.975 quantiles of t*(beta) in the reference asymptotic table: the
+# critical values of two-sided 95% intervals at beta = 0 and beta = 0.5.
+Q_BETA_ZERO, Q_BETA_HALF = 6.753, 5.851
 
 
 @pytest.mark.parametrize("rounds", [5, BLOCK_ROUNDS], ids=["pending", "folded"])
@@ -33,14 +22,14 @@ def test_changing_a_read_changes_nothing(rounds):
         state.observe(rng.standard_normal(2), 1 + m % 3)
     reads = ("y_bar", "pivot", "A", "b")
     before = [getattr(state, name) for name in reads] + [state.v_hat()]
-    interval = state.confidence_interval(0.0, 0, 0.05, paper_table())
+    interval = state.confidence_interval(Q_BETA_ZERO, 0)
     for name in reads:
         getattr(state, name)[...] *= 4.0
     state.v_hat()[...] *= 4.0
     after = [getattr(state, name) for name in reads] + [state.v_hat()]
     for old, new in zip(before, after):
         np.testing.assert_array_equal(new, old)
-    assert state.confidence_interval(0.0, 0, 0.05, paper_table()) == interval
+    assert state.confidence_interval(Q_BETA_ZERO, 0) == interval
 
 
 def batch_vhat(points, intervals):
@@ -233,30 +222,24 @@ class TestConfidenceInterval:
         state = RScaleState(1)
         state.observe(np.array([0.0]), 1)
         state.observe(np.array([2.0]), 1)
-        lo, hi = state.confidence_interval(0.0, 0, 0.05, paper_table())
-        half = 6.753 * np.sqrt(1.0 / 8.0)
+        lo, hi = state.confidence_interval(Q_BETA_ZERO, 0)
+        half = Q_BETA_ZERO * np.sqrt(1.0 / 8.0)
         assert (lo, hi) == pytest.approx((1.0 - half, 1.0 + half), rel=1e-12)
 
     def test_beta_half_coefficient(self):
         state = RScaleState(1)
         state.observe(np.array([0.0]), 1)
         state.observe(np.array([2.0]), 1)
-        lo, hi = state.confidence_interval(0.5, 0, 0.05, paper_table())
-        half = 5.851 * np.sqrt(1.0 / 8.0)
+        lo, hi = state.confidence_interval(Q_BETA_HALF, 0)
+        half = Q_BETA_HALF * np.sqrt(1.0 / 8.0)
         assert (lo, hi) == pytest.approx((1.0 - half, 1.0 + half), rel=1e-12)
 
     def test_degenerate_interval(self):
         state = RScaleState(1)
         for _ in range(4):
             state.observe(np.array([7.0]), 1)
-        lo, hi = state.confidence_interval(0.0, 0, 0.05, paper_table())
+        lo, hi = state.confidence_interval(Q_BETA_ZERO, 0)
         assert lo == hi == 7.0
-
-    def test_missing_beta_errors(self):
-        state = RScaleState(1)
-        state.observe(np.array([1.0]), 1)
-        with pytest.raises(KeyError):
-            state.confidence_interval(0.4, 0, 0.05, paper_table())
 
 
 class TestBetaForSchedule:
