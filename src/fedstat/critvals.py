@@ -69,6 +69,7 @@ __all__ = [
 ]
 
 _BLOCK_VALUES = 1 << 18
+_MATCH = 1e-9  # `lookup` matches a beta or a level within this distance
 _STREAMS = 2  # seeded streams and worker threads; fixed, so the sample never varies
 
 
@@ -77,7 +78,9 @@ class CriticalValueTable:
     """Quantiles q such that P(t*(beta) <= q) = level, per (beta, level).
 
     A table read from outside must hold finite values that do not decrease
-    as the level increases along a row; anything else raises ``ValueError``.
+    as the level increases along a row, and no two betas, and no two levels,
+    that ``lookup`` cannot tell apart (within 1e-9); anything else raises
+    ``ValueError``.
     """
 
     betas: tuple[float, ...]
@@ -91,6 +94,9 @@ class CriticalValueTable:
         values = np.asarray(self.values, dtype=np.float64)
         if values.shape != (len(self.betas), len(self.levels)):
             raise ValueError("values must be one row per beta, one column per level")
+        for name in ("betas", "levels"):
+            if (np.diff(np.sort(getattr(self, name))) <= _MATCH).any():
+                raise ValueError(f"{name} must differ by more than {_MATCH:g}")
         if not np.isfinite(values).all():
             raise ValueError("critical values must be finite")
         if (np.diff(values[:, np.argsort(self.levels)], axis=1) < 0.0).any():
@@ -245,10 +251,10 @@ def lookup(table: CriticalValueTable, alpha: float, beta: float) -> float:
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     level = 1.0 - alpha / 2.0
-    beta_idx = [i for i, b in enumerate(table.betas) if abs(b - beta) <= 1e-9]
+    beta_idx = [i for i, b in enumerate(table.betas) if abs(b - beta) <= _MATCH]
     if not beta_idx:
         raise KeyError(f"beta {beta!r} not tabulated (rows: {table.betas})")
-    level_idx = [i for i, p in enumerate(table.levels) if abs(p - level) <= 1e-9]
+    level_idx = [i for i, p in enumerate(table.levels) if abs(p - level) <= _MATCH]
     if not level_idx:
         raise KeyError(f"level {level!r} not tabulated (columns: {table.levels})")
     value = float(table.values[beta_idx[0], level_idx[0]])
@@ -272,7 +278,7 @@ def load_csv(stream: IO[str]) -> CriticalValueTable:
     header: list[str] | None = None
     betas: list[float] = []
     rows: list[list[float]] = []
-    for raw in stream:
+    for lineno, raw in enumerate(stream, start=1):
         line = raw.strip()
         if not line:
             continue
@@ -290,6 +296,8 @@ def load_csv(stream: IO[str]) -> CriticalValueTable:
         if header is None:
             header = cells
             continue
+        if len(cells) != len(header):
+            raise ValueError(f"line {lineno}: {len(cells)} cells, the header has {len(header)}")
         betas.append(float(cells[0]))
         rows.append([float(c) for c in cells[1:]])
     if header is None or not rows:

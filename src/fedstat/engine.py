@@ -127,9 +127,9 @@ class SyncObserver(Protocol):
     """Sink notified once per synchronization, in round order.
 
     The inference states are the observers: ``plugin.PluginState`` asks for
-    the inference draws and folds them every round, ``rscale.RScaleState``
-    reads only the point and the interval.  The draws are None when no
-    observer of the run sets ``needs_inference_draws``.
+    the inference draws and folds only them every round,
+    ``rscale.RScaleState`` reads only the point and the interval.  The draws
+    are None when no observer of the run sets ``needs_inference_draws``.
 
     Notifications arrive in blocks of `BLOCK_ROUNDS` rounds, so an observer is
     at most one block behind the path; every completed round has been pushed
@@ -315,11 +315,22 @@ def run(
     return SyncPath(points=points, comm_times=table.comm_times)
 
 
-def average_estimate(path: SyncPath) -> np.ndarray:
-    """The final estimator: arithmetic mean of the synchronized iterates."""
-    if path.rounds == 0:
-        raise ValueError("path is empty")
-    return path.points.mean(axis=0)
+def average_estimate(points: np.ndarray) -> np.ndarray:
+    """The estimator y_bar: the mean of the synchronized iterates ``points``,
+    the (t, d) rows of a path such as ``path.points[:t]``.
+
+    The rows are summed in blocks of `BLOCK_ROUNDS` from row 0 into a
+    double-length total (``roundoff.add_rows``), so only the sums inside each
+    block round, not the growing total.  Both confidence intervals are
+    centred on this estimate, and the harness measures its errors from it.
+    """
+    t = len(points)
+    if t == 0:
+        raise ValueError("no synchronized points")
+    hi = lo = np.zeros(points.shape[1])
+    for first in range(0, t, BLOCK_ROUNDS):
+        hi, lo = roundoff.add_rows((hi, lo), points[first : first + BLOCK_ROUNDS])
+    return (hi + lo) / t
 
 
 def save_path_csv(path: SyncPath, stream: IO[str]) -> None:

@@ -9,11 +9,14 @@ confidence-interval lengths, and aggregates them into a report whose CSV form
 is byte-reproducible for a fixed (config, seed) regardless of worker count.
 
 ``_STATES`` maps each method to its inference state, which is also its engine
-observer.  ``run_experiment`` resolves every method's ``confidence_interval``
-arguments once, the critical value among them: z_{1-alpha/2} for the
-plug-in, the tabulated t*(beta) quantile for random scaling.  The states never
-see alpha or the table.  A replication builds the states in config order, runs
-the engine and asks each state for its interval.
+observer and estimates only its method's variance.  ``run_experiment``
+resolves every method's ``confidence_interval`` arguments once, the critical
+value among them: z_{1-alpha/2} for the plug-in, the tabulated t*(beta)
+quantile for random scaling.  The states never see alpha or the table.  A
+replication builds the states in config order, runs the engine, computes the
+one estimate y_bar_T (``engine.average_estimate``) and asks each state for
+its interval around it.  The errors ||y_bar_t - x*|| come from the same
+estimator, at T from the same estimate.
 
 ``_replicate`` is the one replication function of both drivers.  It returns
 arrays, and nan encodes a failure: an interval row is nan when its method
@@ -325,10 +328,12 @@ def _replicate(payload: _RepPayload, rep: int) -> tuple[np.ndarray, np.ndarray]:
     """One replication: ``(intervals, errors)``.
 
     ``intervals`` holds one (lo, hi) row per method of the payload, and
-    ``errors`` holds ||y_bar_t - x*|| at each of its checkpoints.  A method's
-    row is nan when its Hessian estimate was singular or a variance estimate
-    was nan; when the run diverges (the engine's ``DivergenceError``), every
-    row and every error is nan.
+    ``errors`` holds ||y_bar_t - x*|| at each of its checkpoints.  Every
+    interval is centred on y_bar_T, and every y_bar_t is
+    ``engine.average_estimate`` of the first t points; y_bar_T is computed
+    once.  A method's row is nan when its Hessian estimate was singular or a
+    variance estimate was nan; when the run diverges (the engine's
+    ``DivergenceError``), every row and every error is nan.
     """
     federation = payload.federation
     seed = np.random.SeedSequence(payload.seed, spawn_key=(1, rep))
@@ -344,14 +349,16 @@ def _replicate(payload: _RepPayload, rep: int) -> tuple[np.ndarray, np.ndarray]:
         with target.open("w") as stream:
             engine.save_path_csv(path, stream)
 
+    y_bar = engine.average_estimate(path.points)
     for row, state, (_, args) in zip(intervals, states, payload.methods):
         try:
-            row[:] = state.confidence_interval(*args)
+            row[:] = state.confidence_interval(y_bar, *args)
         except SingularHessian:
             pass  # the row stays nan: a failed method
     optimum = federation.global_optimum
     for i, t in enumerate(payload.checkpoints):
-        errors[i] = np.linalg.norm(path.points[:t].mean(axis=0) - optimum)
+        y_bar_t = y_bar if t == path.rounds else engine.average_estimate(path.points[:t])
+        errors[i] = np.linalg.norm(y_bar_t - optimum)
     return intervals, errors
 
 
@@ -407,7 +414,7 @@ def run_experiment(
     nan when every replication diverged.  When ``out_dir`` is given, writes
     ``report.csv`` and ``replications.csv`` into it, and the paths of the
     first ``dump_paths`` replications into its ``paths`` directory;
-    ``dump_paths`` without ``out_dir`` is an error.
+    ``dump_paths`` below 0, or above 0 without ``out_dir``, is an error.
 
     Both methods and the coverage decision share the roundoff rule of
     ``fedstat.roundoff``, with floor ROUNDOFF_FACTOR * eps * max(||x0||_inf,
@@ -421,6 +428,8 @@ def run_experiment(
     process.  The output bytes do not depend on the worker count.
     """
     _check_workers(workers)
+    if dump_paths < 0:
+        raise ValueError(f"dump_paths must be >= 0, got {dump_paths}")
     if dump_paths > 0 and out_dir is None:
         raise ValueError("dump_paths needs an output directory")
     started = time.perf_counter()
@@ -564,8 +573,8 @@ def convergence_curve(
 ) -> list[tuple[int, float, float]]:
     """Mean estimation error ||y_bar_t - x*|| at each checkpoint round t.
 
-    The estimate at t is the mean of the first t synchronized points, the
-    estimator of ``engine.average_estimate`` on a t-round run.  Returns
+    The estimate at t is ``engine.average_estimate`` of the first t
+    synchronized points, the estimator of a t-round run.  Returns
     (rounds, mean error, standard error) per checkpoint, averaged over the
     configured number of replications; one engine run per replication, to
     the last checkpoint.  Checkpoints must be strictly increasing and >= 1.

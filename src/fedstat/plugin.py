@@ -3,24 +3,23 @@
 At every synchronization the server receives one weighted stochastic gradient
 and one weighted stochastic Hessian evaluated at the current average, both
 built from a single fresh sample per client.  Their running means estimate the
-Hessian G and the gradient-noise covariance S; the confidence interval for a
-coordinate is centered at the running average of the synchronized iterates
-with half-width z * sqrt(nu_hat / t_T) * sqrt(sandwich diagonal);
-``harness.run_experiment`` resolves the normal quantile z = z_{1-alpha/2} once
-per experiment.  Intervals follow the roundoff rule of ``fedstat.roundoff``: a
-half-width at or below the floor is exactly 0, and a negative variance of the
-centre, (nu_hat / t_T) times the sandwich diagonal, within floor**2 counts
-as 0.
+Hessian G and the gradient-noise covariance S, so the state estimates only
+the variance of the centre.  The interval for a coordinate is centred at the
+estimate it is given, the mean y_bar of the synchronized iterates
+(``engine.average_estimate``), with half-width
+z * sqrt(nu_hat / t_T) * sqrt(sandwich diagonal); ``harness.run_experiment``
+resolves the normal quantile z = z_{1-alpha/2} once per experiment.
+Intervals follow the roundoff rule of ``fedstat.roundoff``: a half-width at
+or below the floor is exactly 0, and a negative variance of the centre,
+(nu_hat / t_T) times the sandwich diagonal, within floor**2 counts as 0.
 
 `PluginState` is itself the engine's observer (``engine.SyncObserver``): it
-asks for the inference draws, and every round folds one synchronized point
-with its gradient and Hessian draws.  The state keeps block sums: ``observe``
-only validates its arguments and writes one row into a block of
-`BLOCK_ROUNDS` rows, and a full block is folded into the sums of x, of the
-Hessian draws and of g g' with a few stacked operations.  The sum of x is kept
-to double length (``roundoff.add_rows``), so only the sums inside each block
-round, not the growing total.  Every read folds the pending rows into a
-fresh result and stores nothing, so the results never depend on when, or how
+asks for the inference draws, and every round folds the round's gradient
+and Hessian draws.  The state keeps block sums: ``observe`` only validates
+its arguments and writes one row into a block of `BLOCK_ROUNDS` rows, and a
+full block is folded into the sums of the Hessian draws and of g g' with a
+few stacked operations.  Every read folds the pending rows into a fresh
+result and stores nothing, so the results never depend on when, or how
 often, the state was read, and a caller that changes a returned array
 changes nothing in the state.
 """
@@ -41,15 +40,8 @@ _MAX_CONDITION = 1e12
 
 
 class _Sums(NamedTuple):
-    points: tuple[np.ndarray, np.ndarray]  # sum of x, as hi + lo
-    hessian: np.ndarray                    # sum of Hessian draws
-    outer: np.ndarray                      # sum of g g'
-
-
-class _Means(NamedTuple):
-    y_bar: np.ndarray
-    g_hat: np.ndarray
-    s_hat: np.ndarray
+    hessian: np.ndarray  # sum of Hessian draws
+    outer: np.ndarray    # sum of g g'
 
 
 class SingularHessian(RuntimeError):
@@ -60,9 +52,8 @@ class PluginState:
     """Streaming accumulators for the sandwich covariance estimate, and the
     engine observer that feeds them.
 
-    ``rounds_seen`` counts the rounds folded in, each a synchronized point
-    with its gradient and Hessian draws.  ``y_bar``, ``g_hat`` and ``s_hat``
-    are computed afresh on every read.
+    ``rounds_seen`` counts the rounds folded in, each a gradient and a
+    Hessian draw.  ``g_hat`` and ``s_hat`` are computed afresh on every read.
     """
 
     needs_inference_draws = True
@@ -72,30 +63,23 @@ class PluginState:
             raise ValueError("dimension must be >= 1")
         d = self.dimension = dimension
         self.rounds_seen = 0
-        self._points = np.empty((BLOCK_ROUNDS, d))
         self._grads = np.empty((BLOCK_ROUNDS, d))
         self._hessians = np.empty((BLOCK_ROUNDS, d, d))
         self._pending = 0  # rows not yet folded
-        self._sums = _Sums((np.zeros(d), np.zeros(d)), np.zeros((d, d)), np.zeros((d, d)))
+        self._sums = _Sums(np.zeros((d, d)), np.zeros((d, d)))
 
     def observe_sync(self, round_index, iteration, x_bar, interval, grad_draw, hess_draw):
-        """Engine hook: fold the round's point with its draws."""
-        self.observe(x_bar, grad_draw, hess_draw)
+        """Engine hook: fold the round's draws."""
+        self.observe(grad_draw, hess_draw)
 
-    def observe(
-        self, x_bar: np.ndarray, grad_draw: np.ndarray, hess_draw: np.ndarray
-    ) -> "PluginState":
-        """Fold one synchronized point and its draws into the means."""
+    def observe(self, grad_draw: np.ndarray, hess_draw: np.ndarray) -> "PluginState":
+        """Fold one round's gradient and Hessian draws into the means."""
         d = self.dimension
-        x_bar = np.asarray(x_bar, dtype=np.float64)
         grad_draw = np.asarray(grad_draw, dtype=np.float64)
         hess_draw = np.asarray(hess_draw, dtype=np.float64)
-        if x_bar.shape != (d,):
-            raise ValueError(f"x_bar must have shape ({d},)")
         if grad_draw.shape != (d,) or hess_draw.shape != (d, d):
             raise ValueError("draw dimensions do not match the state")
         k = self._pending
-        self._points[k] = x_bar
         self._grads[k] = grad_draw
         self._hessians[k] = hess_draw
         self._pending = k + 1
@@ -112,28 +96,23 @@ class PluginState:
             return sums
         grads = self._grads[:k]
         return _Sums(
-            roundoff.add_rows(sums.points, self._points[:k]),
             sums.hessian + self._hessians[:k].sum(axis=0),
             sums.outer + grads.T @ grads,
         )
 
-    def _read(self) -> "_Means":
+    def _read(self) -> tuple[np.ndarray, np.ndarray]:
+        """(g_hat, s_hat), computed afresh."""
         sums = self._fold()
         n = max(self.rounds_seen, 1)
-        hi, lo = sums.points
-        return _Means((hi + lo) / n, sums.hessian / n, sums.outer / n)
-
-    @property
-    def y_bar(self) -> np.ndarray:
-        return self._read().y_bar
+        return sums.hessian / n, sums.outer / n
 
     @property
     def g_hat(self) -> np.ndarray:
-        return self._read().g_hat
+        return self._read()[0]
 
     @property
     def s_hat(self) -> np.ndarray:
-        return self._read().s_hat
+        return self._read()[1]
 
     def sandwich(self) -> np.ndarray:
         """Ginv_hat @ S_hat @ Ginv_hat', symmetrized.
@@ -147,21 +126,28 @@ class PluginState:
             raise SingularHessian(
                 f"need at least {d} gradient/Hessian draws, have {self.rounds_seen}"
             )
-        means = self._read()
-        cond = np.linalg.cond(means.g_hat)
+        g_hat, s_hat = self._read()
+        cond = np.linalg.cond(g_hat)
         if not np.isfinite(cond) or cond > _MAX_CONDITION:
             raise SingularHessian(
                 f"Hessian estimate condition number {cond:.3g} exceeds {_MAX_CONDITION:g}"
             )
-        ginv = np.linalg.solve(means.g_hat, np.eye(d))
-        cov = ginv @ means.s_hat @ ginv.T
+        ginv = np.linalg.solve(g_hat, np.eye(d))
+        cov = ginv @ s_hat @ ginv.T
         return (cov + cov.T) / 2.0
 
     def confidence_interval(
-        self, z: float, diag: ScheduleDiagnostics, j: int, floor: float = 0.0
+        self,
+        centre: np.ndarray,
+        z: float,
+        diag: ScheduleDiagnostics,
+        j: int,
+        floor: float = 0.0,
     ) -> tuple[float, float]:
-        """Interval for coordinate ``j`` of the optimum with critical value
-        ``z``; z = z_{1-alpha/2} gives the two-sided level-(1-alpha) interval.
+        """Interval for coordinate ``j`` of the optimum, centred on
+        ``centre[j]``, with critical value ``z``; with the estimate
+        ``engine.average_estimate`` as ``centre``, z = z_{1-alpha/2} gives the
+        two-sided level-(1-alpha) interval.
 
         ``floor`` is the roundoff floor of ``fedstat.roundoff``; the default 0
         assumes exact arithmetic.  A nan sandwich diagonal gives a nan
@@ -171,4 +157,4 @@ class PluginState:
             float(self.sandwich()[j, j]), floor**2 * diag.t_T / diag.nu_hat, "sandwich diagonal"
         )
         half = z * np.sqrt(diag.nu_hat / diag.t_T) * np.sqrt(var_j)
-        return roundoff.interval(float(self.y_bar[j]), half, floor)
+        return roundoff.interval(float(centre[j]), half, floor)

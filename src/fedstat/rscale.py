@@ -2,11 +2,13 @@
 
 Instead of estimating the asymptotic covariance, the running average of the
 synchronized iterates is studentized by V_hat, a weighted second moment of the
-running means around the final mean.  The resulting statistic is pivotal but
-not normal; its critical values depend only on the growth exponent beta of the
-interval sequence and are tabulated separately (``fedstat.critvals``);
-``harness.run_experiment`` looks the value up once per experiment and hands
-the number to ``RScaleState.confidence_interval``.
+running means around the final mean.  The state estimates only V_hat; the
+interval is centred at the estimate it is given, the mean y_bar of the
+synchronized iterates (``engine.average_estimate``).  The resulting statistic
+is pivotal but not normal; its critical values depend only on the growth
+exponent beta of the interval sequence and are tabulated separately
+(``fedstat.critvals``); ``harness.run_experiment`` looks the value up once per
+experiment and hands the number to ``RScaleState.confidence_interval``.
 
 `RScaleState` is itself the engine's observer (``engine.SyncObserver``): it
 needs no inference draws, only each round's synchronized point and interval.
@@ -16,12 +18,12 @@ The recursion needs only sums over the path, so the state keeps block sums:
 ``observe`` only validates its arguments and writes one row into a block of
 `BLOCK_ROUNDS` rows, and a full block is folded with a few stacked operations.
 The cumulative sum of x - pivot gives n z_n = n (y_bar_n - pivot) for every
-round of the block, and from it A, b, s and q.  The running sums of x and of
-x - pivot are kept to double length (``roundoff.add_rows``), so only the sums
-inside each block round, not the growing totals.  Every read folds the
-pending rows into a fresh result and stores nothing, so the results never
-depend on when, or how often, the state was read, and a caller that changes a
-returned array changes nothing in the state.
+round of the block, and from it A, b, s and q.  The running sum of x - pivot
+is kept to double length (``roundoff.add_rows``), so only the sums inside
+each block round, not the growing total.  Every read folds the pending rows
+into a fresh result and stores nothing, so the results never depend on when,
+or how often, the state was read, and a caller that changes a returned array
+changes nothing in the state.
 Intervals follow the roundoff rule of ``fedstat.roundoff``: a half-width at or
 below the floor is exactly 0, and a negative V_hat diagonal within floor**2
 counts as 0.
@@ -41,7 +43,6 @@ __all__ = ["RScaleState", "beta_for_schedule"]
 
 
 class _Sums(NamedTuple):
-    points: tuple[np.ndarray, np.ndarray]  # sum of x, as hi + lo
     pivot: np.ndarray
     dev: tuple[np.ndarray, np.ndarray]  # sum of x - pivot (m z_m), as hi + lo
     A: np.ndarray
@@ -54,9 +55,8 @@ class RScaleState:
     """Streaming accumulators behind V_hat, and the engine observer that
     feeds them.
 
-    After m rounds, with p the first synchronized point (the pivot) and
-    z_n = y_bar_n - p:
-        y_bar = mean of the first m synchronized points,
+    After m rounds, with p the first synchronized point (the pivot),
+    y_bar_n the mean of the first n synchronized points and z_n = y_bar_n - p:
         A     = sum_n (n^2/E_n) z_n z_n',
         b     = sum_n (n^2/E_n) z_n,
         s     = sum_n 1/E_n,
@@ -75,7 +75,7 @@ class RScaleState:
         self._intervals = np.empty(BLOCK_ROUNDS)
         self._pending = 0  # rows not yet folded
         zeros = np.zeros(d)
-        self._sums = _Sums((zeros, zeros), zeros, (zeros, zeros), np.zeros((d, d)), zeros, 0.0, 0.0)
+        self._sums = _Sums(zeros, (zeros, zeros), np.zeros((d, d)), zeros, 0.0, 0.0)
 
     def observe_sync(self, round_index, iteration, x_bar, interval, grad_draw, hess_draw):
         """Engine hook: fold the round's point with its interval."""
@@ -115,7 +115,6 @@ class RScaleState:
         n = np.arange(first, first + k, dtype=np.float64)
         inv = 1.0 / self._intervals[:k]
         return _Sums(
-            roundoff.add_rows(sums.points, self._points[:k]),
             pivot,
             roundoff.add_rows(sums.dev, dev),
             sums.A + (cum * inv[:, None]).T @ cum,
@@ -127,11 +126,6 @@ class RScaleState:
     @property
     def pivot(self) -> np.ndarray:
         return self._fold().pivot.copy()
-
-    @property
-    def y_bar(self) -> np.ndarray:
-        hi, lo = self._fold().points
-        return (hi + lo) / max(self.rounds_seen, 1)
 
     @property
     def A(self) -> np.ndarray:
@@ -150,7 +144,7 @@ class RScaleState:
         return self._fold().q
 
     def v_hat(self) -> np.ndarray:
-        """The studentizing matrix (A - z b' - b z' + q z z') / (m^2 s), z = y_bar - p."""
+        """The studentizing matrix (A - z b' - b z' + q z z') / (m^2 s), z = z_m."""
         if self.rounds_seen < 1:
             raise ValueError("no observations yet")
         sums = self._fold()
@@ -161,17 +155,20 @@ class RScaleState:
         v /= m**2 * sums.s
         return (v + v.T) / 2.0
 
-    def confidence_interval(self, q: float, j: int, floor: float = 0.0) -> tuple[float, float]:
-        """Interval for coordinate ``j`` of the optimum with critical value
-        ``q``; the (1 - alpha/2) quantile of t*(beta) gives the two-sided
-        level-(1-alpha) interval.
+    def confidence_interval(
+        self, centre: np.ndarray, q: float, j: int, floor: float = 0.0
+    ) -> tuple[float, float]:
+        """Interval for coordinate ``j`` of the optimum, centred on
+        ``centre[j]``, with critical value ``q``; with the estimate
+        ``engine.average_estimate`` as ``centre``, the (1 - alpha/2) quantile
+        of t*(beta) gives the two-sided level-(1-alpha) interval.
 
         ``floor`` is the roundoff floor of ``fedstat.roundoff``; the default 0
         assumes exact arithmetic.  A nan V_hat diagonal gives a nan interval.
         """
         v_jj = roundoff.nonnegative(float(self.v_hat()[j, j]), floor**2, "V_hat diagonal")
         half = q * np.sqrt(v_jj)
-        return roundoff.interval(float(self.y_bar[j]), half, floor)
+        return roundoff.interval(float(centre[j]), half, floor)
 
 
 def beta_for_schedule(schedule: Schedule) -> float:

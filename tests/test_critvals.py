@@ -471,6 +471,13 @@ class TestSerialization:
         with pytest.raises(ValueError):
             critvals.load_csv(io.StringIO("# nothing\n"))
 
+    @pytest.mark.parametrize("row", ["0.5,1.0", "0.5,1.0,2.0,3.0"], ids=["short", "long"])
+    def test_ragged_row_names_its_line(self, row):
+        text = f"# steps=1000\nbeta,0.5,0.975\n0,0.0,6.753\n\n{row}\n"
+        cells = len(row.split(","))
+        with pytest.raises(ValueError, match=f"^line 5: {cells} cells, the header has 3$"):
+            critvals.load_csv(io.StringIO(text))
+
 
 class TestTableChecks:
     @pytest.mark.parametrize(
@@ -496,6 +503,20 @@ class TestTableChecks:
         critvals.save_csv(table, buffer)
         buffer.seek(0)
         np.testing.assert_array_equal(critvals.load_csv(buffer).values, table.values)
+
+    @pytest.mark.parametrize(
+        "betas, levels, name",
+        [
+            ((0.0, 0.0), (0.5, 0.975), "betas"),
+            ((0.0, 0.5), (0.975, 0.975), "levels"),
+            ((0.5, 0.0, 0.5 + 1e-10), (0.975,), "betas"),
+        ],
+        ids=["equal-betas", "equal-levels", "betas-within-match"],
+    )
+    def test_rejects_entries_lookup_cannot_tell_apart(self, betas, levels, name):
+        values = np.ones((len(betas), len(levels)))
+        with pytest.raises(ValueError, match=f"{name} must differ by more than 1e-09"):
+            CriticalValueTable(betas, levels, values, steps=1000, replications=1000)
 
     def test_simulate_table_rejects_a_negative_seed(self):
         with pytest.raises(ValueError, match="seed must be >= 0"):

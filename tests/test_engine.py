@@ -1,5 +1,6 @@
 import io
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -310,10 +311,33 @@ class TestGuardsAndHelpers:
             run(fed, table(sched, 40), np.array([1.0]), seed=0)
 
     def test_average_estimate(self):
-        path = engine.SyncPath(points=np.array([[1.0], [3.0]]), comm_times=np.array([1, 2]))
-        np.testing.assert_allclose(average_estimate(path), [2.0])
-        single = engine.SyncPath(points=np.array([[0.25, 1.0]]), comm_times=np.array([1]))
-        np.testing.assert_allclose(average_estimate(single), [0.25, 1.0])
+        np.testing.assert_array_equal(average_estimate(np.array([[1.0], [3.0]])), [2.0])
+        np.testing.assert_array_equal(average_estimate(np.array([[0.25, 1.0]])), [0.25, 1.0])
+        with pytest.raises(ValueError, match="no synchronized points"):
+            average_estimate(np.empty((0, 2)))
+
+    @pytest.mark.parametrize("rows", [3 * engine.BLOCK_ROUNDS + 100, 300, 7])
+    def test_average_estimate_matches_exact_arithmetic(self, rows):
+        # On three full blocks and a partial one, and on two prefixes, the
+        # estimate lies within (B + 1) eps sum|x| / t of the exact rational
+        # mean: B additions in any order round by at most (B - 1) eps sum|x|,
+        # the double-length total across blocks adds nothing, and hi + lo
+        # and the division round once each.
+        rng = np.random.default_rng(23)
+        points = (5.0 + rng.standard_normal((3 * engine.BLOCK_ROUNDS + 100, 2)))[:rows]
+        estimate = average_estimate(points)
+        eps = np.finfo(np.float64).eps
+        for j in range(2):
+            column = points[:, j]
+            exact = sum(map(Fraction, column)) / rows
+            tol = (engine.BLOCK_ROUNDS + 1) * eps * np.abs(column).sum() / rows
+            assert abs(Fraction(estimate[j]) - exact) <= tol
+
+    def test_average_estimate_loses_nothing_between_blocks(self):
+        # Blocks of 1e16, of 1 and of -1e16 rows sum to exactly BLOCK_ROUNDS;
+        # one running total rounds the ones away against 256 * 1e16.
+        points = np.repeat([1e16, 1.0, -1e16], engine.BLOCK_ROUNDS)[:, None]
+        assert average_estimate(points)[0] == 1.0 / 3.0
 
     def test_long_run_estimate_near_optimum(self):
         # Monte Carlo sanity of the mean estimate at 3 sigma of its CLT scale.
@@ -324,7 +348,7 @@ class TestGuardsAndHelpers:
 
         _, _, cov = true_sandwich(fed)
         bound = 3.0 * np.sqrt(np.trace(cov) / path.total_iterations)
-        assert np.linalg.norm(average_estimate(path) - fed.global_optimum) <= bound
+        assert np.linalg.norm(average_estimate(path.points) - fed.global_optimum) <= bound
 
     def test_path_csv_dump(self):
         fed = quadratic_fed([0.0])

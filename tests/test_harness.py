@@ -15,6 +15,7 @@ from fedstat.harness import (
     run_experiment,
 )
 from fedstat.plugin import PluginState
+from fedstat.rscale import RScaleState
 from reference import shipped_table_with
 
 BASE_CONFIG = """
@@ -319,6 +320,16 @@ class TestRunExperiment:
         err = capsys.readouterr().err
         assert err == "fedstat: error: dump_paths needs an output directory\n"
 
+    def test_cli_rejects_a_negative_dump_paths(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "config.txt"
+        path.write_text(BASE_CONFIG)
+        runs = []
+        monkeypatch.setattr(engine, "run", lambda *args, **kwargs: runs.append(args))
+        argv = ["run", "--config", str(path), "--out", str(tmp_path), "--dump-paths", "-3"]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == "fedstat: error: dump_paths must be >= 0, got -3\n"
+        assert runs == []
+
     def test_critical_values_file_of_the_default_table(self, tmp_path):
         table_path = tmp_path / "table.csv"
         with table_path.open("w") as stream:
@@ -410,15 +421,44 @@ class TestRunExperiment:
         seen = []
         interval = PluginState.confidence_interval
 
-        def recorded(self, z, *args):
+        def recorded(self, centre, z, *args):
             seen.append(z)
-            return interval(self, z, *args)
+            return interval(self, centre, z, *args)
 
         monkeypatch.setattr(PluginState, "confidence_interval", recorded)
         for alpha_level in (0.05, 0.32):
             run_experiment(quadratic_config(methods=("plugin",), alpha_level=alpha_level))
         assert seen[:4] == [pytest.approx(1.959964, abs=1e-6)] * 4
         assert seen[4:] == [pytest.approx(0.994458, abs=1e-6)] * 4
+
+    def test_intervals_and_error_share_one_estimate(self, monkeypatch):
+        """Both intervals are centred on average_estimate of the path, and
+        mean_error is the norm of the same estimate's error."""
+        config = quadratic_config(
+            model="linear", dimension=3, clients=4, rounds=600, x0="zeros",
+            schedule=schedules.CommunicationSchedule("constant", base=1), replications=1,
+        )
+        seen = []
+        for state in (PluginState, RScaleState):
+            interval = state.confidence_interval
+
+            def recorded(self, centre, *args, interval=interval):
+                lo, hi = interval(self, centre, *args)
+                seen.append((centre, lo, hi))
+                return lo, hi
+
+            monkeypatch.setattr(state, "confidence_interval", recorded)
+        report = run_experiment(config)
+
+        fed = harness.build_federation(config)
+        seed = np.random.SeedSequence(config.seed, spawn_key=(1, 0))
+        path = engine.run(fed, schedules.table(config.schedule, 600), np.zeros(3), seed)
+        y_bar = engine.average_estimate(path.points)
+        assert len(seen) == 2
+        for centre, lo, hi in seen:
+            np.testing.assert_array_equal(centre, y_bar)
+            assert (lo + hi) / 2.0 == pytest.approx(y_bar[0], rel=1e-15)
+        assert report.mean_error == np.linalg.norm(y_bar - fed.global_optimum)
 
     def test_nan_variance_is_a_failed_method(self, monkeypatch, tmp_path):
         """One nan gradient draw makes the sandwich nan: the plug-in fails in
@@ -651,7 +691,8 @@ class TestConvergenceCurve:
             except engine.DivergenceError:
                 continue
             x_star = fed.global_optimum
-            errors.append([np.linalg.norm(path.points[:t].mean(0) - x_star) for t in checkpoints])
+            estimates = [engine.average_estimate(path.points[:t]) for t in checkpoints]
+            errors.append([np.linalg.norm(y_bar - x_star) for y_bar in estimates])
         errors = np.array(errors)
         assert len(errors) == kept
         means = errors.mean(axis=0)

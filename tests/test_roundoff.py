@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fedstat import harness, models, roundoff, schedules
+from fedstat.engine import average_estimate
 from fedstat.plugin import PluginState
 from fedstat.rscale import RScaleState
 from fedstat.schedules import ScheduleDiagnostics
@@ -46,26 +47,28 @@ class TestZeroWidth:
         assert lo < 1.5 < hi
 
     def test_rscale_ulp_path_gives_centre_exactly(self):
-        state = RScaleState(2)
-        for x in ulp_path():
+        state, path = RScaleState(2), ulp_path()
+        for x in path:
             state.observe(x, 2)
+        y_bar = average_estimate(path)
         for j in range(2):
-            lo, hi = state.confidence_interval(Q_RSCALE, j, FLOOR)
-            assert lo == hi == state.y_bar[j]
+            lo, hi = state.confidence_interval(y_bar, Q_RSCALE, j, FLOOR)
+            assert lo == hi == y_bar[j]
 
     def test_plugin_ulp_draws_give_centre_exactly(self):
-        state = PluginState(2)
-        for x in ulp_path():
-            state.observe(x, (x - X_STAR), np.eye(2))
+        state, path = PluginState(2), ulp_path()
+        for x in path:
+            state.observe(x - X_STAR, np.eye(2))
+        y_bar = average_estimate(path)
         for j in range(2):
-            lo, hi = state.confidence_interval(Z_PLUGIN, diag_stub(), j, FLOOR)
-            assert lo == hi == state.y_bar[j]
+            lo, hi = state.confidence_interval(y_bar, Z_PLUGIN, diag_stub(), j, FLOOR)
+            assert lo == hi == y_bar[j]
 
     def test_exact_arithmetic_default_keeps_ulp_width(self):
-        state = PluginState(2)
-        for x in ulp_path():
-            state.observe(x, (x - X_STAR), np.eye(2))
-        lo, hi = state.confidence_interval(Z_PLUGIN, diag_stub(), 0)
+        state, path = PluginState(2), ulp_path()
+        for x in path:
+            state.observe(x - X_STAR, np.eye(2))
+        lo, hi = state.confidence_interval(average_estimate(path), Z_PLUGIN, diag_stub(), 0)
         assert lo < hi
 
 
@@ -114,38 +117,39 @@ class TestNegativeVariance:
         state = RScaleState(1)
         state.observe(np.array([1.0]), 1)
         monkeypatch.setattr(state, "v_hat", lambda: np.array([[-0.5 * FLOOR**2]]))
-        assert state.confidence_interval(Q_RSCALE, 0, FLOOR) == (1.0, 1.0)
+        assert state.confidence_interval(np.ones(1), Q_RSCALE, 0, FLOOR) == (1.0, 1.0)
         monkeypatch.setattr(state, "v_hat", lambda: np.array([[-2.0 * FLOOR**2]]))
         with pytest.raises(ValueError, match="V_hat diagonal"):
-            state.confidence_interval(Q_RSCALE, 0, FLOOR)
+            state.confidence_interval(np.ones(1), Q_RSCALE, 0, FLOOR)
 
     def test_plugin_negative_diagonal_scaled_by_nu_over_t(self, monkeypatch):
         state = PluginState(1)
-        state.observe(np.array([1.0]), np.zeros(1), np.eye(1))
+        state.observe(np.zeros(1), np.eye(1))
         diag = diag_stub(nu_hat=2.0, t_T=50)
         # The centre's variance is (nu_hat / t_T) * sandwich diagonal.
         scale = FLOOR**2 * diag.t_T / diag.nu_hat
         monkeypatch.setattr(state, "sandwich", lambda: np.array([[-0.5 * scale]]))
-        assert state.confidence_interval(Z_PLUGIN, diag, 0, FLOOR) == (1.0, 1.0)
+        assert state.confidence_interval(np.ones(1), Z_PLUGIN, diag, 0, FLOOR) == (1.0, 1.0)
         monkeypatch.setattr(state, "sandwich", lambda: np.array([[-2.0 * scale]]))
         with pytest.raises(ValueError, match="sandwich diagonal"):
-            state.confidence_interval(Z_PLUGIN, diag, 0, FLOOR)
+            state.confidence_interval(np.ones(1), Z_PLUGIN, diag, 0, FLOOR)
 
 
 class TestNoisyIntervalsUnchanged:
     def test_floor_leaves_noisy_intervals_alone(self):
         rng = np.random.default_rng(3)
         plugin, rscale = PluginState(2), RScaleState(2)
-        for _ in range(50):
-            x = X_STAR + 1e-3 * rng.standard_normal(2)
-            plugin.observe(x, rng.standard_normal(2), np.eye(2))
+        path = X_STAR + 1e-3 * rng.standard_normal((50, 2))
+        for x in path:
+            plugin.observe(rng.standard_normal(2), np.eye(2))
             rscale.observe(x, 1)
+        y_bar = average_estimate(path)
         for j in range(2):
-            assert plugin.confidence_interval(Z_PLUGIN, diag_stub(), j, FLOOR) == (
-                plugin.confidence_interval(Z_PLUGIN, diag_stub(), j)
+            assert plugin.confidence_interval(y_bar, Z_PLUGIN, diag_stub(), j, FLOOR) == (
+                plugin.confidence_interval(y_bar, Z_PLUGIN, diag_stub(), j)
             )
-            assert rscale.confidence_interval(Q_RSCALE, j, FLOOR) == (
-                rscale.confidence_interval(Q_RSCALE, j)
+            assert rscale.confidence_interval(y_bar, Q_RSCALE, j, FLOOR) == (
+                rscale.confidence_interval(y_bar, Q_RSCALE, j)
             )
 
 

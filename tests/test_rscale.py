@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedstat import schedules
-from fedstat.engine import BLOCK_ROUNDS
+from fedstat.engine import BLOCK_ROUNDS, average_estimate
 from fedstat.rscale import RScaleState, beta_for_schedule
 
 # The 0.975 quantiles of t*(beta) in the reference asymptotic table: the
@@ -20,16 +20,16 @@ def test_changing_a_read_changes_nothing(rounds):
     state = RScaleState(2)
     for m in range(rounds):
         state.observe(rng.standard_normal(2), 1 + m % 3)
-    reads = ("y_bar", "pivot", "A", "b")
+    reads = ("pivot", "A", "b")
     before = [getattr(state, name) for name in reads] + [state.v_hat()]
-    interval = state.confidence_interval(Q_BETA_ZERO, 0)
+    interval = state.confidence_interval(np.zeros(2), Q_BETA_ZERO, 0)
     for name in reads:
         getattr(state, name)[...] *= 4.0
     state.v_hat()[...] *= 4.0
     after = [getattr(state, name) for name in reads] + [state.v_hat()]
     for old, new in zip(before, after):
         np.testing.assert_array_equal(new, old)
-    assert state.confidence_interval(Q_BETA_ZERO, 0) == interval
+    assert state.confidence_interval(np.zeros(2), Q_BETA_ZERO, 0) == interval
 
 
 def batch_vhat(points, intervals):
@@ -52,7 +52,6 @@ class TestObserve:
         x = np.array([1.0, -2.0])
         state.observe(x, 1)
         # A and b accumulate around the pivot, the first point, so both start at 0.
-        np.testing.assert_array_equal(state.y_bar, x)
         np.testing.assert_array_equal(state.pivot, x)
         np.testing.assert_array_equal(state.A, np.zeros((2, 2)))
         np.testing.assert_array_equal(state.b, np.zeros(2))
@@ -98,8 +97,8 @@ class TestBlockFold:
             read.observe(x, int(e))
             unread.observe(x, int(e))
             if m in reads:
-                read.y_bar, read.A, read.b, read.s, read.q, read.v_hat()  # read and dropped
-        for name in ("y_bar", "pivot", "A", "b", "s", "q", "rounds_seen"):
+                read.A, read.b, read.s, read.q, read.v_hat()  # read and dropped
+        for name in ("pivot", "A", "b", "s", "q", "rounds_seen"):
             np.testing.assert_array_equal(getattr(read, name), getattr(unread, name))
         np.testing.assert_array_equal(read.v_hat(), unread.v_hat())
 
@@ -130,7 +129,6 @@ class TestBlockFold:
             assert err <= tol * float(sum(map(abs, terms)))
 
         for i in range(d):
-            check(state.y_bar[i], [x[i] / n for x in exact_points])
             check(state.b[i], [t[i] for t in b_terms])
             for j in range(d):
                 check(state.A[i, j], [t[i][j] for t in a_terms])
@@ -178,7 +176,6 @@ class TestVhat:
             base.observe(x, int(e))
             moved.observe(c * x + shift, int(e))
         np.testing.assert_allclose(moved.v_hat(), c**2 * base.v_hat(), rtol=1e-10, atol=1e-12)
-        np.testing.assert_allclose(moved.y_bar, c * base.y_bar + shift, rtol=1e-10, atol=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -208,13 +205,16 @@ class TestVhat:
         rng = np.random.default_rng(17)
         x_star = np.array([1.0, -1.0])
         points = x_star + rng.standard_normal((30, 2))
-        c = 4.0
+        scaled_points = x_star + 4.0 * (points - x_star)
         base, scaled = RScaleState(2), RScaleState(2)
-        for x in points:
+        for x, y in zip(points, scaled_points):
             base.observe(x, 2)
-            scaled.observe(x_star + c * (x - x_star), 2)
-        stat = lambda s: (s.y_bar - x_star) / np.sqrt(np.diag(s.v_hat()))
-        np.testing.assert_allclose(stat(scaled), stat(base), rtol=1e-10)
+            scaled.observe(y, 2)
+
+        def stat(state, path):
+            return (average_estimate(path) - x_star) / np.sqrt(np.diag(state.v_hat()))
+
+        np.testing.assert_allclose(stat(scaled, scaled_points), stat(base, points), rtol=1e-10)
 
 
 class TestConfidenceInterval:
@@ -222,7 +222,7 @@ class TestConfidenceInterval:
         state = RScaleState(1)
         state.observe(np.array([0.0]), 1)
         state.observe(np.array([2.0]), 1)
-        lo, hi = state.confidence_interval(Q_BETA_ZERO, 0)
+        lo, hi = state.confidence_interval(np.array([1.0]), Q_BETA_ZERO, 0)
         half = Q_BETA_ZERO * np.sqrt(1.0 / 8.0)
         assert (lo, hi) == pytest.approx((1.0 - half, 1.0 + half), rel=1e-12)
 
@@ -230,7 +230,7 @@ class TestConfidenceInterval:
         state = RScaleState(1)
         state.observe(np.array([0.0]), 1)
         state.observe(np.array([2.0]), 1)
-        lo, hi = state.confidence_interval(Q_BETA_HALF, 0)
+        lo, hi = state.confidence_interval(np.array([1.0]), Q_BETA_HALF, 0)
         half = Q_BETA_HALF * np.sqrt(1.0 / 8.0)
         assert (lo, hi) == pytest.approx((1.0 - half, 1.0 + half), rel=1e-12)
 
@@ -238,7 +238,7 @@ class TestConfidenceInterval:
         state = RScaleState(1)
         for _ in range(4):
             state.observe(np.array([7.0]), 1)
-        lo, hi = state.confidence_interval(Q_BETA_ZERO, 0)
+        lo, hi = state.confidence_interval(np.array([7.0]), Q_BETA_ZERO, 0)
         assert lo == hi == 7.0
 
 
