@@ -272,6 +272,18 @@ def save_csv(table: CriticalValueTable, stream: IO[str]) -> None:
         stream.write(f"{beta:.17g}," + ",".join(f"{v:.17g}" for v in row) + "\n")
 
 
+def _numbers(cells: list[str], lineno: int) -> list[float]:
+    """The cells of line ``lineno`` as floats; a cell that is not a number
+    raises ``ValueError`` naming the line."""
+    values = []
+    for cell in cells:
+        try:
+            values.append(float(cell))
+        except ValueError:
+            raise ValueError(f"line {lineno}: {cell!r} is not a number") from None
+    return values
+
+
 def load_csv(stream: IO[str]) -> CriticalValueTable:
     steps = replications = 0
     seed: int | None = None
@@ -295,17 +307,18 @@ def load_csv(stream: IO[str]) -> CriticalValueTable:
         cells = line.split(",")
         if header is None:
             header = cells
+            levels = _numbers(cells[1:], lineno)
             continue
         if len(cells) != len(header):
             raise ValueError(f"line {lineno}: {len(cells)} cells, the header has {len(header)}")
-        betas.append(float(cells[0]))
-        rows.append([float(c) for c in cells[1:]])
+        beta, *values = _numbers(cells, lineno)
+        betas.append(beta)
+        rows.append(values)
     if header is None or not rows:
         raise ValueError("malformed critical-value table")
-    levels = tuple(float(c) for c in header[1:])
     return CriticalValueTable(
         betas=tuple(betas),
-        levels=levels,
+        levels=tuple(levels),
         values=np.array(rows),
         steps=steps,
         replications=replications,

@@ -8,14 +8,15 @@ internal and discarded at each sync.
 
 Randomness layout: every client owns two sequential substreams derived from
 the run seed, one feeding the optimization samples and one feeding the fresh
-samples that inference observers consume at sync times.  Streams are keyed by
-client index, so adding clients or rounds never perturbs existing draws, and
-attaching observers never changes the optimization path.  Samples are drawn
-from each stream in chunks of `_BUFFER_CHUNK` for speed; within a stream they
-are always consumed sequentially, one row per local iteration (or per sync for
-the inference stream), and laid out time-major, so that one step or sync
-reads one (K, d) block.  A noiseless client's rows are its center and
-curvature, drawn without randomness.
+samples of the inference draws at sync times (``inference_draws``).  Streams
+are keyed by client index, so adding clients or rounds never perturbs
+existing draws, and ``run`` reads only the optimization streams, so inference
+never changes the optimization path.  Samples are drawn from each stream in
+chunks of `_BUFFER_CHUNK` for speed; within a stream they are always consumed
+sequentially, one row per local iteration (or per sync for the inference
+stream), and laid out time-major, so that one step or sync reads one (K, d)
+block.  A noiseless client's rows are its center and curvature, drawn
+without randomness.
 
 Rounds run in blocks of `BLOCK_ROUNDS`.  After a block's rounds, the
 divergence test runs once on the block's rows: the first round m whose
@@ -23,7 +24,7 @@ squared norm is not <= bound**2 is named by `DivergenceError`, exactly as a
 test after every round would name it.  The bound is 1e8 times the run's scale
 (``roundoff.run_scale``, at least 1).  The block's rounds after
 m have been computed as well; they may overflow to inf or nan, silently, and
-are discarded, so neither an observer nor a warning sees them.
+are discarded, so no caller and no warning sees them.
 
 Local steps and synchronization run in one in-place kernel per model kind
 (its rounds kernel in ``models.KERNELS``) on the stacked client states X
@@ -52,25 +53,21 @@ buffer: a group of up to 256 rows adds less than an eighth of a chunk to it,
 where a 2048-row group could nearly double it.  The roundoff of a linear
 group of E = 1 rounds does depend on where the group starts, its pivot.  The
 groups follow from the table's intervals alone, so the bytes of a run still
-depend only on (config, seed): never on the worker count, and never on the
-observers.
+depend only on (config, seed), never on the worker count.
 
-Observers are notified once per block, after its divergence test: the engine
-takes the block's inference rows with one buffer call, evaluates its gradient
-and Hessian draws with one stacked kernel call, and then notifies every
-observer once per round, in round order.  An observer is therefore at most
-one block behind the path, and it has seen every completed round (rounds
-1..m-1 of a diverging run) before ``run`` returns or raises.  `BLOCK_ROUNDS`
-divides `_BUFFER_CHUNK`, so a block take never straddles a refill: the
-inference buffer refills at the same stream positions as one take per round
-would, and every kind's inference draws are those of a per-round
-evaluation, bit for bit.
+``inference_draws`` reads the finished path: for each block of `BLOCK_ROUNDS`
+synchronized points it takes the block's rows of the inference stream with
+one buffer call and evaluates their gradient and Hessian draws with one
+stacked kernel call.  `BLOCK_ROUNDS` divides `_BUFFER_CHUNK`, so a block take
+never straddles a refill: the inference buffer refills at the same stream
+positions as one take per round would, and every kind's inference draws are
+those of a per-round evaluation, bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import IO, Iterable, Protocol
+from typing import IO, Iterator
 
 import numpy as np
 import numpy.random  # noqa: F401  (numpy loads it lazily; load it with the package)
@@ -79,11 +76,11 @@ from . import models, roundoff
 
 __all__ = [
     "SyncPath",
-    "SyncObserver",
     "BLOCK_ROUNDS",
     "DivergenceError",
     "client_generators",
     "run",
+    "inference_draws",
     "average_estimate",
     "save_path_csv",
 ]
@@ -123,49 +120,17 @@ class SyncPath:
         return int(self.comm_times[-1])
 
 
-class SyncObserver(Protocol):
-    """Sink notified once per synchronization, in round order.
-
-    The inference states are the observers: ``plugin.PluginState`` asks for
-    the inference draws and folds only them every round,
-    ``rscale.RScaleState`` reads only the point and the interval.  The draws
-    are None when no observer of the run sets ``needs_inference_draws``.
-
-    Notifications arrive in blocks of `BLOCK_ROUNDS` rounds, so an observer is
-    at most one block behind the path; every completed round has been pushed
-    before ``run`` returns or raises `DivergenceError`.  ``x_bar`` is a
-    read-only view of the path and the draws are views of per-block arrays;
-    an observer that keeps them must copy them.
-    """
-
-    needs_inference_draws: bool
-
-    def observe_sync(
-        self,
-        round_index: int,
-        iteration: int,
-        x_bar: np.ndarray,
-        interval: int,
-        grad_draw: np.ndarray | None,
-        hess_draw: np.ndarray | None,
-    ) -> None: ...
-
-
 def client_generators(
-    seed: int | np.random.SeedSequence, n_clients: int
-) -> tuple[list[np.random.Generator], list[np.random.Generator]]:
-    """Per-client (optimization, inference) generator pairs for a run seed."""
+    seed: int | np.random.SeedSequence, n_clients: int, stream: int
+) -> list[np.random.Generator]:
+    """Per-client generators of one stream of a run seed: stream 0 feeds the
+    optimization samples, stream 1 the inference draws."""
     base = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    key = base.spawn_key
-    opt = [
-        np.random.default_rng(np.random.SeedSequence(base.entropy, spawn_key=(*key, 0, k)))
+    key = (*base.spawn_key, stream)
+    return [
+        np.random.default_rng(np.random.SeedSequence(base.entropy, spawn_key=(*key, k)))
         for k in range(n_clients)
     ]
-    inf = [
-        np.random.default_rng(np.random.SeedSequence(base.entropy, spawn_key=(*key, 1, k)))
-        for k in range(n_clients)
-    ]
-    return opt, inf
 
 
 class SampleBuffer:
@@ -233,19 +198,16 @@ def run(
     table,
     x0: np.ndarray,
     seed: int | np.random.SeedSequence,
-    observers: Iterable[SyncObserver] = (),
 ) -> SyncPath:
     """Run the table's T communication rounds from ``x0``; returns the path.
 
     Round m runs ``table.intervals[m-1]`` local steps of size
     ``table.etas[m-1]`` (a ``ScheduleTable``), and the path's ``comm_times``
     is the read-only ``table.comm_times``.  Deterministic given (federation,
-    table, x0, seed).  Every
-    synchronized average is appended to the path and pushed to each observer,
-    at most `BLOCK_ROUNDS` rounds later, so inference runs online.  A round
-    whose average has norm above 1e8 times the run's scale,
-    ``roundoff.run_scale`` (at least 1), raises `DivergenceError`, so a run
-    that starts or settles far from 0 is judged by its own size.  A bound
+    table, x0, seed); only the optimization stream is read.  A round whose
+    average has norm above 1e8 times the run's scale, ``roundoff.run_scale``
+    (at least 1), raises `DivergenceError`, so a run that starts or settles
+    far from 0 is judged by its own size.  A bound
     whose square overflows (a scale above about 1.34e146) never trips.
     """
     x0 = np.asarray(x0, dtype=np.float64)
@@ -254,44 +216,17 @@ def run(
         raise ValueError(f"x0 must be a finite vector of length {d}")
     bound = 1e8 * max(1.0, roundoff.run_scale(federation, x0))
 
-    observers = tuple(observers)
-    need_draws = any(getattr(o, "needs_inference_draws", False) for o in observers)
     weights = federation.weights
-    opt_rngs, inf_rngs = client_generators(seed, federation.size)
-
     e_list, eta_list = table.intervals.tolist(), table.etas.tolist()
     total_rounds = len(e_list)
 
-    local_rounds, sample_draws = models.KERNELS[federation.kind]
-    opt_samples = SampleBuffer(federation.clients, opt_rngs)
-    inf_samples = SampleBuffer(federation.clients, inf_rngs) if need_draws else None
+    local_rounds = models.KERNELS[federation.kind][0]
+    opt_samples = SampleBuffer(federation.clients, client_generators(seed, federation.size, 0))
 
     X = np.tile(x0, (federation.size, 1))
     points = np.empty((total_rounds, d))
     with np.errstate(over="ignore"):
         bound_sq = np.square(np.float64(bound))  # inf above about 1.34e154
-
-    def notify(first: int, stop: int) -> None:
-        """Push rounds first+1..stop to every observer, in round order."""
-        if not observers or stop == first:
-            return
-        xs = points[first:stop]
-        xs.flags.writeable = False
-        if not need_draws:
-            grads = hessians = (None,) * (stop - first)
-        else:
-            grads, hessians = sample_draws(weights, *inf_samples.take(stop - first), xs)
-        rounds = zip(
-            range(first + 1, stop + 1),
-            table.comm_times[first:stop].tolist(),
-            xs,
-            e_list[first:stop],
-            grads,
-            hessians,
-        )
-        for m, t, x_bar, interval, grad_draw, hess_draw in rounds:
-            for obs in observers:
-                obs.observe_sync(m, t, x_bar, interval, grad_draw, hess_draw)
 
     for first in range(0, total_rounds, BLOCK_ROUNDS):
         stop = min(first + BLOCK_ROUNDS, total_rounds)
@@ -306,13 +241,30 @@ def run(
         failed = np.flatnonzero(~(norm_sq <= bound_sq))
         if failed.size:
             m = first + int(failed[0]) + 1
-            notify(first, m - 1)
             raise DivergenceError(
                 f"synchronized iterate exceeded bound {bound:g} at round {m}"
             )
-        notify(first, stop)
 
     return SyncPath(points=points, comm_times=table.comm_times)
+
+
+def inference_draws(
+    federation: models.Federation,
+    seed: int | np.random.SeedSequence,
+    points: np.ndarray,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The weighted (gradient, Hessian) draws at the synchronized ``points``.
+
+    Yields one ``models.KERNELS`` draw pair, of shapes (n, d) and (n, d, d),
+    per block of `BLOCK_ROUNDS` rows of ``points`` (the last block may be
+    shorter).  Row i is evaluated at ``points[i]`` with the i-th row of the
+    run seed's inference stream, as a per-round evaluation would be.
+    """
+    draws = models.KERNELS[federation.kind][1]
+    samples = SampleBuffer(federation.clients, client_generators(seed, federation.size, 1))
+    for first in range(0, len(points), BLOCK_ROUNDS):
+        block = points[first : first + BLOCK_ROUNDS]
+        yield draws(federation.weights, *samples.take(len(block)), block)
 
 
 def average_estimate(points: np.ndarray) -> np.ndarray:
@@ -324,13 +276,29 @@ def average_estimate(points: np.ndarray) -> np.ndarray:
     block round, not the growing total.  Both confidence intervals are
     centred on this estimate, and the harness measures its errors from it.
     """
-    t = len(points)
-    if t == 0:
+    if len(points) == 0:
         raise ValueError("no synchronized points")
-    hi = lo = np.zeros(points.shape[1])
-    for first in range(0, t, BLOCK_ROUNDS):
-        hi, lo = roundoff.add_rows((hi, lo), points[first : first + BLOCK_ROUNDS])
-    return (hi + lo) / t
+    return _prefix_estimates(points, (len(points),))[0]
+
+
+def _prefix_estimates(points: np.ndarray, ends) -> np.ndarray:
+    """Row i is ``average_estimate(points[:ends[i]])``, bit for bit, for
+    increasing ends >= 1, all from one pass over the rows.
+
+    A prefix's blocks start at row 0, so the running total of its full blocks
+    is shared with every longer prefix; only its partial last block, if any,
+    is added on its own.  The pass costs O(T + len(ends) * `BLOCK_ROUNDS`).
+    """
+    estimates = np.empty((len(ends), points.shape[1]))
+    total = (np.zeros(points.shape[1]),) * 2
+    done = 0  # rows in total: the full blocks read so far
+    for i, t in enumerate(ends):
+        while done + BLOCK_ROUNDS <= t:
+            total = roundoff.add_rows(total, points[done : done + BLOCK_ROUNDS])
+            done += BLOCK_ROUNDS
+        hi, lo = roundoff.add_rows(total, points[done:t]) if t > done else total
+        estimates[i] = (hi + lo) / t
+    return estimates
 
 
 def save_path_csv(path: SyncPath, stream: IO[str]) -> None:

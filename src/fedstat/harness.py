@@ -8,15 +8,18 @@ pre-assigned seeds, computes per-method coverage of the true coordinate and
 confidence-interval lengths, and aggregates them into a report whose CSV form
 is byte-reproducible for a fixed (config, seed) regardless of worker count.
 
-``_STATES`` maps each method to its inference state, which is also its engine
-observer and estimates only its method's variance.  ``run_experiment``
-resolves every method's ``confidence_interval`` arguments once, the critical
-value among them: z_{1-alpha/2} for the plug-in, the tabulated t*(beta)
-quantile for random scaling.  The states never see alpha or the table.  A
-replication builds the states in config order, runs the engine, computes the
-one estimate y_bar_T (``engine.average_estimate``) and asks each state for
-its interval around it.  The errors ||y_bar_t - x*|| come from the same
-estimator, at T from the same estimate.
+``_STATES`` maps each method to the function that builds its inference
+state from a finished path; a state estimates only its method's variance.
+``run_experiment`` resolves every method's ``confidence_interval`` arguments
+once, the critical value among them: z_{1-alpha/2} for the plug-in, the
+tabulated t*(beta) quantile for random scaling.  The states never see alpha
+or the table.  A replication runs the engine, which only optimizes, then
+feeds each state from the path in config order: the plug-in the inference
+draws at the synchronized points (``engine.inference_draws``), random scaling
+the points and their intervals.  It computes the one estimate y_bar_T
+(``engine.average_estimate``) and asks each state for its interval around
+it.  The errors ||y_bar_t - x*|| come from the same estimator, at T from the
+same estimate.
 
 ``_replicate`` is the one replication function of both drivers.  It returns
 arrays, and nan encodes a failure: an interval row is nan when its method
@@ -60,7 +63,6 @@ __all__ = [
     "replication_rows_csv",
 ]
 
-_STATES = {"plugin": PluginState, "rscale": RScaleState}
 _INTEGER_FIELDS = (
     "dimension", "clients", "rounds", "target_observations", "replications", "seed", "coordinate"
 )
@@ -318,10 +320,35 @@ class _RepPayload:
     federation: models.Federation
     table: schedules.ScheduleTable
     x0: np.ndarray
-    checkpoints: tuple[int, ...]  # rounds t at which ||y_bar_t - x*|| is measured
+    checkpoints: tuple[int, ...]  # rounds t at which ||y_bar_t - x*|| is measured; the last is T
     methods: tuple[tuple[str, tuple], ...] = ()  # (method, confidence_interval arguments)
     paths_dir: Path | None = None
     dump_paths: int = 0
+
+
+def _plugin_state(
+    payload: _RepPayload, seed: np.random.SeedSequence, path: engine.SyncPath
+) -> PluginState:
+    """The plug-in state fed one round's inference draws at a time."""
+    federation = payload.federation
+    state = PluginState(federation.dimension)
+    for grads, hessians in engine.inference_draws(federation, seed, path.points):
+        for grad_draw, hess_draw in zip(grads, hessians):
+            state.observe(grad_draw, hess_draw)
+    return state
+
+
+def _rscale_state(
+    payload: _RepPayload, seed: np.random.SeedSequence, path: engine.SyncPath
+) -> RScaleState:
+    """The random-scaling state fed one round's point and interval at a time."""
+    state = RScaleState(payload.federation.dimension)
+    for x_bar, interval in zip(path.points, payload.table.intervals.tolist()):
+        state.observe(x_bar, interval)
+    return state
+
+
+_STATES = {"plugin": _plugin_state, "rscale": _rscale_state}
 
 
 def _replicate(payload: _RepPayload, rep: int) -> tuple[np.ndarray, np.ndarray]:
@@ -330,18 +357,18 @@ def _replicate(payload: _RepPayload, rep: int) -> tuple[np.ndarray, np.ndarray]:
     ``intervals`` holds one (lo, hi) row per method of the payload, and
     ``errors`` holds ||y_bar_t - x*|| at each of its checkpoints.  Every
     interval is centred on y_bar_T, and every y_bar_t is
-    ``engine.average_estimate`` of the first t points; y_bar_T is computed
-    once.  A method's row is nan when its Hessian estimate was singular or a
-    variance estimate was nan; when the run diverges (the engine's
-    ``DivergenceError``), every row and every error is nan.
+    ``engine.average_estimate`` of the first t points, all read in one pass
+    over the path.  A method's row is nan when its Hessian estimate was
+    singular or a variance estimate was nan; when the run diverges (the
+    engine's ``DivergenceError``), every row and every error is nan, and no
+    state is built.
     """
     federation = payload.federation
     seed = np.random.SeedSequence(payload.seed, spawn_key=(1, rep))
     intervals = np.full((len(payload.methods), 2), math.nan)
     errors = np.full(len(payload.checkpoints), math.nan)
-    states = [_STATES[method](federation.dimension) for method, _ in payload.methods]
     try:
-        path = engine.run(federation, payload.table, payload.x0, seed, observers=states)
+        path = engine.run(federation, payload.table, payload.x0, seed)
     except engine.DivergenceError:
         return intervals, errors
     if rep < payload.dump_paths:
@@ -349,15 +376,16 @@ def _replicate(payload: _RepPayload, rep: int) -> tuple[np.ndarray, np.ndarray]:
         with target.open("w") as stream:
             engine.save_path_csv(path, stream)
 
-    y_bar = engine.average_estimate(path.points)
-    for row, state, (_, args) in zip(intervals, states, payload.methods):
+    estimates = engine._prefix_estimates(path.points, payload.checkpoints)
+    y_bar = estimates[-1]
+    for row, (method, args) in zip(intervals, payload.methods):
+        state = _STATES[method](payload, seed, path)
         try:
             row[:] = state.confidence_interval(y_bar, *args)
         except SingularHessian:
             pass  # the row stays nan: a failed method
     optimum = federation.global_optimum
-    for i, t in enumerate(payload.checkpoints):
-        y_bar_t = y_bar if t == path.rounds else engine.average_estimate(path.points[:t])
+    for i, y_bar_t in enumerate(estimates):
         errors[i] = np.linalg.norm(y_bar_t - optimum)
     return intervals, errors
 

@@ -11,10 +11,10 @@ Three model kinds are supported:
 Each kind's math is written once per use, on stacked arrays: ``*_rounds``
 runs a group of consecutive rounds (local SGD steps, then the weighted
 average) in place on all client states, and ``*_draws`` evaluates the
-weighted gradient and Hessian draws that inference observers consume, one row
-per synchronized point; ``KERNELS`` maps each kind to the pair.  Both read a
-sample take as the engine's buffer lays it out, time-major: step t (or point
-t) reads the (K, d) block A[t].  The engine calls ``*_rounds`` once per group
+weighted gradient and Hessian draws of the plug-in inference
+(``engine.inference_draws``), one row per synchronized point; ``KERNELS``
+maps each kind to the pair.  Both read a sample take as the engine's buffer
+lays it out, time-major: step t (or point t) reads the (K, d) block A[t].  The engine calls ``*_rounds`` once per group
 of at most 256 sample rows (or one longer round), so the buffers a kernel
 allocates once per call are shared by many rounds when E_m is small.  A linear
 or logistic local step is four numpy calls on the stacked (K, d) states: the

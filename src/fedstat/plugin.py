@@ -13,12 +13,12 @@ Intervals follow the roundoff rule of ``fedstat.roundoff``: a half-width at
 or below the floor is exactly 0, and a negative variance of the centre,
 (nu_hat / t_T) times the sandwich diagonal, within floor**2 counts as 0.
 
-`PluginState` is itself the engine's observer (``engine.SyncObserver``): it
-asks for the inference draws, and every round folds the round's gradient
-and Hessian draws.  The state keeps block sums: ``observe`` only validates
-its arguments and writes one row into a block of `BLOCK_ROUNDS` rows, and a
-full block is folded into the sums of the Hessian draws and of g g' with a
-few stacked operations.  Every read folds the pending rows into a fresh
+`PluginState` folds one round's gradient and Hessian draws per ``observe``
+call; ``harness`` feeds it the draws of ``engine.inference_draws`` at the
+finished path's points.  The state keeps block sums: ``observe`` only
+validates its arguments and writes one row into a block of `BLOCK_ROUNDS`
+rows, and a full block is folded into the sums of the Hessian draws and of
+g g' with a few stacked operations.  Every read folds the pending rows into a fresh
 result and stores nothing, so the results never depend on when, or how
 often, the state was read, and a caller that changes a returned array
 changes nothing in the state.
@@ -49,14 +49,11 @@ class SingularHessian(RuntimeError):
 
 
 class PluginState:
-    """Streaming accumulators for the sandwich covariance estimate, and the
-    engine observer that feeds them.
+    """Streaming accumulators for the sandwich covariance estimate.
 
     ``rounds_seen`` counts the rounds folded in, each a gradient and a
     Hessian draw.  ``g_hat`` and ``s_hat`` are computed afresh on every read.
     """
-
-    needs_inference_draws = True
 
     def __init__(self, dimension: int):
         if dimension < 1:
@@ -67,10 +64,6 @@ class PluginState:
         self._hessians = np.empty((BLOCK_ROUNDS, d, d))
         self._pending = 0  # rows not yet folded
         self._sums = _Sums(np.zeros((d, d)), np.zeros((d, d)))
-
-    def observe_sync(self, round_index, iteration, x_bar, interval, grad_draw, hess_draw):
-        """Engine hook: fold the round's draws."""
-        self.observe(grad_draw, hess_draw)
 
     def observe(self, grad_draw: np.ndarray, hess_draw: np.ndarray) -> "PluginState":
         """Fold one round's gradient and Hessian draws into the means."""

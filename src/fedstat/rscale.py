@@ -10,8 +10,8 @@ exponent beta of the interval sequence and are tabulated separately
 (``fedstat.critvals``); ``harness.run_experiment`` looks the value up once per
 experiment and hands the number to ``RScaleState.confidence_interval``.
 
-`RScaleState` is itself the engine's observer (``engine.SyncObserver``): it
-needs no inference draws, only each round's synchronized point and interval.
+`RScaleState` needs no inference draws, only each round's synchronized point
+and interval, which ``harness`` feeds it from the finished path.
 V_hat is accumulated around a pivot, the first synchronized point, so its
 accuracy depends on the spread of the path and not on its distance from zero.
 The recursion needs only sums over the path, so the state keeps block sums:
@@ -52,8 +52,7 @@ class _Sums(NamedTuple):
 
 
 class RScaleState:
-    """Streaming accumulators behind V_hat, and the engine observer that
-    feeds them.
+    """Streaming accumulators behind V_hat.
 
     After m rounds, with p the first synchronized point (the pivot),
     y_bar_n the mean of the first n synchronized points and z_n = y_bar_n - p:
@@ -63,8 +62,6 @@ class RScaleState:
         q     = sum_n n^2/E_n.
     Each read returns arrays of its own.
     """
-
-    needs_inference_draws = False
 
     def __init__(self, dimension: int):
         if dimension < 1:
@@ -76,10 +73,6 @@ class RScaleState:
         self._pending = 0  # rows not yet folded
         zeros = np.zeros(d)
         self._sums = _Sums(zeros, (zeros, zeros), np.zeros((d, d)), zeros, 0.0, 0.0)
-
-    def observe_sync(self, round_index, iteration, x_bar, interval, grad_draw, hess_draw):
-        """Engine hook: fold the round's point with its interval."""
-        self.observe(x_bar, interval)
 
     def observe(self, x_bar: np.ndarray, interval: int) -> "RScaleState":
         """Fold one synchronized point with its round's interval E_m."""

@@ -479,6 +479,20 @@ class TestSerialization:
             critvals.load_csv(io.StringIO(text))
 
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("beta,0.5,0.975\n0,abc,6.7\n", "line 2: 'abc' is not a number"),
+            ("# steps=1000\nbeta,0.5,0.975\n0,1.0,6.7\n\n0.5,1.0,\n", "line 5: '' is not a number"),
+            ("beta,0.5,x\n0,1.0,6.7\n", "line 1: 'x' is not a number"),
+        ],
+        ids=["data", "empty-cell", "header"],
+    )
+    def test_cell_that_is_not_a_number_names_its_line(self, text, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            critvals.load_csv(io.StringIO(text))
+
+
 class TestTableChecks:
     @pytest.mark.parametrize(
         "value, message",

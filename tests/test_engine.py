@@ -9,7 +9,7 @@ from fedstat import engine, models, roundoff, schedules
 from fedstat.engine import DivergenceError, SampleBuffer, average_estimate, run
 from fedstat.models import ClientModel, federation_of
 from fedstat.schedules import table
-from reference import round_map
+from reference import per_round_run, round_map, unit_z
 
 
 def quadratic_fed(centers, weights=None, curvature=1.0):
@@ -26,35 +26,6 @@ def fixed_step(eta, rounds, interval=1):
     return schedules.ExplicitSchedule(
         intervals=(interval,) * rounds, etas=(eta,) * rounds
     )
-
-
-def unit_z(d):
-    """z = (x - pivot, 1) at the pivot itself."""
-    z = np.zeros(d + 1)
-    z[d] = 1.0
-    return z
-
-
-class PathRecorder:
-    needs_inference_draws = False
-
-    def __init__(self):
-        self.rows = []
-
-    def observe_sync(self, round_index, iteration, x_bar, interval, grad_draw, hess_draw):
-        self.rows.append((round_index, iteration, x_bar.copy(), interval))
-
-
-class DrawRecorder:
-    needs_inference_draws = True
-
-    def __init__(self):
-        self.rows = []
-
-    def observe_sync(self, round_index, iteration, x_bar, interval, grad_draw, hess_draw):
-        self.rows.append(
-            (round_index, iteration, x_bar.copy(), interval, grad_draw.copy(), hess_draw.copy())
-        )
 
 
 class TestDeterministicContraction:
@@ -124,8 +95,7 @@ class TestReductionToParallelSgd:
         seed = 123
         path = run(fed, table(sched, rounds), np.zeros(4), seed=seed)
 
-        opt_rngs, _ = engine.client_generators(seed, 3)
-        buffer = SampleBuffer(fed.clients, opt_rngs)
+        buffer = SampleBuffer(fed.clients, engine.client_generators(seed, 3, 0))
         etas = table(sched, rounds).etas
         pivot, z = np.zeros(4), unit_z(4)
         reference = []
@@ -148,32 +118,15 @@ class TestReductionToParallelSgd:
 
 
 class TestObserversAndDeterminism:
-    def test_observer_transparency(self):
-        # More than two notification blocks, ending on a partial one.
-        rounds = 2 * engine.BLOCK_ROUNDS + 40
-        fed = linear_fed(np.random.default_rng(0).standard_normal((2, 3)))
-        sched = schedules.CommunicationSchedule("power", base=1, exponent=0.5, gamma0=0.5)
-        bare = run(fed, table(sched, rounds), np.zeros(3), seed=5)
-        from fedstat.plugin import PluginState
-        from fedstat.rscale import RScaleState
-
-        recorder = PathRecorder()
-        watched = run(
-            fed, table(sched, rounds), np.zeros(3), seed=5,
-            observers=(PluginState(3), RScaleState(3), recorder),
-        )
-        np.testing.assert_array_equal(bare.points, watched.points)
-        np.testing.assert_array_equal(bare.comm_times, watched.comm_times)
-        assert [row[0] for row in recorder.rows] == list(range(1, rounds + 1))
-
     @pytest.mark.parametrize("kind", ["linear", "logistic", "quadratic"])
-    def test_block_draws_equal_per_round_draws(self, kind):
-        """Every observer argument equals a per-round evaluation, bit for bit.
+    def test_block_draws_equal_per_round_draws(self, kind, monkeypatch):
+        """``inference_draws`` equals a per-round evaluation, bit for bit.
 
-        The run crosses an inference-buffer refill and ends on a partial
+        The path crosses an inference-buffer refill and ends on a partial
         block.  The reference takes one inference row per round from the
         client substreams and evaluates the weighted draws at that round's
-        synchronized point with the per-round formulas.
+        synchronized point with the per-round formulas; both read the same
+        rows from every stream in draws of the same sizes.
         """
         rounds = 2 * engine._BUFFER_CHUNK + 37
         d, k, seed = 3, 4, 21
@@ -191,21 +144,23 @@ class TestObserversAndDeterminism:
         sched = schedules.ExplicitSchedule(
             intervals=tuple(1 + m % 3 for m in range(rounds)), etas=(0.05,) * rounds
         )
-        recorder = DrawRecorder()
-        path = run(fed, table(sched, rounds), np.zeros(d), seed=seed, observers=(recorder,))
+        path = run(fed, table(sched, rounds), np.zeros(d), seed=seed)
+        sizes = draw_sizes(monkeypatch)
+        blocks = list(engine.inference_draws(fed, seed, path.points))
+        block_sizes = per_stream(sizes)
+        sizes.clear()
 
-        _, inf_rngs = engine.client_generators(seed, k)
-        buffer = SampleBuffer(fed.clients, inf_rngs)
+        buffer = SampleBuffer(fed.clients, engine.client_generators(seed, k, 1))
         centers = np.stack([c.local_optimum for c in fed.clients])
         curvatures = np.array([c.curvature for c in fed.clients])
         grads, hessians = [], []
         for x_bar in path.points:
+            a_block, b_block = buffer.take(1)
             if kind == "quadratic":
                 gaps = np.broadcast_to(x_bar, centers.shape) - centers
                 grads.append(weights @ (curvatures[:, None] * gaps))
                 hessians.append(float(weights @ curvatures) * np.eye(d))
                 continue
-            a_block, b_block = buffer.take(1)
             a, b = a_block[0], b_block[0]
             if kind == "logistic":
                 p = models.sigmoid(a @ x_bar)
@@ -216,22 +171,11 @@ class TestObserversAndDeterminism:
                 grads.append(weights @ (a * resid[:, None]))
                 hessians.append(models.weighted_gram(a[None], weights)[0])
 
-        seen = list(zip(*recorder.rows))
-        assert list(seen[0]) == list(range(1, rounds + 1))
-        np.testing.assert_array_equal(seen[1], path.comm_times)
-        np.testing.assert_array_equal(np.stack(seen[2]), path.points)
-        np.testing.assert_array_equal(seen[3], sched.intervals)
-        np.testing.assert_array_equal(np.stack(seen[4]), np.stack(grads))
-        np.testing.assert_array_equal(np.stack(seen[5]), np.stack(hessians))
-
-    def test_observers_see_every_round_before_divergence(self):
-        fed = quadratic_fed([0.0])
-        recorder = PathRecorder()
-        # 1 - eta = -2 doubles the iterate's size per step: 2**27 > 1e8 at round 27.
-        with pytest.raises(DivergenceError, match="round 27"):
-            run(fed, table(fixed_step(3.0, 40), 40), np.array([1.0]), seed=0, observers=(recorder,))
-        assert [row[0] for row in recorder.rows] == list(range(1, 27))
-        assert recorder.rows[-1][2][0] == (-2.0) ** 26
+        assert per_stream(sizes) == block_sizes
+        full, partial = divmod(rounds, engine.BLOCK_ROUNDS)
+        assert [len(g) for g, _ in blocks] == [engine.BLOCK_ROUNDS] * full + [partial]
+        np.testing.assert_array_equal(np.concatenate([g for g, _ in blocks]), np.stack(grads))
+        np.testing.assert_array_equal(np.concatenate([h for _, h in blocks]), np.stack(hessians))
 
     def test_divergence_in_a_later_block_names_the_first_failing_round(self):
         # 1 - eta = -1.05 grows the iterate by 1.05 per round; it first
@@ -248,11 +192,8 @@ class TestObserversAndDeterminism:
             seen.append(x)
         m = len(seen) + 1
         assert m == 378 and engine.BLOCK_ROUNDS < m < 2 * engine.BLOCK_ROUNDS
-        recorder = PathRecorder()
         with pytest.raises(DivergenceError, match=f"at round {m}$"):
-            run(fed, table(fixed_step(eta, 600), 600), np.array([1.0]), 0, observers=(recorder,))
-        assert [row[0] for row in recorder.rows] == list(range(1, m))
-        np.testing.assert_array_equal([row[2] for row in recorder.rows], seen)
+            run(fed, table(fixed_step(eta, 600), 600), np.array([1.0]), 0)
 
     def test_overflow_after_the_diverging_round_is_silent(self):
         # 1 - eta = -1000: round 3 exceeds 1e8, and the rest of the block's
@@ -282,24 +223,24 @@ class TestObserversAndDeterminism:
             np.testing.assert_array_equal(path.comm_times, alone.comm_times)
             assert path.comm_times is shared.comm_times
 
-    def test_observer_sees_round_metadata(self):
+    def test_path_carries_round_metadata(self):
         fed = quadratic_fed([0.0, 1.0])
         sched = schedules.ExplicitSchedule(intervals=(2, 3, 1), etas=(0.1, 0.1, 0.1))
-        recorder = PathRecorder()
-        path = run(fed, table(sched, 3), np.array([1.0]), seed=0, observers=(recorder,))
-        assert [(m, t, e) for m, t, _, e in recorder.rows] == [(1, 2, 2), (2, 5, 3), (3, 6, 1)]
-        assert path.total_iterations == 6
+        path = run(fed, table(sched, 3), np.array([1.0]), seed=0)
+        np.testing.assert_array_equal(path.comm_times, [2, 5, 6])
+        assert path.rounds == 3 and path.total_iterations == 6
 
     def test_growing_new_clients_preserves_existing_streams(self):
         optima = np.random.default_rng(2).standard_normal((4, 2))
         sched = schedules.CommunicationSchedule("constant", base=2, gamma0=0.3, alpha=0.51)
         seed = 77
-        small_rngs, _ = engine.client_generators(seed, 2)
-        large_rngs, _ = engine.client_generators(seed, 4)
-        for k in range(2):
-            a = small_rngs[k].standard_normal(8)
-            b = large_rngs[k].standard_normal(8)
-            np.testing.assert_array_equal(a, b)
+        for stream in (0, 1):
+            small_rngs = engine.client_generators(seed, 2, stream)
+            large_rngs = engine.client_generators(seed, 4, stream)
+            for k in range(2):
+                a = small_rngs[k].standard_normal(8)
+                b = large_rngs[k].standard_normal(8)
+                np.testing.assert_array_equal(a, b)
 
 
 class TestGuardsAndHelpers:
@@ -307,7 +248,7 @@ class TestGuardsAndHelpers:
         fed = quadratic_fed([0.0])
         # eta = 3 makes |1 - eta| = 2, doubling the iterate per step.
         sched = fixed_step(3.0, 40)
-        with pytest.raises(DivergenceError, match="round"):
+        with pytest.raises(DivergenceError, match="bound 1e\\+08 at round 27$"):
             run(fed, table(sched, 40), np.array([1.0]), seed=0)
 
     def test_average_estimate(self):
@@ -338,6 +279,23 @@ class TestGuardsAndHelpers:
         # one running total rounds the ones away against 256 * 1e16.
         points = np.repeat([1e16, 1.0, -1e16], engine.BLOCK_ROUNDS)[:, None]
         assert average_estimate(points)[0] == 1.0 / 3.0
+
+    def test_prefix_estimates_equal_the_estimates_of_each_prefix(self):
+        # Prefixes inside the first block, after a partial block, at a block
+        # boundary after a partial block, twice in one block, and the whole
+        # path, which ends on a partial block.  Blocks of 1e16 and -1e16
+        # leave the low word of the total to carry the later estimates, so a
+        # pass that drops it, or sums a prefix's partial block into the
+        # running total, gives other bits.
+        rng = np.random.default_rng(29)
+        points = 5.0 + rng.standard_normal((3 * engine.BLOCK_ROUNDS + 100, 2))
+        points[: engine.BLOCK_ROUNDS] = 1e16
+        points[2 * engine.BLOCK_ROUNDS : 3 * engine.BLOCK_ROUNDS] = -1e16
+        ends = (1, 100, 300, 512, 600, 700, 768, len(points))
+        estimates = engine._prefix_estimates(points, ends)
+        assert estimates.shape == (len(ends), 2)
+        for t, estimate in zip(ends, estimates):
+            np.testing.assert_array_equal(estimate, average_estimate(points[:t]))
 
     def test_long_run_estimate_near_optimum(self):
         # Monte Carlo sanity of the mean estimate at 3 sigma of its CLT scale.
@@ -396,73 +354,6 @@ class TestGuardsAndHelpers:
         np.testing.assert_array_equal(path.points[:, 0], 1e150 * 0.5 ** np.arange(1, 11))
 
 
-def affine_group_starts(e_list, rounds):
-    """For each round of a linear group that ``engine.run`` forms of one-step
-    rounds only, the first round of its group (0-based); None elsewhere."""
-    starts = [None] * rounds
-    for first in range(0, rounds, engine.BLOCK_ROUNDS):
-        stop = min(first + engine.BLOCK_ROUNDS, rounds)
-        for lo, hi, _ in engine._groups(e_list, first, stop):
-            if set(e_list[lo:hi]) == {1}:
-                starts[lo:hi] = [lo] * (hi - lo)
-    return starts
-
-
-def per_round_run(fed, sched, rounds, x0, seed, bound=1e8):
-    """The engine as one sample take and one average per round.
-
-    Each round takes its E rows of the optimization stream, runs the per-step
-    expression in the kernels' form (``np.vecdot``, logistic covariates signed
-    by 1 - 2b, the rate folded into the covariates), averages with
-    ``weights @ X`` and tests the norm.  A linear round in a group of one-step
-    rounds (as ``engine._groups`` forms them) is instead its affine map around
-    the point the group starts from, applied with one matvec.  Each
-    synchronized point then takes one row of the inference stream for its
-    gradient and Hessian draws.  Returns the points, the draws, and the round
-    that diverged (or None).
-    """
-    k, d = fed.size, fed.dimension
-    weights, logistic = fed.weights, fed.kind == "logistic"
-    opt_rngs, inf_rngs = engine.client_generators(seed, k)
-    opt, inf = SampleBuffer(fed.clients, opt_rngs), SampleBuffer(fed.clients, inf_rngs)
-    rows = table(sched, rounds)
-    e, etas = rows.intervals, rows.etas
-    starts = [None] * rounds if logistic else affine_group_starts(e.tolist(), rounds)
-    X = np.tile(x0, (k, 1))
-    points, grads, hessians = [], [], []
-    for m, (interval, eta, start) in enumerate(zip(e.tolist(), etas, starts), start=1):
-        A, B = opt.take(interval)
-        if start is not None:
-            if start == m - 1:
-                pivot, z = X[0].copy(), unit_z(d)
-            z = np.dot(round_map(A, B, weights, np.float64(eta), pivot), z)
-            x_bar = z[:d] + pivot
-        else:
-            for t in range(interval):
-                a_t, b_t = A[t], B[t]
-                if logistic:
-                    a_t = (1.0 - 2.0 * b_t)[:, None] * a_t
-                    r = models.sigmoid(np.vecdot(a_t, X))
-                else:
-                    r = np.vecdot(a_t, X) - b_t
-                X -= (np.float64(eta) * a_t) * r[:, None]
-            x_bar = weights @ X
-        X[...] = x_bar
-        if not x_bar @ x_bar <= bound**2:
-            return points, grads, hessians, m
-        points.append(x_bar)
-        a_block, b_block = inf.take(1)
-        a, b = a_block[0], b_block[0]
-        if logistic:
-            p = models.sigmoid(a @ x_bar)
-            grads.append(weights @ (a * (p - b)[:, None]))
-            hessians.append(models.weighted_gram(a[None], weights * p * (1.0 - p))[0])
-        else:
-            grads.append(weights @ (a * (a @ x_bar - b)[:, None]))
-            hessians.append(models.weighted_gram(a[None], weights)[0])
-    return points, grads, hessians, None
-
-
 def draw_sizes(monkeypatch):
     """Record every ClientModel.draw as (stream key, rows), in call order."""
     sizes = []
@@ -514,18 +405,13 @@ class TestRoundGroups:
         assert diverged is None
         reference_sizes = per_stream(sizes)
         sizes.clear()
-        recorder = DrawRecorder()
-        path = run(fed, table(sched, rounds), x0, seed=4, observers=(recorder,))
+        path = run(fed, table(sched, rounds), x0, seed=4)
+        blocks = list(engine.inference_draws(fed, 4, path.points))
         assert per_stream(sizes) == reference_sizes
         assert max(n for _, n in sizes) > engine._BUFFER_CHUNK
         np.testing.assert_array_equal(path.points, np.array(points))
-        seen = list(zip(*recorder.rows))
-        assert list(seen[0]) == list(range(1, rounds + 1))
-        np.testing.assert_array_equal(seen[1], path.comm_times)
-        np.testing.assert_array_equal(np.stack(seen[2]), path.points)
-        np.testing.assert_array_equal(seen[3], self.INTERVALS)
-        np.testing.assert_array_equal(np.stack(seen[4]), np.stack(grads))
-        np.testing.assert_array_equal(np.stack(seen[5]), np.stack(hessians))
+        np.testing.assert_array_equal(np.concatenate([g for g, _ in blocks]), np.stack(grads))
+        np.testing.assert_array_equal(np.concatenate([h for _, h in blocks]), np.stack(hessians))
 
     def test_divergence_inside_a_group(self):
         fed = self.federation("linear")
@@ -536,8 +422,5 @@ class TestRoundGroups:
         points, _, _, m = per_round_run(fed, sched, rounds, x0, seed=8, bound=bound)
         # All rounds of the first block are one group.
         assert m is not None and 1 < m < rounds
-        recorder = PathRecorder()
         with pytest.raises(DivergenceError, match=f"at round {m}$"):
-            run(fed, table(sched, rounds), x0, seed=8, observers=(recorder,))
-        assert [row[0] for row in recorder.rows] == list(range(1, m))
-        np.testing.assert_array_equal([row[2] for row in recorder.rows], points)
+            run(fed, table(sched, rounds), x0, seed=8)

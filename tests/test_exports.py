@@ -68,6 +68,13 @@ def test_engine_does_not_reference_schedules():
     assert "schedules" not in vars(fedstat.engine)
 
 
+def test_engine_does_not_reference_the_inference_states():
+    # The engine only optimizes; the harness feeds the states from its path.
+    source = inspect.getsource(fedstat.engine)
+    assert "plugin" not in source and "rscale" not in source
+    assert "plugin" not in vars(fedstat.engine) and "rscale" not in vars(fedstat.engine)
+
+
 def test_inference_states_take_the_critical_value_as_a_number():
     # The harness turns alpha into a critical value once per experiment.
     assert "critvals" not in vars(fedstat.rscale)

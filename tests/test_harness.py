@@ -16,7 +16,7 @@ from fedstat.harness import (
 )
 from fedstat.plugin import PluginState
 from fedstat.rscale import RScaleState
-from reference import shipped_table_with
+from reference import per_round_run, shipped_table_with
 
 BASE_CONFIG = """
 # linear coverage experiment
@@ -384,6 +384,24 @@ class TestRunExperiment:
         assert capsys.readouterr().err.startswith("fedstat: error: critical value")
         assert runs == []
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("beta,0.5,0.975\n0,abc,6.7\n", "line 2: 'abc' is not a number"),
+            ("beta,0.5,x\n0,1.0,6.7\n", "line 1: 'x' is not a number"),
+        ],
+        ids=["data", "header"],
+    )
+    def test_cli_names_the_line_of_a_cell_that_is_not_a_number(
+        self, text, message, tmp_path, capsys
+    ):
+        table_path = tmp_path / "table.csv"
+        table_path.write_text(text)
+        path = tmp_path / "config.txt"
+        path.write_text(BASE_CONFIG + f"critical_values = {table_path}\n")
+        assert cli.main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"fedstat: error: {message}\n"
+
     def test_cli_prints_an_untabulated_level_unquoted(self, tmp_path, capsys):
         path = tmp_path / "config.txt"
         path.write_text(BASE_CONFIG.replace("alpha_level = 0.05", "alpha_level = 0.07"))
@@ -463,14 +481,14 @@ class TestRunExperiment:
     def test_nan_variance_is_a_failed_method(self, monkeypatch, tmp_path):
         """One nan gradient draw makes the sandwich nan: the plug-in fails in
         every replication, and no zero-width interval counts as covered."""
-        observe_sync = PluginState.observe_sync
+        observe = PluginState.observe
 
-        def poisoned(self, round_index, iteration, x_bar, interval, grad_draw, hess_draw):
+        def poisoned(self, grad_draw, hess_draw):
             if self.rounds_seen == 0:
                 grad_draw = np.full_like(grad_draw, np.nan)
-            observe_sync(self, round_index, iteration, x_bar, interval, grad_draw, hess_draw)
+            return observe(self, grad_draw, hess_draw)
 
-        monkeypatch.setattr(PluginState, "observe_sync", poisoned)
+        monkeypatch.setattr(PluginState, "observe", poisoned)
         config = quadratic_config()  # noiseless, from the optimum: zero width otherwise
         plugin, rscale = run_experiment(config, out_dir=tmp_path).methods
         assert plugin.failures == config.replications and np.isnan(plugin.coverage)
@@ -478,6 +496,49 @@ class TestRunExperiment:
         rows = (tmp_path / "replications.csv").read_text().splitlines()[1:]
         plugin_rows = [row.split(",") for row in rows if ",plugin," in row]
         assert [row[8] for row in plugin_rows] == ["failed"] * config.replications
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            ExperimentConfig(dimension=3, clients=4, rounds=300, target_observations=None),
+            ExperimentConfig(
+                model="logistic", dimension=3, clients=4, heterogeneity=False, rounds=300,
+                target_observations=None,
+                schedule=schedules.CommunicationSchedule("power", base=1, exponent=0.5),
+            ),
+        ],
+        ids=["linear", "logistic"],
+    )
+    def test_replication_feeds_states_from_the_path(self, config):
+        """``_replicate``'s intervals are those of fresh states fed round by
+        round from a per-round run's points and inference draws; the run
+        ends on a partial block (300 = 256 + 44 rounds)."""
+        fed = harness.build_federation(config)
+        rows = schedules.table(config.schedule, config.rounds)
+        x0 = np.zeros(config.dimension)
+        z, q, j = 1.96, 6.75, 1
+        payload = harness._RepPayload(
+            config.seed, fed, rows, x0, (config.rounds,),
+            methods=(("plugin", (z, rows.diagnostics, j)), ("rscale", (q, j))),
+        )
+        intervals, _ = harness._replicate(payload, 2)
+
+        seed = np.random.SeedSequence(config.seed, spawn_key=(1, 2))
+        points, grads, hessians, diverged = per_round_run(
+            fed, config.schedule, config.rounds, x0, seed
+        )
+        assert diverged is None
+        plugin, rscale = PluginState(config.dimension), RScaleState(config.dimension)
+        for grad_draw, hess_draw in zip(grads, hessians):
+            plugin.observe(grad_draw, hess_draw)
+        for x_bar, interval in zip(points, rows.intervals):
+            rscale.observe(x_bar, int(interval))
+        y_bar = engine.average_estimate(np.array(points))
+        expected = [
+            plugin.confidence_interval(y_bar, z, rows.diagnostics, j),
+            rscale.confidence_interval(y_bar, q, j),
+        ]
+        np.testing.assert_array_equal(intervals, expected)
 
     def test_large_offset_does_not_diverge(self):
         """x0 = 3e8 e_1 lies beyond a fixed bound of 1e8; the default bound

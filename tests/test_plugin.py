@@ -181,7 +181,10 @@ class TestSandwich:
         from fedstat import engine
 
         rows = schedules.table(config.schedule, 4000)
-        engine.run(fed, rows, np.zeros(5), seed=11, observers=(state,))
+        path = engine.run(fed, rows, np.zeros(5), seed=11)
+        for grads, hessians in engine.inference_draws(fed, 11, path.points):
+            for grad_draw, hess_draw in zip(grads, hessians):
+                state.observe(grad_draw, hess_draw)
         _, _, cov = models.true_sandwich(fed)
         err = np.linalg.norm(state.sandwich() - cov) / np.linalg.norm(cov)
         assert err < 0.10
@@ -232,15 +235,3 @@ class TestConfidenceInterval:
             widths[target] = harness.run_experiment(config).methods[0].mean_length
         ratio = widths[2000] / widths[4000]
         assert ratio == pytest.approx(np.sqrt(2.0), rel=0.10)
-
-
-class TestObserverAdapter:
-    def test_every_round_folds_its_draws(self):
-        state = PluginState(1)
-        assert state.needs_inference_draws
-        xs = [np.array([float(v)]) for v in (5.0, 3.0, 1.0)]
-        for m, x in enumerate(xs, start=1):
-            state.observe_sync(m, m, x, 1, np.array([float(m)]), np.array([[2.0 * m]]))
-        assert state.rounds_seen == 3
-        np.testing.assert_allclose(state.g_hat, [[4.0]])
-        np.testing.assert_allclose(state.s_hat, [[14.0 / 3.0]])

@@ -257,12 +257,3 @@ class TestBetaForSchedule:
     def test_explicit_schedule_rejected(self):
         with pytest.raises(ValueError):
             beta_for_schedule(schedules.ExplicitSchedule(intervals=(1, 2)))
-
-
-class TestObserverAdapter:
-    def test_feeds_interval_through(self):
-        state = RScaleState(1)
-        assert not state.needs_inference_draws
-        state.observe_sync(1, 3, np.array([1.0]), 3, None, None)
-        assert state.s == pytest.approx(1.0 / 3.0)
-        assert state.rounds_seen == 1
