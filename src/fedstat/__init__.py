@@ -1,13 +1,12 @@
 """Locally updated SGD simulation with online statistical inference."""
 
+from .config import ExperimentConfig, load_config, parse_config_text
 from .critvals import CriticalValueTable, default_table, lookup, simulate_table
 from .engine import DivergenceError, SyncPath, average_estimate, run
 from .harness import (
-    ExperimentConfig,
     ExperimentReport,
     build_federation,
     convergence_curve,
-    load_config,
     partial_sum_process,
     run_experiment,
 )
@@ -41,6 +40,7 @@ __all__ = [
     "build_federation",
     "convergence_curve",
     "load_config",
+    "parse_config_text",
     "partial_sum_process",
     "run_experiment",
     "ClientModel",

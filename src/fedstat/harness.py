@@ -1,12 +1,12 @@
-"""Experiment harness: configuration, replicated runs, coverage reports.
+"""Experiment harness: replicated runs and coverage reports.
 
-A configuration fixes the data-generating federation, the communication
-schedule, the run length (either a round count or a target observation count),
-and the inference methods; ``ExperimentConfig`` rejects bad input when it is
-built.  ``run_experiment`` executes R independent replications with
-pre-assigned seeds, computes per-method coverage of the true coordinate and
-confidence-interval lengths, and aggregates them into a report whose CSV form
-is byte-reproducible for a fixed (config, seed) regardless of worker count.
+The configuration and its text format live in ``fedstat.config``;
+``ExperimentConfig``, ``parse_config_text`` and ``load_config`` are
+re-exported here.  ``run_experiment`` executes R independent replications
+with pre-assigned seeds, computes per-method coverage of the true coordinate
+and confidence-interval lengths, and aggregates them into a report whose CSV
+form is byte-reproducible for a fixed (config, seed) regardless of worker
+count.
 
 ``_STATES`` maps each method to the function that builds its inference
 state from a finished path; a state estimates only its method's variance.
@@ -33,11 +33,9 @@ checkpoints and no methods.
 from __future__ import annotations
 
 import math
-import operator
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
-from functools import partial
+from dataclasses import dataclass
 from pathlib import Path
 from statistics import NormalDist
 
@@ -45,6 +43,7 @@ import numpy as np
 import numpy.random  # noqa: F401  (numpy loads it lazily; load it with the package)
 
 from . import critvals, engine, models, roundoff, rscale, schedules
+from .config import PLUGIN, RSCALE, ExperimentConfig, load_config, parse_config_text
 from .plugin import PluginState, SingularHessian
 from .rscale import RScaleState
 
@@ -62,85 +61,6 @@ __all__ = [
     "report_csv",
     "replication_rows_csv",
 ]
-
-_INTEGER_FIELDS = (
-    "dimension", "clients", "rounds", "target_observations", "replications", "seed", "coordinate"
-)
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """One experiment: the federation, the schedule, the run length, the
-    replications and the inference methods.  Bad input raises ``ValueError``
-    when the config is built.
-
-    A logistic config loads the sigmoid (``models.sigmoid``, from
-    scipy.special, most of a cold import's time) when it is built, and no
-    other kind loads it.  Building the config comes before ``run_experiment``,
-    and so before its pool forks: forked workers inherit the loaded module,
-    and neither ``build_federation`` nor the first replication pays for the
-    import.
-    """
-
-    model: str = "linear"
-    dimension: int = 5
-    clients: int = 10
-    noise_scale: float = 1.0
-    heterogeneity: bool = True
-    schedule: schedules.CommunicationSchedule = schedules.CommunicationSchedule(
-        kind="constant", base=1, warmup_fraction=0.05
-    )
-    rounds: int | None = None
-    target_observations: int | None = 10000
-    replications: int = 1000
-    seed: int = 0
-    methods: tuple[str, ...] = ("plugin", "rscale")
-    alpha_level: float = 0.05
-    coordinate: int = 0
-    x0: tuple[float, ...] | str = "zeros"
-    critical_values: str | None = None
-
-    def __post_init__(self) -> None:
-        for name in _INTEGER_FIELDS:
-            value = getattr(self, name)
-            if value is not None:
-                try:
-                    operator.index(value)
-                except TypeError:
-                    raise ValueError(f"{name} must be an integer, got {value!r}") from None
-        if self.model not in models.KERNELS:
-            raise ValueError(f"unknown model {self.model!r}")
-        if self.dimension < 1 or self.clients < 1:
-            raise ValueError("dimension and clients must be >= 1")
-        if not 0.0 <= self.noise_scale < math.inf:
-            raise ValueError("noise_scale must be nonnegative and finite")
-        if self.model == "logistic":
-            if self.heterogeneity:
-                raise ValueError("logistic runs do not support heterogeneity; set it off")
-            models.sigmoid  # noqa: B018  (loads scipy.special now; see the docstring)
-        if (self.rounds is None) == (self.target_observations is None):
-            raise ValueError("set exactly one of rounds / target_observations")
-        if self.rounds is not None and self.rounds < 1:
-            raise ValueError("rounds must be >= 1")
-        if self.target_observations is not None and self.target_observations < 1:
-            raise ValueError("target_observations must be >= 1")
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-        if not self.methods or any(m not in _STATES for m in self.methods):
-            raise ValueError(f"methods must be a nonempty subset of {tuple(_STATES)}")
-        if len(set(self.methods)) != len(self.methods):
-            raise ValueError(f"methods must not repeat, got {self.methods}")
-        if not 0.0 < self.alpha_level < 1.0:
-            raise ValueError("alpha_level must lie in (0, 1)")
-        if not 0 <= self.coordinate < self.dimension:
-            raise ValueError("coordinate out of range (0-based)")
-        if isinstance(self.x0, str):
-            if self.x0 not in ("zeros", "optimum"):
-                raise ValueError("x0 must be 'zeros', 'optimum' or a vector")
-        elif len(self.x0) != self.dimension or not all(map(math.isfinite, self.x0)):
-            raise ValueError(f"x0 must be a finite vector of length {self.dimension}")
 
 
 @dataclass(frozen=True)
@@ -164,93 +84,6 @@ class ExperimentReport:
     methods: tuple[MethodSummary, ...]
     mean_error: float    # average of ||y_bar - x*|| over replications that did not diverge
     wall_clock: float
-
-
-# --- configuration ----------------------------------------------------------
-
-_BOOL = {"on": True, "true": True, "1": True, "off": False, "false": False, "0": False}
-
-
-def _parse_bool(value: str, key: str) -> bool:
-    try:
-        return _BOOL[value.lower()]
-    except KeyError:
-        raise ValueError(f"{key} must be on/off") from None
-
-
-def _parse_methods(value: str) -> tuple[str, ...]:
-    return tuple(m.strip() for m in value.split(",") if m.strip())
-
-
-def _parse_x0(value: str) -> tuple[float, ...] | str:
-    if value in ("zeros", "optimum"):
-        return value
-    return tuple(float(v) for v in value.split(","))
-
-
-# Config key -> (field, converter); a "schedule." field goes to the schedule.
-_KEYS = {
-    "model": ("model", str),
-    "dimension": ("dimension", int),
-    "clients": ("clients", int),
-    "noise_scale": ("noise_scale", float),
-    "heterogeneity": ("heterogeneity", partial(_parse_bool, key="heterogeneity")),
-    "schedule": ("schedule.kind", str),
-    "schedule_base": ("schedule.base", int),
-    "schedule_exponent": ("schedule.exponent", float),
-    "gamma0": ("schedule.gamma0", float),
-    "alpha": ("schedule.alpha", float),
-    "warmup_fraction": ("schedule.warmup_fraction", float),
-    "rounds": ("rounds", int),
-    "target_observations": ("target_observations", int),
-    "replications": ("replications", int),
-    "seed": ("seed", int),
-    "methods": ("methods", _parse_methods),
-    "alpha_level": ("alpha_level", float),
-    "coordinate": ("coordinate", int),
-    "x0": ("x0", _parse_x0),
-    "critical_values": ("critical_values", str),
-}
-
-
-def parse_config_text(text: str) -> ExperimentConfig:
-    """Parse the flat ``key = value`` configuration format (# for comments).
-
-    Setting ``rounds`` clears the default ``target_observations``.
-    """
-    raw: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise ValueError(f"line {lineno}: expected 'key = value'")
-        key, value = (part.strip() for part in stripped.split("=", 1))
-        if key in raw:
-            raise ValueError(f"line {lineno}: duplicate key {key!r}")
-        raw[key] = value
-
-    unknown = set(raw) - set(_KEYS)
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-
-    kwargs: dict = {}
-    sched_kwargs: dict = {}
-    for key, (field, convert) in _KEYS.items():
-        if key in raw:
-            scope, _, name = field.rpartition(".")
-            (sched_kwargs if scope else kwargs)[name] = convert(raw[key])
-    if "rounds" in raw:
-        kwargs.setdefault("target_observations", None)
-    if sched_kwargs:
-        default = ExperimentConfig.__dataclass_fields__["schedule"].default
-        kwargs["schedule"] = replace(default, **sched_kwargs)
-
-    return ExperimentConfig(**kwargs)
-
-
-def load_config(path: str | Path) -> ExperimentConfig:
-    return parse_config_text(Path(path).read_text())
 
 
 # --- federation construction ------------------------------------------------
@@ -281,22 +114,32 @@ def build_federation(config: ExperimentConfig) -> models.Federation:
 def rounds_for_target(schedule: schedules.Schedule, target_observations: int) -> int:
     """Smallest T whose cumulative observation count reaches the target.
 
-    Bisection over T.  Every interval is at least 1, so T <= target and one
-    family prefix up to the target serves every probe: a T-round run makes
-    t_T = W + prefix[T - W] observations, W being its warm-up.
+    A T-round run makes t_T = W + P[T - W] observations, P being the family
+    prefix and W the run's warm-up; bisection finds T between two bounds.
+    Let n0 be the first n with P[n] >= target and f the warm-up fraction.
+    t_T <= P[T], so T >= n0.  A warm-up of W rounds has (1 - f)(W - 1) <
+    f * P[T - W + 1], so at T >= n0 + f * P[n0] / (1 - f) + 1 it leaves the
+    family at least n0 rounds and t_T >= P[n0]: T <= n0 + ceil(f * P[n0] /
+    (1 - f)) + 1, and T <= target, as every interval is at least 1.  The
+    prefix grows geometrically until it reaches the target, then to the
+    upper bound, and serves every probe.
     """
     if target_observations < 1:
         raise ValueError("target_observations must be >= 1")
-    prefix = schedules.family_prefix(schedule, target_observations)
-
-    def total(t: int) -> int:
-        w = schedules.warmup_from_prefix(schedule, prefix, t)
-        return w + int(prefix[t - w])
-
-    lo, hi = 1, target_observations
+    n = min(1024, target_observations)
+    prefix = schedules.family_prefix(schedule, n)
+    while prefix[-1] < target_observations:
+        n = min(4 * n, target_observations)
+        prefix = schedules.family_prefix(schedule, n)
+    lo = int(np.searchsorted(prefix, target_observations))
+    frac = getattr(schedule, "warmup_fraction", 0.0)  # an explicit schedule has none
+    hi = min(lo + math.ceil(frac * int(prefix[lo]) / (1.0 - frac)) + 1, target_observations)
+    if hi > n:
+        prefix = schedules.family_prefix(schedule, hi)
     while lo < hi:
         mid = (lo + hi) // 2
-        if total(mid) >= target_observations:
+        w = schedules.warmup_from_prefix(schedule, prefix, mid)
+        if w + prefix[mid - w] >= target_observations:
             hi = mid
         else:
             lo = mid + 1
@@ -348,7 +191,7 @@ def _rscale_state(
     return state
 
 
-_STATES = {"plugin": _plugin_state, "rscale": _rscale_state}
+_STATES = {PLUGIN: _plugin_state, RSCALE: _rscale_state}
 
 
 def _replicate(payload: _RepPayload, rep: int) -> tuple[np.ndarray, np.ndarray]:
@@ -468,7 +311,7 @@ def run_experiment(
     diag = table.diagnostics
     z = NormalDist().inv_cdf(1.0 - config.alpha_level / 2.0)
     beta = q = None
-    if "rscale" in config.methods:
+    if RSCALE in config.methods:
         beta = rscale.beta_for_schedule(schedule)
         if config.critical_values is None:
             quantiles = critvals.default_table()
@@ -481,7 +324,7 @@ def run_experiment(
     x0 = _resolve_x0(config, federation)
     floor = roundoff.floor_for(roundoff.run_scale(federation, x0))
     j = config.coordinate
-    interval_args = {"plugin": (z, diag, j, floor), "rscale": (q, j, floor)}
+    interval_args = {PLUGIN: (z, diag, j, floor), RSCALE: (q, j, floor)}
     paths_dir = None
     if dump_paths > 0:
         paths_dir = Path(out_dir) / "paths"
@@ -577,7 +420,7 @@ def replication_rows_csv(
     for the plug-in method."""
     lines = ["rep,method,schedule,beta,t_T,coordinate,lo,hi,covered,width"]
     betas = [
-        f"{report.beta:.12g}" if (method == "rscale" and report.beta is not None) else ""
+        f"{report.beta:.12g}" if (method == RSCALE and report.beta is not None) else ""
         for method in config.methods
     ]
     label = report.schedule_label
@@ -640,11 +483,14 @@ def partial_sum_process(
 ) -> np.ndarray:
     """The rescaled partial-sum process of the path on a grid of r values.
 
-    Row i holds sqrt(t_T)/T * sum of the first h(r_i, T) centered iterates;
-    at r = 1 this equals sqrt(t_T) * (y_bar_T - x*).  ``schedule`` must be the
-    one that produced the path: h(r, T) is read from its intervals, so a
-    schedule whose communication times differ from the path's raises
-    ``ValueError``.
+    Row i holds sqrt(t_T)/T * sum of the first h = h(r_i, T) centered
+    iterates, read as sqrt(t_T) * (h/T) * (y_bar_h - x*), where y_bar_h is
+    the estimator of the first h points (``engine.average_estimate``); one
+    pass over the path serves every row.  At r = 1 this is
+    sqrt(t_T) * (y_bar_T - x*) bit for bit, the statistic of the central
+    limit theorem.  ``schedule`` must be the one that produced the path:
+    h(r, T) is read from its intervals, so a schedule whose communication
+    times differ from the path's raises ``ValueError``.
     """
     x_star = np.asarray(x_star, dtype=np.float64)
     table = schedules.table(schedule, path.rounds)
@@ -652,10 +498,11 @@ def partial_sum_process(
         raise ValueError(
             f"schedule {schedule.label()} does not match the path's communication times"
         )
-    scale = math.sqrt(path.total_iterations) / path.rounds
-    cumulative = np.cumsum(path.points - x_star, axis=0)
-    rows = []
-    for r in grid:
-        h = schedules.fclt_time_scale(table, float(r))
-        rows.append(scale * cumulative[h - 1] if h >= 1 else np.zeros(path.points.shape[1]))
-    return np.stack(rows)
+    hs = [schedules.fclt_time_scale(table, float(r)) for r in grid]
+    ends = sorted(set(hs) - {0})
+    estimates = dict(zip(ends, engine._prefix_estimates(path.points, ends)))
+    scale = math.sqrt(path.total_iterations)
+    return np.stack([
+        scale * (h / path.rounds) * (estimates[h] - x_star) if h else np.zeros_like(x_star)
+        for h in hs
+    ])

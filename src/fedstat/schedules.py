@@ -225,7 +225,8 @@ def warmup_from_prefix(schedule: Schedule, prefix: np.ndarray, total_rounds: int
     warm-up round contributes exactly one observation, so the count W is the
     smallest solution of W >= warmup_fraction * t_T(W) with
     t_T(W) = W + prefix[total_rounds - W].  The left side grows strictly faster
-    in W than the right, so bisection applies.
+    in W than the right, so bisection applies; W = total_rounds always solves
+    it, since prefix[0] = 0 and warmup_fraction < 1.
     """
     if isinstance(schedule, ExplicitSchedule):
         return 0
@@ -237,8 +238,6 @@ def warmup_from_prefix(schedule: Schedule, prefix: np.ndarray, total_rounds: int
         return w < frac * (w + prefix[total_rounds - w])
 
     lo, hi = 0, total_rounds
-    if short(hi):
-        return hi
     while lo < hi:
         mid = (lo + hi) // 2
         if short(mid):

@@ -6,7 +6,7 @@ import numpy as np
 
 from fedstat import engine, models
 from fedstat.engine import SampleBuffer
-from fedstat.schedules import table
+from fedstat.schedules import family_prefix, table, warmup_from_prefix
 
 
 def round_map(a, b, weights, eta, pivot):
@@ -33,6 +33,26 @@ def shipped_table_with(cell: str) -> str:
     row[8] = cell
     lines[2] = ",".join(row)
     return "\n".join(lines) + "\n"
+
+
+def bisect_rounds_for_target(schedule, target):
+    """The smallest T whose observation count reaches ``target``, by bisection
+    over 1..target on one family prefix of ``target`` rounds: every interval
+    is at least 1, so T <= target."""
+    prefix = family_prefix(schedule, target)
+
+    def total(t):
+        w = warmup_from_prefix(schedule, prefix, t)
+        return w + int(prefix[t - w])
+
+    lo, hi = 1, target
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if total(mid) >= target:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def unit_z(d):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fedstat import cli, critvals, engine, harness, schedules
+from fedstat.config import _KEYS, config_text
 from fedstat.harness import (
     ExperimentConfig,
     convergence_curve,
@@ -135,7 +136,7 @@ class TestConfigParsing:
 
     def test_readme_names_every_config_key(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        assert [key for key in harness._KEYS if f"| `{key}` |" not in readme] == []
+        assert [key for key in _KEYS if f"| `{key}` |" not in readme] == []
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed must be >= 0"):
@@ -159,6 +160,12 @@ class TestConfigParsing:
         kwargs[field] = 2.5
         with pytest.raises(ValueError, match=f"{field} must be an integer, got 2.5"):
             ExperimentConfig(**kwargs)
+
+    def test_written_config_runs_like_the_text_it_came_from(self):
+        rewritten = parse_config_text(config_text(parse_config_text(BASE_CONFIG)))
+        assert harness.report_csv(run_experiment(rewritten)) == harness.report_csv(
+            run_experiment(parse_config_text(BASE_CONFIG))
+        )
 
     def test_numpy_integer_counts_run_like_python_ints(self):
         fields = ("dimension", "clients", "rounds", "replications", "seed", "coordinate")
@@ -804,25 +811,28 @@ class TestOneScheduleTable:
         assert calls == [25]
 
     def test_partial_sum_process_builds_it_once(self, monkeypatch):
-        """37 grid points, one table; the rows equal a scan of the cumulative
-        1/E_m for h(r, T) at every point."""
+        """37 grid points, one table; with h(r, T) from a scan of the
+        cumulative 1/E_m, each row is sqrt(t_T) * (h/T) * (y_bar_h - x*) bit
+        for bit, and within roundoff of the scaled cumulative sum."""
         sched = schedules.CommunicationSchedule("power", exponent=0.5, warmup_fraction=0.05)
         fed = harness.build_federation(quadratic_config())
         path = engine.run(fed, schedules.table(sched, 200), np.zeros(2), seed=3)
         x_star, grid = fed.global_optimum, np.linspace(0.01, 1.0, 37)
         css = np.cumsum(1.0 / schedules.intervals(sched, 200))
-        scale = np.sqrt(path.total_iterations) / 200
+        scale = np.sqrt(path.total_iterations)
         cumulative = np.cumsum(path.points - x_star, axis=0)
-        expected = []
+        expected, summed = [], []
         for r in grid:
             h = int(np.sum(css <= r * css[-1] * (1.0 + 1e-12)))
-            expected.append(scale * cumulative[h - 1] if h else np.zeros(2))
+            y_bar_h = engine.average_estimate(path.points[:h]) if h else x_star
+            expected.append(scale * (h / 200) * (y_bar_h - x_star))
+            summed.append(scale / 200 * cumulative[h - 1] if h else np.zeros(2))
         assert int(np.sum(css <= 0.01 * css[-1])) == 0  # the grid reaches h = 0
         calls = count_interval_builds(monkeypatch)
-        np.testing.assert_array_equal(
-            partial_sum_process(path, sched, x_star, grid), np.stack(expected)
-        )
+        phi = partial_sum_process(path, sched, x_star, grid)
         assert calls == [200]
+        np.testing.assert_array_equal(phi, np.stack(expected))
+        np.testing.assert_allclose(phi, np.stack(summed), rtol=1e-12, atol=1e-15)
 
 
 class TestPartialSumProcess:
@@ -835,6 +845,21 @@ class TestPartialSumProcess:
         phi = partial_sum_process(path, sched, x_star, [1.0])
         expected = np.sqrt(40) * (points.mean(axis=0) - x_star)
         np.testing.assert_allclose(phi[0], expected, rtol=1e-12)
+
+    def test_r_one_is_the_clt_statistic_bit_for_bit(self):
+        """The r = 1 row is sqrt(t_T) * (y_bar_T - x*) with the engine's one
+        estimator, which a separate cumulative sum misses in the last bits."""
+        fed = harness.build_federation(ExperimentConfig())
+        c1 = schedules.CommunicationSchedule("constant", base=1, warmup_fraction=0.05)
+        rows = schedules.table(c1, 2000)
+        x_star = fed.global_optimum
+        for seed in range(3):
+            path = engine.run(fed, rows, np.zeros(fed.dimension), seed=seed)
+            statistic = np.sqrt(path.total_iterations) * (
+                engine.average_estimate(path.points) - x_star
+            )
+            phi = partial_sum_process(path, c1, x_star, [0.5, 1.0])
+            np.testing.assert_array_equal(phi[1], statistic)
 
     def test_constant_path_at_optimum_vanishes(self):
         x_star = np.array([1.0, 2.0])

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from fedstat import schedules
 from fedstat.harness import rounds_for_target
 from fedstat.schedules import CommunicationSchedule, ExplicitSchedule
+from reference import bisect_rounds_for_target
 
 
 def constant(base, **kw):
@@ -388,3 +389,23 @@ class TestScalarParity:
         assert rounds_for_target(sched, target) == rounds
         e = schedules.intervals(sched, rounds)
         assert e.sum() >= target > schedules.intervals(sched, rounds - 1).sum()
+
+    @given(sched=st.one_of(parametric, explicit))
+    @settings(max_examples=12, deadline=None)
+    def test_bounded_target_solver_equals_the_bisection_over_every_round(self, sched):
+        """The solver's bracketed bisection on a prefix grown to its upper
+        bound finds the T of a bisection over 1..target, at every target."""
+        for target in range(1, 3001):
+            assert rounds_for_target(sched, target) == bisect_rounds_for_target(sched, target)
+
+    @pytest.mark.parametrize(
+        "sched, target",
+        [
+            (constant(1, warmup_fraction=0.05), 10_000),
+            (CommunicationSchedule("power", exponent=0.5, warmup_fraction=0.05), 100_000),
+        ],
+        ids=["C1-1e4", "P0.5-1e5"],
+    )
+    def test_bounded_target_solver_on_the_benchmark_setups(self, sched, target):
+        for t in [*range(1, 3001), target]:
+            assert rounds_for_target(sched, t) == bisect_rounds_for_target(sched, t)
