@@ -47,6 +47,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _values(text: str, option: str, parse: type = float) -> list:
+    """The comma-separated values of ``option``; one that does not parse
+    raises ``ValueError`` naming the option."""
+    return critvals._numbers([v.strip() for v in text.split(",") if v.strip()], option, parse)
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     config = harness.load_config(args.config)
     report = harness.run_experiment(
@@ -62,7 +68,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_curve(args: argparse.Namespace) -> int:
     config = harness.load_config(args.config)
-    checkpoints = [int(t) for t in args.checkpoints.split(",") if t.strip()]
+    checkpoints = _values(args.checkpoints, "--checkpoints", int)
     rows = harness.convergence_curve(config, checkpoints, workers=args.threads)
     text = "rounds,mean_error,se\n" + "".join(
         f"{t},{mu:.12g},{se:.12g}\n" for t, mu, se in rows
@@ -76,8 +82,8 @@ def _cmd_curve(args: argparse.Namespace) -> int:
 
 
 def _cmd_critvals(args: argparse.Namespace) -> int:
-    betas = [float(b) for b in args.betas.split(",") if b.strip()]
-    levels = [float(p) for p in args.levels.split(",") if p.strip()]
+    betas = _values(args.betas, "--betas")
+    levels = _values(args.levels, "--levels")
     table = critvals.simulate_table(
         betas, levels, steps=args.steps, replications=args.reps, seed=args.seed
     )

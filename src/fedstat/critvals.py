@@ -272,21 +272,24 @@ def save_csv(table: CriticalValueTable, stream: IO[str]) -> None:
         stream.write(f"{beta:.17g}," + ",".join(f"{v:.17g}" for v in row) + "\n")
 
 
-def _numbers(cells: list[str], lineno: int) -> list[float]:
-    """The cells of line ``lineno`` as floats; a cell that is not a number
-    raises ``ValueError`` naming the line."""
+def _numbers(cells: list[str], where: str, parse: type = float) -> list:
+    """The cells read by ``parse`` (``float`` or ``int``).  A cell that does
+    not parse raises ``ValueError`` naming ``where`` it came from: a line of
+    a table, a header key on that line, or a command-line option."""
     values = []
     for cell in cells:
         try:
-            values.append(float(cell))
+            values.append(parse(cell))
         except ValueError:
-            raise ValueError(f"line {lineno}: {cell!r} is not a number") from None
+            noun = "an integer" if parse is int else "a number"
+            raise ValueError(f"{where}: {cell!r} is not {noun}") from None
     return values
 
 
 def load_csv(stream: IO[str]) -> CriticalValueTable:
-    steps = replications = 0
-    seed: int | None = None
+    """Read a table written by ``save_csv``.  A header value or a cell that
+    does not parse, or a ragged row, raises ``ValueError`` naming its line."""
+    meta: dict[str, int | None] = {"steps": 0, "replications": 0, "seed": None}
     header: list[str] | None = None
     betas: list[float] = []
     rows: list[list[float]] = []
@@ -297,21 +300,17 @@ def load_csv(stream: IO[str]) -> CriticalValueTable:
         if line.startswith("#"):
             for token in line[1:].split():
                 key, _, value = token.partition("=")
-                if key == "steps":
-                    steps = int(value)
-                elif key == "replications":
-                    replications = int(value)
-                elif key == "seed":
-                    seed = int(value)
+                if key in meta:
+                    meta[key] = _numbers([value], f"line {lineno}: {key}", int)[0]
             continue
         cells = line.split(",")
         if header is None:
             header = cells
-            levels = _numbers(cells[1:], lineno)
+            levels = _numbers(cells[1:], f"line {lineno}")
             continue
         if len(cells) != len(header):
             raise ValueError(f"line {lineno}: {len(cells)} cells, the header has {len(header)}")
-        beta, *values = _numbers(cells, lineno)
+        beta, *values = _numbers(cells, f"line {lineno}")
         betas.append(beta)
         rows.append(values)
     if header is None or not rows:
@@ -320,9 +319,7 @@ def load_csv(stream: IO[str]) -> CriticalValueTable:
         betas=tuple(betas),
         levels=tuple(levels),
         values=np.array(rows),
-        steps=steps,
-        replications=replications,
-        seed=seed,
+        **meta,
     )
 
 

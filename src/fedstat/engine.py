@@ -3,8 +3,9 @@
 Each round m consists of E_m independent SGD steps per client with step size
 eta_m, both read from the run's frozen ``ScheduleTable``, followed by
 synchronization: the server replaces every client state by the weighted
-average.  Only the synchronized iterates leave this module; local states are
-internal and discarded at each sync.
+average.  Only the synchronized iterates leave this module, in a ``SyncPath``
+that carries the table they ran on as its time axis; local states are internal
+and discarded at each sync.
 
 Randomness layout: every client owns two sequential substreams derived from
 the run seed, one feeding the optimization samples and one feeding the fresh
@@ -96,20 +97,20 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SyncPath:
-    """The synchronized iterates and their iteration indices.
+    """The synchronized iterates and the ``ScheduleTable`` they ran on.
 
     points[m-1] is the average reached at the m-th synchronization, which
-    happens at iteration comm_times[m-1].
+    happens at iteration table.comm_times[m-1].  The table is the run's time
+    axis: its intervals give every round's local steps and the time change
+    h(r, T) of the partial-sum process.
     """
 
     points: np.ndarray
-    comm_times: np.ndarray
+    table: "ScheduleTable"  # noqa: F821  (read here, never built)
 
     def __post_init__(self) -> None:
-        if len(self.points) != len(self.comm_times):
-            raise ValueError("points and comm_times must have equal length")
-        if np.any(np.diff(self.comm_times) <= 0):
-            raise ValueError("comm_times must be strictly increasing")
+        if len(self.points) != len(self.table.intervals):
+            raise ValueError("points must hold one row per round of the table")
 
     @property
     def rounds(self) -> int:
@@ -117,7 +118,7 @@ class SyncPath:
 
     @property
     def total_iterations(self) -> int:
-        return int(self.comm_times[-1])
+        return int(self.table.comm_times[-1])
 
 
 def client_generators(
@@ -202,9 +203,9 @@ def run(
     """Run the table's T communication rounds from ``x0``; returns the path.
 
     Round m runs ``table.intervals[m-1]`` local steps of size
-    ``table.etas[m-1]`` (a ``ScheduleTable``), and the path's ``comm_times``
-    is the read-only ``table.comm_times``.  Deterministic given (federation,
-    table, x0, seed); only the optimization stream is read.  A round whose
+    ``table.etas[m-1]`` (a ``ScheduleTable``), and the path carries ``table``
+    itself as its time axis.  Deterministic given (federation, table, x0,
+    seed); only the optimization stream is read.  A round whose
     average has norm above 1e8 times the run's scale, ``roundoff.run_scale``
     (at least 1), raises `DivergenceError`, so a run that starts or settles
     far from 0 is judged by its own size.  A bound
@@ -245,7 +246,7 @@ def run(
                 f"synchronized iterate exceeded bound {bound:g} at round {m}"
             )
 
-    return SyncPath(points=points, comm_times=table.comm_times)
+    return SyncPath(points, table)
 
 
 def inference_draws(
@@ -306,6 +307,6 @@ def save_path_csv(path: SyncPath, stream: IO[str]) -> None:
     d = path.points.shape[1]
     header = "round,iteration," + ",".join(f"x{j}" for j in range(d))
     stream.write(header + "\n")
-    for m, (t, point) in enumerate(zip(path.comm_times, path.points), start=1):
+    for m, (t, point) in enumerate(zip(path.table.comm_times, path.points), start=1):
         coords = ",".join(f"{v:.17g}" for v in point)
         stream.write(f"{m},{t},{coords}\n")

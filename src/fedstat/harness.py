@@ -16,7 +16,10 @@ tabulated t*(beta) quantile for random scaling.  The states never see alpha
 or the table.  A replication runs the engine, which only optimizes, then
 feeds each state from the path in config order: the plug-in the inference
 draws at the synchronized points (``engine.inference_draws``), random scaling
-the points and their intervals.  It computes the one estimate y_bar_T
+the points and their intervals.  A path carries the ``ScheduleTable`` it ran
+on (``path.table``), the run's one time axis: the intervals fed to random
+scaling and the time change h(r, T) of ``partial_sum_process`` are read from
+it.  A replication computes the one estimate y_bar_T
 (``engine.average_estimate``) and asks each state for its interval around
 it.  The errors ||y_bar_t - x*|| come from the same estimator, at T from the
 same estimate.
@@ -32,6 +35,7 @@ checkpoints and no methods.
 
 from __future__ import annotations
 
+import bisect
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -136,14 +140,12 @@ def rounds_for_target(schedule: schedules.Schedule, target_observations: int) ->
     hi = min(lo + math.ceil(frac * int(prefix[lo]) / (1.0 - frac)) + 1, target_observations)
     if hi > n:
         prefix = schedules.family_prefix(schedule, hi)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        w = schedules.warmup_from_prefix(schedule, prefix, mid)
-        if w + prefix[mid - w] >= target_observations:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+
+    def reached(t: int) -> bool:
+        w = schedules.warmup_from_prefix(schedule, prefix, t)
+        return w + int(prefix[t - w]) >= target_observations
+
+    return bisect.bisect_left(range(hi), True, lo, key=reached)
 
 
 def _resolve_x0(config: ExperimentConfig, federation: models.Federation) -> np.ndarray:
@@ -186,7 +188,7 @@ def _rscale_state(
 ) -> RScaleState:
     """The random-scaling state fed one round's point and interval at a time."""
     state = RScaleState(payload.federation.dimension)
-    for x_bar, interval in zip(path.points, payload.table.intervals.tolist()):
+    for x_bar, interval in zip(path.points, path.table.intervals.tolist()):
         state.observe(x_bar, interval)
     return state
 
@@ -476,10 +478,7 @@ def convergence_curve(
 
 
 def partial_sum_process(
-    path: engine.SyncPath,
-    schedule: schedules.Schedule,
-    x_star: np.ndarray,
-    grid: list[float] | tuple[float, ...],
+    path: engine.SyncPath, x_star: np.ndarray, grid: list[float] | tuple[float, ...]
 ) -> np.ndarray:
     """The rescaled partial-sum process of the path on a grid of r values.
 
@@ -488,17 +487,11 @@ def partial_sum_process(
     the estimator of the first h points (``engine.average_estimate``); one
     pass over the path serves every row.  At r = 1 this is
     sqrt(t_T) * (y_bar_T - x*) bit for bit, the statistic of the central
-    limit theorem.  ``schedule`` must be the one that produced the path:
-    h(r, T) is read from its intervals, so a schedule whose communication
-    times differ from the path's raises ``ValueError``.
+    limit theorem.  h(r, T) is read from the table the path ran on,
+    ``path.table``, so no table is built.
     """
     x_star = np.asarray(x_star, dtype=np.float64)
-    table = schedules.table(schedule, path.rounds)
-    if not np.array_equal(table.comm_times, path.comm_times):
-        raise ValueError(
-            f"schedule {schedule.label()} does not match the path's communication times"
-        )
-    hs = [schedules.fclt_time_scale(table, float(r)) for r in grid]
+    hs = [schedules.fclt_time_scale(path.table, float(r)) for r in grid]
     ends = sorted(set(hs) - {0})
     estimates = dict(zip(ends, engine._prefix_estimates(path.points, ends)))
     scale = math.sqrt(path.total_iterations)

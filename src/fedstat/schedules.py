@@ -23,6 +23,7 @@ in about 5% of elements (50,508 of m = 1..10^6 at alpha = 0.505).
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from itertools import repeat
@@ -88,6 +89,8 @@ class CommunicationSchedule:
             )
         if self.kind == "log" and not 0.0 < self.exponent < math.inf:
             raise ValueError("log schedule needs a positive finite exponent")
+        if not math.isfinite(self.exponent):
+            raise ValueError("schedule exponent must be finite")
         if not 0.0 < self.gamma0 < math.inf:
             raise ValueError("gamma0 must be positive and finite")
         if not 0.5 < self.alpha < 1.0:
@@ -233,18 +236,11 @@ def warmup_from_prefix(schedule: Schedule, prefix: np.ndarray, total_rounds: int
     frac = schedule.warmup_fraction
     if frac == 0.0:
         return 0
-
-    def short(w: int) -> bool:
-        return w < frac * (w + prefix[total_rounds - w])
-
-    lo, hi = 0, total_rounds
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if short(mid):
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
+    # A Python bool for the key: bisect compares it with True, which for a
+    # numpy bool takes microseconds.
+    return bisect.bisect_left(
+        range(total_rounds), True, key=lambda w: w >= frac * (w + int(prefix[total_rounds - w]))
+    )
 
 
 def intervals(schedule: Schedule, total_rounds: int) -> np.ndarray:

@@ -21,17 +21,20 @@ def counts(lo, hi):
 def configs(draw):
     model = draw(st.sampled_from(sorted(models.KERNELS)))
     dimension = draw(counts(1, 6))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    kind = draw(st.sampled_from(["constant", "log", "power"]))
+    # A constant schedule never uses its exponent, so it takes any finite one.
+    exponents = finite if kind == "constant" else st.floats(min_value=0.05, max_value=0.95)
     schedule = CommunicationSchedule(
-        draw(st.sampled_from(["constant", "log", "power"])),
+        kind,
         base=draw(counts(1, 8)),
-        exponent=draw(st.floats(min_value=0.05, max_value=0.95)),
+        exponent=draw(exponents),
         gamma0=draw(st.floats(min_value=1e-3, max_value=5.0)),
         alpha=draw(st.floats(min_value=0.501, max_value=0.99)),
         warmup_fraction=draw(st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.95))),
     )
     rounds = draw(st.one_of(st.none(), counts(1, 10**6)))
     size = int(dimension)
-    finite = st.floats(allow_nan=False, allow_infinity=False)
     vector = st.lists(finite, min_size=size, max_size=size).map(tuple)
     methods = draw(st.permutations(METHODS))[: draw(st.integers(min_value=1, max_value=2))]
     return ExperimentConfig(
@@ -134,6 +137,32 @@ def test_cli_names_the_line_and_key_of_a_value_that_does_not_parse(
     path.write_text(f"# a linear run\nmodel = linear\n{line}\nreplications = 2\n")
     assert cli.main(["run", "--config", str(path)]) == 1
     assert capsys.readouterr().err == f"fedstat: error: line 3: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(model="cubic"), "unknown model 'cubic'"),
+        (dict(dimension=0), "dimension and clients must be >= 1"),
+        (dict(clients=0), "dimension and clients must be >= 1"),
+        (dict(rounds=0, target_observations=None), "rounds must be >= 1"),
+        (dict(target_observations=0), "target_observations must be >= 1"),
+        (dict(replications=0), "replications must be >= 1"),
+        (dict(methods=()), "methods must be a nonempty subset of"),
+        (dict(methods=("plugin", "bootstrap")), "methods must be a nonempty subset of"),
+        (dict(alpha_level=0.0), r"alpha_level must lie in \(0, 1\)"),
+        (dict(alpha_level=1.0), r"alpha_level must lie in \(0, 1\)"),
+        (dict(coordinate=5), r"coordinate out of range \(0-based\)"),
+        (dict(coordinate=-1), r"coordinate out of range \(0-based\)"),
+        (dict(x0="ones"), "x0 must be 'zeros', 'optimum' or a vector"),
+    ],
+    ids=["model", "dimension", "clients", "rounds", "target", "replications", "no-methods",
+         "unknown-method", "alpha-zero", "alpha-one", "coordinate-high", "coordinate-negative",
+         "x0-name"],
+)
+def test_a_bad_value_is_rejected(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(**kwargs)
 
 
 def test_config_does_not_reference_the_harness_or_the_engine():

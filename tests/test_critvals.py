@@ -53,6 +53,11 @@ class TestLookup:
         with pytest.raises(ValueError, match="must be > 0"):
             lookup(table, 0.05, 0.0)
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.05, math.nan])
+    def test_alpha_outside_the_unit_interval_is_an_error(self, alpha):
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
+            lookup(reference_table(), alpha, 0.0)
+
     def test_missing_level_is_an_error(self):
         with pytest.raises(KeyError):
             lookup(reference_table(), 0.123, 0.0)
@@ -136,6 +141,9 @@ class TestSimulation:
             simulate_table((), (0.5,), steps=500, replications=5000)
         with pytest.raises(ValueError, match="at least one beta and one level"):
             simulate_table((0.0,), (), steps=500, replications=5000)
+        for level in (0.0, 1.0):
+            with pytest.raises(ValueError, match=r"levels must lie strictly inside \(0, 1\)"):
+                simulate_table((0.0,), (0.5, level), steps=500, replications=5000)
 
 
 def stream_normals(steps, pairs, seed):
@@ -437,6 +445,33 @@ class TestCommandLine:
         assert out.read_bytes() == expected.getvalue().encode()
         assert out.read_text().splitlines()[0] == "# steps=100 replications=2000 seed=3"
 
+    @pytest.mark.parametrize(
+        "command, option, value, message",
+        [
+            ("curve", "--checkpoints", "1,abc", "'abc' is not an integer"),
+            ("curve", "--checkpoints", "1,2.5", "'2.5' is not an integer"),
+            ("critvals", "--betas", "x", "'x' is not a number"),
+            ("critvals", "--levels", "0.5, y", "'y' is not a number"),
+        ],
+        ids=["checkpoints", "checkpoints-float", "betas", "levels"],
+    )
+    def test_a_value_that_does_not_parse_names_its_option(
+        self, command, option, value, message, tmp_path, capsys
+    ):
+        config = tmp_path / "config.txt"
+        config.write_text("rounds = 5\nreplications = 2\n")
+        argv = [command, option, value] + (["--config", str(config)] if command == "curve" else [])
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == f"fedstat: error: {option}: {message}\n"
+
+    def test_run_names_a_header_value_of_its_table(self, tmp_path, capsys):
+        table = tmp_path / "table.csv"
+        table.write_text("# steps=abc replications=50000\nbeta,0.975\n0,6.7\n")
+        config = tmp_path / "config.txt"
+        config.write_text(f"rounds = 5\nreplications = 2\ncritical_values = {table}\n")
+        assert cli.main(["run", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == "fedstat: error: line 1: steps: 'abc' is not an integer\n"
+
     @pytest.mark.parametrize("option", ["--betas", "--levels"])
     def test_critvals_rejects_an_empty_list(self, option, tmp_path, capsys):
         out = tmp_path / "table.csv"
@@ -485,8 +520,15 @@ class TestSerialization:
             ("beta,0.5,0.975\n0,abc,6.7\n", "line 2: 'abc' is not a number"),
             ("# steps=1000\nbeta,0.5,0.975\n0,1.0,6.7\n\n0.5,1.0,\n", "line 5: '' is not a number"),
             ("beta,0.5,x\n0,1.0,6.7\n", "line 1: 'x' is not a number"),
+            ("# steps=abc\nbeta,0.975\n0,6.7\n", "line 1: steps: 'abc' is not an integer"),
+            (
+                "# steps=1000 replications=1.5\nbeta,0.975\n0,6.7\n",
+                "line 1: replications: '1.5' is not an integer",
+            ),
+            ("\n# seed=x\nbeta,0.975\n0,6.7\n", "line 2: seed: 'x' is not an integer"),
+            ("# steps=1000 seed=\nbeta,0.975\n0,6.7\n", "line 1: seed: '' is not an integer"),
         ],
-        ids=["data", "empty-cell", "header"],
+        ids=["data", "empty-cell", "header", "steps", "replications", "seed", "empty-seed"],
     )
     def test_cell_that_is_not_a_number_names_its_line(self, text, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
@@ -531,6 +573,11 @@ class TestTableChecks:
         values = np.ones((len(betas), len(levels)))
         with pytest.raises(ValueError, match=f"{name} must differ by more than 1e-09"):
             CriticalValueTable(betas, levels, values, steps=1000, replications=1000)
+
+    @pytest.mark.parametrize("shape", [(2, 1), (1, 2), (1,)], ids=["rows", "columns", "flat"])
+    def test_rejects_values_of_another_shape(self, shape):
+        with pytest.raises(ValueError, match="values must be one row per beta, one column"):
+            CriticalValueTable((0.0,), (0.975,), np.ones(shape), steps=1000, replications=1000)
 
     def test_simulate_table_rejects_a_negative_seed(self):
         with pytest.raises(ValueError, match="seed must be >= 0"):

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import warnings
 from fractions import Fraction
@@ -34,7 +35,7 @@ class TestDeterministicContraction:
         path = run(fed, table(fixed_step(0.5, 10), 10), np.array([1.0]), seed=0)
         np.testing.assert_allclose(path.points[:, 0], 0.5 ** np.arange(1, 11), rtol=1e-15)
         assert path.total_iterations == 10
-        np.testing.assert_array_equal(path.comm_times, np.arange(1, 11))
+        np.testing.assert_array_equal(path.table.comm_times, np.arange(1, 11))
 
     def test_heterogeneous_quadratic_affine_recursion(self):
         # Every local chain is affine in its start, and averaging preserves
@@ -210,7 +211,7 @@ class TestObserversAndDeterminism:
         a = run(fed, table(sched, 50), np.zeros(2), seed=9)
         b = run(fed, table(sched, 50), np.zeros(2), seed=9)
         np.testing.assert_array_equal(a.points, b.points)
-        np.testing.assert_array_equal(a.comm_times, b.comm_times)
+        np.testing.assert_array_equal(a.table.comm_times, b.table.comm_times)
 
     def test_shared_table_gives_the_paths_of_separate_tables(self):
         fed = linear_fed(np.random.default_rng(3).standard_normal((3, 2)))
@@ -220,14 +221,17 @@ class TestObserversAndDeterminism:
             path = run(fed, shared, np.zeros(2), seed)
             alone = run(fed, table(sched, 300), np.zeros(2), seed)
             np.testing.assert_array_equal(path.points, alone.points)
-            np.testing.assert_array_equal(path.comm_times, alone.comm_times)
-            assert path.comm_times is shared.comm_times
+            np.testing.assert_array_equal(path.table.comm_times, alone.table.comm_times)
+            assert path.table is shared
 
     def test_path_carries_round_metadata(self):
         fed = quadratic_fed([0.0, 1.0])
         sched = schedules.ExplicitSchedule(intervals=(2, 3, 1), etas=(0.1, 0.1, 0.1))
-        path = run(fed, table(sched, 3), np.array([1.0]), seed=0)
-        np.testing.assert_array_equal(path.comm_times, [2, 5, 6])
+        rows = table(sched, 3)
+        path = run(fed, rows, np.array([1.0]), seed=0)
+        assert path.table is rows
+        assert [f.name for f in dataclasses.fields(engine.SyncPath)] == ["points", "table"]
+        np.testing.assert_array_equal(path.table.comm_times, [2, 5, 6])
         assert path.rounds == 3 and path.total_iterations == 6
 
     def test_growing_new_clients_preserves_existing_streams(self):
@@ -250,6 +254,20 @@ class TestGuardsAndHelpers:
         sched = fixed_step(3.0, 40)
         with pytest.raises(DivergenceError, match="bound 1e\\+08 at round 27$"):
             run(fed, table(sched, 40), np.array([1.0]), seed=0)
+
+    @pytest.mark.parametrize(
+        "x0", [np.zeros(2), np.zeros((1, 1)), np.array([np.nan]), np.array([np.inf])],
+        ids=["length", "shape", "nan", "inf"],
+    )
+    def test_x0_must_be_a_finite_vector_of_the_dimension(self, x0):
+        fed = quadratic_fed([0.0])
+        with pytest.raises(ValueError, match="x0 must be a finite vector of length 1"):
+            run(fed, table(fixed_step(0.5, 3), 3), x0, seed=0)
+
+    @pytest.mark.parametrize("rounds", [3, 5])
+    def test_path_needs_one_point_per_round_of_its_table(self, rounds):
+        with pytest.raises(ValueError, match="one row per round of the table"):
+            engine.SyncPath(np.zeros((rounds, 1)), table(fixed_step(0.5, 4), 4))
 
     def test_average_estimate(self):
         np.testing.assert_array_equal(average_estimate(np.array([[1.0], [3.0]])), [2.0])

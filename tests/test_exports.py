@@ -87,4 +87,4 @@ def test_run_from_the_package_namespace():
     assert isinstance(rows, fedstat.ScheduleTable)
     path = fedstat.run(fed, rows, np.ones(1), seed=0)
     np.testing.assert_array_equal(path.points[:, 0], [0.5, 0.25, 0.125])
-    assert path.comm_times is rows.comm_times
+    assert path.table is rows

@@ -116,10 +116,13 @@ class TestConfigParsing:
             ("gamma0 = inf", "gamma0"),
             ("schedule = log\nschedule_exponent = nan", "exponent"),
             ("schedule = log\nschedule_exponent = inf", "exponent"),
+            ("schedule_exponent = nan", "schedule exponent must be finite"),
+            ("schedule_exponent = -inf", "schedule exponent must be finite"),
             ("noise_scale = nan", "noise_scale"),
             ("noise_scale = inf", "noise_scale"),
         ],
-        ids=["gamma0-nan", "gamma0-inf", "exponent-nan", "exponent-inf", "noise-nan", "noise-inf"],
+        ids=["gamma0-nan", "gamma0-inf", "exponent-nan", "exponent-inf", "constant-exponent-nan",
+             "constant-exponent-inf", "noise-nan", "noise-inf"],
     )
     def test_non_finite_value_rejected(self, line, field):
         with pytest.raises(ValueError, match=field):
@@ -810,10 +813,11 @@ class TestOneScheduleTable:
         convergence_curve(quadratic_config(replications=3), [5, 25])
         assert calls == [25]
 
-    def test_partial_sum_process_builds_it_once(self, monkeypatch):
-        """37 grid points, one table; with h(r, T) from a scan of the
-        cumulative 1/E_m, each row is sqrt(t_T) * (h/T) * (y_bar_h - x*) bit
-        for bit, and within roundoff of the scaled cumulative sum."""
+    def test_partial_sum_process_builds_none(self, monkeypatch):
+        """37 grid points and no table built: h(r, T) is read from the path's
+        own table.  With h(r, T) from a scan of the cumulative 1/E_m, each row
+        is sqrt(t_T) * (h/T) * (y_bar_h - x*) bit for bit, and within roundoff
+        of the scaled cumulative sum."""
         sched = schedules.CommunicationSchedule("power", exponent=0.5, warmup_fraction=0.05)
         fed = harness.build_federation(quadratic_config())
         path = engine.run(fed, schedules.table(sched, 200), np.zeros(2), seed=3)
@@ -829,8 +833,8 @@ class TestOneScheduleTable:
             summed.append(scale / 200 * cumulative[h - 1] if h else np.zeros(2))
         assert int(np.sum(css <= 0.01 * css[-1])) == 0  # the grid reaches h = 0
         calls = count_interval_builds(monkeypatch)
-        phi = partial_sum_process(path, sched, x_star, grid)
-        assert calls == [200]
+        phi = partial_sum_process(path, x_star, grid)
+        assert calls == []
         np.testing.assert_array_equal(phi, np.stack(expected))
         np.testing.assert_allclose(phi, np.stack(summed), rtol=1e-12, atol=1e-15)
 
@@ -839,10 +843,10 @@ class TestPartialSumProcess:
     def test_full_budget_matches_scaled_average(self):
         rng = np.random.default_rng(0)
         points = rng.standard_normal((40, 2))
-        path = engine.SyncPath(points=points, comm_times=np.arange(1, 41))
-        sched = schedules.CommunicationSchedule("constant", base=1)
+        c1 = schedules.CommunicationSchedule("constant", base=1)
+        path = engine.SyncPath(points, schedules.table(c1, 40))
         x_star = np.array([0.5, -0.5])
-        phi = partial_sum_process(path, sched, x_star, [1.0])
+        phi = partial_sum_process(path, x_star, [1.0])
         expected = np.sqrt(40) * (points.mean(axis=0) - x_star)
         np.testing.assert_allclose(phi[0], expected, rtol=1e-12)
 
@@ -858,31 +862,20 @@ class TestPartialSumProcess:
             statistic = np.sqrt(path.total_iterations) * (
                 engine.average_estimate(path.points) - x_star
             )
-            phi = partial_sum_process(path, c1, x_star, [0.5, 1.0])
+            phi = partial_sum_process(path, x_star, [0.5, 1.0])
             np.testing.assert_array_equal(phi[1], statistic)
 
     def test_constant_path_at_optimum_vanishes(self):
         x_star = np.array([1.0, 2.0])
-        path = engine.SyncPath(
-            points=np.tile(x_star, (10, 1)),
-            comm_times=np.arange(1, 11),
-        )
-        sched = schedules.CommunicationSchedule("constant", base=1)
-        phi = partial_sum_process(path, sched, x_star, [0.25, 0.5, 1.0])
+        c1 = schedules.CommunicationSchedule("constant", base=1)
+        path = engine.SyncPath(np.tile(x_star, (10, 1)), schedules.table(c1, 10))
+        phi = partial_sum_process(path, x_star, [0.25, 0.5, 1.0])
         np.testing.assert_array_equal(phi, np.zeros((3, 2)))
 
     def test_grid_prefix_sums(self):
         points = np.arange(8.0)[:, None]
-        path = engine.SyncPath(points=points, comm_times=np.arange(1, 9))
-        sched = schedules.CommunicationSchedule("constant", base=1)
-        phi = partial_sum_process(path, sched, np.zeros(1), [0.5])
+        c1 = schedules.CommunicationSchedule("constant", base=1)
+        path = engine.SyncPath(points, schedules.table(c1, 8))
+        phi = partial_sum_process(path, np.zeros(1), [0.5])
         # h(0.5, 8) = 4 -> sum of first four points, scaled by sqrt(8)/8
         assert phi[0, 0] == pytest.approx(np.sqrt(8) / 8 * points[:4].sum())
-
-    def test_schedule_other_than_the_paths_is_rejected(self):
-        fed = harness.build_federation(quadratic_config())
-        c1 = schedules.CommunicationSchedule("constant", base=1)
-        path = engine.run(fed, schedules.table(c1, 50), np.zeros(2), seed=3)
-        p05 = schedules.CommunicationSchedule("power", exponent=0.5)
-        with pytest.raises(ValueError, match=r"P\(0.5\) does not match"):
-            partial_sum_process(path, p05, fed.global_optimum, [0.5, 1.0])

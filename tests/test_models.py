@@ -361,6 +361,21 @@ class TestClientModelInputs:
         with pytest.raises(ValueError, match="noise_scale"):
             ClientModel("linear", np.zeros(2), noise_scale=noise)
 
+    @pytest.mark.parametrize(
+        "args, kwargs, message",
+        [
+            (("cubic", np.zeros(2)), {}, "unknown model kind 'cubic'"),
+            (("linear", np.zeros(0)), {}, "local_optimum must be a nonempty vector"),
+            (("linear", np.zeros((2, 2))), {}, "local_optimum must be a nonempty vector"),
+            (("quadratic", np.zeros(2)), {"curvature": 0.0}, "curvature must be positive"),
+            (("quadratic", np.zeros(2)), {"curvature": -1.0}, "curvature must be positive"),
+        ],
+        ids=["kind", "empty", "matrix", "curvature-zero", "curvature-negative"],
+    )
+    def test_bad_client_rejected(self, args, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            ClientModel(*args, **kwargs)
+
 
 class TestFederation:
     def test_weights_must_sum_to_one(self):
@@ -408,8 +423,26 @@ class TestFederation:
 
     def test_mixed_kinds_rejected(self):
         clients = [ClientModel("linear", np.zeros(2)), ClientModel("quadratic", np.zeros(2))]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="all clients must share one model kind"):
             federation_of(clients)
+
+    @pytest.mark.parametrize(
+        "dimensions, weights, message",
+        [
+            ((), [], "federation needs at least one client"),
+            ((2, 3), [0.5, 0.5], "all clients must share one dimension"),
+            ((2, 2), [1.0], "weights must be positive, one per client"),
+            ((2, 2), [0.5, 0.25, 0.25], "weights must be positive, one per client"),
+            ((2, 2), [[0.5, 0.5]], "weights must be positive, one per client"),
+            ((2, 2), [1.5, -0.5], "weights must be positive, one per client"),
+            ((2, 2), [1.0, 0.0], "weights must be positive, one per client"),
+        ],
+        ids=["no-clients", "dimensions", "short", "long", "matrix", "negative", "zero"],
+    )
+    def test_bad_federation_rejected(self, dimensions, weights, message):
+        clients = tuple(ClientModel("linear", np.zeros(d)) for d in dimensions)
+        with pytest.raises(ValueError, match=message):
+            models.Federation(clients, np.array(weights), global_optimum=np.zeros(2))
 
 
 class TestTrueSandwich:

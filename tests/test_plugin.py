@@ -62,6 +62,11 @@ class TestObserve:
         with pytest.raises(ValueError):
             state.observe(np.zeros(2), np.eye(3))
 
+    @pytest.mark.parametrize("dimension", [0, -1])
+    def test_dimension_below_one_rejected(self, dimension):
+        with pytest.raises(ValueError, match="dimension must be >= 1"):
+            PluginState(dimension)
+
     def test_draws_come_in_pairs(self):
         state = PluginState(2)
         with pytest.raises(ValueError):

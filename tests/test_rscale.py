@@ -80,6 +80,20 @@ class TestObserve:
         with pytest.raises(ValueError):
             RScaleState(1).observe(np.zeros(1), 0)
 
+    @pytest.mark.parametrize("dimension", [0, -1])
+    def test_dimension_below_one_rejected(self, dimension):
+        with pytest.raises(ValueError, match="dimension must be >= 1"):
+            RScaleState(dimension)
+
+    @pytest.mark.parametrize("x_bar", [np.zeros(3), np.zeros((1, 2)), np.zeros(())])
+    def test_point_of_another_shape_rejected(self, x_bar):
+        with pytest.raises(ValueError, match=r"x_bar must have shape \(2,\)"):
+            RScaleState(2).observe(x_bar, 1)
+
+    def test_v_hat_needs_an_observation(self):
+        with pytest.raises(ValueError, match="no observations yet"):
+            RScaleState(2).v_hat()
+
 
 class TestBlockFold:
     @settings(max_examples=40, deadline=None)

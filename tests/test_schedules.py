@@ -184,8 +184,17 @@ class TestNonFiniteInputs:
             (dict(kind="log", exponent=math.nan), "exponent"),
             (dict(kind="log", exponent=math.inf), "exponent"),
             (dict(kind="constant", base=math.inf), "base"),
+            (dict(kind="constant", exponent=math.nan), "schedule exponent must be finite"),
+            (dict(kind="constant", exponent=math.inf), "schedule exponent must be finite"),
+            (dict(kind="weekly"), "unknown schedule kind 'weekly'"),
+            (dict(kind="constant", alpha=0.5), r"alpha must lie in \(0.5, 1\)"),
+            (dict(kind="constant", alpha=1.0), r"alpha must lie in \(0.5, 1\)"),
+            (dict(kind="constant", warmup_fraction=-0.1), r"warmup_fraction must lie in \[0, 1\)"),
+            (dict(kind="constant", warmup_fraction=1.0), r"warmup_fraction must lie in \[0, 1\)"),
         ],
-        ids=["gamma0-nan", "gamma0-inf", "log-exponent-nan", "log-exponent-inf", "base-inf"],
+        ids=["gamma0-nan", "gamma0-inf", "log-exponent-nan", "log-exponent-inf", "base-inf",
+             "constant-exponent-nan", "constant-exponent-inf", "kind", "alpha-low", "alpha-high",
+             "warmup-negative", "warmup-one"],
     )
     def test_parametric_schedule(self, kwargs, field):
         with pytest.raises(ValueError, match=field):
@@ -200,12 +209,20 @@ class TestNonFiniteInputs:
             (dict(intervals=(1, 2), etas=(0.1, math.inf)), "etas"),
             (dict(intervals=(1,), gamma0=math.nan), "gamma0"),
             (dict(intervals=(1,), alpha=math.inf), "alpha"),
+            (dict(intervals=()), "need at least one interval"),
+            (dict(intervals=(1, 2), etas=(0.1,)), "etas must match intervals in length"),
         ],
-        ids=["interval-inf", "interval-nan", "eta-nan", "eta-inf", "gamma0-nan", "alpha-inf"],
+        ids=["interval-inf", "interval-nan", "eta-nan", "eta-inf", "gamma0-nan", "alpha-inf",
+             "no-intervals", "etas-length"],
     )
     def test_explicit_schedule(self, kwargs, field):
         with pytest.raises(ValueError, match=field):
             ExplicitSchedule(**kwargs)
+
+    @pytest.mark.parametrize("rounds", [0, -1])
+    def test_table_of_no_rounds(self, rounds):
+        with pytest.raises(ValueError, match="total_rounds must be >= 1"):
+            schedules.table(constant(1), rounds)
 
 
 class TestTable:
@@ -409,3 +426,8 @@ class TestScalarParity:
     def test_bounded_target_solver_on_the_benchmark_setups(self, sched, target):
         for t in [*range(1, 3001), target]:
             assert rounds_for_target(sched, t) == bisect_rounds_for_target(sched, t)
+
+    @pytest.mark.parametrize("target", [0, -5])
+    def test_target_below_one_rejected(self, target):
+        with pytest.raises(ValueError, match="target_observations must be >= 1"):
+            rounds_for_target(constant(1), target)

@@ -1,0 +1,58 @@
+"""Print a sha256 digest of every output a change must keep byte-identical.
+
+For seeds 0-9 of the benchmark's two coverage workloads (their parameters
+from ``perfbench/workloads.py``, each config built as ``perfbench/cell.py``
+builds it), one ``run_experiment`` with workers=1 that dumps every
+replication's path; then one ``fedstat curve`` on a linear P(0.5) config
+with 5% warm-up.  Prints one ``sha256  name`` line per ``report.csv``,
+``replications.csv``, path dump and curve text, then a digest of all of them.
+Takes about a minute.  To check a change, run it on both checkouts and diff:
+
+    python tools/bytes_check.py > after.txt
+    python tools/bytes_check.py ../parent > before.txt   # the parent's checkout
+"""
+
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).resolve().parents[1]).resolve()
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+from cell import _config  # noqa: E402
+from fedstat import cli, config, harness, schedules  # noqa: E402
+from workloads import params_for  # noqa: E402
+
+WORKLOADS = ("coverage-c1-linear", "coverage-p05-logistic")
+CHECKPOINTS = "1,7,100,256,300,512,1000,2049,3000,5000"
+
+
+def main() -> None:
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        for name in WORKLOADS:
+            for seed in range(10):
+                cfg = _config({"params": params_for(name, tiny=False), "seed": seed})
+                cell = out / name / f"seed{seed}"
+                harness.run_experiment(cfg, out_dir=cell, dump_paths=cfg.replications)
+        p05 = schedules.CommunicationSchedule("power", exponent=0.5, warmup_fraction=0.05)
+        text = config.config_text(harness.ExperimentConfig(schedule=p05, replications=4))
+        (out / "curve.txt").write_text(text)
+        argv = ["curve", "--config", str(out / "curve.txt"), "--checkpoints", CHECKPOINTS,
+                "--out", str(out / "curve")]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+        for path in sorted(out.rglob("*.csv")):
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            lines.append(f"{digest}  {path.relative_to(out)}")
+    total = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    lines.append(f"{total}  total of {len(lines)} files")
+    print("\n".join(lines))
+
+
+if __name__ == "__main__":
+    main()
