@@ -21,10 +21,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run a coverage experiment from a config file")
     run.add_argument("--config", required=True, help="flat key=value configuration file")
-    run.add_argument("--threads", type=int, default=1, help="replication worker count")
+    run.add_argument("--threads", default="1", help="replication worker count")
     run.add_argument("--out", default=None, help="directory for report.csv and replications.csv")
     run.add_argument(
-        "--dump-paths", type=int, default=0, metavar="N",
+        "--dump-paths", default="0", metavar="N",
         help="dump the synchronized paths of the first N replications",
     )
 
@@ -34,15 +34,15 @@ def _build_parser() -> argparse.ArgumentParser:
         "--checkpoints", required=True,
         help="comma-separated, strictly increasing round counts, each >= 1",
     )
-    curve.add_argument("--threads", type=int, default=1)
+    curve.add_argument("--threads", default="1")
     curve.add_argument("--out", default=None, help="directory for curve.csv")
 
     cv = sub.add_parser("critvals", help="regenerate the critical-value table")
     cv.add_argument("--betas", default=_DEFAULT_BETAS)
     cv.add_argument("--levels", default=_DEFAULT_LEVELS)
-    cv.add_argument("--steps", type=int, default=1000)
-    cv.add_argument("--reps", type=int, default=50000)
-    cv.add_argument("--seed", type=int, default=0)
+    cv.add_argument("--steps", default="1000")
+    cv.add_argument("--reps", default="50000")
+    cv.add_argument("--seed", default="0")
     cv.add_argument("--out", default=None, help="output CSV file (default: stdout)")
     return parser
 
@@ -53,10 +53,19 @@ def _values(text: str, option: str, parse: type = float) -> list:
     return critvals._numbers([v.strip() for v in text.split(",") if v.strip()], option, parse)
 
 
+def _integer(text: str, option: str) -> int:
+    """The one integer value of ``option``; one that does not parse raises
+    ``ValueError`` naming the option, as ``_values`` does."""
+    return critvals._numbers([text], option, int)[0]
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     config = harness.load_config(args.config)
     report = harness.run_experiment(
-        config, workers=args.threads, out_dir=args.out, dump_paths=args.dump_paths
+        config,
+        workers=_integer(args.threads, "--threads"),
+        out_dir=args.out,
+        dump_paths=_integer(args.dump_paths, "--dump-paths"),
     )
     sys.stdout.write(harness.report_csv(report))
     sys.stdout.write(
@@ -69,7 +78,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_curve(args: argparse.Namespace) -> int:
     config = harness.load_config(args.config)
     checkpoints = _values(args.checkpoints, "--checkpoints", int)
-    rows = harness.convergence_curve(config, checkpoints, workers=args.threads)
+    workers = _integer(args.threads, "--threads")
+    rows = harness.convergence_curve(config, checkpoints, workers=workers)
     text = "rounds,mean_error,se\n" + "".join(
         f"{t},{mu:.12g},{se:.12g}\n" for t, mu, se in rows
     )
@@ -85,7 +95,11 @@ def _cmd_critvals(args: argparse.Namespace) -> int:
     betas = _values(args.betas, "--betas")
     levels = _values(args.levels, "--levels")
     table = critvals.simulate_table(
-        betas, levels, steps=args.steps, replications=args.reps, seed=args.seed
+        betas,
+        levels,
+        steps=_integer(args.steps, "--steps"),
+        replications=_integer(args.reps, "--reps"),
+        seed=_integer(args.seed, "--seed"),
     )
     if args.out is not None:
         with open(args.out, "w") as stream:

@@ -34,13 +34,16 @@ Drawing the normals is the floor of the simulation's cost, so it is spread
 over two cores.  The paths are split into two fixed halves, each drawn from
 its own generator (``SeedSequence(seed).spawn(2)``) and simulated start to
 end by its own worker thread; the generator and the sums release the GIL.
-Each worker runs its paths in blocks of about 2**18 values (2 MB), the
+Each worker runs its paths in blocks of about 2**17 values (1 MB), the
 number of paths per block fixed by the step count, in one buffer of its own
 allocated once, so the working memory does not grow with the number of
 replications.  The split depends on the number of paths alone, and each
 path is reduced on its own with BLAS-free sums, so the sample depends
 neither on the block size, nor on the timing, nor on the BLAS thread count,
 nor on the number of cores (see ``simulate_statistics``).
+``simulate_table`` reads its quantiles by partitioning the sample in place,
+so a table run holds the sample once, 8 bytes per beta and replication,
+plus the two draw buffers.
 
 A pre-generated table ships with the package; inference never simulates at
 runtime.  ``default_table`` reads it afresh on every call, so no caller sees
@@ -68,7 +71,7 @@ __all__ = [
     "default_table",
 ]
 
-_BLOCK_VALUES = 1 << 18
+_BLOCK_VALUES = 1 << 17
 _MATCH = 1e-9  # `lookup` matches a beta or a level within this distance
 _STREAMS = 2  # seeded streams and worker threads; fixed, so the sample never varies
 
@@ -79,8 +82,9 @@ class CriticalValueTable:
 
     A table read from outside must hold finite values that do not decrease
     as the level increases along a row, and no two betas, and no two levels,
-    that ``lookup`` cannot tell apart (within 1e-9); anything else raises
-    ``ValueError``.
+    that ``lookup`` cannot tell apart (within 1e-9).  ``steps`` and
+    ``replications`` must be >= 0, 0 when unknown, and ``seed`` None or
+    >= 0.  Anything else raises ``ValueError``.
     """
 
     betas: tuple[float, ...]
@@ -101,6 +105,10 @@ class CriticalValueTable:
             raise ValueError("critical values must be finite")
         if (np.diff(values[:, np.argsort(self.levels)], axis=1) < 0.0).any():
             raise ValueError("critical values must not decrease as the level increases")
+        for name in ("steps", "replications", "seed"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ValueError(f"{name} must be >= 0")
         object.__setattr__(self, "values", values)
 
 
@@ -121,7 +129,7 @@ def simulate_statistics(
     0..floor(P/2)-1 are drawn from the first, in path order, and the others
     from the second.  Each half runs in its own worker thread, from its first
     block to its last, so the two halves' draws and sums overlap.  A worker
-    simulates ``_block_rows(steps)`` paths at a time (about 2 MB of normals
+    simulates ``_block_rows(steps)`` paths at a time (about 1 MB of normals
     per block) in one buffer of its own, allocated once, and writes only its
     own paths' columns of the output.
 
@@ -205,7 +213,7 @@ def _bridge_weights(
 
 
 def _block_rows(steps: int) -> int:
-    """Paths per block: about 2**18 values (2 MB) per buffer, whatever ``steps``."""
+    """Paths per block: about 2**17 values (1 MB) per buffer, whatever ``steps``."""
     return max(1, _BLOCK_VALUES // steps)
 
 
@@ -216,7 +224,11 @@ def simulate_table(
     replications: int = 50000,
     seed: int = 0,
 ) -> CriticalValueTable:
-    """Monte Carlo quantile table for the given betas and probability levels."""
+    """Monte Carlo quantile table for the given betas and probability levels.
+
+    The quantiles partition the simulated sample in place, so the run holds
+    no copy of it.
+    """
     betas = tuple(float(b) for b in betas)
     levels = tuple(float(p) for p in levels)
     if not betas or not levels:
@@ -230,7 +242,7 @@ def simulate_table(
     if seed < 0:
         raise ValueError("seed must be >= 0")
     stats = simulate_statistics(betas, steps, replications, seed)
-    values = np.quantile(stats, levels, axis=1).T
+    values = np.quantile(stats, levels, axis=1, overwrite_input=True).T
     return CriticalValueTable(
         betas=betas,
         levels=levels,

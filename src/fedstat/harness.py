@@ -38,7 +38,6 @@ from __future__ import annotations
 import bisect
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from statistics import NormalDist
@@ -261,6 +260,9 @@ def _map_replications(payload: _RepPayload, count: int, workers: int) -> list:
     workers = min(workers, count)
     if workers <= 1:
         return [_replicate(payload, rep) for rep in range(count)]
+    # Imported here: table runs and one-worker runs never load multiprocessing.
+    from concurrent.futures import ProcessPoolExecutor
+
     chunksize = max(1, count // (8 * workers))
     with ProcessPoolExecutor(
         max_workers=workers, initializer=_set_worker_payload, initargs=(payload,)

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
@@ -393,6 +394,23 @@ class TestBlockParity:
         np.testing.assert_array_equal(stats, reference)
 
 
+class TestFootprint:
+    def test_table_holds_one_copy_of_its_sample(self):
+        # The sample, the two workers' draw buffers and 512 KiB of the rest:
+        # the quantiles partition the sample in place instead of a copy.
+        steps, reps = 100, 400_000
+        simulate_table(FOUR_BETAS, REFERENCE_LEVELS, steps=steps, replications=1000, seed=0)
+        tracemalloc.start()
+        try:
+            simulate_table(FOUR_BETAS, REFERENCE_LEVELS, steps=steps, replications=reps, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        sample = len(FOUR_BETAS) * reps * 8
+        buffers = 2 * critvals._block_rows(steps) * steps * 8
+        assert peak <= sample + buffers + 512 * 1024
+
+
 class TestArithmetic:
     @pytest.mark.parametrize("steps", [100, 1000])
     def test_near_the_centered_formula(self, steps):
@@ -452,15 +470,24 @@ class TestCommandLine:
             ("curve", "--checkpoints", "1,2.5", "'2.5' is not an integer"),
             ("critvals", "--betas", "x", "'x' is not a number"),
             ("critvals", "--levels", "0.5, y", "'y' is not a number"),
+            ("run", "--threads", "1.5", "'1.5' is not an integer"),
+            ("run", "--dump-paths", "all", "'all' is not an integer"),
+            ("critvals", "--steps", "abc", "'abc' is not an integer"),
+            ("critvals", "--reps", "1e5", "'1e5' is not an integer"),
+            ("critvals", "--seed", "x", "'x' is not an integer"),
         ],
-        ids=["checkpoints", "checkpoints-float", "betas", "levels"],
+        ids=[
+            "checkpoints", "checkpoints-float", "betas", "levels",
+            "threads", "dump-paths", "steps", "reps", "seed",
+        ],
     )
     def test_a_value_that_does_not_parse_names_its_option(
         self, command, option, value, message, tmp_path, capsys
     ):
         config = tmp_path / "config.txt"
         config.write_text("rounds = 5\nreplications = 2\n")
-        argv = [command, option, value] + (["--config", str(config)] if command == "curve" else [])
+        config_args = [] if command == "critvals" else ["--config", str(config)]
+        argv = [command, option, value] + config_args
         assert cli.main(argv) == 1
         assert capsys.readouterr().err == f"fedstat: error: {option}: {message}\n"
 
@@ -578,6 +605,25 @@ class TestTableChecks:
     def test_rejects_values_of_another_shape(self, shape):
         with pytest.raises(ValueError, match="values must be one row per beta, one column"):
             CriticalValueTable((0.0,), (0.975,), np.ones(shape), steps=1000, replications=1000)
+
+    @pytest.mark.parametrize(
+        "header, name",
+        [
+            ("# steps=-5 replications=50000", "steps"),
+            ("# steps=1000 replications=-1", "replications"),
+            ("# steps=1000 replications=50000 seed=-3", "seed"),
+        ],
+        ids=["steps", "replications", "seed"],
+    )
+    def test_load_rejects_a_negative_header_value(self, header, name):
+        with pytest.raises(ValueError, match=f"^{name} must be >= 0$"):
+            critvals.load_csv(io.StringIO(f"{header}\nbeta,0.975\n0,6.7\n"))
+
+    def test_construction_rejects_a_negative_header_value(self):
+        # 0 is the value of a header that does not record steps or replications.
+        CriticalValueTable((0.0,), (0.975,), np.ones((1, 1)), steps=0, replications=0, seed=0)
+        with pytest.raises(ValueError, match="^replications must be >= 0$"):
+            CriticalValueTable((0.0,), (0.975,), np.ones((1, 1)), steps=1000, replications=-1)
 
     def test_simulate_table_rejects_a_negative_seed(self):
         with pytest.raises(ValueError, match="seed must be >= 0"):

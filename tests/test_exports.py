@@ -37,14 +37,15 @@ def _fresh_interpreter(script: str) -> list[str]:
 def test_import_leaves_scipy_linalg_unloaded():
     # A cold import loads neither scipy.special (the logistic sigmoid, loaded
     # by a logistic config) nor scipy.linalg, which only a plug-in sandwich
-    # read needs.  It does load the bare scipy package, whose version
-    # sys.modules["scipy"] gives, and numpy.random, which numpy loads lazily.
+    # read needs, nor multiprocessing, which only a process pool needs.  It
+    # does load the bare scipy package, whose version sys.modules["scipy"]
+    # gives, and numpy.random, which numpy loads lazily.
     script = (
         "import sys, fedstat, fedstat.cli\n"
         "print(*(name in sys.modules for name in\n"
-        "        ('scipy.special', 'scipy.linalg', 'scipy', 'numpy.random')))\n"
+        "        ('scipy.special', 'scipy.linalg', 'multiprocessing', 'scipy', 'numpy.random')))\n"
     )
-    assert _fresh_interpreter(script) == ["False", "False", "True", "True"]
+    assert _fresh_interpreter(script) == ["False", "False", "False", "True", "True"]
 
 
 def test_only_a_logistic_config_loads_scipy_special():
@@ -54,12 +55,15 @@ def test_only_a_logistic_config_loads_scipy_special():
         "config = ExperimentConfig(dimension=2, clients=2, rounds=20,\n"
         "                          target_observations=None, replications=2)\n"
         "run_experiment(config)\n"
+        "print('multiprocessing' in sys.modules)\n"
         "simulate_table([0.5], [0.95], steps=100, replications=1000, seed=1)\n"
+        "print('multiprocessing' in sys.modules)\n"
         "print('scipy.special' in sys.modules)\n"
         "ExperimentConfig(model='logistic', heterogeneity=False)\n"
         "print('scipy.special' in sys.modules)\n"
     )
-    assert _fresh_interpreter(script) == ["False", "True"]
+    # A one-worker run and a table run start no process pool.
+    assert _fresh_interpreter(script) == ["False", "False", "False", "True"]
 
 
 def test_engine_does_not_reference_schedules():

@@ -1,3 +1,4 @@
+import concurrent.futures
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -595,7 +596,7 @@ class TestWorkerCount:
     @pytest.fixture
     def pool_sizes(self, monkeypatch):
         monkeypatch.setattr(RecordingPool, "sizes", [])
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         return RecordingPool.sizes
 
     @pytest.mark.parametrize("workers", [3, 8, 10**6])

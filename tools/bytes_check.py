@@ -3,10 +3,12 @@
 For seeds 0-9 of the benchmark's two coverage workloads (their parameters
 from ``perfbench/workloads.py``, each config built as ``perfbench/cell.py``
 builds it), one ``run_experiment`` with workers=1 that dumps every
-replication's path; then one ``fedstat curve`` on a linear P(0.5) config
-with 5% warm-up.  Prints one ``sha256  name`` line per ``report.csv``,
-``replications.csv``, path dump and curve text, then a digest of all of them.
-Takes about a minute.  To check a change, run it on both checkouts and diff:
+replication's path; for seeds 0-2 of the ``critvals-table`` workload, the
+``save_csv`` text of the table ``perfbench/cell.py:critvals_cell`` builds;
+then one ``fedstat curve`` on a linear P(0.5) config with 5% warm-up.  Prints
+one ``sha256  name`` line per ``report.csv``, ``replications.csv``, path
+dump, table and curve text, then a digest of all of them.  Takes about a
+minute.  To check a change, run it on both checkouts and diff:
 
     python tools/bytes_check.py > after.txt
     python tools/bytes_check.py ../parent > before.txt   # the parent's checkout
@@ -22,11 +24,12 @@ from pathlib import Path
 ROOT = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).resolve().parents[1]).resolve()
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from cell import _config  # noqa: E402
+from cell import _config, critvals_cell  # noqa: E402
 from fedstat import cli, config, harness, schedules  # noqa: E402
 from workloads import params_for  # noqa: E402
 
 WORKLOADS = ("coverage-c1-linear", "coverage-p05-logistic")
+TABLE = "critvals-table"
 CHECKPOINTS = "1,7,100,256,300,512,1000,2049,3000,5000"
 
 
@@ -39,6 +42,10 @@ def main() -> None:
                 cfg = _config({"params": params_for(name, tiny=False), "seed": seed})
                 cell = out / name / f"seed{seed}"
                 harness.run_experiment(cfg, out_dir=cell, dump_paths=cfg.replications)
+        for seed in range(3):
+            table = critvals_cell({"params": params_for(TABLE, tiny=False), "seed": seed})
+            (out / TABLE).mkdir(exist_ok=True)
+            (out / TABLE / f"seed{seed}.csv").write_text(table["output"])
         p05 = schedules.CommunicationSchedule("power", exponent=0.5, warmup_fraction=0.05)
         text = config.config_text(harness.ExperimentConfig(schedule=p05, replications=4))
         (out / "curve.txt").write_text(text)
