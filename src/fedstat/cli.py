@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import argparse
+import io
+import os
 import sys
 from pathlib import Path
 
@@ -59,7 +61,7 @@ def _integer(text: str, option: str) -> int:
     return critvals._numbers([text], option, int)[0]
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _cmd_run(args: argparse.Namespace) -> str:
     config = harness.load_config(args.config)
     report = harness.run_experiment(
         config,
@@ -67,15 +69,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
         out_dir=args.out,
         dump_paths=_integer(args.dump_paths, "--dump-paths"),
     )
-    sys.stdout.write(harness.report_csv(report))
-    sys.stdout.write(
+    return harness.report_csv(report) + (
         f"# rounds={report.rounds} mean_error={report.mean_error:.6g} "
         f"wall_clock={report.wall_clock:.2f}s\n"
     )
-    return 0
 
 
-def _cmd_curve(args: argparse.Namespace) -> int:
+def _cmd_curve(args: argparse.Namespace) -> str:
     config = harness.load_config(args.config)
     checkpoints = _values(args.checkpoints, "--checkpoints", int)
     workers = _integer(args.threads, "--threads")
@@ -87,11 +87,10 @@ def _cmd_curve(args: argparse.Namespace) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         (out / "curve.csv").write_text(text)
-    sys.stdout.write(text)
-    return 0
+    return text
 
 
-def _cmd_critvals(args: argparse.Namespace) -> int:
+def _cmd_critvals(args: argparse.Namespace) -> str:
     betas = _values(args.betas, "--betas")
     levels = _values(args.levels, "--levels")
     table = critvals.simulate_table(
@@ -104,22 +103,37 @@ def _cmd_critvals(args: argparse.Namespace) -> int:
     if args.out is not None:
         with open(args.out, "w") as stream:
             critvals.save_csv(table, stream)
-    else:
-        critvals.save_csv(table, sys.stdout)
-    return 0
+        return ""
+    stream = io.StringIO()
+    critvals.save_csv(table, stream)
+    return stream.getvalue()
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # A handler returns its stdout text, written only once it has succeeded,
+    # so that a broken pipe is told apart from an error of its files.
     handlers = {"run": _cmd_run, "curve": _cmd_curve, "critvals": _cmd_critvals}
     try:
-        return handlers[args.command](args)
+        text = handlers[args.command](args)
     except (ValueError, KeyError, OSError) as exc:
         # str() of a KeyError is the repr of its message; print the message.
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"fedstat: error: {message}", file=sys.stderr)
         return 1
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader of stdout has gone, as when `head` has read its lines.
+        # That is no error of the input: exit as a process killed by SIGPIPE
+        # would, and let the interpreter's final flush write to /dev/null.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
+    return 0
 
 
 if __name__ == "__main__":

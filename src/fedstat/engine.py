@@ -17,7 +17,14 @@ chunks of `_BUFFER_CHUNK` for speed; within a stream they are always consumed
 sequentially, one row per local iteration (or per sync for the inference
 stream), and laid out time-major, so that one step or sync reads one (K, d)
 block.  A noiseless client's rows are its center and curvature, drawn
-without randomness.
+without randomness.  Each stream's ``SampleBuffer`` holds one array pair for
+the whole run, of `_BUFFER_CHUNK` + `BLOCK_ROUNDS` rows, (K, d + 1) floats
+each.  Only a round of more than `BLOCK_ROUNDS` steps, which is one take, can
+grow it: to the rows still unread plus the fresh draw, fewer than E +
+`_BUFFER_CHUNK` for a round of E steps, and a grown pair is kept until the
+run ends.  Refills write into it in place, at the draw sizes and stream
+positions of a buffer of new arrays per refill, and a take's arrays are
+valid until the next take.
 
 Rounds run in blocks of `BLOCK_ROUNDS`.  After a block's rounds, the
 divergence test runs once on the block's rows: the first round m whose
@@ -39,19 +46,18 @@ every client.  A linear group whose rounds all have E = 1 runs as one affine
 map per round, built around the point the group starts from (see
 ``models.linear_rounds``).
 
-Grouping leaves every random stream as one take per round would.  A take
-holds at most
-`BLOCK_ROUNDS` <= `_BUFFER_CHUNK` rows, or exactly one round's rows.  A
-refill draws max(`_BUFFER_CHUNK`, rows still missing) rows per client, so a
+Grouping leaves every random stream as one take per round would.  A take holds
+at most `BLOCK_ROUNDS` <= `_BUFFER_CHUNK` rows, or exactly one round's rows.
+A refill draws max(`_BUFFER_CHUNK`, rows still missing) rows per client, so a
 group that crosses the end of the buffer refills once, with `_BUFFER_CHUNK`
 rows, exactly where its crossing round alone would have, and a long round
 refills as it does alone (`_BUFFER_CHUNK`, or E minus the rows left).  Every
 refill therefore draws the same number of rows, in the same order, and the
-logistic stream (whose rows depend on the draw size) does not move.  A cap
-of `_BUFFER_CHUNK` would keep the bits too, but the rows left over at a
-refill (fewer than the take that triggers it) are copied into the refilled
-buffer: a group of up to 256 rows adds less than an eighth of a chunk to it,
-where a 2048-row group could nearly double it.  The roundoff of a linear
+logistic stream (whose rows depend on the draw size) does not move.  A cap of
+`_BUFFER_CHUNK` would keep the bits too, but the rows left over at a refill
+(fewer than the take that triggers it) are moved to the head of the buffer:
+those of a group of up to 256 rows fit in its `BLOCK_ROUNDS` spare rows, where
+a 2048-row group could need nearly a second chunk.  The roundoff of a linear
 group of E = 1 rounds does depend on where the group starts, its pivot.  The
 groups follow from the table's intervals alone, so the bytes of a run still
 depend only on (config, seed), never on the worker count.
@@ -146,6 +152,18 @@ class SampleBuffer:
     draw); it is fixed at `_BUFFER_CHUNK` rows so results are reproducible for
     all kinds, and so that grouped takes of at most `BLOCK_ROUNDS` rows refill
     exactly as per-round takes would.
+
+    The buffer holds one array pair for the whole stream, sized at the first
+    refill for `_BUFFER_CHUNK` + `BLOCK_ROUNDS` rows: room for a chunk and the
+    unread rows of a grouped take, of which there are fewer than
+    `BLOCK_ROUNDS`.  Only the take of a round longer than `BLOCK_ROUNDS` steps
+    can leave more unread rows than that, and it then grows the pair to those
+    rows plus the fresh draw, fewer than E + `_BUFFER_CHUNK` rows for a round
+    of E steps; a grown pair is kept until the stream ends.  A refill moves
+    the unread rows to the head and writes each client's fresh draw after
+    them, in place, at the same draw sizes and stream positions as a buffer
+    of new arrays per refill.  The arrays of a take are views into it, valid
+    until the next take.
     """
 
     def __init__(self, clients: tuple[models.ClientModel, ...], rngs: list[np.random.Generator]):
@@ -157,16 +175,18 @@ class SampleBuffer:
         self._B = np.empty((0, len(clients)))
 
     def _refill(self, needed: int) -> None:
-        """Keep the unread rows and append ``max(_BUFFER_CHUNK, needed)`` fresh
-        rows per client, each written once into the new arrays."""
+        """Move the unread rows to the head and write ``max(_BUFFER_CHUNK,
+        needed)`` fresh rows per client after them."""
         size = max(_BUFFER_CHUNK, needed)
         left = self._size - self._cursor
-        A = np.empty((left + size, *self._A.shape[1:]))
-        B = np.empty(A.shape[:2])
-        A[:left] = self._A[self._cursor :]
-        B[:left] = self._B[self._cursor :]
+        A, B = self._A, self._B
+        if left + size > len(A):
+            A = np.empty((max(_BUFFER_CHUNK + BLOCK_ROUNDS, left + size), *A.shape[1:]))
+            B = np.empty(A.shape[:2])
+        A[:left] = self._A[self._cursor : self._size]
+        B[:left] = self._B[self._cursor : self._size]
         for k, (client, rng) in enumerate(zip(self._clients, self._rngs)):
-            A[left:, k], B[left:, k] = client.draw(rng, size)
+            A[left : left + size, k], B[left : left + size, k] = client.draw(rng, size)
         self._A, self._B = A, B
         self._cursor = 0
         self._size = left + size
@@ -218,7 +238,7 @@ def run(
     bound = 1e8 * max(1.0, roundoff.run_scale(federation, x0))
 
     weights = federation.weights
-    e_list, eta_list = table.intervals.tolist(), table.etas.tolist()
+    e_list, etas = table.intervals.tolist(), table.etas
     total_rounds = len(e_list)
 
     local_rounds = models.KERNELS[federation.kind][0]
@@ -235,7 +255,7 @@ def run(
         # Rounds after a diverging one may overflow; they are discarded unseen.
         with np.errstate(over="ignore", invalid="ignore"):
             for lo, hi, rows in _groups(e_list, first, stop):
-                group = (weights, e_list[lo:hi], eta_list[lo:hi], points[lo:hi])
+                group = (weights, e_list[lo:hi], etas[lo:hi], points[lo:hi])
                 local_rounds(X, *opt_samples.take(rows), *group)
             # Row by row the same dot as x_bar @ x_bar.
             norm_sq = np.matmul(block[:, None, :], block[:, :, None])[:, 0, 0]

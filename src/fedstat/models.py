@@ -78,12 +78,14 @@ def __getattr__(name: str):
 # X (K, d) holds one state per client.  One call runs a group of consecutive
 # rounds: round j runs intervals[j] local steps at rate etas[j], then writes
 # the weighted average into points[j] (``np.matmul(weights, X, points[j])``)
-# and copies it back to every client.  A (sum E, K, d) and B (sum E, K) hold
-# every client's next optimization samples for the whole group, as one
-# ``SampleBuffer.take(sum E)`` returns them: the buffer, not the kernel, lays
-# them out time-major and contiguous, so that step t reads the (K, d) block
-# A[t] as it comes.  Once per call the kernel forms its step operands from
-# the take:
+# and copies it back to every client.  The intervals are a list of ints; the
+# rates are the group's float64 slice of the table's etas, ``etas[lo:hi]``.
+# A (sum E, K, d) and B (sum E, K) hold every client's next optimization
+# samples for the whole group, as one ``SampleBuffer.take(sum E)`` returns
+# them: the buffer, not the kernel, lays them out time-major and contiguous,
+# so that step t reads the (K, d) block A[t] as it comes.  The take is valid
+# only until the next one, so the kernel reads it within the call.  Once per
+# call the kernel forms its step operands from the take:
 #
 # * logistic signs each covariate, a~ = (1 - 2b) a.  For a label b in {0, 1},
 #   a (sigmoid(a'x) - b) = a~ sigmoid(a~'x), so the labels drop out of the
@@ -145,7 +147,7 @@ def linear_rounds(
     B: np.ndarray,
     weights: np.ndarray,
     intervals: list[int],
-    etas: list[float],
+    etas: np.ndarray,
     points: np.ndarray,
 ) -> None:
     """Rounds of local steps x_k -= eta * a_kt (a_kt' x_k - b_kt), each
@@ -176,7 +178,7 @@ def _affine_rounds(
     A: np.ndarray,
     B: np.ndarray,
     weights: np.ndarray,
-    etas: list[float],
+    etas: np.ndarray,
     points: np.ndarray,
 ) -> None:
     """Linear rounds of one local step each, as one affine map per round
@@ -185,7 +187,7 @@ def _affine_rounds(
     if not np.array_equal(X, np.broadcast_to(pivot, X.shape), equal_nan=True):
         raise ValueError("rounds of one local step need equal rows of X")
     n, _, d = A.shape
-    eta = np.array(etas)[:, None]
+    eta = np.asarray(etas)[:, None]
     total = weights.sum()
     resid = np.matmul(A, pivot) - B
     maps = np.zeros((n, d + 1, d + 1))
@@ -207,7 +209,7 @@ def logistic_rounds(
     B: np.ndarray,
     weights: np.ndarray,
     intervals: list[int],
-    etas: list[float],
+    etas: np.ndarray,
     points: np.ndarray,
 ) -> None:
     """Rounds of local steps x_k -= eta * a_kt (sigmoid(a_kt' x_k) - b_kt),
@@ -239,7 +241,7 @@ def quadratic_rounds(
     B: np.ndarray,
     weights: np.ndarray,
     intervals: list[int],
-    etas: list[float],
+    etas: np.ndarray,
     points: np.ndarray,
 ) -> None:
     """Rounds of exact local steps x_k -= eta * h_k (x_k - c_k), each followed

@@ -507,6 +507,37 @@ class TestCommandLine:
         assert "need at least one beta and one level" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_a_closed_pipe_is_not_bad_input(self):
+        """A stdout whose reader has gone exits with 141 (128 + SIGPIPE), as
+        the shell reports for `cat` there, and prints nothing on stderr."""
+        src = Path(critvals.__file__).resolve().parents[1]
+        argv = ["critvals", "--steps", "100", "--reps", "1000", "--seed", "2"]
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "fedstat.cli", *argv],
+                env=dict(os.environ, PYTHONPATH=str(src)),
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (141, b"")
+
+    def test_a_broken_pipe_on_out_is_an_error(self, tmp_path, monkeypatch, capsys):
+        """Only stdout's reader going away exits quietly; a broken pipe while
+        writing an ``--out`` file is reported as any other error of it."""
+
+        def save_csv(table, stream):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(critvals, "save_csv", save_csv)
+        argv = ["critvals", "--steps", "100", "--reps", "1000", "--out", str(tmp_path / "t.csv")]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == "fedstat: error: [Errno 32] Broken pipe\n"
+
 
 class TestSerialization:
     def test_roundtrip(self):

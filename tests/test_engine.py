@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -338,7 +339,8 @@ class TestGuardsAndHelpers:
 
     def test_sample_buffer_matches_direct_draws(self, monkeypatch):
         """Takes that cross refills, one longer than a chunk, read the stream
-        in order; each refill draws max(chunk, rows still missing)."""
+        in order; each refill draws max(chunk, rows still missing).  A take is
+        valid until the next one, so each is copied before the next."""
         sizes = draw_sizes(monkeypatch)
         client = ClientModel("linear", np.array([1.0, -1.0]))
         buf = SampleBuffer((client,), [np.random.default_rng(3)])
@@ -347,8 +349,8 @@ class TestGuardsAndHelpers:
         for n in takes:
             a, b = buf.take(n)
             assert a.shape == (n, 1, 2) and b.shape == (n, 1)
-            taken_a.append(a[:, 0])
-            taken_b.append(b[:, 0])
+            taken_a.append(a[:, 0].copy())
+            taken_b.append(b[:, 0].copy())
         chunk = engine._BUFFER_CHUNK
         assert chunk == 2048
         assert [n for _, n in sizes] == [chunk, chunk, 5000 - (2 * chunk - 5 - 2040 - 10), chunk]
@@ -442,3 +444,56 @@ class TestRoundGroups:
         assert m is not None and 1 < m < rounds
         with pytest.raises(DivergenceError, match=f"at round {m}$"):
             run(fed, table(sched, rounds), x0, seed=8)
+
+
+def traced_peak(call):
+    """(peak, result): the traced heap peak of ``call()`` above the heap before
+    it, in bytes, and what it returned."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return tracemalloc.get_traced_memory()[1] - before, result
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+class TestFootprint:
+    """A stream holds one sample buffer: a refill writes into it in place,
+    so no refill holds an old and a new buffer at once."""
+
+    K, D = 10, 5
+    # Rounds of two steps: five refills of the optimization stream, three of
+    # the inference stream.
+    ROUNDS = 2 * engine._BUFFER_CHUNK + 100
+
+    def setup_method(self):
+        optimum = np.random.default_rng(5).standard_normal(self.D) * 0.3
+        self.fed = federation_of([ClientModel("logistic", optimum) for _ in range(self.K)])
+        sched = fixed_step(0.01, self.ROUNDS, interval=2)
+        self.table = table(sched, self.ROUNDS)
+        self.x0 = np.zeros(self.D)
+        # Load and warm everything a run touches before any peak is traced.
+        path = run(self.fed, self.table, self.x0, seed=1)
+        for _ in engine.inference_draws(self.fed, 1, path.points):
+            pass
+        rows = engine._BUFFER_CHUNK + engine.BLOCK_ROUNDS
+        self.bound = rows * self.K * (self.D + 1) * 8 + 512 * 1024
+
+    def test_run_holds_one_buffer(self):
+        peak, path = traced_peak(lambda: run(self.fed, self.table, self.x0, seed=1))
+        assert peak - path.points.nbytes <= self.bound
+
+    def test_inference_draws_hold_one_buffer(self):
+        path = run(self.fed, self.table, self.x0, seed=1)
+
+        def consume():
+            for _ in engine.inference_draws(self.fed, 1, path.points):
+                pass
+
+        peak, _ = traced_peak(consume)
+        assert peak <= self.bound

@@ -5,10 +5,14 @@ from ``perfbench/workloads.py``, each config built as ``perfbench/cell.py``
 builds it), one ``run_experiment`` with workers=1 that dumps every
 replication's path; for seeds 0-2 of the ``critvals-table`` workload, the
 ``save_csv`` text of the table ``perfbench/cell.py:critvals_cell`` builds;
-then one ``fedstat curve`` on a linear P(0.5) config with 5% warm-up.  Prints
-one ``sha256  name`` line per ``report.csv``, ``replications.csv``, path
-dump, table and curve text, then a digest of all of them.  Takes about a
-minute.  To check a change, run it on both checkouts and diff:
+then one ``fedstat curve`` on a linear P(0.5) config with 5% warm-up; then,
+for seeds 0-1, the ``engine.save_path_csv`` text of one logistic
+``engine.run`` (K = 10, d = 5) on rounds whose takes are longer than the
+sample buffer (``GROWN``, the intervals of ``tests/test_engine.py``'s
+``TestRoundGroups``).  Prints one ``sha256  name`` line per ``report.csv``,
+``replications.csv``, path dump, table, curve and path text, then a digest
+of all of them.  Takes about a minute.  To check a change, run it on both
+checkouts and diff:
 
     python tools/bytes_check.py > after.txt
     python tools/bytes_check.py ../parent > before.txt   # the parent's checkout
@@ -25,12 +29,14 @@ ROOT = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).resolve().paren
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from cell import _config, critvals_cell  # noqa: E402
-from fedstat import cli, config, harness, schedules  # noqa: E402
+import numpy as np  # noqa: E402
+from fedstat import cli, config, engine, harness, schedules  # noqa: E402
 from workloads import params_for  # noqa: E402
 
 WORKLOADS = ("coverage-c1-linear", "coverage-p05-logistic")
 TABLE = "critvals-table"
 CHECKPOINTS = "1,7,100,256,300,512,1000,2049,3000,5000"
+GROWN = (1,) * 300 + (255, 256, 257, 2047, 2049, 3000, 5000) + (1,) * 40
 
 
 def main() -> None:
@@ -53,6 +59,15 @@ def main() -> None:
                 "--out", str(out / "curve")]
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(argv) == 0
+        logistic = harness.ExperimentConfig(
+            model="logistic", clients=10, dimension=5, heterogeneity=False
+        )
+        federation = harness.build_federation(logistic)
+        grown = schedules.ExplicitSchedule(intervals=GROWN, etas=(0.002,) * len(GROWN))
+        for seed in range(2):
+            sync = engine.run(federation, schedules.table(grown, len(GROWN)), np.zeros(5), seed)
+            with open(out / f"grown-seed{seed}.csv", "w") as stream:
+                engine.save_path_csv(sync, stream)
         for path in sorted(out.rglob("*.csv")):
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
             lines.append(f"{digest}  {path.relative_to(out)}")
