@@ -15,10 +15,10 @@ from .plugin import PluginState, SingularHessian
 from .rscale import RScaleState, beta_for_schedule
 from .schedules import (
     CommunicationSchedule,
-    ExplicitSchedule,
     ScheduleDiagnostics,
     ScheduleTable,
     diagnostics,
+    explicit_table,
     fclt_time_scale,
     table,
     validate_schedule,
@@ -52,10 +52,10 @@ __all__ = [
     "RScaleState",
     "beta_for_schedule",
     "CommunicationSchedule",
-    "ExplicitSchedule",
     "ScheduleDiagnostics",
     "ScheduleTable",
     "diagnostics",
+    "explicit_table",
     "fclt_time_scale",
     "table",
     "validate_schedule",

@@ -132,6 +132,8 @@ class ExperimentConfig:
                     raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.model not in models.KERNELS:
             raise ValueError(f"unknown model {self.model!r}")
+        if not isinstance(self.schedule, schedules.CommunicationSchedule):
+            raise ValueError(f"schedule must be a CommunicationSchedule, got {self.schedule!r}")
         if self.dimension < 1 or self.clients < 1:
             raise ValueError("dimension and clients must be >= 1")
         if not 0.0 <= self.noise_scale < math.inf:
@@ -208,10 +210,7 @@ def config_text(config: ExperimentConfig) -> str:
     to an equal config: one ``key = value`` line per key whose value is not
     None, in table order.  A value that the parser would read differently
     raises ``ValueError``: a ``critical_values`` path holding '#' or a line
-    break, or with leading or trailing blanks, and any schedule but a
-    ``CommunicationSchedule``, whose fields are the only schedule keys."""
-    if not isinstance(config.schedule, schedules.CommunicationSchedule):
-        raise ValueError(f"schedule {config.schedule!r} has no config keys")
+    break, or with leading or trailing blanks."""
     values = vars(config) | {f"schedule.{k}": v for k, v in vars(config.schedule).items()}
     return "".join(
         f"{key} = {write(values[field])}\n"

@@ -114,7 +114,7 @@ def build_federation(config: ExperimentConfig) -> models.Federation:
     return models.federation_of(clients)
 
 
-def rounds_for_target(schedule: schedules.Schedule, target_observations: int) -> int:
+def rounds_for_target(schedule: schedules.CommunicationSchedule, target_observations: int) -> int:
     """Smallest T whose cumulative observation count reaches the target.
 
     A T-round run makes t_T = W + P[T - W] observations, P being the family
@@ -135,7 +135,7 @@ def rounds_for_target(schedule: schedules.Schedule, target_observations: int) ->
         n = min(4 * n, target_observations)
         prefix = schedules.family_prefix(schedule, n)
     lo = int(np.searchsorted(prefix, target_observations))
-    frac = getattr(schedule, "warmup_fraction", 0.0)  # an explicit schedule has none
+    frac = schedule.warmup_fraction
     hi = min(lo + math.ceil(frac * int(prefix[lo]) / (1.0 - frac)) + 1, target_observations)
     if hi > n:
         prefix = schedules.family_prefix(schedule, hi)

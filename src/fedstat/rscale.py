@@ -37,7 +37,7 @@ import numpy as np
 
 from . import roundoff
 from .engine import BLOCK_ROUNDS
-from .schedules import CommunicationSchedule, Schedule
+from .schedules import CommunicationSchedule
 
 __all__ = ["RScaleState", "beta_for_schedule"]
 
@@ -164,14 +164,12 @@ class RScaleState:
         return roundoff.interval(float(centre[j]), half, floor)
 
 
-def beta_for_schedule(schedule: Schedule) -> float:
+def beta_for_schedule(schedule: CommunicationSchedule) -> float:
     """Growth exponent selecting the critical-value row for a schedule.
 
     Constant and logarithmic interval growth both rescale time linearly, so
     they share the beta = 0 row; power growth E_m ~ m**beta uses its own beta.
     """
-    if not isinstance(schedule, CommunicationSchedule):
-        raise ValueError("no canonical growth exponent for explicit schedules")
     if schedule.kind == "power":
         return schedule.exponent
     return 0.0

@@ -7,11 +7,13 @@ eta_m = gamma_m / E_m.  Three parametric families are supported (constant,
 logarithmic and power growth), optionally preceded by a warm-up phase where
 E_m = 1 for the first ``warmup_fraction`` of all observations.
 
-``table(schedule, T)`` builds a run's one frozen ``ScheduleTable``: the
-read-only arrays of E_m, gamma_m, eta_m and the synchronization times, the
-warm-up round count, and the ``ScheduleDiagnostics`` of the same intervals.
-The harness builds it once per experiment and every replication's engine run
-reads it; nothing is cached.  The integer intervals use numpy's ``power``
+A run reads one frozen ``ScheduleTable``: the read-only arrays of E_m,
+gamma_m, eta_m and the synchronization times, the warm-up round count, and
+the ``ScheduleDiagnostics`` of the same intervals.  ``table(schedule, T)``
+builds it from a ``CommunicationSchedule``; ``explicit_table(intervals,
+etas)`` builds it from explicit arrays, one round per entry.  The harness
+builds it once per experiment and every replication's engine run reads it;
+nothing is cached.  The integer intervals use numpy's ``power``
 and ``log2``: the ``- 1e-12`` guard of the ceiling absorbs their last-bit
 differences from Python's scalar ``**`` and ``math.log2`` (no interval
 differs for T up to 10^6 on C1, C5, P(1/3), P(1/2), P(2,1/2), P(2/3),
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import bisect
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -32,12 +35,12 @@ import numpy as np
 
 __all__ = [
     "CommunicationSchedule",
-    "ExplicitSchedule",
     "ScheduleDiagnostics",
     "ScheduleTable",
     "family_prefix",
     "intervals",
     "table",
+    "explicit_table",
     "diagnostics",
     "fclt_time_scale",
     "validate_schedule",
@@ -107,53 +110,25 @@ class CommunicationSchedule:
             return f"Log({self.base},{self.exponent:g})"
         return f"P({self.exponent:g})" if self.base == 1 else f"P({self.base},{self.exponent:g})"
 
-
-@dataclass(frozen=True)
-class ExplicitSchedule:
-    """Escape hatch: user-supplied interval (and optionally step) sequences.
-
-    Not validated against the slow-growth assumptions.  When ``etas`` is given
-    it overrides the gamma0/alpha law, which the parametric families cannot do;
-    this is what allows e.g. a constant per-iteration step in exactness tests.
-    """
-
-    intervals: tuple[int, ...]
-    etas: tuple[float, ...] = ()
-    gamma0: float = 0.5
-    alpha: float = 0.505
-
-    def __post_init__(self) -> None:
-        if not self.intervals:
-            raise ValueError("need at least one interval")
-        if not all(math.isfinite(e) and int(e) == e >= 1 for e in self.intervals):
-            raise ValueError("all intervals must be integers >= 1")
-        if self.etas and len(self.etas) != len(self.intervals):
-            raise ValueError("etas must match intervals in length")
-        if not all(0.0 < e < math.inf for e in self.etas):
-            raise ValueError("etas must be positive and finite")
-        if not (0.0 < self.gamma0 < math.inf and math.isfinite(self.alpha)):
-            raise ValueError("gamma0 must be positive and finite, alpha finite")
-
-    def label(self) -> str:
-        return f"explicit[{len(self.intervals)}]"
-
-
-Schedule = CommunicationSchedule | ExplicitSchedule
+    @property
+    def nu_limit(self) -> float:
+        """The T -> infinity limit of ``ScheduleDiagnostics.nu_hat``:
+        1 / (1 - exponent**2) for power growth, 1 for constant and log."""
+        return 1.0 / (1.0 - self.exponent**2) if self.kind == "power" else 1.0
 
 
 @dataclass(frozen=True)
 class ScheduleDiagnostics:
-    """Summary quantities of a schedule truncated at T rounds.
+    """Summary quantities of T rounds' intervals E_1..E_T, and of nothing else.
 
     t_T is the total iteration count, nu_hat the finite-T variance inflation
-    estimate (1/T^2)(sum E_m)(sum 1/E_m), nu_limit its closed-form limit when
-    known, and acf = T / t_T the averaged communication frequency.  The
-    slow-growth trends are ``validate_schedule``'s.
+    estimate (1/T^2)(sum E_m)(sum 1/E_m), and acf = T / t_T the averaged
+    communication frequency.  nu_hat's limit is the schedule's ``nu_limit``;
+    the slow-growth trends are ``validate_schedule``'s.
     """
 
     t_T: int
     nu_hat: float
-    nu_limit: float | None
     acf: float
 
 
@@ -180,24 +155,15 @@ class ScheduleTable:
         return ScheduleTable, tuple(vars(self).values())
 
 
-def _extended(values: tuple, n: int, dtype: type) -> np.ndarray:
-    """The first n entries of ``values``, repeating its final entry past its end."""
-    seq = np.asarray(values, dtype=dtype)
-    return seq[np.minimum(np.arange(n), len(seq) - 1)]
-
-
-def family_prefix(schedule: Schedule, n: int) -> np.ndarray:
+def family_prefix(schedule: CommunicationSchedule, n: int) -> np.ndarray:
     """Observation counts of the bare family's first 0..n rounds (length n + 1).
 
     Entry k is F_1 + ... + F_k, where F_i is the family interval at index i
     without the warm-up shift: ``base`` for "constant",
     ceil(base * log2(i + 1) ** exponent - 1e-12) for "log" and
-    ceil(base * i ** exponent - 1e-12) for "power", at least 1.  An explicit
-    schedule's family is its own sequence, repeating the final value.
+    ceil(base * i ** exponent - 1e-12) for "power", at least 1.
     """
-    if isinstance(schedule, ExplicitSchedule):
-        family = _extended(schedule.intervals, n, np.int64)
-    elif schedule.kind == "constant":
+    if schedule.kind == "constant":
         family = np.full(n, schedule.base, dtype=np.int64)
     else:
         # One buffer, updated in place: each temporary of the plain expression
@@ -220,7 +186,7 @@ def family_prefix(schedule: Schedule, n: int) -> np.ndarray:
     return prefix
 
 
-def warmup_from_prefix(schedule: Schedule, prefix: np.ndarray, total_rounds: int) -> int:
+def warmup_from_prefix(schedule: CommunicationSchedule, prefix: np.ndarray, total_rounds: int) -> int:
     """Number of leading rounds with E_m = 1 for a run of ``total_rounds``.
 
     ``prefix`` is ``family_prefix(schedule, n)`` for any n >= total_rounds.
@@ -231,8 +197,6 @@ def warmup_from_prefix(schedule: Schedule, prefix: np.ndarray, total_rounds: int
     in W than the right, so bisection applies; W = total_rounds always solves
     it, since prefix[0] = 0 and warmup_fraction < 1.
     """
-    if isinstance(schedule, ExplicitSchedule):
-        return 0
     frac = schedule.warmup_fraction
     if frac == 0.0:
         return 0
@@ -243,17 +207,15 @@ def warmup_from_prefix(schedule: Schedule, prefix: np.ndarray, total_rounds: int
     )
 
 
-def intervals(schedule: Schedule, total_rounds: int) -> np.ndarray:
+def intervals(schedule: CommunicationSchedule, total_rounds: int) -> np.ndarray:
     """All intervals E_1..E_T as an integer array.
 
-    The warm-up's ones come first, then the bare family from index 1.  For an
-    explicit schedule, requests past the supplied sequence repeat its final
-    value.
+    The warm-up's ones come first, then the bare family from index 1.
     """
     return _warmup_and_intervals(schedule, total_rounds)[1]
 
 
-def _warmup_and_intervals(schedule: Schedule, total_rounds: int) -> tuple[int, np.ndarray]:
+def _warmup_and_intervals(schedule: CommunicationSchedule, total_rounds: int) -> tuple[int, np.ndarray]:
     """The warm-up round count W and E_1..E_T, from one family prefix."""
     if total_rounds < 1:
         raise ValueError("total_rounds must be >= 1")
@@ -263,34 +225,44 @@ def _warmup_and_intervals(schedule: Schedule, total_rounds: int) -> tuple[int, n
     return w, np.concatenate([np.ones(w, dtype=np.int64), family])
 
 
-def table(schedule: Schedule, total_rounds: int) -> ScheduleTable:
+def table(schedule: CommunicationSchedule, total_rounds: int) -> ScheduleTable:
     """The first ``total_rounds`` rounds' ``ScheduleTable``: gamma_m = gamma0 * m**(-alpha)
-    and eta_m = gamma_m / E_m, unless an explicit schedule supplies its etas
-    (repeating the final one), in which case gamma_m = eta_m * E_m."""
+    and eta_m = gamma_m / E_m."""
     warmup, e = _warmup_and_intervals(schedule, total_rounds)
-    if isinstance(schedule, ExplicitSchedule) and schedule.etas:
-        etas = _extended(schedule.etas, total_rounds, np.float64)
-        gammas = etas * e
-    else:
-        powers = map(pow, range(1, total_rounds + 1), repeat(-schedule.alpha))
-        gammas = schedule.gamma0 * np.fromiter(powers, dtype=np.float64, count=total_rounds)
-        etas = gammas / e
-    return ScheduleTable(e, gammas, etas, np.cumsum(e), warmup, _diagnostics(schedule, e))
+    powers = map(pow, range(1, total_rounds + 1), repeat(-schedule.alpha))
+    gammas = schedule.gamma0 * np.fromiter(powers, dtype=np.float64, count=total_rounds)
+    return ScheduleTable(e, gammas, gammas / e, np.cumsum(e), warmup, _diagnostics(e))
 
 
-def _diagnostics(schedule: Schedule, e: np.ndarray) -> ScheduleDiagnostics:
+def explicit_table(intervals: Sequence[int], etas: Sequence[float]) -> ScheduleTable:
+    """The table of one round per entry: E_m = intervals[m - 1], eta_m = etas[m - 1],
+    gamma_m = eta_m * E_m, and no warm-up.
+
+    Not checked against the slow-growth assumptions; it allows what the
+    parametric families cannot, e.g. a constant per-iteration step in
+    exactness tests.
+    """
+    if not len(intervals):
+        raise ValueError("need at least one interval")
+    if not all(math.isfinite(e) and int(e) == e >= 1 for e in intervals):
+        raise ValueError("all intervals must be integers >= 1")
+    if len(etas) != len(intervals):
+        raise ValueError("etas must match intervals in length")
+    if not all(0.0 < eta < math.inf for eta in etas):
+        raise ValueError("etas must be positive and finite")
+    e, steps = np.array(intervals, dtype=np.int64), np.array(etas, dtype=np.float64)
+    return ScheduleTable(e, steps * e, steps, np.cumsum(e), 0, _diagnostics(e))
+
+
+def _diagnostics(e: np.ndarray) -> ScheduleDiagnostics:
     t_total, total_rounds = int(e.sum()), len(e)
-    if isinstance(schedule, ExplicitSchedule):
-        nu_limit = None
-    else:
-        nu_limit = 1.0 / (1.0 - schedule.exponent**2) if schedule.kind == "power" else 1.0
     nu_hat = t_total * float((1.0 / e).sum()) / total_rounds**2
-    return ScheduleDiagnostics(t_total, nu_hat, nu_limit, total_rounds / t_total)
+    return ScheduleDiagnostics(t_total, nu_hat, total_rounds / t_total)
 
 
-def diagnostics(schedule: Schedule, total_rounds: int) -> ScheduleDiagnostics:
+def diagnostics(schedule: CommunicationSchedule, total_rounds: int) -> ScheduleDiagnostics:
     """``table(schedule, total_rounds).diagnostics``, without the step sizes."""
-    return _diagnostics(schedule, intervals(schedule, total_rounds))
+    return _diagnostics(intervals(schedule, total_rounds))
 
 
 def fclt_time_scale(table: ScheduleTable, r: float) -> int:
@@ -308,7 +280,7 @@ def fclt_time_scale(table: ScheduleTable, r: float) -> int:
 
 
 def _trends(
-    schedule: Schedule, grid: tuple[int, ...]
+    schedule: CommunicationSchedule, grid: tuple[int, ...]
 ) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
     step_sum, gamma_floor, growth = [], [], []
     for t in grid:
@@ -320,7 +292,7 @@ def _trends(
     return tuple(step_sum), tuple(gamma_floor), tuple(growth)
 
 
-def validate_schedule(schedule: Schedule, grid: list[int] | tuple[int, ...]) -> list[str]:
+def validate_schedule(schedule: CommunicationSchedule, grid: Sequence[int]) -> list[str]:
     """Evaluate the slow-growth trend quantities on ``grid`` and report warnings.
 
     Purely diagnostic: the underlying conditions are asymptotic and cannot be

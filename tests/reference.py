@@ -6,7 +6,7 @@ import numpy as np
 
 from fedstat import engine, models
 from fedstat.engine import SampleBuffer
-from fedstat.schedules import family_prefix, table, warmup_from_prefix
+from fedstat.schedules import family_prefix, warmup_from_prefix
 
 
 def round_map(a, b, weights, eta, pivot):
@@ -74,8 +74,8 @@ def affine_group_starts(e_list, rounds):
     return starts
 
 
-def per_round_run(fed, sched, rounds, x0, seed, bound=1e8):
-    """The engine as one sample take and one average per round.
+def per_round_run(fed, rows, x0, seed, bound=1e8):
+    """The engine as one sample take and one average per round of the table ``rows``.
 
     Each round takes its E rows of the optimization stream, runs the per-step
     expression in the kernels' form (``np.vecdot``, logistic covariates signed
@@ -91,8 +91,8 @@ def per_round_run(fed, sched, rounds, x0, seed, bound=1e8):
     weights, logistic = fed.weights, fed.kind == "logistic"
     opt = SampleBuffer(fed.clients, engine.client_generators(seed, k, 0))
     inf = SampleBuffer(fed.clients, engine.client_generators(seed, k, 1))
-    rows = table(sched, rounds)
     e, etas = rows.intervals, rows.etas
+    rounds = len(e)
     starts = [None] * rounds if logistic else affine_group_starts(e.tolist(), rounds)
     X = np.tile(x0, (k, 1))
     points, grads, hessians = [], [], []

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import fedstat
 from fedstat import cli, config, harness, models
 from fedstat.config import METHODS, ExperimentConfig, config_text, parse_config_text
-from fedstat.schedules import CommunicationSchedule, ExplicitSchedule
+from fedstat.schedules import CommunicationSchedule
 
 
 def counts(lo, hi):
@@ -113,12 +113,6 @@ class TestConfigText:
             config_text(ExperimentConfig(critical_values=path))
 
 
-    def test_an_explicit_schedule_has_no_keys(self):
-        c = ExperimentConfig(schedule=ExplicitSchedule(intervals=(1, 2)), methods=("plugin",))
-        with pytest.raises(ValueError, match=r"ExplicitSchedule\(.*\) has no config keys"):
-            config_text(c)
-
-
 @pytest.mark.parametrize(
     "line, message",
     [
@@ -143,6 +137,7 @@ def test_cli_names_the_line_and_key_of_a_value_that_does_not_parse(
     "kwargs, message",
     [
         (dict(model="cubic"), "unknown model 'cubic'"),
+        (dict(schedule={"kind": "constant"}), "schedule must be a CommunicationSchedule"),
         (dict(dimension=0), "dimension and clients must be >= 1"),
         (dict(clients=0), "dimension and clients must be >= 1"),
         (dict(rounds=0, target_observations=None), "rounds must be >= 1"),
@@ -156,7 +151,7 @@ def test_cli_names_the_line_and_key_of_a_value_that_does_not_parse(
         (dict(coordinate=-1), r"coordinate out of range \(0-based\)"),
         (dict(x0="ones"), "x0 must be 'zeros', 'optimum' or a vector"),
     ],
-    ids=["model", "dimension", "clients", "rounds", "target", "replications", "no-methods",
+    ids=["model", "schedule", "dimension", "clients", "rounds", "target", "replications", "no-methods",
          "unknown-method", "alpha-zero", "alpha-one", "coordinate-high", "coordinate-negative",
          "x0-name"],
 )

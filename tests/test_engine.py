@@ -10,7 +10,7 @@ import pytest
 from fedstat import engine, models, roundoff, schedules
 from fedstat.engine import DivergenceError, SampleBuffer, average_estimate, run
 from fedstat.models import ClientModel, federation_of
-from fedstat.schedules import table
+from fedstat.schedules import explicit_table, table
 from reference import per_round_run, round_map, unit_z
 
 
@@ -25,15 +25,13 @@ def linear_fed(optima, weights=None, noise=1.0):
 
 
 def fixed_step(eta, rounds, interval=1):
-    return schedules.ExplicitSchedule(
-        intervals=(interval,) * rounds, etas=(eta,) * rounds
-    )
+    return explicit_table((interval,) * rounds, (eta,) * rounds)
 
 
 class TestDeterministicContraction:
     def test_halving_path(self):
         fed = quadratic_fed([0.0])
-        path = run(fed, table(fixed_step(0.5, 10), 10), np.array([1.0]), seed=0)
+        path = run(fed, fixed_step(0.5, 10), np.array([1.0]), seed=0)
         np.testing.assert_allclose(path.points[:, 0], 0.5 ** np.arange(1, 11), rtol=1e-15)
         assert path.total_iterations == 10
         np.testing.assert_array_equal(path.table.comm_times, np.arange(1, 11))
@@ -46,20 +44,18 @@ class TestDeterministicContraction:
         centers = rng.standard_normal((4, 3))
         weights = np.array([0.1, 0.2, 0.3, 0.4])
         fed = quadratic_fed(centers, weights=weights)
-        sched = schedules.ExplicitSchedule(
-            intervals=(3, 1, 4, 2, 5, 3, 1, 2),
-            etas=(0.3, 0.5, 0.2, 0.4, 0.1, 0.25, 0.35, 0.15),
-        )
+        intervals = (3, 1, 4, 2, 5, 3, 1, 2)
+        etas = (0.3, 0.5, 0.2, 0.4, 0.1, 0.25, 0.35, 0.15)
         x0 = np.array([2.0, -1.0, 0.5])
-        path = run(fed, table(sched, 8), x0, seed=0)
+        path = run(fed, explicit_table(intervals, etas), x0, seed=0)
         c_bar = weights @ centers
         factor = 1.0
-        for e, eta in zip(sched.intervals, sched.etas):
+        for e, eta in zip(intervals, etas):
             factor *= (1.0 - eta) ** e
             expected = c_bar + factor * (x0 - c_bar)
             # compare to the round reached at this point
         factor = 1.0
-        for m, (e, eta) in enumerate(zip(sched.intervals, sched.etas)):
+        for m, (e, eta) in enumerate(zip(intervals, etas)):
             factor *= (1.0 - eta) ** e
             np.testing.assert_allclose(
                 path.points[m], c_bar + factor * (x0 - c_bar), atol=1e-12, rtol=0
@@ -69,7 +65,7 @@ class TestDeterministicContraction:
         centers = [np.array([1.0]), np.array([-3.0])]
         fed = quadratic_fed(centers)
         eta, e, rounds = 0.4, 5, 12
-        rows = table(fixed_step(eta, rounds, interval=e), rounds)
+        rows = fixed_step(eta, rounds, interval=e)
         path = run(fed, rows, np.array([10.0]), seed=0)
         c_bar = 0.5 * (1.0 - 3.0)
         expected = c_bar + (1 - eta) ** (e * np.arange(1, rounds + 1)) * (10.0 - c_bar)
@@ -108,7 +104,7 @@ class TestReductionToParallelSgd:
 
     def test_weight_invariance_for_identical_noiseless_clients(self):
         centers = [np.array([2.0, -1.0])] * 4
-        rows = table(fixed_step(0.3, 20), 20)
+        rows = fixed_step(0.3, 20)
         x0 = np.array([5.0, 5.0])
         single = run(quadratic_fed(centers[:1]), rows, x0, seed=0)
         # Dyadic equal weights recombine exactly; uneven weights only up to
@@ -143,10 +139,8 @@ class TestObserversAndDeterminism:
         else:
             clients = [ClientModel("quadratic", c, curvature=1.0 + i) for i, c in enumerate(optima)]
             fed = federation_of(clients, weights=weights)
-        sched = schedules.ExplicitSchedule(
-            intervals=tuple(1 + m % 3 for m in range(rounds)), etas=(0.05,) * rounds
-        )
-        path = run(fed, table(sched, rounds), np.zeros(d), seed=seed)
+        rows = explicit_table(tuple(1 + m % 3 for m in range(rounds)), (0.05,) * rounds)
+        path = run(fed, rows, np.zeros(d), seed=seed)
         sizes = draw_sizes(monkeypatch)
         blocks = list(engine.inference_draws(fed, seed, path.points))
         block_sizes = per_stream(sizes)
@@ -195,7 +189,7 @@ class TestObserversAndDeterminism:
         m = len(seen) + 1
         assert m == 378 and engine.BLOCK_ROUNDS < m < 2 * engine.BLOCK_ROUNDS
         with pytest.raises(DivergenceError, match=f"at round {m}$"):
-            run(fed, table(fixed_step(eta, 600), 600), np.array([1.0]), 0)
+            run(fed, fixed_step(eta, 600), np.array([1.0]), 0)
 
     def test_overflow_after_the_diverging_round_is_silent(self):
         # 1 - eta = -1000: round 3 exceeds 1e8, and the rest of the block's
@@ -204,7 +198,7 @@ class TestObserversAndDeterminism:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DivergenceError, match="at round 3$"):
-                run(fed, table(fixed_step(1001.0, rounds), rounds), np.array([1.0]), seed=0)
+                run(fed, fixed_step(1001.0, rounds), np.array([1.0]), seed=0)
 
     def test_bit_identical_reruns(self):
         fed = linear_fed(np.random.default_rng(1).standard_normal((3, 2)))
@@ -227,8 +221,7 @@ class TestObserversAndDeterminism:
 
     def test_path_carries_round_metadata(self):
         fed = quadratic_fed([0.0, 1.0])
-        sched = schedules.ExplicitSchedule(intervals=(2, 3, 1), etas=(0.1, 0.1, 0.1))
-        rows = table(sched, 3)
+        rows = explicit_table((2, 3, 1), (0.1, 0.1, 0.1))
         path = run(fed, rows, np.array([1.0]), seed=0)
         assert path.table is rows
         assert [f.name for f in dataclasses.fields(engine.SyncPath)] == ["points", "table"]
@@ -252,9 +245,8 @@ class TestGuardsAndHelpers:
     def test_divergence_guard_names_round(self):
         fed = quadratic_fed([0.0])
         # eta = 3 makes |1 - eta| = 2, doubling the iterate per step.
-        sched = fixed_step(3.0, 40)
         with pytest.raises(DivergenceError, match="bound 1e\\+08 at round 27$"):
-            run(fed, table(sched, 40), np.array([1.0]), seed=0)
+            run(fed, fixed_step(3.0, 40), np.array([1.0]), seed=0)
 
     @pytest.mark.parametrize(
         "x0", [np.zeros(2), np.zeros((1, 1)), np.array([np.nan]), np.array([np.inf])],
@@ -263,12 +255,12 @@ class TestGuardsAndHelpers:
     def test_x0_must_be_a_finite_vector_of_the_dimension(self, x0):
         fed = quadratic_fed([0.0])
         with pytest.raises(ValueError, match="x0 must be a finite vector of length 1"):
-            run(fed, table(fixed_step(0.5, 3), 3), x0, seed=0)
+            run(fed, fixed_step(0.5, 3), x0, seed=0)
 
     @pytest.mark.parametrize("rounds", [3, 5])
     def test_path_needs_one_point_per_round_of_its_table(self, rounds):
         with pytest.raises(ValueError, match="one row per round of the table"):
-            engine.SyncPath(np.zeros((rounds, 1)), table(fixed_step(0.5, 4), 4))
+            engine.SyncPath(np.zeros((rounds, 1)), fixed_step(0.5, 4))
 
     def test_average_estimate(self):
         np.testing.assert_array_equal(average_estimate(np.array([[1.0], [3.0]])), [2.0])
@@ -329,7 +321,7 @@ class TestGuardsAndHelpers:
 
     def test_path_csv_dump(self):
         fed = quadratic_fed([0.0])
-        path = run(fed, table(fixed_step(0.5, 3), 3), np.array([1.0]), seed=0)
+        path = run(fed, fixed_step(0.5, 3), np.array([1.0]), seed=0)
         out = io.StringIO()
         engine.save_path_csv(path, out)
         lines = out.getvalue().strip().splitlines()
@@ -362,7 +354,7 @@ class TestGuardsAndHelpers:
         # The iterate doubles in size per round from 1e3, so it first exceeds
         # 1e8 * 1e3 at round 27 (2**27 > 1e8).
         with pytest.raises(DivergenceError, match="bound 1e\\+11 at round 27$"):
-            run(quadratic_fed([0.0]), table(fixed_step(3.0, 40), 40), np.array([1e3]), seed=0)
+            run(quadratic_fed([0.0]), fixed_step(3.0, 40), np.array([1e3]), seed=0)
 
     def test_bound_whose_square_overflows(self):
         # From x0 = 1e150 the bound is 1e158, whose square overflows a float;
@@ -370,7 +362,7 @@ class TestGuardsAndHelpers:
         # every round.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            path = run(quadratic_fed([0.0]), table(fixed_step(0.5, 10), 10), np.array([1e150]), 0)
+            path = run(quadratic_fed([0.0]), fixed_step(0.5, 10), np.array([1e150]), 0)
         np.testing.assert_array_equal(path.points[:, 0], 1e150 * 0.5 ** np.arange(1, 11))
 
 
@@ -418,14 +410,14 @@ class TestRoundGroups:
     def test_groups_equal_one_take_per_round(self, kind, monkeypatch):
         fed = self.federation(kind)
         rounds = len(self.INTERVALS)
-        sched = schedules.ExplicitSchedule(intervals=self.INTERVALS, etas=(0.002,) * rounds)
+        rows = explicit_table(self.INTERVALS, (0.002,) * rounds)
         x0 = np.full(3, 0.5)
         sizes = draw_sizes(monkeypatch)
-        points, grads, hessians, diverged = per_round_run(fed, sched, rounds, x0, seed=4)
+        points, grads, hessians, diverged = per_round_run(fed, rows, x0, seed=4)
         assert diverged is None
         reference_sizes = per_stream(sizes)
         sizes.clear()
-        path = run(fed, table(sched, rounds), x0, seed=4)
+        path = run(fed, rows, x0, seed=4)
         blocks = list(engine.inference_draws(fed, 4, path.points))
         assert per_stream(sizes) == reference_sizes
         assert max(n for _, n in sizes) > engine._BUFFER_CHUNK
@@ -436,14 +428,14 @@ class TestRoundGroups:
     def test_divergence_inside_a_group(self):
         fed = self.federation("linear")
         rounds = engine.BLOCK_ROUNDS
-        sched = fixed_step(1.5, rounds)
+        rows = fixed_step(1.5, rounds)
         x0 = np.full(3, 0.5)
         bound = 1e8 * max(1.0, roundoff.run_scale(fed, x0))
-        points, _, _, m = per_round_run(fed, sched, rounds, x0, seed=8, bound=bound)
+        points, _, _, m = per_round_run(fed, rows, x0, seed=8, bound=bound)
         # All rounds of the first block are one group.
         assert m is not None and 1 < m < rounds
         with pytest.raises(DivergenceError, match=f"at round {m}$"):
-            run(fed, table(sched, rounds), x0, seed=8)
+            run(fed, rows, x0, seed=8)
 
 
 def traced_peak(call):
@@ -474,8 +466,7 @@ class TestFootprint:
     def setup_method(self):
         optimum = np.random.default_rng(5).standard_normal(self.D) * 0.3
         self.fed = federation_of([ClientModel("logistic", optimum) for _ in range(self.K)])
-        sched = fixed_step(0.01, self.ROUNDS, interval=2)
-        self.table = table(sched, self.ROUNDS)
+        self.table = fixed_step(0.01, self.ROUNDS, interval=2)
         self.x0 = np.zeros(self.D)
         # Load and warm everything a run touches before any peak is traced.
         path = run(self.fed, self.table, self.x0, seed=1)

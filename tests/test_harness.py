@@ -535,9 +535,7 @@ class TestRunExperiment:
         intervals, _ = harness._replicate(payload, 2)
 
         seed = np.random.SeedSequence(config.seed, spawn_key=(1, 2))
-        points, grads, hessians, diverged = per_round_run(
-            fed, config.schedule, config.rounds, x0, seed
-        )
+        points, grads, hessians, diverged = per_round_run(fed, rows, x0, seed)
         assert diverged is None
         plugin, rscale = PluginState(config.dimension), RScaleState(config.dimension)
         for grad_draw, hess_draw in zip(grads, hessians):

@@ -15,7 +15,7 @@ Z_95 = 1.9599639845400536  # z_0.975, the critical value of a two-sided 95% inte
 
 
 def diag_stub(nu_hat=1.0, t_T=1):
-    return ScheduleDiagnostics(t_T=t_T, nu_hat=nu_hat, nu_limit=None, acf=1.0)
+    return ScheduleDiagnostics(t_T=t_T, nu_hat=nu_hat, acf=1.0)
 
 
 def batch_recompute(grads, hessians):

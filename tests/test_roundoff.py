@@ -26,7 +26,7 @@ Q_RSCALE, Z_PLUGIN = 6.753, 1.9599639845400536
 
 
 def diag_stub(nu_hat=1.0, t_T=30):
-    return ScheduleDiagnostics(t_T=t_T, nu_hat=nu_hat, nu_limit=None, acf=1.0)
+    return ScheduleDiagnostics(t_T=t_T, nu_hat=nu_hat, acf=1.0)
 
 
 class TestFloor:

@@ -267,7 +267,3 @@ class TestBetaForSchedule:
     def test_power_keeps_exponent(self):
         sched = schedules.CommunicationSchedule("power", base=1, exponent=1.0 / 3.0)
         assert beta_for_schedule(sched) == pytest.approx(1.0 / 3.0)
-
-    def test_explicit_schedule_rejected(self):
-        with pytest.raises(ValueError):
-            beta_for_schedule(schedules.ExplicitSchedule(intervals=(1, 2)))

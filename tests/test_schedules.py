@@ -1,3 +1,4 @@
+import itertools
 import math
 import pickle
 from dataclasses import FrozenInstanceError
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from fedstat import schedules
 from fedstat.harness import rounds_for_target
-from fedstat.schedules import CommunicationSchedule, ExplicitSchedule
+from fedstat.schedules import CommunicationSchedule, explicit_table
 from reference import bisect_rounds_for_target
 
 
@@ -87,9 +88,8 @@ class TestStepSizes:
         assert all(a > b for a, b in zip(gammas, gammas[1:]))
 
     def test_explicit_schedule_overrides_steps(self):
-        sched = ExplicitSchedule(intervals=(2, 2), etas=(0.5, 0.25))
-        gamma, eta = steps(sched, 2, 2)
-        assert (gamma, eta) == (0.5, 0.25)
+        rows = explicit_table((2, 2), (0.5, 0.25))
+        assert (rows.gammas[1], rows.etas[1]) == (0.5, 0.25)
 
 
 class TestDiagnostics:
@@ -98,23 +98,28 @@ class TestDiagnostics:
         assert diag.t_T == 100
         assert diag.nu_hat == 1.0
         assert diag.acf == 1.0
-        assert diag.nu_limit == 1.0
+        assert constant(1).nu_limit == 1.0
 
     def test_power_limit_value(self):
         sched = CommunicationSchedule("power", base=1, exponent=0.5)
-        assert schedules.diagnostics(sched, 10).nu_limit == pytest.approx(4.0 / 3.0)
+        assert sched.nu_limit == pytest.approx(4.0 / 3.0)
 
     def test_direct_summation_oracle(self):
-        diag = schedules.diagnostics(ExplicitSchedule(intervals=(1, 2, 3)), 3)
+        diag = explicit_table((1, 2, 3), (0.1, 0.1, 0.1)).diagnostics
         assert diag.t_T == 6
         assert diag.nu_hat == pytest.approx((6 * (1 + 0.5 + 1 / 3)) / 9)
-        assert diag.nu_limit is None
+
+    def test_depend_on_the_intervals_alone(self):
+        sched = CommunicationSchedule("power", exponent=0.5, warmup_fraction=0.05)
+        rows = schedules.table(sched, 300)
+        same = explicit_table(tuple(rows.intervals.tolist()), tuple(rows.etas.tolist()))
+        assert same.diagnostics == rows.diagnostics == schedules.diagnostics(sched, 300)
 
     @pytest.mark.parametrize("beta", [1.0 / 3.0, 0.5])
     def test_power_nu_hat_approaches_limit(self, beta):
         sched = CommunicationSchedule("power", base=1, exponent=beta)
         diag = schedules.diagnostics(sched, 10_000)
-        assert diag.nu_hat == pytest.approx(1.0 / (1.0 - beta**2), rel=0.05)
+        assert diag.nu_hat == pytest.approx(sched.nu_limit, rel=0.05)
 
     def test_acf_below_one_with_local_steps(self):
         diag = schedules.diagnostics(constant(5), 40)
@@ -126,7 +131,7 @@ class TestDiagnostics:
     )
     @settings(max_examples=60, deadline=None)
     def test_nu_hat_at_least_one_iff_constant(self, intervals):
-        diag = schedules.diagnostics(ExplicitSchedule(intervals=tuple(intervals)), len(intervals))
+        diag = explicit_table(tuple(intervals), (0.1,) * len(intervals)).diagnostics
         assert diag.nu_hat >= 1.0 - 1e-12
         if len(set(intervals)) == 1:
             assert diag.nu_hat == pytest.approx(1.0, abs=1e-12)
@@ -201,23 +206,24 @@ class TestNonFiniteInputs:
             CommunicationSchedule(**kwargs)
 
     @pytest.mark.parametrize(
-        "kwargs, field",
+        "intervals, etas, field",
         [
-            (dict(intervals=(1, math.inf)), "intervals"),
-            (dict(intervals=(1, math.nan)), "intervals"),
-            (dict(intervals=(1, 2), etas=(0.1, math.nan)), "etas"),
-            (dict(intervals=(1, 2), etas=(0.1, math.inf)), "etas"),
-            (dict(intervals=(1,), gamma0=math.nan), "gamma0"),
-            (dict(intervals=(1,), alpha=math.inf), "alpha"),
-            (dict(intervals=()), "need at least one interval"),
-            (dict(intervals=(1, 2), etas=(0.1,)), "etas must match intervals in length"),
+            ((1, math.inf), (0.1, 0.1), "intervals must be integers >= 1"),
+            ((1, math.nan), (0.1, 0.1), "intervals must be integers >= 1"),
+            ((1, 2.5), (0.1, 0.1), "intervals must be integers >= 1"),
+            ((1, 0), (0.1, 0.1), "intervals must be integers >= 1"),
+            ((1, 2), (0.1, math.nan), "etas must be positive and finite"),
+            ((1, 2), (0.1, math.inf), "etas must be positive and finite"),
+            ((1, 2), (0.1, 0.0), "etas must be positive and finite"),
+            ((), (), "need at least one interval"),
+            ((1, 2), (0.1,), "etas must match intervals in length"),
         ],
-        ids=["interval-inf", "interval-nan", "eta-nan", "eta-inf", "gamma0-nan", "alpha-inf",
-             "no-intervals", "etas-length"],
+        ids=["interval-inf", "interval-nan", "interval-fraction", "interval-zero", "eta-nan",
+             "eta-inf", "eta-zero", "no-intervals", "etas-length"],
     )
-    def test_explicit_schedule(self, kwargs, field):
+    def test_explicit_schedule(self, intervals, etas, field):
         with pytest.raises(ValueError, match=field):
-            ExplicitSchedule(**kwargs)
+            explicit_table(intervals, etas)
 
     @pytest.mark.parametrize("rounds", [0, -1])
     def test_table_of_no_rounds(self, rounds):
@@ -295,7 +301,7 @@ def ref_family(sched, index):
 
 
 def ref_warmup(sched, total):
-    if isinstance(sched, ExplicitSchedule) or sched.warmup_fraction == 0.0:
+    if sched.warmup_fraction == 0.0:
         return 0
     frac = sched.warmup_fraction
     prefix = [0]
@@ -318,18 +324,12 @@ def ref_warmup(sched, total):
 
 
 def ref_intervals(sched, total):
-    if isinstance(sched, ExplicitSchedule):
-        seq = sched.intervals
-        return [seq[min(m, len(seq)) - 1] for m in range(1, total + 1)]
     w = ref_warmup(sched, total)
     return [1 if m <= w else ref_family(sched, m - w) for m in range(1, total + 1)]
 
 
 def ref_steps(sched, total):
     e = ref_intervals(sched, total)
-    if isinstance(sched, ExplicitSchedule) and sched.etas:
-        etas = [sched.etas[min(m, len(sched.etas)) - 1] for m in range(1, total + 1)]
-        return [eta * e_m for eta, e_m in zip(etas, e)], etas
     gammas = [sched.gamma0 * m ** (-sched.alpha) for m in range(1, total + 1)]
     return gammas, [gamma / e_m for gamma, e_m in zip(gammas, e)]
 
@@ -359,15 +359,10 @@ parametric = st.builds(
     alpha=st.floats(min_value=0.501, max_value=0.99),
     warmup_fraction=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.95)),
 )
-explicit = st.builds(
-    lambda seq, with_etas, alpha: ExplicitSchedule(
-        intervals=tuple(seq),
-        etas=tuple(0.5 / (i + 1) for i in range(len(seq))) if with_etas else (),
-        alpha=alpha,
-    ),
-    st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=30),
-    st.booleans(),
-    st.floats(min_value=0.501, max_value=0.99),
+explicit_rounds = st.lists(
+    st.tuples(st.integers(min_value=1, max_value=5000), st.floats(min_value=1e-6, max_value=10.0)),
+    min_size=1,
+    max_size=60,
 )
 
 
@@ -375,7 +370,7 @@ class TestScalarParity:
     """The array tables equal the per-round scalar formulas bit for bit."""
 
     @given(
-        sched=st.one_of(parametric, explicit),
+        sched=parametric,
         total=st.integers(min_value=1, max_value=3000),
         target=st.integers(min_value=1, max_value=5000),
     )
@@ -394,6 +389,23 @@ class TestScalarParity:
         assert rows.diagnostics == schedules.diagnostics(sched, total)
         assert rounds_for_target(sched, target) == ref_rounds_for_target(sched, target)
 
+    @given(explicit_rounds)
+    @settings(max_examples=150, deadline=None)
+    def test_explicit_table_equals_scalar_reference(self, rounds):
+        intervals, etas = zip(*rounds)
+        rows = schedules.explicit_table(intervals, etas)
+        np.testing.assert_array_equal(rows.intervals, intervals)
+        np.testing.assert_array_equal(rows.etas, etas)
+        np.testing.assert_array_equal(rows.comm_times, list(itertools.accumulate(intervals)))
+        np.testing.assert_array_equal(rows.gammas, [eta * e for e, eta in rounds])
+        assert rows.intervals.dtype == rows.comm_times.dtype == np.int64
+        assert rows.warmup == 0
+        t_total, total = sum(intervals), len(intervals)
+        assert rows.diagnostics.t_T == t_total
+        assert rows.diagnostics.acf == total / t_total
+        nu_hat = t_total * math.fsum(1.0 / e for e in intervals) / total**2
+        assert rows.diagnostics.nu_hat == pytest.approx(nu_hat, rel=1e-14)
+
     @pytest.mark.parametrize(
         "sched, target, rounds",
         [
@@ -407,7 +419,7 @@ class TestScalarParity:
         e = schedules.intervals(sched, rounds)
         assert e.sum() >= target > schedules.intervals(sched, rounds - 1).sum()
 
-    @given(sched=st.one_of(parametric, explicit))
+    @given(sched=parametric)
     @settings(max_examples=12, deadline=None)
     def test_bounded_target_solver_equals_the_bisection_over_every_round(self, sched):
         """The solver's bracketed bisection on a prefix grown to its upper

@@ -63,9 +63,9 @@ def main() -> None:
             model="logistic", clients=10, dimension=5, heterogeneity=False
         )
         federation = harness.build_federation(logistic)
-        grown = schedules.ExplicitSchedule(intervals=GROWN, etas=(0.002,) * len(GROWN))
+        grown = schedules.explicit_table(GROWN, (0.002,) * len(GROWN))
         for seed in range(2):
-            sync = engine.run(federation, schedules.table(grown, len(GROWN)), np.zeros(5), seed)
+            sync = engine.run(federation, grown, np.zeros(5), seed)
             with open(out / f"grown-seed{seed}.csv", "w") as stream:
                 engine.save_path_csv(sync, stream)
         for path in sorted(out.rglob("*.csv")):
