@@ -52,7 +52,7 @@ def _write_text(value: str) -> str:
 
 
 def _write_x0(value: tuple[float, ...] | str) -> str:
-    return value if isinstance(value, str) else ",".join(repr(float(v)) for v in value)
+    return value if isinstance(value, str) else ",".join(map(repr, value))
 
 
 # A value type: (parser, writer, what a value that the parser rejects is not).
@@ -94,7 +94,8 @@ _INTEGER_FIELDS = tuple(f for f, kind in _KEYS.values() if kind is _INT and "." 
 class ExperimentConfig:
     """One experiment: the federation, the schedule, the run length, the
     replications and the inference methods.  Bad input raises ``ValueError``
-    when the config is built.
+    when the config is built, and a vector ``x0`` is stored as a tuple of
+    floats, so that configs compare, hash and read back by value.
 
     A logistic config loads the sigmoid (``models.sigmoid``, from
     scipy.special, most of a cold import's time) when it is built, and no
@@ -165,6 +166,8 @@ class ExperimentConfig:
                 raise ValueError("x0 must be 'zeros', 'optimum' or a vector")
         elif len(self.x0) != self.dimension or not all(map(math.isfinite, self.x0)):
             raise ValueError(f"x0 must be a finite vector of length {self.dimension}")
+        else:
+            object.__setattr__(self, "x0", tuple(float(v) for v in self.x0))
 
 
 def parse_config_text(text: str) -> ExperimentConfig:

@@ -76,6 +76,14 @@ _MATCH = 1e-9  # `lookup` matches a beta or a level within this distance
 _STREAMS = 2  # seeded streams and worker threads; fixed, so the sample never varies
 
 
+def _check_distinct(betas, levels) -> None:
+    """Raise unless the betas, and the levels, differ pairwise by more than
+    `_MATCH`, so that ``lookup`` can tell every entry apart."""
+    for name, values in (("betas", betas), ("levels", levels)):
+        if (np.diff(np.sort(values)) <= _MATCH).any():
+            raise ValueError(f"{name} must differ by more than {_MATCH:g}")
+
+
 @dataclass(frozen=True)
 class CriticalValueTable:
     """Quantiles q such that P(t*(beta) <= q) = level, per (beta, level).
@@ -98,9 +106,7 @@ class CriticalValueTable:
         values = np.asarray(self.values, dtype=np.float64)
         if values.shape != (len(self.betas), len(self.levels)):
             raise ValueError("values must be one row per beta, one column per level")
-        for name in ("betas", "levels"):
-            if (np.diff(np.sort(getattr(self, name))) <= _MATCH).any():
-                raise ValueError(f"{name} must differ by more than {_MATCH:g}")
+        _check_distinct(self.betas, self.levels)
         if not np.isfinite(values).all():
             raise ValueError("critical values must be finite")
         if (np.diff(values[:, np.argsort(self.levels)], axis=1) < 0.0).any():
@@ -241,6 +247,7 @@ def simulate_table(
         raise ValueError("levels must lie strictly inside (0, 1)")
     if seed < 0:
         raise ValueError("seed must be >= 0")
+    _check_distinct(betas, levels)
     stats = simulate_statistics(betas, steps, replications, seed)
     values = np.quantile(stats, levels, axis=1, overwrite_input=True).T
     return CriticalValueTable(

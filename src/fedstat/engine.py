@@ -7,24 +7,27 @@ average.  Only the synchronized iterates leave this module, in a ``SyncPath``
 that carries the table they ran on as its time axis; local states are internal
 and discarded at each sync.
 
-Randomness layout: every client owns two sequential substreams derived from
+Randomness layout: every client owns two sequential streams derived from
 the run seed, one feeding the optimization samples and one feeding the fresh
-samples of the inference draws at sync times (``inference_draws``).  Streams
-are keyed by client index, so adding clients or rounds never perturbs
-existing draws, and ``run`` reads only the optimization streams, so inference
-never changes the optimization path.  Samples are drawn from each stream in
-chunks of `_BUFFER_CHUNK` for speed; within a stream they are always consumed
-sequentially, one row per local iteration (or per sync for the inference
-stream), and laid out time-major, so that one step or sync reads one (K, d)
-block.  A noiseless client's rows are its center and curvature, drawn
-without randomness.  Each stream's ``SampleBuffer`` holds one array pair for
-the whole run, of `_BUFFER_CHUNK` + `BLOCK_ROUNDS` rows, (K, d + 1) floats
-each.  Only a round of more than `BLOCK_ROUNDS` steps, which is one take, can
-grow it: to the rows still unread plus the fresh draw, fewer than E +
-`_BUFFER_CHUNK` for a round of E steps, and a grown pair is kept until the
-run ends.  Refills write into it in place, at the draw sizes and stream
-positions of a buffer of new arrays per refill, and a take's arrays are
-valid until the next take.
+samples of the inference draws at sync times (``inference_draws``).  A
+stream is the substreams its kind's ``ClientModel.draw`` reads
+(``models.SUBSTREAMS``): none for the noiseless quadratic kind, whose rows
+are its center and curvature; one normal generator for linear; covariates and
+labels for logistic.  Streams are keyed by client index, so adding clients or
+rounds never perturbs existing draws, and ``run`` reads only the optimization
+streams, so inference never changes the optimization path.
+
+One contract ties the samples to the run: a take of n rows is the next n rows
+of every client's streams, however the takes are split.  Each generator is
+read in order, one variate kind per generator, so no draw size reaches the
+rows, and the chunk size `_BUFFER_CHUNK` is a performance choice only.  The
+rows are laid out time-major, so that one step or sync reads one (K, d)
+block.  Each stream's ``SampleBuffer`` holds one array pair of `_BUFFER_CHUNK`
+rows, (K, d + 1) floats each, and refills it to full in place; only a take
+longer than the buffer, the rows of one round of E > `_BUFFER_CHUNK` steps,
+grows it to that take's length.  A stream therefore holds at most
+max(`_BUFFER_CHUNK`, E_max) rows, and a take's arrays are valid until the
+next take.
 
 Rounds run in blocks of `BLOCK_ROUNDS`.  After a block's rounds, the
 divergence test runs once on the block's rows: the first round m whose
@@ -46,28 +49,14 @@ every client.  A linear group whose rounds all have E = 1 runs as one affine
 map per round, built around the point the group starts from (see
 ``models.linear_rounds``).
 
-Grouping leaves every random stream as one take per round would.  A take holds
-at most `BLOCK_ROUNDS` <= `_BUFFER_CHUNK` rows, or exactly one round's rows.
-A refill draws max(`_BUFFER_CHUNK`, rows still missing) rows per client, so a
-group that crosses the end of the buffer refills once, with `_BUFFER_CHUNK`
-rows, exactly where its crossing round alone would have, and a long round
-refills as it does alone (`_BUFFER_CHUNK`, or E minus the rows left).  Every
-refill therefore draws the same number of rows, in the same order, and the
-logistic stream (whose rows depend on the draw size) does not move.  A cap of
-`_BUFFER_CHUNK` would keep the bits too, but the rows left over at a refill
-(fewer than the take that triggers it) are moved to the head of the buffer:
-those of a group of up to 256 rows fit in its `BLOCK_ROUNDS` spare rows, where
-a 2048-row group could need nearly a second chunk.  The roundoff of a linear
-group of E = 1 rounds does depend on where the group starts, its pivot.  The
-groups follow from the table's intervals alone, so the bytes of a run still
-depend only on (config, seed), never on the worker count.
+The groups follow from the table's intervals alone, and the roundoff of a
+linear group of E = 1 rounds depends on where the group starts, its pivot, so
+the bytes of a run depend only on (config, seed), never on the worker count.
 
 ``inference_draws`` reads the finished path: for each block of `BLOCK_ROUNDS`
 synchronized points it takes the block's rows of the inference stream with
 one buffer call and evaluates their gradient and Hessian draws with one
-stacked kernel call.  `BLOCK_ROUNDS` divides `_BUFFER_CHUNK`, so a block take
-never straddles a refill: the inference buffer refills at the same stream
-positions as one take per round would, and every kind's inference draws are
+stacked kernel call; by the contract above, every kind's inference draws are
 those of a per-round evaluation, bit for bit.
 """
 
@@ -94,7 +83,6 @@ __all__ = [
 
 _BUFFER_CHUNK = 2048
 BLOCK_ROUNDS = 256
-assert _BUFFER_CHUNK % BLOCK_ROUNDS == 0
 
 
 class DivergenceError(RuntimeError):
@@ -128,72 +116,72 @@ class SyncPath:
 
 
 def client_generators(
-    seed: int | np.random.SeedSequence, n_clients: int, stream: int
-) -> list[np.random.Generator]:
-    """Per-client generators of one stream of a run seed: stream 0 feeds the
-    optimization samples, stream 1 the inference draws."""
+    seed: int | np.random.SeedSequence, n_clients: int, stream: int, substreams: int
+) -> list[tuple[np.random.Generator, ...]]:
+    """Each client's ``substreams`` generators of one stream of a run seed:
+    stream 0 feeds the optimization samples, stream 1 the inference draws.
+
+    Substream j of client k has the spawn key (stream + 2 j, k) under the
+    seed's own: the first substream keeps the key of the stream, and a
+    logistic client's labels (j = 1) read keys 2 and 3, which no stream uses.
+    """
     base = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    key = (*base.spawn_key, stream)
+
+    def rng(*key: int) -> np.random.Generator:
+        return np.random.default_rng(np.random.SeedSequence(base.entropy, spawn_key=key))
+
     return [
-        np.random.default_rng(np.random.SeedSequence(base.entropy, spawn_key=(*key, k)))
+        tuple(rng(*base.spawn_key, stream + 2 * j, k) for j in range(substreams))
         for k in range(n_clients)
     ]
 
 
 class SampleBuffer:
-    """Sequential per-client samples, drawn in chunks and stacked time-major.
+    """Sequential per-client samples of one stream, drawn in chunks and
+    stacked time-major.
 
     ``take(n)`` returns (covariates (n, K, d), responses (n, K)) holding the
-    next n samples of every client's stream: row t holds every client's t-th
-    sample, as the kernels read it, and a noiseless client's row is its
-    (center, curvature).  Each client's rows appear in exactly the order its
-    generator produces them, so the buffering granularity never changes which
-    sample lands on which iteration for the linear kind (one normal block per
-    draw); it is fixed at `_BUFFER_CHUNK` rows so results are reproducible for
-    all kinds, and so that grouped takes of at most `BLOCK_ROUNDS` rows refill
-    exactly as per-round takes would.
+    next n samples of every client's stream (``client_generators`` of the
+    seed and stream, as many substreams as the kind reads): row t holds every
+    client's t-th sample, as the kernels read it, and a noiseless client's row
+    is its (center, curvature).  A take of n rows is the next n rows of every
+    client's stream however the takes are split, so the buffering never
+    changes which sample lands on which iteration.
 
-    The buffer holds one array pair for the whole stream, sized at the first
-    refill for `_BUFFER_CHUNK` + `BLOCK_ROUNDS` rows: room for a chunk and the
-    unread rows of a grouped take, of which there are fewer than
-    `BLOCK_ROUNDS`.  Only the take of a round longer than `BLOCK_ROUNDS` steps
-    can leave more unread rows than that, and it then grows the pair to those
-    rows plus the fresh draw, fewer than E + `_BUFFER_CHUNK` rows for a round
-    of E steps; a grown pair is kept until the stream ends.  A refill moves
-    the unread rows to the head and writes each client's fresh draw after
-    them, in place, at the same draw sizes and stream positions as a buffer
-    of new arrays per refill.  The arrays of a take are views into it, valid
-    until the next take.
+    The buffer holds one array pair for the whole stream, of `_BUFFER_CHUNK`
+    rows.  A take past its end refills it: the unread rows move to the head
+    and every client's fresh draw fills the rest, in place.  Only a take
+    longer than the buffer grows it, to that take's length, and a grown pair
+    is kept until the stream ends.  The arrays of a take are views into it,
+    valid until the next take.
     """
 
-    def __init__(self, clients: tuple[models.ClientModel, ...], rngs: list[np.random.Generator]):
+    def __init__(self, clients: tuple[models.ClientModel, ...], seed, stream: int):
         self._clients = clients
-        self._rngs = rngs
+        substreams = models.SUBSTREAMS[clients[0].kind]
+        self._rngs = client_generators(seed, len(clients), stream, substreams)
         self._cursor = 0
-        self._size = 0
         self._A = np.empty((0, len(clients), clients[0].dimension))
         self._B = np.empty((0, len(clients)))
 
-    def _refill(self, needed: int) -> None:
-        """Move the unread rows to the head and write ``max(_BUFFER_CHUNK,
-        needed)`` fresh rows per client after them."""
-        size = max(_BUFFER_CHUNK, needed)
-        left = self._size - self._cursor
+    def _refill(self, n: int) -> None:
+        """Move the unread rows to the head and fill the rest of the buffer,
+        grown first to n rows if it is shorter."""
+        left = len(self._A) - self._cursor
         A, B = self._A, self._B
-        if left + size > len(A):
-            A = np.empty((max(_BUFFER_CHUNK + BLOCK_ROUNDS, left + size), *A.shape[1:]))
+        if n > len(A):
+            A = np.empty((max(_BUFFER_CHUNK, n), *A.shape[1:]))
             B = np.empty(A.shape[:2])
-        A[:left] = self._A[self._cursor : self._size]
-        B[:left] = self._B[self._cursor : self._size]
-        for k, (client, rng) in enumerate(zip(self._clients, self._rngs)):
-            A[left : left + size, k], B[left : left + size, k] = client.draw(rng, size)
+        A[:left] = self._A[self._cursor :]
+        B[:left] = self._B[self._cursor :]
+        for k, (client, rngs) in enumerate(zip(self._clients, self._rngs)):
+            A[left:, k], B[left:, k] = client.draw(rngs, len(A) - left)
         self._A, self._B = A, B
         self._cursor = 0
-        self._size = left + size
 
     def take(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        if self._cursor + n > self._size:
-            self._refill(n - (self._size - self._cursor))
+        if self._cursor + n > len(self._A):
+            self._refill(n)
         start = self._cursor
         self._cursor += n
         return self._A[start : self._cursor], self._B[start : self._cursor]
@@ -242,7 +230,7 @@ def run(
     total_rounds = len(e_list)
 
     local_rounds = models.KERNELS[federation.kind][0]
-    opt_samples = SampleBuffer(federation.clients, client_generators(seed, federation.size, 0))
+    opt_samples = SampleBuffer(federation.clients, seed, 0)
 
     X = np.tile(x0, (federation.size, 1))
     points = np.empty((total_rounds, d))
@@ -282,7 +270,7 @@ def inference_draws(
     run seed's inference stream, as a per-round evaluation would be.
     """
     draws = models.KERNELS[federation.kind][1]
-    samples = SampleBuffer(federation.clients, client_generators(seed, federation.size, 1))
+    samples = SampleBuffer(federation.clients, seed, 1)
     for first in range(0, len(points), BLOCK_ROUNDS):
         block = points[first : first + BLOCK_ROUNDS]
         yield draws(federation.weights, *samples.take(len(block)), block)

@@ -63,6 +63,7 @@ __all__ = [
     "logistic_draws",
     "quadratic_draws",
     "KERNELS",
+    "SUBSTREAMS",
 ]
 
 
@@ -311,6 +312,9 @@ KERNELS = {
     "quadratic": (quadratic_rounds, quadratic_draws),
 }
 
+# The generators each kind's ``ClientModel.draw`` reads per random stream.
+SUBSTREAMS = {"linear": 1, "logistic": 2, "quadratic": 0}
+
 
 @dataclass(frozen=True)
 class ClientModel:
@@ -342,22 +346,28 @@ class ClientModel:
     def dimension(self) -> int:
         return self.local_optimum.size
 
-    def draw(self, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """n fresh samples as (covariates (n, d), responses (n,)).
+    def draw(self, rngs: tuple, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """The next n samples of the client's substreams ``rngs``, as
+        (covariates (n, d), responses (n,)).
 
-        A linear or logistic row is one sample (a, b).  The quadratic kind is
-        noiseless: it consumes no randomness, and every row is the client's
-        center and curvature, the operands of its kernels.
+        ``rngs`` holds the ``SUBSTREAMS[kind]`` generators the kind reads.  A
+        linear row is one normal block (a, eps) of ``rngs[0]``.  A logistic
+        row's covariates come from ``rngs[0]`` and its label from ``rngs[1]``,
+        two substreams, so that each reads one kind of variate in order.  Every
+        generator is read sequentially, so n rows are the next n rows of each
+        substream however the draws are split.  The quadratic kind is
+        noiseless: it reads no generator, and every row is the client's center
+        and curvature, the operands of its kernels.
         """
         d = self.dimension
         if self.kind == "linear":
-            z = rng.standard_normal((n, d + 1))
+            z = rngs[0].standard_normal((n, d + 1))
             a = z[:, :d]
             b = a @ self.local_optimum + self.noise_scale * z[:, d]
             return a, b
         if self.kind == "logistic":
-            a = rng.standard_normal((n, d))
-            u = rng.random(n)
+            a = rngs[0].standard_normal((n, d))
+            u = rngs[1].random(n)
             b = (u < scipy.special.expit(a @ self.local_optimum)).astype(np.float64)
             return a, b
         return np.tile(self.local_optimum, (n, 1)), np.full(n, self.curvature)

@@ -89,8 +89,8 @@ def per_round_run(fed, rows, x0, seed, bound=1e8):
     """
     k, d = fed.size, fed.dimension
     weights, logistic = fed.weights, fed.kind == "logistic"
-    opt = SampleBuffer(fed.clients, engine.client_generators(seed, k, 0))
-    inf = SampleBuffer(fed.clients, engine.client_generators(seed, k, 1))
+    opt = SampleBuffer(fed.clients, seed, 0)
+    inf = SampleBuffer(fed.clients, seed, 1)
     e, etas = rows.intervals, rows.etas
     rounds = len(e)
     starts = [None] * rounds if logistic else affine_group_starts(e.tolist(), rounds)

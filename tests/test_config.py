@@ -160,6 +160,17 @@ def test_a_bad_value_is_rejected(kwargs, message):
         ExperimentConfig(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "x0", [np.zeros(5), [0, 0.5, 1, 0, 0], (np.float32(0.25),) * 5], ids=["array", "list", "numpy"]
+)
+def test_a_vector_x0_is_stored_as_a_tuple_of_floats(x0):
+    c = ExperimentConfig(x0=x0)
+    assert type(c.x0) is tuple and all(type(v) is float for v in c.x0)
+    assert c.x0 == tuple(float(v) for v in x0)
+    assert c == ExperimentConfig(x0=x0) and hash(c) == hash(ExperimentConfig(x0=x0))
+    assert parse_config_text(config_text(c)) == c
+
+
 def test_config_does_not_reference_the_harness_or_the_engine():
     # The config describes a run; the harness runs it.
     source = inspect.getsource(config)

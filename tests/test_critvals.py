@@ -632,6 +632,19 @@ class TestTableChecks:
         with pytest.raises(ValueError, match=f"{name} must differ by more than 1e-09"):
             CriticalValueTable(betas, levels, values, steps=1000, replications=1000)
 
+    @pytest.mark.parametrize(
+        "betas, levels, name",
+        [((0.5, 0.5), (0.95,), "betas"), ((0.5,), (0.95, 0.95000000001), "levels")],
+        ids=["equal-betas", "levels-within-match"],
+    )
+    def test_simulate_table_rejects_them_before_drawing(self, betas, levels, name, monkeypatch):
+        def never(*args):
+            raise AssertionError("simulate_statistics ran")
+
+        monkeypatch.setattr(critvals, "simulate_statistics", never)
+        with pytest.raises(ValueError, match=f"{name} must differ by more than 1e-09"):
+            simulate_table(betas, levels, steps=1000, replications=400000, seed=1)
+
     @pytest.mark.parametrize("shape", [(2, 1), (1, 2), (1,)], ids=["rows", "columns", "flat"])
     def test_rejects_values_of_another_shape(self, shape):
         with pytest.raises(ValueError, match="values must be one row per beta, one column"):

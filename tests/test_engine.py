@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fedstat import engine, models, roundoff, schedules
 from fedstat.engine import DivergenceError, SampleBuffer, average_estimate, run
@@ -93,7 +95,7 @@ class TestReductionToParallelSgd:
         seed = 123
         path = run(fed, table(sched, rounds), np.zeros(4), seed=seed)
 
-        buffer = SampleBuffer(fed.clients, engine.client_generators(seed, 3, 0))
+        buffer = SampleBuffer(fed.clients, seed, 0)
         etas = table(sched, rounds).etas
         pivot, z = np.zeros(4), unit_z(4)
         reference = []
@@ -117,14 +119,13 @@ class TestReductionToParallelSgd:
 
 class TestObserversAndDeterminism:
     @pytest.mark.parametrize("kind", ["linear", "logistic", "quadratic"])
-    def test_block_draws_equal_per_round_draws(self, kind, monkeypatch):
+    def test_block_draws_equal_per_round_draws(self, kind):
         """``inference_draws`` equals a per-round evaluation, bit for bit.
 
         The path crosses an inference-buffer refill and ends on a partial
         block.  The reference takes one inference row per round from the
         client substreams and evaluates the weighted draws at that round's
-        synchronized point with the per-round formulas; both read the same
-        rows from every stream in draws of the same sizes.
+        synchronized point with the per-round formulas.
         """
         rounds = 2 * engine._BUFFER_CHUNK + 37
         d, k, seed = 3, 4, 21
@@ -141,12 +142,9 @@ class TestObserversAndDeterminism:
             fed = federation_of(clients, weights=weights)
         rows = explicit_table(tuple(1 + m % 3 for m in range(rounds)), (0.05,) * rounds)
         path = run(fed, rows, np.zeros(d), seed=seed)
-        sizes = draw_sizes(monkeypatch)
         blocks = list(engine.inference_draws(fed, seed, path.points))
-        block_sizes = per_stream(sizes)
-        sizes.clear()
 
-        buffer = SampleBuffer(fed.clients, engine.client_generators(seed, k, 1))
+        buffer = SampleBuffer(fed.clients, seed, 1)
         centers = np.stack([c.local_optimum for c in fed.clients])
         curvatures = np.array([c.curvature for c in fed.clients])
         grads, hessians = [], []
@@ -167,7 +165,6 @@ class TestObserversAndDeterminism:
                 grads.append(weights @ (a * resid[:, None]))
                 hessians.append(models.weighted_gram(a[None], weights)[0])
 
-        assert per_stream(sizes) == block_sizes
         full, partial = divmod(rounds, engine.BLOCK_ROUNDS)
         assert [len(g) for g, _ in blocks] == [engine.BLOCK_ROUNDS] * full + [partial]
         np.testing.assert_array_equal(np.concatenate([g for g, _ in blocks]), np.stack(grads))
@@ -233,12 +230,14 @@ class TestObserversAndDeterminism:
         sched = schedules.CommunicationSchedule("constant", base=2, gamma0=0.3, alpha=0.51)
         seed = 77
         for stream in (0, 1):
-            small_rngs = engine.client_generators(seed, 2, stream)
-            large_rngs = engine.client_generators(seed, 4, stream)
+            small_rngs = engine.client_generators(seed, 2, stream, 2)
+            large_rngs = engine.client_generators(seed, 4, stream, 2)
             for k in range(2):
-                a = small_rngs[k].standard_normal(8)
-                b = large_rngs[k].standard_normal(8)
-                np.testing.assert_array_equal(a, b)
+                for small, large in zip(small_rngs[k], large_rngs[k]):
+                    np.testing.assert_array_equal(small.random(8), large.random(8))
+        # Every substream of every client and stream is a stream of its own.
+        streams = [engine.client_generators(seed, 4, stream, 2) for stream in (0, 1)]
+        assert len({rng.random() for clients in streams for pair in clients for rng in pair}) == 16
 
 
 class TestGuardsAndHelpers:
@@ -329,13 +328,12 @@ class TestGuardsAndHelpers:
         assert lines[1].startswith("1,1,0.5")
         assert len(lines) == 4
 
-    def test_sample_buffer_matches_direct_draws(self, monkeypatch):
+    def test_sample_buffer_matches_direct_draws(self):
         """Takes that cross refills, one longer than a chunk, read the stream
-        in order; each refill draws max(chunk, rows still missing).  A take is
-        valid until the next one, so each is copied before the next."""
-        sizes = draw_sizes(monkeypatch)
+        in order.  A take is valid until the next one, so each is copied
+        before the next."""
         client = ClientModel("linear", np.array([1.0, -1.0]))
-        buf = SampleBuffer((client,), [np.random.default_rng(3)])
+        buf = SampleBuffer((client,), 3, 0)
         takes = (5, 2040, 10, 5000, 1, 300)
         taken_a, taken_b = [], []
         for n in takes:
@@ -343,10 +341,8 @@ class TestGuardsAndHelpers:
             assert a.shape == (n, 1, 2) and b.shape == (n, 1)
             taken_a.append(a[:, 0].copy())
             taken_b.append(b[:, 0].copy())
-        chunk = engine._BUFFER_CHUNK
-        assert chunk == 2048
-        assert [n for _, n in sizes] == [chunk, chunk, 5000 - (2 * chunk - 5 - 2040 - 10), chunk]
-        direct_a, direct_b = client.draw(np.random.default_rng(3), sum(takes))
+        assert max(takes) > engine._BUFFER_CHUNK
+        direct_a, direct_b = client.draw(engine.client_generators(3, 1, 0, 1)[0], sum(takes))
         np.testing.assert_array_equal(np.concatenate(taken_a), direct_a)
         np.testing.assert_array_equal(np.concatenate(taken_b), direct_b)
 
@@ -364,26 +360,6 @@ class TestGuardsAndHelpers:
             warnings.simplefilter("error")
             path = run(quadratic_fed([0.0]), fixed_step(0.5, 10), np.array([1e150]), 0)
         np.testing.assert_array_equal(path.points[:, 0], 1e150 * 0.5 ** np.arange(1, 11))
-
-
-def draw_sizes(monkeypatch):
-    """Record every ClientModel.draw as (stream key, rows), in call order."""
-    sizes = []
-    draw = ClientModel.draw
-
-    def recorded(self, rng, n):
-        sizes.append((rng.bit_generator.seed_seq.spawn_key, n))
-        return draw(self, rng, n)
-
-    monkeypatch.setattr(ClientModel, "draw", recorded)
-    return sizes
-
-
-def per_stream(sizes):
-    streams = {}
-    for key, n in sizes:
-        streams.setdefault(key, []).append(n)
-    return streams
 
 
 class TestRoundGroups:
@@ -407,20 +383,16 @@ class TestRoundGroups:
         return linear_fed(optima, weights=weights)
 
     @pytest.mark.parametrize("kind", ["linear", "logistic"])
-    def test_groups_equal_one_take_per_round(self, kind, monkeypatch):
+    def test_groups_equal_one_take_per_round(self, kind):
         fed = self.federation(kind)
         rounds = len(self.INTERVALS)
         rows = explicit_table(self.INTERVALS, (0.002,) * rounds)
         x0 = np.full(3, 0.5)
-        sizes = draw_sizes(monkeypatch)
         points, grads, hessians, diverged = per_round_run(fed, rows, x0, seed=4)
         assert diverged is None
-        reference_sizes = per_stream(sizes)
-        sizes.clear()
         path = run(fed, rows, x0, seed=4)
         blocks = list(engine.inference_draws(fed, 4, path.points))
-        assert per_stream(sizes) == reference_sizes
-        assert max(n for _, n in sizes) > engine._BUFFER_CHUNK
+        assert max(self.INTERVALS) > engine._BUFFER_CHUNK
         np.testing.assert_array_equal(path.points, np.array(points))
         np.testing.assert_array_equal(np.concatenate([g for g, _ in blocks]), np.stack(grads))
         np.testing.assert_array_equal(np.concatenate([h for _, h in blocks]), np.stack(hessians))
@@ -436,6 +408,52 @@ class TestRoundGroups:
         assert m is not None and 1 < m < rounds
         with pytest.raises(DivergenceError, match=f"at round {m}$"):
             run(fed, rows, x0, seed=8)
+
+
+class TestSampleContract:
+    """A take of n rows is the next n rows of every client's streams, however
+    the takes are split, so no result depends on the buffer's chunk size."""
+
+    KINDS = ["linear", "logistic", "quadratic"]
+
+    @staticmethod
+    def clients(kind):
+        optima = np.random.default_rng(9).standard_normal((3, 3))
+        if kind == "logistic":
+            return tuple(ClientModel(kind, optima[0]) for _ in range(3))
+        return tuple(ClientModel(kind, o, curvature=1.0 + i) for i, o in enumerate(optima))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @settings(max_examples=25, deadline=None)
+    @given(
+        takes=st.lists(st.integers(1, 2 * engine._BUFFER_CHUNK + 100), min_size=1, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(takes=[7, 2040, 1, 2500, 452], seed=0)
+    def test_split_takes_equal_one_take(self, kind, takes, seed):
+        clients = self.clients(kind)
+        split = SampleBuffer(clients, seed, 0)
+        parts = [[x.copy() for x in split.take(n)] for n in takes]
+        whole = SampleBuffer(clients, seed, 0).take(sum(takes))
+        for j, rows in enumerate(whole):
+            np.testing.assert_array_equal(np.concatenate([part[j] for part in parts]), rows)
+
+    @pytest.mark.parametrize("chunk", [256, 300, 4096])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_results_do_not_depend_on_the_chunk(self, kind, chunk, monkeypatch):
+        fed = federation_of(self.clients(kind), weights=[0.2, 0.3, 0.5])
+        rows = explicit_table(TestRoundGroups.INTERVALS, (0.002,) * len(TestRoundGroups.INTERVALS))
+        x0 = np.full(3, 0.5)
+
+        def outputs():
+            path = run(fed, rows, x0, seed=6)
+            draws = list(engine.inference_draws(fed, 6, path.points))
+            return [path.points, *(np.concatenate(column) for column in zip(*draws))]
+
+        expected = outputs()
+        monkeypatch.setattr(engine, "_BUFFER_CHUNK", chunk)
+        for found, wanted in zip(outputs(), expected, strict=True):
+            np.testing.assert_array_equal(found, wanted)
 
 
 def traced_peak(call):
@@ -472,7 +490,7 @@ class TestFootprint:
         path = run(self.fed, self.table, self.x0, seed=1)
         for _ in engine.inference_draws(self.fed, 1, path.points):
             pass
-        rows = engine._BUFFER_CHUNK + engine.BLOCK_ROUNDS
+        rows = engine._BUFFER_CHUNK
         self.bound = rows * self.K * (self.D + 1) * 8 + 512 * 1024
 
     def test_run_holds_one_buffer(self):

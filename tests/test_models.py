@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 from fedstat import models
-from fedstat.engine import SampleBuffer
+from fedstat.engine import SampleBuffer, client_generators
 from fedstat.models import ClientModel, federation_of, true_sandwich
 from reference import round_map
 
 ONE = np.ones(1)  # the weights of a single client
 
 
-def rng_pair(seed=0):
-    return np.random.default_rng(seed), np.random.default_rng(seed)
+def substreams(model, seed):
+    """A client's substreams of stream 0 of ``seed``, as a run builds them."""
+    return client_generators(seed, 1, 0, models.SUBSTREAMS[model.kind])[0]
 
 
 def draws_at(model, a, b, X):
@@ -22,7 +23,7 @@ def draws_at(model, a, b, X):
 
 
 def quadratic_draws_at(model, X):
-    a, b = model.draw(np.random.default_rng(0), len(X))
+    a, b = model.draw((), len(X))
     return models.quadratic_draws(ONE, a[:, None], b[:, None], X)
 
 
@@ -43,7 +44,7 @@ class TestQuadratic:
         x = np.array([0.3, -0.7])
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
-        a, b = model.draw(rng, 5)
+        a, b = model.draw((rng,), 5)
         np.testing.assert_array_equal(a, np.tile(model.local_optimum, (5, 1)))
         np.testing.assert_array_equal(b, np.full(5, model.curvature))
         assert rng.bit_generator.state == state
@@ -57,7 +58,7 @@ class TestLinear:
         d, n = 4, 100_000
         model = ClientModel("linear", np.array([0.5, -1.0, 2.0, 0.0]))
         rng = np.random.default_rng(11)
-        a, b = model.draw(rng, n)
+        a, b = model.draw((rng,), n)
         grads, _ = draws_at(model, a, b, np.tile(model.local_optimum, (n, 1)))
         mean = grads.mean(axis=0)
         se = grads.std(axis=0, ddof=1) / np.sqrt(n)
@@ -66,13 +67,13 @@ class TestLinear:
     def test_hessian_mean_is_identity(self):
         d, n = 3, 100_000
         model = ClientModel("linear", np.zeros(d))
-        a, b = model.draw(np.random.default_rng(5), n)
+        a, b = model.draw((np.random.default_rng(5),), n)
         _, hessians = draws_at(model, a, b, np.zeros((n, d)))
         assert np.all(np.abs(hessians.mean(axis=0) - np.eye(d)) < 0.05)
 
     def test_response_uses_noise_scale(self):
         model = ClientModel("linear", np.zeros(2), noise_scale=0.0)
-        a, b = model.draw(np.random.default_rng(3), 1000)
+        a, b = model.draw((np.random.default_rng(3),), 1000)
         np.testing.assert_allclose(b, a @ model.local_optimum, atol=1e-15)
 
 
@@ -81,7 +82,7 @@ class TestLogistic:
         d, n = 3, 100_000
         xstar = np.linspace(0.0, 1.0, d)
         model = ClientModel("logistic", xstar)
-        a, b = model.draw(np.random.default_rng(17), n)
+        a, b = model.draw(substreams(model, 17), n)
         grads, _ = draws_at(model, a, b, np.tile(xstar, (n, 1)))
         mean = grads.mean(axis=0)
         se = grads.std(axis=0, ddof=1) / np.sqrt(n)
@@ -90,14 +91,14 @@ class TestLogistic:
     def test_hessian_mean_at_zero_is_quarter_identity(self):
         d, n = 3, 100_000
         model = ClientModel("logistic", np.linspace(0, 1, d))
-        a, b = model.draw(np.random.default_rng(23), n)
+        a, b = model.draw(substreams(model, 23), n)
         _, hessians = draws_at(model, a, b, np.zeros((n, d)))
         mean = hessians.mean(axis=0)
         assert np.all(np.abs(mean - 0.25 * np.eye(d)) < 0.05 * 0.25 + 0.01)
 
     def test_labels_are_binary(self):
         model = ClientModel("logistic", np.ones(2))
-        _, b = model.draw(np.random.default_rng(1), 500)
+        _, b = model.draw(substreams(model, 1), 500)
         assert set(np.unique(b)) <= {0.0, 1.0}
 
 
@@ -105,9 +106,8 @@ class TestSharedSampleDraws:
     def test_gradient_hessian_share_one_sample(self):
         model = ClientModel("linear", np.array([1.0, -1.0]))
         x = np.array([0.2, 0.4])
-        r1, r2 = rng_pair(9)
-        g, h = draws_at(model, *model.draw(r1, 1), x[None])
-        a, b = model.draw(r2, 1)
+        g, h = draws_at(model, *model.draw(substreams(model, 9), 1), x[None])
+        a, b = model.draw(substreams(model, 9), 1)
         # The kernel's reduction: one stacked matmul dot per row.
         resid = np.matmul(a[None], x[None, :, None])[0, 0, 0] - b[0]
         np.testing.assert_array_equal(h[0], np.outer(a[0], a[0]))
@@ -115,9 +115,8 @@ class TestSharedSampleDraws:
 
     def test_identical_seed_identical_stream(self):
         model = ClientModel("logistic", np.linspace(0, 1, 4))
-        r1, r2 = rng_pair(42)
-        a1, b1 = model.draw(r1, 64)
-        a2, b2 = model.draw(r2, 64)
+        a1, b1 = model.draw(substreams(model, 42), 64)
+        a2, b2 = model.draw(substreams(model, 42), 64)
         np.testing.assert_array_equal(a1, a2)
         np.testing.assert_array_equal(b1, b2)
 
@@ -197,7 +196,7 @@ class TestStepKernels:
         if equal_rows:
             X[...] = X[0]
         points = np.empty((len(intervals), d))
-        buffer = SampleBuffer(clients, [np.random.default_rng(s) for s in range(k)])
+        buffer = SampleBuffer(clients, seed, 0)
         buffer.take(5)
         A, B = buffer.take(sum(intervals))
         expected_X, expected = per_round_reference(
@@ -245,7 +244,7 @@ class TestStepKernels:
     def test_one_step_rounds_need_equal_rows(self):
         k, d = 3, 4
         clients = tuple(ClientModel("linear", np.zeros(d)) for _ in range(k))
-        buffer = SampleBuffer(clients, [np.random.default_rng(s) for s in range(k)])
+        buffer = SampleBuffer(clients, k, 0)
         A, B = buffer.take(2)
         X = np.zeros((k, d))
         X[1, 2] = 1e-300
@@ -270,7 +269,7 @@ class TestTextbookStep:
         weights = rng.random(k) + 0.5
         weights /= weights.sum()
         clients = tuple(ClientModel(kind, optimum) for _ in range(k))
-        buffer = SampleBuffer(clients, [np.random.default_rng(s) for s in range(k)])
+        buffer = SampleBuffer(clients, k, 0)
         buffer.take(3)
         intervals, etas = [100, 1, 50, 149], [0.05, 0.1, 0.02, 0.03]
         A, B = buffer.take(sum(intervals))
@@ -301,7 +300,7 @@ class TestTextbookStep:
         weights = rng.random(k) + 0.5
         weights *= 0.999 / weights.sum()
         clients = tuple(ClientModel("linear", o) for o in optima)
-        buffer = SampleBuffer(clients, [np.random.default_rng(s) for s in range(k)])
+        buffer = SampleBuffer(clients, k, 0)
         buffer.take(3)
         rounds = 300
         etas = list(0.4 / np.arange(1, rounds + 1) ** 0.6)
@@ -482,7 +481,7 @@ class TestTrueSandwich:
         n = 200_000
         agg = np.zeros((n, 2))
         for client, p in zip(fed.clients, fed.weights):
-            a, b = client.draw(rng, n)
+            a, b = client.draw((rng,), n)
             grads, _ = draws_at(client, a, b, np.tile(fed.global_optimum, (n, 1)))
             agg += p * (grads - grads.mean(axis=0))
         s_mc = agg.T @ agg / n

@@ -11,11 +11,12 @@ for seeds 0-1, the ``engine.save_path_csv`` text of one logistic
 sample buffer (``GROWN``, the intervals of ``tests/test_engine.py``'s
 ``TestRoundGroups``).  Prints one ``sha256  name`` line per ``report.csv``,
 ``replications.csv``, path dump, table, curve and path text, then a digest
-of all of them.  Takes about a minute.  To check a change, run it on both
-checkouts and diff:
+of all of them.  Takes about a minute.  It digests the checkout it lives
+in, so to check a change, run each checkout's own copy and diff the two:
 
+    python ../parent/tools/bytes_check.py > before.txt   # the parent's checkout
     python tools/bytes_check.py > after.txt
-    python tools/bytes_check.py ../parent > before.txt   # the parent's checkout
+    diff before.txt after.txt
 """
 
 import contextlib
@@ -25,7 +26,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-ROOT = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).resolve().parents[1]).resolve()
+ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from cell import _config, critvals_cell  # noqa: E402
