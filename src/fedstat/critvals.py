@@ -41,9 +41,12 @@ replications.  The split depends on the number of paths alone, and each
 path is reduced on its own with BLAS-free sums, so the sample depends
 neither on the block size, nor on the timing, nor on the BLAS thread count,
 nor on the number of cores (see ``simulate_statistics``).
-``simulate_table`` reads its quantiles by partitioning the sample in place,
-so a table run holds the sample once, 8 bytes per beta and replication,
-plus the two draw buffers.
+``simulate_statistics`` keeps only the paths' statistics, and
+``simulate_table`` builds one beta's antithetic row at a time, the
+statistics then their negations, and reads its quantiles by partitioning
+that row in place.  A table run of R replications holds P = ceil(R/2)
+values per beta and one row of R values, 4 + 8/betas bytes per beta and
+replication (6 for the four default betas), plus the two draw buffers.
 
 A pre-generated table ships with the package; inference never simulates at
 runtime.  ``default_table`` reads it afresh on every call, so no caller sees
@@ -121,13 +124,16 @@ class CriticalValueTable:
 def simulate_statistics(
     beta_list: tuple[float, ...], steps: int, replications: int, seed: int
 ) -> np.ndarray:
-    """Realizations of t*(beta), one row per beta.
+    """Realizations of t*(beta) on the sample's paths, one row per beta.
 
-    All betas share the same Brownian paths, and paths come in antithetic
-    pairs: with P = ceil(replications / 2) paths, columns 0..P-1 of a row hold
-    the statistics of paths 0..P-1 in order and columns P..2P-1 their
-    negations.  When ``replications`` is odd, the negation of the last path
-    is dropped, so every sample is exactly symmetric up to that one value.
+    All betas share the same Brownian paths.  A sample of ``replications``
+    values comes from P = ceil(replications / 2) paths in antithetic pairs
+    (B, -B), and t*(-B) = -t*(B), so only the paths' statistics are
+    returned: column j of a row holds path j's, shape (betas, P).  The
+    sample is that row followed by the negations of its first
+    replications - P values (``simulate_table`` builds it one beta at a
+    time); when ``replications`` is odd, the last path's negation is
+    dropped, so every sample is exactly symmetric up to that one value.
 
     A path is ``steps`` = n standard normals: B(1), then the bridge's
     coordinates Y_1..Y_{n-1} in its sine basis (see the module docstring).
@@ -168,7 +174,7 @@ def simulate_statistics(
     cross = cross[crossed]
     pairs = (replications + 1) // 2
     rows = _block_rows(steps)
-    out = np.empty((len(beta_list), 2 * pairs))
+    out = np.empty((len(beta_list), pairs))
 
     def simulate(stream: np.random.SeedSequence, first: int, stop: int) -> None:
         rng = np.random.default_rng(stream)
@@ -194,8 +200,7 @@ def simulate_statistics(
     streams = np.random.SeedSequence(seed).spawn(_STREAMS)
     with ThreadPoolExecutor(max_workers=_STREAMS) as pool:
         list(pool.map(simulate, streams, bounds, bounds[1:]))  # re-raises a worker's error
-    np.negative(out[:, :pairs], out=out[:, pairs:])
-    return out[:, :replications]
+    return out
 
 
 def _bridge_weights(
@@ -232,8 +237,11 @@ def simulate_table(
 ) -> CriticalValueTable:
     """Monte Carlo quantile table for the given betas and probability levels.
 
-    The quantiles partition the simulated sample in place, so the run holds
-    no copy of it.
+    One beta at a time, the paths' statistics from ``simulate_statistics``
+    and the negations of the first replications - P of them fill one row of
+    ``replications`` values, and the quantiles partition that row in place:
+    the run holds the paths' statistics and one row, never the whole
+    antithetic sample.
     """
     betas = tuple(float(b) for b in betas)
     levels = tuple(float(p) for p in levels)
@@ -249,7 +257,13 @@ def simulate_table(
         raise ValueError("seed must be >= 0")
     _check_distinct(betas, levels)
     stats = simulate_statistics(betas, steps, replications, seed)
-    values = np.quantile(stats, levels, axis=1, overwrite_input=True).T
+    pairs = stats.shape[1]
+    row = np.empty(replications)
+    values = np.empty((len(betas), len(levels)))
+    for paths, quantiles in zip(stats, values):
+        row[:pairs] = paths
+        np.negative(paths[: replications - pairs], out=row[pairs:])
+        quantiles[:] = np.quantile(row, levels, overwrite_input=True)
     return CriticalValueTable(
         betas=betas,
         levels=levels,

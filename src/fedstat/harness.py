@@ -493,7 +493,7 @@ def partial_sum_process(
     ``path.table``, so no table is built.
     """
     x_star = np.asarray(x_star, dtype=np.float64)
-    hs = [schedules.fclt_time_scale(path.table, float(r)) for r in grid]
+    hs = schedules.fclt_time_scale(path.table, grid)
     ends = sorted(set(hs) - {0})
     estimates = dict(zip(ends, engine._prefix_estimates(path.points, ends)))
     scale = math.sqrt(path.total_iterations)

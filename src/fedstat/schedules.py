@@ -265,18 +265,22 @@ def diagnostics(schedule: CommunicationSchedule, total_rounds: int) -> ScheduleD
     return _diagnostics(intervals(schedule, total_rounds))
 
 
-def fclt_time_scale(table: ScheduleTable, r: float) -> int:
+def fclt_time_scale(table: ScheduleTable, r: float | Sequence[float]) -> int | list[int]:
     """Largest n with sum_{m<=n} 1/E_m <= r * sum_{m<=T} 1/E_m over the table's T rounds.
 
     This is the time index at which the rescaled partial-sum process is
     evaluated; r = 1 always maps to T.  Returns 0 when even the first round
-    exceeds the budget (possible for tiny r under growing intervals).
+    exceeds the budget (possible for tiny r under growing intervals).  A
+    sequence of r gives the list of their indices, all read off one
+    cumulative sum.
     """
-    if not 0.0 < r <= 1.0:
+    rs = np.asarray(r, dtype=np.float64)
+    if not np.all((0.0 < rs) & (rs <= 1.0)):
         raise ValueError("r must lie in (0, 1]")
     css = np.cumsum(1.0 / table.intervals)
-    budget = r * css[-1]
-    return int(np.searchsorted(css, budget * (1.0 + 1e-12), side="right"))
+    budget = rs * css[-1]
+    hs = np.searchsorted(css, budget * (1.0 + 1e-12), side="right")
+    return int(hs) if hs.ndim == 0 else hs.tolist()
 
 
 def _trends(

@@ -293,11 +293,10 @@ class TestWeights:
 class TestDistribution:
     @pytest.mark.parametrize("steps", [10, 100])
     def test_same_law_as_the_random_walk(self, steps):
-        # Two-sample KS per beta between 2 * 10^4 independent paths a side
-        # (the first P columns of an antithetic sample are the P paths);
+        # Two-sample KS per beta between 2 * 10^4 independent paths a side;
         # 0.0195 is the 0.001-level bound for these sample sizes.
         paths = 20000
-        stats = critvals.simulate_statistics(FOUR_BETAS, steps, 2 * paths, 21)[:, :paths]
+        stats = critvals.simulate_statistics(FOUR_BETAS, steps, 2 * paths, 21)
         walk = random_walk_statistics(FOUR_BETAS, steps, paths, 22)
         bound = math.sqrt(-math.log(0.001 / 2) / 2) * math.sqrt(2 / paths)
         for row, ref_row in zip(stats, walk):
@@ -331,14 +330,13 @@ class TestBlockParity:
     def test_sorted_samples_equal_reference(self, betas, steps, full, rest, odd):
         reps = self.replications(steps, full, rest, odd)
         seed = steps + reps
+        # The paths' statistics only: the reference's first P columns.
         stats = critvals.simulate_statistics(betas, steps, reps, seed)
-        reference = reference_statistics(betas, steps, reps, seed)
-        assert stats.shape == reference.shape == (len(betas), reps)
+        pairs = (reps + 1) // 2
+        reference = reference_statistics(betas, steps, reps, seed)[:, :pairs]
+        assert stats.shape == reference.shape == (len(betas), pairs)
         for row, ref_row in zip(stats, reference):
             assert np.array_equal(np.sort(row), np.sort(ref_row))
-        # Statistics first, negations after; odd drops the last path's negation.
-        pairs = (reps + 1) // 2
-        assert np.array_equal(stats[:, pairs:], -stats[:, : reps - pairs])
 
     @pytest.mark.parametrize("betas, steps, full, rest, odd", CASES)
     def test_table_values_equal_reference(self, betas, steps, full, rest, odd):
@@ -356,7 +354,8 @@ class TestBlockParity:
         steps = 9000
         reps = self.replications(steps, 1, 1, 0)
         stats = critvals.simulate_statistics(FOUR_BETAS, steps, reps, 3)
-        np.testing.assert_array_equal(stats, reference_statistics(FOUR_BETAS, steps, reps, 3))
+        reference = reference_statistics(FOUR_BETAS, steps, reps, 3)[:, : (reps + 1) // 2]
+        np.testing.assert_array_equal(stats, reference)
 
     def test_sample_does_not_depend_on_worker_timing(self, monkeypatch):
         # The first worker thread to reach einsum sleeps before each of its
@@ -381,7 +380,7 @@ class TestBlockParity:
 
         betas, steps = FOUR_BETAS, 100
         reps = self.replications(steps, 4, 5, 1)  # five blocks a half, the last partial
-        reference = reference_statistics(betas, steps, reps, 5)
+        reference = reference_statistics(betas, steps, reps, 5)[:, : (reps + 1) // 2]
         slow = SlowEinsum()
         monkeypatch.setattr(critvals, "np", slow)
         interval = sys.getswitchinterval()
@@ -396,8 +395,9 @@ class TestBlockParity:
 
 class TestFootprint:
     def test_table_holds_one_copy_of_its_sample(self):
-        # The sample, the two workers' draw buffers and 512 KiB of the rest:
-        # the quantiles partition the sample in place instead of a copy.
+        # The paths' statistics (half the sample), the larger of the two
+        # workers' draw buffers and one beta's full row, and 512 KiB of the
+        # rest: the quantiles partition that row in place, one beta at a time.
         steps, reps = 100, 400_000
         simulate_table(FOUR_BETAS, REFERENCE_LEVELS, steps=steps, replications=1000, seed=0)
         tracemalloc.start()
@@ -406,9 +406,9 @@ class TestFootprint:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        sample = len(FOUR_BETAS) * reps * 8
+        paths = len(FOUR_BETAS) * (reps // 2) * 8
         buffers = 2 * critvals._block_rows(steps) * steps * 8
-        assert peak <= sample + buffers + 512 * 1024
+        assert peak <= paths + max(buffers, reps * 8) + 512 * 1024
 
 
 class TestArithmetic:
@@ -417,7 +417,7 @@ class TestArithmetic:
         # Every path of the sample against the centered form, in 80-bit
         # arithmetic, on the path its normals imply.
         paths = 200_000 // steps
-        stats = critvals.simulate_statistics(FOUR_BETAS, steps, 2 * paths, steps)[:, :paths]
+        stats = critvals.simulate_statistics(FOUR_BETAS, steps, 2 * paths, steps)
         normals = np.concatenate([chunk for _, chunk in stream_normals(steps, paths, steps)])
         reference = implied_path_statistics(FOUR_BETAS, normals).astype(np.float64)
         assert np.all(np.isfinite(stats))
@@ -446,7 +446,7 @@ class TestArithmetic:
             )
             assert done.returncode == 0, done.stderr.decode()
             outputs.append(done.stdout)
-        assert len(outputs[0]) == 4 * 80 * 8
+        assert len(outputs[0]) == 4 * 40 * 8  # 80 replications: 40 paths
         assert outputs[0] == outputs[1] == outputs[2]
 
 

@@ -871,6 +871,21 @@ class TestPartialSumProcess:
         phi = partial_sum_process(path, x_star, [0.25, 0.5, 1.0])
         np.testing.assert_array_equal(phi, np.zeros((3, 2)))
 
+    def test_reads_the_time_change_once(self, monkeypatch):
+        # One cumulative sum of 1/E_m serves the whole grid.
+        calls = []
+        fclt_time_scale = schedules.fclt_time_scale
+
+        def counted(table, r):
+            calls.append(r)
+            return fclt_time_scale(table, r)
+
+        monkeypatch.setattr(schedules, "fclt_time_scale", counted)
+        c1 = schedules.CommunicationSchedule("constant", base=1)
+        path = engine.SyncPath(np.zeros((8, 1)), schedules.table(c1, 8))
+        partial_sum_process(path, np.zeros(1), [0.25, 0.5, 0.5, 1.0])
+        assert calls == [[0.25, 0.5, 0.5, 1.0]]
+
     def test_grid_prefix_sums(self):
         points = np.arange(8.0)[:, None]
         c1 = schedules.CommunicationSchedule("constant", base=1)

@@ -161,6 +161,19 @@ class TestFcltTimeScale:
             fclt(constant(1), 0.0, 5)
         with pytest.raises(ValueError):
             fclt(constant(1), 1.5, 5)
+        with pytest.raises(ValueError):
+            fclt(constant(1), [0.5, float("nan")], 5)
+
+    def test_a_sequence_equals_one_call_per_r(self):
+        # Repeated r, and r small enough that even the first round exceeds
+        # the budget under growing intervals.
+        sched = CommunicationSchedule("power", base=2, exponent=0.5, warmup_fraction=0.05)
+        rows = schedules.table(sched, 500)
+        grid = [0.001, 0.3, 0.3, *np.linspace(0.002, 1.0, 61), 0.001, 1.0]
+        hs = schedules.fclt_time_scale(rows, grid)
+        assert hs == [schedules.fclt_time_scale(rows, r) for r in grid]
+        assert all(type(h) is int for h in hs)
+        assert hs[0] == 0 and hs[-1] == 500
 
 
 class TestLabel:
