@@ -363,7 +363,13 @@ class ClientModel:
         if self.kind == "linear":
             z = rngs[0].standard_normal((n, d + 1))
             a = z[:, :d]
-            b = a @ self.local_optimum + self.noise_scale * z[:, d]
+            # a @ x* summed column by column: BLAS gives a lone row other
+            # bits than the same row inside a block, and a row's response
+            # must not depend on how many rows were drawn with it.
+            b = a[:, 0] * self.local_optimum[0]
+            for i in range(1, d):
+                b += a[:, i] * self.local_optimum[i]
+            b += self.noise_scale * z[:, d]
             return a, b
         if self.kind == "logistic":
             a = rngs[0].standard_normal((n, d))

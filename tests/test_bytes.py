@@ -58,10 +58,13 @@ CONFIGS = {
 }
 
 DIGESTS = {
+    # The paths restated when a linear response became a column-by-column
+    # sum, the same bits for a row however many rows are drawn with it; the
+    # replication and report bytes did not move.
     "linear-c1": {
-        "paths/rep_0000.csv": "0e83dfc401b8a4dfcc097fd72ead8bea100839497b3933a816354b52a112cb58",
-        "paths/rep_0001.csv": "80841f87fec173eaa7069cd16584de4b90d1a7c9424dbcd9520358df0c8e985b",
-        "paths/rep_0002.csv": "02a5d4d9a6eaed48ab444f5aebeca2fbd3a113db0671f504eeb5558a8e25410a",
+        "paths/rep_0000.csv": "3d909d2b85daf91cb9803a59c37074300bce089f308ada92d50134ac4e5e1741",
+        "paths/rep_0001.csv": "5ac737a319e4c6220724662af93e70218d2c54a93b5c1b3a1760c2e15f15309d",
+        "paths/rep_0002.csv": "6826feaa22101abb50066ab4ec5239a2a3fecb2b923908cddff4c69572f759b0",
         "replications.csv": "362d939affc2727412e71f83fd192bdfacc2d81f62f73a5910fb934424734a9d",
         "report.csv": "cfa4f349a0fbc9d1c806aeef9757a6cbe50124cf7dd243809e669ca0bc5fb86e",
     },

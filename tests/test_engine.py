@@ -430,6 +430,7 @@ class TestSampleContract:
         seed=st.integers(0, 2**32 - 1),
     )
     @example(takes=[7, 2040, 1, 2500, 452], seed=0)
+    @example(takes=[1, 2048], seed=2)  # a refill that draws one row alone
     def test_split_takes_equal_one_take(self, kind, takes, seed):
         clients = self.clients(kind)
         split = SampleBuffer(clients, seed, 0)
