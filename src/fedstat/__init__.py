@@ -10,7 +10,7 @@ from .harness import (
     partial_sum_process,
     run_experiment,
 )
-from .models import ClientModel, Federation, federation_of, true_sandwich
+from .models import ClientModel, Federation, true_sandwich
 from .plugin import PluginState, SingularHessian
 from .rscale import RScaleState, beta_for_schedule
 from .schedules import (
@@ -45,7 +45,6 @@ __all__ = [
     "run_experiment",
     "ClientModel",
     "Federation",
-    "federation_of",
     "true_sandwich",
     "PluginState",
     "SingularHessian",

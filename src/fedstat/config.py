@@ -127,8 +127,10 @@ class ExperimentConfig:
         for name in _INTEGER_FIELDS:
             value = getattr(self, name)
             if value is not None:
+                # Stored as a plain int, so that True is written as 1, which
+                # the parser reads, and not as "True", which it rejects.
                 try:
-                    operator.index(value)
+                    object.__setattr__(self, name, operator.index(value))
                 except TypeError:
                     raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.model not in models.KERNELS:

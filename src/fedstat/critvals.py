@@ -91,11 +91,12 @@ def _check_distinct(betas, levels) -> None:
 class CriticalValueTable:
     """Quantiles q such that P(t*(beta) <= q) = level, per (beta, level).
 
-    A table read from outside must hold finite values that do not decrease
-    as the level increases along a row, and no two betas, and no two levels,
-    that ``lookup`` cannot tell apart (within 1e-9).  ``steps`` and
-    ``replications`` must be >= 0, 0 when unknown, and ``seed`` None or
-    >= 0.  Anything else raises ``ValueError``.
+    A table read from outside must hold betas in [0, 1), levels in (0, 1),
+    finite values that do not decrease as the level increases along a row,
+    and no two betas, and no two levels, that ``lookup`` cannot tell apart
+    (within 1e-9).  ``steps`` and ``replications`` must be >= 0, 0 when
+    unknown, and ``seed`` None or >= 0.  Anything else raises ``ValueError``,
+    naming a beta or level out of range.
     """
 
     betas: tuple[float, ...]
@@ -109,6 +110,12 @@ class CriticalValueTable:
         values = np.asarray(self.values, dtype=np.float64)
         if values.shape != (len(self.betas), len(self.levels)):
             raise ValueError("values must be one row per beta, one column per level")
+        for beta in self.betas:
+            if not 0.0 <= beta < 1.0:
+                raise ValueError(f"beta {beta!r} must lie in [0, 1)")
+        for level in self.levels:
+            if not 0.0 < level < 1.0:
+                raise ValueError(f"level {level!r} must lie in (0, 1)")
         _check_distinct(self.betas, self.levels)
         if not np.isfinite(values).all():
             raise ValueError("critical values must be finite")

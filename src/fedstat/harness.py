@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -93,25 +94,26 @@ class ExperimentReport:
 
 
 def build_federation(config: ExperimentConfig) -> models.Federation:
-    """Draw the data-generating process once per experiment from the seed."""
+    """Draw the data-generating process once per experiment from the seed.
+
+    One (K, d) array holds the clients' local optima (linear) or centers
+    (quadratic): drawn per client when heterogeneous, else one drawn vector
+    (linear) or zeros (quadratic) for every client.  Logistic clients share
+    the fixed optimum linspace(0, 1, d), or 1 when d = 1, and draw nothing.
+    """
     rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0,)))
     k, d = config.clients, config.dimension
-    if config.model == "linear":
-        if config.heterogeneity:
-            optima = rng.standard_normal((k, d))
-        else:
-            optima = np.tile(rng.standard_normal(d), (k, 1))
-        clients = [
-            models.ClientModel("linear", optima[i], noise_scale=config.noise_scale)
-            for i in range(k)
-        ]
-    elif config.model == "logistic":
-        shared = np.linspace(0.0, 1.0, d) if d > 1 else np.ones(1)
-        clients = [models.ClientModel("logistic", shared) for _ in range(k)]
+    if config.model == "logistic":
+        optima = np.tile(np.linspace(0.0, 1.0, d) if d > 1 else np.ones(1), (k, 1))
+    elif config.heterogeneity:
+        optima = rng.standard_normal((k, d))
+    elif config.model == "linear":
+        optima = np.tile(rng.standard_normal(d), (k, 1))
     else:
-        centers = rng.standard_normal((k, d)) if config.heterogeneity else np.zeros((k, d))
-        clients = [models.ClientModel("quadratic", centers[i]) for i in range(k)]
-    return models.federation_of(clients)
+        optima = np.zeros((k, d))
+    return models.Federation(
+        [models.ClientModel(config.model, o, noise_scale=config.noise_scale) for o in optima]
+    )
 
 
 def rounds_for_target(schedule: schedules.CommunicationSchedule, target_observations: int) -> int:
@@ -452,14 +454,21 @@ def convergence_curve(
     synchronized points, the estimator of a t-round run.  Returns
     (rounds, mean error, standard error) per checkpoint, averaged over the
     configured number of replications; one engine run per replication, to
-    the last checkpoint.  Checkpoints must be strictly increasing and >= 1.
+    the last checkpoint.  Checkpoints must be integers (``operator.index``
+    reads them: 3.7 is refused, not cut to 3), strictly increasing and >= 1.
     As in ``run_experiment``, a replication whose run diverges (the engine's
     ``DivergenceError``) is left out of every checkpoint's mean and standard
     error, and both are nan when every replication diverged.  ``workers`` is
     capped as in ``run_experiment``.
     """
     _check_workers(workers)
-    checkpoints = tuple(int(t) for t in checkpoints)
+    rounds = []
+    for t in checkpoints:
+        try:
+            rounds.append(operator.index(t))
+        except TypeError:
+            raise ValueError(f"checkpoints must be integers, got {t!r}") from None
+    checkpoints = tuple(rounds)
     if not checkpoints or any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
         raise ValueError("checkpoints must be nonempty and strictly increasing")
     below = [t for t in checkpoints if t < 1]

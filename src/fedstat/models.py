@@ -29,7 +29,10 @@ few batched array calls, around the point the call starts from, and applies
 one matrix-vector product per round; a call with any longer round runs the
 step loop.  The weighted Gram sum_k w_k a_k a_k' of the maps and of the
 Hessian draws is one expression, ``weighted_gram``.
-``ClientModel.draw`` is the one sample generator per kind.
+``ClientModel.draw`` is the one sample generator per kind, and
+``Federation`` the one way to pool clients: it checks them and their
+weights, then derives the global optimum x* of the weighted mixture, the
+estimand every interval is scored against.
 
 The sigmoid is ``scipy.special.expit``, which only the logistic kind uses.
 Loading scipy.special took about 0.2 s and 18 MB of a 0.37 s, 55 MB cold
@@ -43,7 +46,7 @@ for callers that read its version from there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
 
 import numpy as np
@@ -52,7 +55,6 @@ import scipy
 __all__ = [
     "ClientModel",
     "Federation",
-    "federation_of",
     "true_sandwich",
     "sigmoid",
     "weighted_gram",
@@ -383,7 +385,8 @@ class ClientModel:
 class Federation:
     """A weighted pool of same-kind clients and the optimum of their mixture.
 
-    The weights must be positive and sum to 1 within 2·K·eps.  Every
+    ``clients`` is stored as a tuple, and ``weights`` defaults to 1/K.  The
+    weights must be positive and sum to 1 within 2·K·eps.  Every
     synchronization averages with them as given (``weights @ X``), so a sum
     1 + delta scales each average by 1 + delta and a noiseless run settles
     off x* by a multiple of delta, far outside the roundoff floor of
@@ -393,35 +396,49 @@ class Federation:
     0.3, 0.4, or a vector divided by its own sum) are off by at most K·eps/2
     once rounded and summed: eps/2 for the K rounded terms together, and
     eps/2 for each of the K - 1 additions.
+
+    ``global_optimum`` x* is derived from the clients, once they pass these
+    checks.  Linear with identity covariate covariance minimizes at the
+    weighted mean of the local optima; logistic clients must share one
+    optimum, which is x*; quadratic minimizes at the curvature-weighted mean
+    of the centers.
     """
 
     clients: tuple[ClientModel, ...]
-    weights: np.ndarray
-    global_optimum: np.ndarray
+    weights: np.ndarray | None = None
+    global_optimum: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        if not self.clients:
+        object.__setattr__(self, "clients", tuple(self.clients))
+        k = self.size
+        if not k:
             raise ValueError("federation needs at least one client")
-        kinds = {c.kind for c in self.clients}
-        if len(kinds) > 1:
+        if len({c.kind for c in self.clients}) > 1:
             raise ValueError("all clients must share one model kind")
-        dims = {c.dimension for c in self.clients}
-        if len(dims) > 1:
+        if len({c.dimension for c in self.clients}) > 1:
             raise ValueError("all clients must share one dimension")
-        w = np.asarray(self.weights, dtype=np.float64)
-        if w.shape != (len(self.clients),) or np.any(w <= 0):
+        w = np.full(k, 1.0 / k) if self.weights is None else np.asarray(self.weights, np.float64)
+        if w.shape != (k,) or np.any(w <= 0):
             raise ValueError("weights must be positive, one per client")
         total = float(w.sum())
-        tolerance = 2 * len(w) * np.finfo(np.float64).eps
+        tolerance = 2 * k * np.finfo(np.float64).eps
         if abs(total - 1.0) > tolerance:
             raise ValueError(
                 f"weights sum to {total!r}, not 1 within {tolerance:.3g}; "
                 "normalize them (w / w.sum())"
             )
         object.__setattr__(self, "weights", w)
-        object.__setattr__(
-            self, "global_optimum", np.asarray(self.global_optimum, dtype=np.float64)
-        )
+        optima = np.stack([c.local_optimum for c in self.clients])
+        if self.kind == "linear":
+            optimum = w @ optima
+        elif self.kind == "logistic":
+            if not np.allclose(optima, optima[0], rtol=0, atol=1e-12):
+                raise ValueError("logistic clients must share the same optimum")
+            optimum = optima[0]
+        else:
+            curvatures = np.array([c.curvature for c in self.clients])
+            optimum = (w * curvatures) @ optima / (w @ curvatures)
+        object.__setattr__(self, "global_optimum", optimum)
 
     @property
     def kind(self) -> str:
@@ -434,30 +451,6 @@ class Federation:
     @property
     def size(self) -> int:
         return len(self.clients)
-
-
-def federation_of(clients: list[ClientModel] | tuple[ClientModel, ...], weights=None) -> Federation:
-    """Build a federation, deriving the global optimum from the client kind.
-
-    Linear with identity covariate covariance minimizes at the weighted mean of
-    local optima; logistic clients must share one optimum; quadratic minimizes
-    at the curvature-weighted mean of centers.
-    """
-    clients = tuple(clients)
-    k = len(clients)
-    w = np.full(k, 1.0 / k) if weights is None else np.asarray(weights, dtype=np.float64)
-    kind = clients[0].kind
-    optima = np.stack([c.local_optimum for c in clients])
-    if kind == "linear":
-        global_opt = w @ optima
-    elif kind == "logistic":
-        if not np.allclose(optima, optima[0], rtol=0, atol=1e-12):
-            raise ValueError("logistic clients must share the same optimum")
-        global_opt = optima[0].copy()
-    else:
-        curv = np.array([c.curvature for c in clients])
-        global_opt = (w * curv) @ optima / (w @ curv)
-    return Federation(clients=clients, weights=w, global_optimum=global_opt)
 
 
 def true_sandwich(federation: Federation) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -12,9 +12,10 @@ from fedstat.schedules import CommunicationSchedule
 
 
 def counts(lo, hi):
-    """Python or numpy integers in [lo, hi]."""
+    """Python or numpy integers, or bools, in [lo, hi]."""
     ints = st.integers(min_value=lo, max_value=hi)
-    return st.one_of(ints, ints.map(np.int64))
+    bools = [b for b in (False, True) if lo <= b <= hi]
+    return st.one_of(ints, ints.map(np.int64), st.sampled_from(bools) if bools else st.nothing())
 
 
 @st.composite
@@ -168,6 +169,17 @@ def test_a_vector_x0_is_stored_as_a_tuple_of_floats(x0):
     assert type(c.x0) is tuple and all(type(v) is float for v in c.x0)
     assert c.x0 == tuple(float(v) for v in x0)
     assert c == ExperimentConfig(x0=x0) and hash(c) == hash(ExperimentConfig(x0=x0))
+    assert parse_config_text(config_text(c)) == c
+
+
+def test_integer_fields_are_stored_as_plain_ints():
+    c = ExperimentConfig(
+        dimension=np.int64(2), clients=True, rounds=True, target_observations=None,
+        replications=np.int32(3), seed=False, coordinate=True,
+    )
+    ints = (c.dimension, c.clients, c.rounds, c.replications, c.seed, c.coordinate)
+    assert ints == (2, 1, 1, 3, 0, 1) and all(type(v) is int for v in ints)
+    assert "rounds = 1\n" in config_text(c)
     assert parse_config_text(config_text(c)) == c
 
 

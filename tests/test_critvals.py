@@ -608,6 +608,24 @@ class TestTableChecks:
         with pytest.raises(ValueError, match=message):
             critvals.load_csv(io.StringIO(shipped_table_with(value)))
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("beta,0.5,0.975\nnan,0.0,6.7\n", r"beta nan must lie in \[0, 1\)"),
+            ("beta,0.5,0.975\n-0.1,0.0,6.7\n", r"beta -0.1 must lie in \[0, 1\)"),
+            ("beta,0.5,0.975\n1,0.0,6.7\n", r"beta 1.0 must lie in \[0, 1\)"),
+            ("beta,0.5,2.0\n0,0.0,6.7\n", r"level 2.0 must lie in \(0, 1\)"),
+            ("beta,nan,0.975\n0,0.0,6.7\n", r"level nan must lie in \(0, 1\)"),
+            ("beta,0,0.975\n0,0.0,6.7\n", r"level 0.0 must lie in \(0, 1\)"),
+            ("beta,0.5,1\n0,0.0,6.7\n", r"level 1.0 must lie in \(0, 1\)"),
+        ],
+        ids=["beta-nan", "beta-negative", "beta-one", "level-two", "level-nan", "level-zero",
+             "level-one"],
+    )
+    def test_load_rejects_a_beta_or_level_out_of_range(self, text, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            critvals.load_csv(io.StringIO(text))
+
     def test_shipped_and_simulated_tables_load(self):
         shipped = resources.files("fedstat").joinpath("data/critical_values.csv").read_text()
         assert critvals.load_csv(io.StringIO(shipped)).values.shape == (4, 9)

@@ -11,19 +11,19 @@ from hypothesis import strategies as st
 
 from fedstat import engine, models, roundoff, schedules
 from fedstat.engine import DivergenceError, SampleBuffer, average_estimate, run
-from fedstat.models import ClientModel, federation_of
+from fedstat.models import ClientModel, Federation
 from fedstat.schedules import explicit_table, table
 from reference import per_round_run, round_map, unit_z
 
 
 def quadratic_fed(centers, weights=None, curvature=1.0):
     clients = [ClientModel("quadratic", np.atleast_1d(c), curvature=curvature) for c in centers]
-    return federation_of(clients, weights=weights)
+    return Federation(clients, weights=weights)
 
 
 def linear_fed(optima, weights=None, noise=1.0):
     clients = [ClientModel("linear", np.asarray(o, dtype=float), noise_scale=noise) for o in optima]
-    return federation_of(clients, weights=weights)
+    return Federation(clients, weights=weights)
 
 
 def fixed_step(eta, rounds, interval=1):
@@ -136,10 +136,10 @@ class TestObserversAndDeterminism:
             fed = linear_fed(optima, weights=weights)
         elif kind == "logistic":
             clients = [ClientModel("logistic", optima[0]) for _ in range(k)]
-            fed = federation_of(clients, weights=weights)
+            fed = Federation(clients, weights=weights)
         else:
             clients = [ClientModel("quadratic", c, curvature=1.0 + i) for i, c in enumerate(optima)]
-            fed = federation_of(clients, weights=weights)
+            fed = Federation(clients, weights=weights)
         rows = explicit_table(tuple(1 + m % 3 for m in range(rounds)), (0.05,) * rounds)
         path = run(fed, rows, np.zeros(d), seed=seed)
         blocks = list(engine.inference_draws(fed, seed, path.points))
@@ -379,7 +379,7 @@ class TestRoundGroups:
         optima = np.random.default_rng(17).standard_normal((k, d))
         weights = [0.2, 0.3, 0.5]
         if kind == "logistic":
-            return federation_of([ClientModel(kind, optima[0]) for _ in range(k)], weights)
+            return Federation([ClientModel(kind, optima[0]) for _ in range(k)], weights)
         return linear_fed(optima, weights=weights)
 
     @pytest.mark.parametrize("kind", ["linear", "logistic"])
@@ -442,7 +442,7 @@ class TestSampleContract:
     @pytest.mark.parametrize("chunk", [256, 300, 4096])
     @pytest.mark.parametrize("kind", KINDS)
     def test_results_do_not_depend_on_the_chunk(self, kind, chunk, monkeypatch):
-        fed = federation_of(self.clients(kind), weights=[0.2, 0.3, 0.5])
+        fed = Federation(self.clients(kind), weights=[0.2, 0.3, 0.5])
         rows = explicit_table(TestRoundGroups.INTERVALS, (0.002,) * len(TestRoundGroups.INTERVALS))
         x0 = np.full(3, 0.5)
 
@@ -484,7 +484,7 @@ class TestFootprint:
 
     def setup_method(self):
         optimum = np.random.default_rng(5).standard_normal(self.D) * 0.3
-        self.fed = federation_of([ClientModel("logistic", optimum) for _ in range(self.K)])
+        self.fed = Federation([ClientModel("logistic", optimum) for _ in range(self.K)])
         self.table = fixed_step(0.01, self.ROUNDS, interval=2)
         self.x0 = np.zeros(self.D)
         # Load and warm everything a run touches before any peak is traced.

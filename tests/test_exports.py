@@ -86,7 +86,7 @@ def test_inference_states_take_the_critical_value_as_a_number():
 
 
 def test_run_from_the_package_namespace():
-    fed = fedstat.federation_of([fedstat.ClientModel("quadratic", np.zeros(1))])
+    fed = fedstat.Federation([fedstat.ClientModel("quadratic", np.zeros(1))])
     rows = fedstat.explicit_table((1, 1, 1), (0.5, 0.5, 0.5))
     assert isinstance(rows, fedstat.ScheduleTable)
     path = fedstat.run(fed, rows, np.ones(1), seed=0)

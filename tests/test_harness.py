@@ -716,6 +716,19 @@ class TestConvergenceCurve:
         with pytest.raises(ValueError, match=re.escape(f"checkpoints must be >= 1, got {named}")):
             convergence_curve(quadratic_config(), checkpoints)
 
+    @pytest.mark.parametrize(
+        "checkpoints, named",
+        [
+            ([3.7, 10.2], "3.7"),
+            ([3, 10.0], "10.0"),
+            ([np.int64(3), np.float64(5.0)], "np.float64(5.0)"),
+        ],
+        ids=["fractions", "integral-float", "numpy-float"],
+    )
+    def test_non_integer_checkpoints_rejected(self, checkpoints, named):
+        with pytest.raises(ValueError, match=re.escape(f"checkpoints must be integers, got {named}")):
+            convergence_curve(quadratic_config(), checkpoints)
+
     def test_cli_rejects_nonpositive_checkpoints(self, tmp_path, capsys):
         path = tmp_path / "config.txt"
         path.write_text(BASE_CONFIG)

@@ -5,7 +5,7 @@ import pytest
 
 from fedstat import models
 from fedstat.engine import SampleBuffer, client_generators
-from fedstat.models import ClientModel, federation_of, true_sandwich
+from fedstat.models import ClientModel, Federation, true_sandwich
 from reference import round_map
 
 ONE = np.ones(1)  # the weights of a single client
@@ -380,21 +380,19 @@ class TestFederation:
     def test_weights_must_sum_to_one(self):
         clients = [ClientModel("linear", np.zeros(2)) for _ in range(2)]
         with pytest.raises(ValueError):
-            models.Federation(
-                clients=tuple(clients), weights=np.array([0.6, 0.6]), global_optimum=np.zeros(2)
-            )
+            Federation(clients=tuple(clients), weights=np.array([0.6, 0.6]))
 
     def test_weights_off_one_beyond_roundoff_rejected(self):
         # Accepted under a 1e-12 bound, these weights let a noiseless run of
         # two quadratic clients settle 3.2e-11 off x*.
         clients = [ClientModel("quadratic", np.full(2, c)) for c in (1.0, 3.0)]
         with pytest.raises(ValueError, match="normalize"):
-            federation_of(clients, weights=[0.5, 0.5 + 9e-13])
+            Federation(clients, weights=[0.5, 0.5 + 9e-13])
 
     def test_equal_weights_accepted(self):
         for k in range(1, 65):
             clients = [ClientModel("linear", np.zeros(2)) for _ in range(k)]
-            assert federation_of(clients, weights=np.full(k, 1.0 / k)).size == k
+            assert Federation(clients, weights=np.full(k, 1.0 / k)).size == k
 
     @pytest.mark.parametrize(
         "weights",
@@ -402,14 +400,14 @@ class TestFederation:
     )
     def test_weight_vectors_of_the_suite_accepted(self, weights):
         clients = [ClientModel("linear", np.zeros(2)) for _ in weights]
-        np.testing.assert_array_equal(federation_of(clients, weights=weights).weights, weights)
+        np.testing.assert_array_equal(Federation(clients, weights=weights).weights, weights)
 
     def test_linear_global_optimum_is_weighted_average(self):
         clients = [
             ClientModel("linear", np.array([1.0, 0.0])),
             ClientModel("linear", np.array([0.0, 2.0])),
         ]
-        fed = federation_of(clients, weights=[0.25, 0.75])
+        fed = Federation(clients, weights=[0.25, 0.75])
         np.testing.assert_allclose(fed.global_optimum, [0.25, 1.5])
 
     def test_logistic_clients_must_agree(self):
@@ -418,55 +416,85 @@ class TestFederation:
             ClientModel("logistic", np.ones(2)),
         ]
         with pytest.raises(ValueError):
-            federation_of(clients)
+            Federation(clients)
 
     def test_mixed_kinds_rejected(self):
         clients = [ClientModel("linear", np.zeros(2)), ClientModel("quadratic", np.zeros(2))]
         with pytest.raises(ValueError, match="all clients must share one model kind"):
-            federation_of(clients)
+            Federation(clients)
 
     @pytest.mark.parametrize(
         "dimensions, weights, message",
         [
             ((), [], "federation needs at least one client"),
+            ((), None, "federation needs at least one client"),
             ((2, 3), [0.5, 0.5], "all clients must share one dimension"),
+            ((2, 3), None, "all clients must share one dimension"),
             ((2, 2), [1.0], "weights must be positive, one per client"),
             ((2, 2), [0.5, 0.25, 0.25], "weights must be positive, one per client"),
             ((2, 2), [[0.5, 0.5]], "weights must be positive, one per client"),
             ((2, 2), [1.5, -0.5], "weights must be positive, one per client"),
             ((2, 2), [1.0, 0.0], "weights must be positive, one per client"),
         ],
-        ids=["no-clients", "dimensions", "short", "long", "matrix", "negative", "zero"],
+        ids=["no-clients", "no-clients-default-weights", "dimensions", "dimensions-default-weights",
+             "short", "long", "matrix", "negative", "zero"],
     )
     def test_bad_federation_rejected(self, dimensions, weights, message):
         clients = tuple(ClientModel("linear", np.zeros(d)) for d in dimensions)
         with pytest.raises(ValueError, match=message):
-            models.Federation(clients, np.array(weights), global_optimum=np.zeros(2))
+            Federation(clients, weights)
+
+    def test_logistic_clients_of_mixed_dimension_rejected_before_their_optima(self):
+        clients = [ClientModel("logistic", np.zeros(2)), ClientModel("logistic", np.zeros(3))]
+        with pytest.raises(ValueError, match="^all clients must share one dimension$"):
+            Federation(clients)
+
+    def test_global_optimum_is_derived_not_given(self):
+        clients = [ClientModel("logistic", np.zeros(2)), ClientModel("logistic", np.zeros(2))]
+        with pytest.raises(TypeError, match="global_optimum"):
+            Federation(clients, global_optimum=np.array([7.0, 7.0]))
+        np.testing.assert_array_equal(Federation(clients).global_optimum, np.zeros(2))
+
+    def test_clients_stored_as_a_tuple_with_equal_default_weights(self):
+        clients = [ClientModel("linear", np.full(2, c)) for c in (1.0, 2.0, 4.0)]
+        fed = Federation(clients)
+        assert fed.clients == tuple(clients)
+        np.testing.assert_array_equal(fed.weights, np.full(3, 1.0 / 3))
+        optima = np.stack([c.local_optimum for c in clients])
+        np.testing.assert_array_equal(fed.global_optimum, fed.weights @ optima)
+
+    def test_quadratic_global_optimum_is_curvature_weighted(self):
+        clients = [
+            ClientModel("quadratic", np.array([1.0, 0.0]), curvature=3.0),
+            ClientModel("quadratic", np.array([0.0, 2.0]), curvature=1.0),
+        ]
+        fed = Federation(clients, weights=[0.5, 0.5])
+        np.testing.assert_allclose(fed.global_optimum, [0.75, 0.5])
 
 
 class TestTrueSandwich:
     def test_equal_weight_homogeneous_pool(self):
         xstar = np.array([1.0, -2.0, 0.0])
         clients = [ClientModel("linear", xstar) for _ in range(10)]
-        g, s, cov = true_sandwich(federation_of(clients))
+        g, s, cov = true_sandwich(Federation(clients))
         np.testing.assert_allclose(g, np.eye(3))
         np.testing.assert_allclose(s, np.eye(3) / 10.0)
         np.testing.assert_allclose(cov, np.eye(3) / 10.0)
 
     def test_single_client(self):
-        fed = federation_of([ClientModel("linear", np.zeros(2), noise_scale=1.5)])
+        fed = Federation([ClientModel("linear", np.zeros(2), noise_scale=1.5)])
         _, _, cov = true_sandwich(fed)
         np.testing.assert_allclose(cov, 1.5**2 * np.eye(2))
 
     def test_quadratic_noiseless(self):
-        fed = federation_of([ClientModel("quadratic", np.ones(2), curvature=2.0)])
+        fed = Federation([ClientModel("quadratic", np.ones(2), curvature=2.0)])
         g, s, cov = true_sandwich(fed)
         np.testing.assert_allclose(g, 2.0 * np.eye(2))
         np.testing.assert_array_equal(s, np.zeros((2, 2)))
         np.testing.assert_array_equal(cov, np.zeros((2, 2)))
 
     def test_logistic_has_no_closed_form(self):
-        fed = federation_of([ClientModel("logistic", np.zeros(2))])
+        fed = Federation([ClientModel("logistic", np.zeros(2))])
         with pytest.raises(ValueError):
             true_sandwich(fed)
 
@@ -476,7 +504,7 @@ class TestTrueSandwich:
         rng = np.random.default_rng(3)
         optima = rng.standard_normal((3, 2))
         clients = [ClientModel("linear", o) for o in optima]
-        fed = federation_of(clients)
+        fed = Federation(clients)
         _, s_closed, _ = true_sandwich(fed)
         n = 200_000
         agg = np.zeros((n, 2))

@@ -35,7 +35,7 @@ class TestFloor:
             models.ClientModel("quadratic", np.array([1.0, -4.0])),
             models.ClientModel("quadratic", np.array([2.0, 0.5])),
         ]
-        fed = models.federation_of(clients)
+        fed = models.Federation(clients)
         assert roundoff.run_scale(fed, np.zeros(2)) == 4.0
         assert roundoff.run_scale(fed, np.array([0.0, 9.0])) == 9.0
 

@@ -9,14 +9,21 @@ then one ``fedstat curve`` on a linear P(0.5) config with 5% warm-up; then,
 for seeds 0-1, the ``engine.save_path_csv`` text of one logistic
 ``engine.run`` (K = 10, d = 5) on rounds whose takes are longer than the
 sample buffer (``GROWN``, the intervals of ``tests/test_engine.py``'s
-``TestRoundGroups``).  Prints one ``sha256  name`` line per ``report.csv``,
-``replications.csv``, path dump, table, curve and path text, then a digest
-of all of them.  Takes about a minute.  It digests the checkout it lives
-in, so to check a change, run each checkout's own copy and diff the two:
+``TestRoundGroups``); then, for seeds 0-1, one ``run_experiment`` of a
+heterogeneous quadratic cell (``QUADRATIC``, K = 10, d = 5), whose report
+scores both methods against the curvature-weighted optimum of the centers.
+Prints one ``sha256  name`` line per ``report.csv``, ``replications.csv``,
+path dump, table, curve and path text, then a digest of all of them.  Takes
+about a minute.  It digests the checkout it lives in, so to check a change,
+run each checkout's own copy and diff the two:
 
     python ../parent/tools/bytes_check.py > before.txt   # the parent's checkout
     python tools/bytes_check.py > after.txt
     diff before.txt after.txt
+
+When a change adds a case to this tool, the parent's copy lacks it: take
+the before file from the change's copy of the tool, run inside the parent's
+checkout (copy it to ``../parent/tools/`` first, then run it there as above).
 """
 
 import contextlib
@@ -38,6 +45,7 @@ WORKLOADS = ("coverage-c1-linear", "coverage-p05-logistic")
 TABLE = "critvals-table"
 CHECKPOINTS = "1,7,100,256,300,512,1000,2049,3000,5000"
 GROWN = (1,) * 300 + (255, 256, 257, 2047, 2049, 3000, 5000) + (1,) * 40
+QUADRATIC = dict(model="quadratic", heterogeneity=True, target_observations=2000, replications=4)
 
 
 def main() -> None:
@@ -69,6 +77,10 @@ def main() -> None:
             sync = engine.run(federation, grown, np.zeros(5), seed)
             with open(out / f"grown-seed{seed}.csv", "w") as stream:
                 engine.save_path_csv(sync, stream)
+        for seed in range(2):
+            cfg = harness.ExperimentConfig(**QUADRATIC, seed=seed)
+            harness.run_experiment(cfg, out_dir=out / "quadratic" / f"seed{seed}",
+                                   dump_paths=cfg.replications)
         for path in sorted(out.rglob("*.csv")):
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
             lines.append(f"{digest}  {path.relative_to(out)}")
