@@ -96,13 +96,6 @@ class ExperimentConfig:
     replications and the inference methods.  Bad input raises ``ValueError``
     when the config is built, and a vector ``x0`` is stored as a tuple of
     floats, so that configs compare, hash and read back by value.
-
-    A logistic config loads the sigmoid (``models.sigmoid``, from
-    scipy.special, most of a cold import's time) when it is built, and no
-    other kind loads it.  Building the config comes before ``run_experiment``,
-    and so before its pool forks: forked workers inherit the loaded module,
-    and neither ``build_federation`` nor the first replication pays for the
-    import.
     """
 
     model: str = "linear"
@@ -141,10 +134,8 @@ class ExperimentConfig:
             raise ValueError("dimension and clients must be >= 1")
         if not 0.0 <= self.noise_scale < math.inf:
             raise ValueError("noise_scale must be nonnegative and finite")
-        if self.model == "logistic":
-            if self.heterogeneity:
-                raise ValueError("logistic runs do not support heterogeneity; set it off")
-            models.sigmoid  # noqa: B018  (loads scipy.special now; see the docstring)
+        if self.model == "logistic" and self.heterogeneity:
+            raise ValueError("logistic runs do not support heterogeneity; set it off")
         if (self.rounds is None) == (self.target_observations is None):
             raise ValueError("set exactly one of rounds / target_observations")
         if self.rounds is not None and self.rounds < 1:

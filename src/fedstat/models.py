@@ -17,31 +17,30 @@ maps each kind to the pair.  Both read a sample take as the engine's buffer
 lays it out, time-major: step t (or point t) reads the (K, d) block A[t].  The engine calls ``*_rounds`` once per group
 of at most 256 sample rows (or one longer round), so the buffers a kernel
 allocates once per call are shared by many rounds when E_m is small.  A linear
-or logistic local step is four numpy calls on the stacked (K, d) states: the
-kernel folds each round's rate into a scaled copy of its covariates, and
-writes the logistic step in its signed form a~ sigmoid(a~'x), a~ = (1 - 2b) a,
-which needs labels of exactly 0 or 1 (see the comment above
-``linear_rounds``).  A linear call whose rounds all have E_m = 1 runs no
-local steps: after a sync every client holds the same point, so such a round
-is one minibatch SGD step, an affine map of the synchronized point that does
-not depend on the path.  The kernel builds the maps of the whole call with a
-few batched array calls, around the point the call starts from, and applies
-one matrix-vector product per round; a call with any longer round runs the
-step loop.  The weighted Gram sum_k w_k a_k a_k' of the maps and of the
-Hessian draws is one expression, ``weighted_gram``.
+local step is four numpy calls on the stacked (K, d) states, a logistic one
+five: the kernel folds each round's rate into a scaled copy of its
+covariates, and writes the logistic step in its signed form
+a~ / (1 + exp(-a~'x)), a~ = (1 - 2b) a, which needs labels of exactly 0 or 1
+(see the comment above ``linear_rounds``).  A linear call whose rounds all
+have E_m = 1 runs no local steps: after a sync every client holds the same
+point, so such a round is one minibatch SGD step, an affine map of the
+synchronized point that does not depend on the path.  The kernel builds the
+maps of the whole call with a few batched array calls, around the point the
+call starts from, and applies one matrix-vector product per round; a call
+with any longer round runs the step loop.  The weighted Gram
+sum_k w_k a_k a_k' of the maps and of the Hessian draws is one expression,
+``weighted_gram``.
 ``ClientModel.draw`` is the one sample generator per kind, and
 ``Federation`` the one way to pool clients: it checks them and their
 weights, then derives the global optimum x* of the weighted mixture, the
 estimand every interval is scored against.
 
-The sigmoid is ``scipy.special.expit``, which only the logistic kind uses.
-Loading scipy.special took about 0.2 s and 18 MB of a 0.37 s, 55 MB cold
-``import fedstat`` (scipy 1.17, 2-core Xeon), so the module imports only the
-``scipy`` package, whose subpackages load on first attribute access: each
-logistic kernel and the logistic ``draw`` read ``scipy.special.expit`` once
-per call, and the exported ``sigmoid`` is the same ufunc, resolved on first
-access.  The bare ``import scipy`` also keeps ``scipy`` in ``sys.modules``
-for callers that read its version from there.
+The sigmoid, which only the logistic kind uses, is numpy's float64 ``exp``
+in 1 / (1 + exp(-z)): ``sigmoid`` for the labels and the Hessian draws, the
+same quotient written into the step loop.  scipy.special's ``expit`` would
+load scipy.special, about 0.2 s and 17 MB of a logistic run's 59 MB peak
+(scipy 1.17, 2-core Xeon).  numpy picks its ``exp`` loop by CPU, so logistic
+path bits are per host.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 
 import numpy as np
-import scipy
+import scipy  # noqa: F401  (callers read scipy's version from sys.modules)
 
 __all__ = [
     "ClientModel",
@@ -69,12 +68,13 @@ __all__ = [
 ]
 
 
-def __getattr__(name: str):
-    # ``sigmoid`` resolves on first access, so that importing the module does
-    # not load scipy.special (see the module docstring).
-    if name == "sigmoid":
-        return scipy.special.expit
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-z)) elementwise, and exp(z) where exp(-z) overflows
+    (z below about -709.78), where the quotient would be 0 and the sigmoid
+    is a subnormal down to z = -745."""
+    with np.errstate(over="ignore"):
+        e = np.exp(-z)
+        return np.where(e == np.inf, np.exp(z), 1.0 / (1.0 + e))
 
 
 # --- local SGD rounds, in place on the stacked client states -----------------
@@ -95,19 +95,25 @@ def __getattr__(name: str):
 #   step.  The identity needs b to be exactly 0 or 1 (``ClientModel.draw``
 #   makes them so); the sign is then exact, and a label-1 step evaluates
 #   sigmoid(-a'x) where sigmoid(a'x) - 1 would cancel to 0 once sigmoid(a'x)
-#   rounds to 1 (a'x above about 37);
+#   rounds to 1 (a'x above about 37).  The kernel keeps the negated
+#   covariates -a~ = (2b - 1) a, whose dot with x is exactly -(a~'x);
 # * linear and logistic fold each round's rate into a scaled copy u = eta a
 #   (or eta a~), one rate per row from ``np.repeat(etas, intervals)``.
 #
-# Each step is then four numpy calls on (K, d) blocks, into buffers allocated
-# once per call: r = a'x with ``np.vecdot``, then r - b (linear) or
-# sigmoid(r) (logistic), then u * r, then x - that.  ``np.vecdot`` is a
-# ufunc: unlike ``np.einsum`` it has no Python wrapper, and it is about 0.4
-# µs faster per step on (10, 5) blocks.  The only reductions are the vecdot
-# and the weighted average, so every step and every average rounds exactly as
-# the same expressions written out per step and per round would.  The ufuncs
-# take their output positionally, and ``quadratic_rounds`` takes eta as a 0-d
-# array: both skip per-call argument conversion.
+# Each step is then a few numpy calls on (K, d) blocks, into buffers
+# allocated once per call.  Linear takes four: r = a'x with ``np.vecdot``,
+# then r - b, then u * r, then x - that.  Logistic takes five: r = -a~'x,
+# then exp(r), then 1 + r, then u / r, then x - that, so that the step is
+# eta a~ sigmoid(a~'x) with one rounding fewer than u times the sigmoid.  Where
+# exp(r) overflows the step is u / inf = 0; the exact step there is below
+# |u| 5.6e-309 and would not move any x above 1e-292.  The kernel ignores
+# that overflow once per call.  ``np.vecdot`` is a ufunc: unlike
+# ``np.einsum`` it has no Python wrapper, and it is about 0.4 µs faster per
+# step on (10, 5) blocks.  The only reductions are the vecdot and the
+# weighted average, so every step and every average rounds exactly as the
+# same expressions written out per step and per round would.  The ufuncs
+# take their output positionally, and the logistic 1 and ``quadratic_rounds``'
+# eta are 0-d arrays: both skip per-call argument conversion.
 #
 # A linear call whose rounds all have E_m = 1 (every call of a C1 schedule,
 # the calls of warm-up rounds in the others) runs no step loop.  Every client
@@ -219,23 +225,25 @@ def logistic_rounds(
     each followed by the weighted average into its row of ``points``.
 
     The labels B must be exactly 0 or 1: each step runs in the signed form
-    x_k -= eta * a~ sigmoid(a~' x_k) with a~ = (1 - 2 b_kt) a_kt."""
-    sigmoid = scipy.special.expit
-    covariates = np.empty(A.shape)
-    np.multiply(A, (1.0 - 2.0 * B)[:, :, None], covariates)
-    scaled = np.repeat(etas, intervals)[:, None, None] * covariates
+    x_k -= eta * a~ / (1 + exp(-a~' x_k)) with a~ = (1 - 2 b_kt) a_kt."""
+    negated = np.empty(A.shape)
+    np.multiply(A, (2.0 * B - 1.0)[:, :, None], negated)
+    scaled = -np.repeat(etas, intervals)[:, None, None] * negated
     resid = np.empty(len(X))
     column = resid[:, None]
+    one = np.ones(())
     step = np.empty(X.shape)
-    samples = zip(covariates, scaled)
-    for interval, x_bar in zip(intervals, points):
-        for a_t, u_t in islice(samples, interval):
-            np.vecdot(a_t, X, resid)
-            sigmoid(resid, resid)
-            np.multiply(u_t, column, step)
-            np.subtract(X, step, X)
-        np.matmul(weights, X, x_bar)
-        X[...] = x_bar
+    samples = zip(negated, scaled)
+    with np.errstate(over="ignore"):
+        for interval, x_bar in zip(intervals, points):
+            for a_t, u_t in islice(samples, interval):
+                np.vecdot(a_t, X, resid)
+                np.exp(resid, resid)
+                np.add(resid, one, resid)
+                np.divide(u_t, column, step)
+                np.subtract(X, step, X)
+            np.matmul(weights, X, x_bar)
+            X[...] = x_bar
 
 
 def quadratic_rounds(
@@ -291,7 +299,7 @@ def logistic_draws(
 ) -> tuple[np.ndarray, np.ndarray]:
     """sum_k w_k a_k (p_k - b_k) and sum_k w_k p_k (1 - p_k) a_k a_k' per row
     of X, with p_k = sigmoid(a_k' x)."""
-    p = scipy.special.expit(np.matmul(A, X[:, :, None])[..., 0])
+    p = sigmoid(np.matmul(A, X[:, :, None])[..., 0])
     grads = weights @ (A * (p - B)[..., None])
     return grads, weighted_gram(A, weights * p * (1.0 - p))
 
@@ -318,13 +326,15 @@ KERNELS = {
 SUBSTREAMS = {"linear": 1, "logistic": 2, "quadratic": 0}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClientModel:
     """Loss oracle of one client.
 
     ``local_optimum`` is the client's own minimizer x_k for linear, the shared
     optimum for logistic, and the center c_k for quadratic.  ``noise_scale``
     only affects the linear response; the quadratic kind is exactly noiseless.
+    Clients compare and hash by identity: an array field gives ``==`` no
+    single truth value.
     """
 
     kind: str
@@ -376,12 +386,12 @@ class ClientModel:
         if self.kind == "logistic":
             a = rngs[0].standard_normal((n, d))
             u = rngs[1].random(n)
-            b = (u < scipy.special.expit(a @ self.local_optimum)).astype(np.float64)
+            b = (u < sigmoid(a @ self.local_optimum)).astype(np.float64)
             return a, b
         return np.tile(self.local_optimum, (n, 1)), np.full(n, self.curvature)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Federation:
     """A weighted pool of same-kind clients and the optimum of their mixture.
 
@@ -401,7 +411,7 @@ class Federation:
     checks.  Linear with identity covariate covariance minimizes at the
     weighted mean of the local optima; logistic clients must share one
     optimum, which is x*; quadratic minimizes at the curvature-weighted mean
-    of the centers.
+    of the centers.  Like clients, federations compare and hash by identity.
     """
 
     clients: tuple[ClientModel, ...]

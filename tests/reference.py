@@ -79,13 +79,13 @@ def per_round_run(fed, rows, x0, seed, bound=1e8):
 
     Each round takes its E rows of the optimization stream, runs the per-step
     expression in the kernels' form (``np.vecdot``, logistic covariates signed
-    by 1 - 2b, the rate folded into the covariates), averages with
-    ``weights @ X`` and tests the norm.  A linear round in a group of one-step
-    rounds (as ``engine._groups`` forms them) is instead its affine map around
-    the point the group starts from, applied with one matvec.  Each
-    synchronized point then takes one row of the inference stream for its
-    gradient and Hessian draws.  Returns the points, the draws, and the round
-    that diverged (or None).
+    by 1 - 2b and the logistic step a quotient, the rate folded into the
+    covariates), averages with ``weights @ X`` and tests the norm.  A linear
+    round in a group of one-step rounds (as ``engine._groups`` forms them) is
+    instead its affine map around the point the group starts from, applied with
+    one matvec.  Each synchronized point then takes one row of the inference
+    stream for its gradient and Hessian draws.  Returns the points, the draws,
+    and the round that diverged (or None).
     """
     k, d = fed.size, fed.dimension
     weights, logistic = fed.weights, fed.kind == "logistic"
@@ -108,10 +108,9 @@ def per_round_run(fed, rows, x0, seed, bound=1e8):
                 a_t, b_t = A[t], B[t]
                 if logistic:
                     a_t = (1.0 - 2.0 * b_t)[:, None] * a_t
-                    r = models.sigmoid(np.vecdot(a_t, X))
+                    X -= (np.float64(eta) * a_t) / (1.0 + np.exp(-np.vecdot(a_t, X)))[:, None]
                 else:
-                    r = np.vecdot(a_t, X) - b_t
-                X -= (np.float64(eta) * a_t) * r[:, None]
+                    X -= (np.float64(eta) * a_t) * (np.vecdot(a_t, X) - b_t)[:, None]
             x_bar = weights @ X
         X[...] = x_bar
         if not x_bar @ x_bar <= bound**2:

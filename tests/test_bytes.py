@@ -68,11 +68,14 @@ DIGESTS = {
         "replications.csv": "362d939affc2727412e71f83fd192bdfacc2d81f62f73a5910fb934424734a9d",
         "report.csv": "cfa4f349a0fbc9d1c806aeef9757a6cbe50124cf7dd243809e669ca0bc5fb86e",
     },
-    # Restated when a logistic client's labels moved to a substream of their
-    # own: its covariates and labels no longer share one generator.
+    # The paths restated when the local step became eta a~ / (1 + exp(-a~'x))
+    # with numpy's exp, in place of eta a~ times scipy's expit: one rounding
+    # fewer and another exp, so the last bits move; the replication and
+    # report bytes did not move.  numpy picks its exp loop by CPU, so these
+    # path digests hold per host.
     "logistic-p05": {
-        "paths/rep_0000.csv": "765e95b4240f81baa6f6cae9b611e08a1e3f58b56c9a21b2201811190fa3b5c2",
-        "paths/rep_0001.csv": "08594c9aba8826416cf259bd17c98daf4e2fc00f78251d6afbd8e130ece55d94",
+        "paths/rep_0000.csv": "6d04e1917a12d1f79a132096342324d6362f5c1437bdaa55400b46826a5a33c4",
+        "paths/rep_0001.csv": "fa58b05717f4b5f3d7faa5c3a89c4557414ac95a0a3e68db8b41f1fae0d6171e",
         "replications.csv": "ab18cd5058853ebfd2013e39c88f22f9bac7b7d2faacd3fd27556d96d1d7267b",
         "report.csv": "92e14f8581004a919bb3f2ab51cb0cc241b8cd0ae1fed2668cc1cb84513252f4",
     },

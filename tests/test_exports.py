@@ -35,11 +35,10 @@ def _fresh_interpreter(script: str) -> list[str]:
 
 
 def test_import_leaves_scipy_linalg_unloaded():
-    # A cold import loads neither scipy.special (the logistic sigmoid, loaded
-    # by a logistic config) nor scipy.linalg, which only a plug-in sandwich
-    # read needs, nor multiprocessing, which only a process pool needs.  It
-    # does load the bare scipy package, whose version sys.modules["scipy"]
-    # gives, and numpy.random, which numpy loads lazily.
+    # A cold import loads neither scipy.special nor scipy.linalg, which no
+    # fedstat code calls, nor multiprocessing, which only a process pool
+    # needs.  It does load the bare scipy package, whose version
+    # sys.modules["scipy"] gives, and numpy.random, which numpy loads lazily.
     script = (
         "import sys, fedstat, fedstat.cli\n"
         "print(*(name in sys.modules for name in\n"
@@ -48,22 +47,28 @@ def test_import_leaves_scipy_linalg_unloaded():
     assert _fresh_interpreter(script) == ["False", "False", "False", "True", "True"]
 
 
-def test_only_a_logistic_config_loads_scipy_special():
+def test_no_fedstat_call_loads_scipy_special():
+    # The logistic sigmoid is numpy's exp: a logistic config, its run and its
+    # inference draws leave scipy.special unloaded and the bare scipy package
+    # loaded.  A one-worker run and a table run start no process pool.
     script = (
         "import sys\n"
-        "from fedstat import ExperimentConfig, run_experiment, simulate_table\n"
+        "import numpy as np\n"
+        "from fedstat import ExperimentConfig, engine, harness, run_experiment, simulate_table\n"
         "config = ExperimentConfig(dimension=2, clients=2, rounds=20,\n"
         "                          target_observations=None, replications=2)\n"
         "run_experiment(config)\n"
-        "print('multiprocessing' in sys.modules)\n"
         "simulate_table([0.5], [0.95], steps=100, replications=1000, seed=1)\n"
-        "print('multiprocessing' in sys.modules)\n"
-        "print('scipy.special' in sys.modules)\n"
-        "ExperimentConfig(model='logistic', heterogeneity=False)\n"
-        "print('scipy.special' in sys.modules)\n"
+        "logistic = ExperimentConfig(model='logistic', dimension=2, clients=2,\n"
+        "                            heterogeneity=False, rounds=20,\n"
+        "                            target_observations=None, replications=2)\n"
+        "run_experiment(logistic, workers=1)\n"
+        "fed = harness.build_federation(logistic)\n"
+        "draws = list(engine.inference_draws(fed, 1, np.ones((3, 2))))\n"
+        "print(len(draws), *(name in sys.modules for name in\n"
+        "                    ('multiprocessing', 'scipy.special', 'scipy')))\n"
     )
-    # A one-worker run and a table run start no process pool.
-    assert _fresh_interpreter(script) == ["False", "False", "False", "True"]
+    assert _fresh_interpreter(script) == ["1", "False", "False", "True"]
 
 
 def test_engine_does_not_reference_schedules():

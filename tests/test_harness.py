@@ -284,8 +284,9 @@ class TestRunExperiment:
         assert reps_a == (out_c / "replications.csv").read_bytes()
 
     def test_reproducible_logistic_report_across_workers(self, tmp_path):
-        # The pool's workers get the config-time sigmoid and the payload
-        # from the parent, and must write the serial run's bytes.
+        # The pool's workers get the payload from the parent and draw their
+        # labels with the same numpy sigmoid, so they write the serial run's
+        # bytes.
         config = ExperimentConfig(
             model="logistic", dimension=3, clients=3, heterogeneity=False,
             rounds=200, target_observations=None, replications=4, seed=7,

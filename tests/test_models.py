@@ -101,6 +101,17 @@ class TestLogistic:
         _, b = model.draw(substreams(model, 1), 500)
         assert set(np.unique(b)) <= {0.0, 1.0}
 
+    def test_sigmoid_within_4_ulp_to_its_edges(self):
+        # Against Python floats: the quotient, or exp(z) below -700, where
+        # math.exp(-z) would overflow.  exp(-z) does overflow below -709.78;
+        # a RuntimeWarning there would fail the test.
+        edges = [-745.0, -709.8, 709.8, 745.0]
+        z = np.concatenate([np.linspace(-745.0, 745.0, 29801), edges])
+        ref = np.array([math.exp(v) if v < -700 else 1.0 / (1.0 + math.exp(-v)) for v in z])
+        got = models.sigmoid(z)
+        assert np.all(np.abs(got - ref) <= 4 * np.spacing(ref))
+        assert [models.sigmoid(v) for v in edges] == list(got[-4:])
+
 
 class TestSharedSampleDraws:
     def test_gradient_hessian_share_one_sample(self):
@@ -122,11 +133,11 @@ class TestSharedSampleDraws:
 
 
 def signed_step(kind, a, b, eta, X):
-    """eta * a (a'x - b) (linear) or eta * a~ sigmoid(a~'x) with a~ = (1 - 2b) a
-    (logistic), for every client, as the kernels round it."""
+    """eta * a (a'x - b) (linear) or eta * a~ / (1 + exp(-a~'x)) with
+    a~ = (1 - 2b) a (logistic), for every client, as the kernels round it."""
     if kind == "logistic":
         a = (1.0 - 2.0 * b)[:, None] * a
-        return (eta * a) * models.sigmoid(np.vecdot(a, X))[:, None]
+        return (eta * a) / (1.0 + np.exp(-np.vecdot(a, X)))[:, None]
     return (eta * a) * (np.vecdot(a, X) - b)[:, None]
 
 
@@ -330,6 +341,18 @@ class TestTextbookStep:
         assert abs(points[0, 1] / moved - 1.0) < 1e-15
         np.testing.assert_array_equal(X, points)
 
+    @pytest.mark.parametrize("label", [0.0, 1.0])
+    def test_overflowing_margin_leaves_x_unchanged(self, label):
+        """a~'x = -800: exp(800) overflows, without a warning, and the step
+        eta a~ / inf is 0, as the exact step of about 1e-348 rounds."""
+        start = np.array([[-400.0 * (1.0 - 2.0 * label), 3.0]])
+        X = start.copy()
+        A = np.array([[[2.0, 0.0]]])
+        points = np.empty((1, 2))
+        models.logistic_rounds(X, A, np.full((1, 1), label), ONE, [1], [0.5], points)
+        np.testing.assert_array_equal(X, start)
+        np.testing.assert_array_equal(points, start)
+
 
 class TestGradientHessianConsistency:
     """Finite differences of the mean gradient match the mean Hessian."""
@@ -462,6 +485,16 @@ class TestFederation:
         np.testing.assert_array_equal(fed.weights, np.full(3, 1.0 / 3))
         optima = np.stack([c.local_optimum for c in clients])
         np.testing.assert_array_equal(fed.global_optimum, fed.weights @ optima)
+
+    def test_clients_and_federations_compare_by_identity(self):
+        # Array fields give no single truth value, so == is identity: equal
+        # but distinct clients and federations compare unequal, and hash.
+        a, b = ClientModel("linear", np.zeros(2)), ClientModel("linear", np.zeros(2))
+        assert a == a and a != b and not a == b
+        assert len({a, b, a}) == 2
+        f, g = Federation([a, b]), Federation([a, b])
+        assert f == f and f != g and not f == g
+        assert len({f, g, f}) == 2
 
     def test_quadratic_global_optimum_is_curvature_weighted(self):
         clients = [
