@@ -15,9 +15,7 @@ from .plugin import PluginState, SingularHessian
 from .rscale import RScaleState, beta_for_schedule
 from .schedules import (
     CommunicationSchedule,
-    ScheduleDiagnostics,
     ScheduleTable,
-    diagnostics,
     explicit_table,
     fclt_time_scale,
     table,
@@ -51,9 +49,7 @@ __all__ = [
     "RScaleState",
     "beta_for_schedule",
     "CommunicationSchedule",
-    "ScheduleDiagnostics",
     "ScheduleTable",
-    "diagnostics",
     "explicit_table",
     "fclt_time_scale",
     "table",

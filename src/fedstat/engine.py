@@ -112,7 +112,7 @@ class SyncPath:
 
     @property
     def total_iterations(self) -> int:
-        return int(self.table.comm_times[-1])
+        return self.table.t_T
 
 
 def client_generators(

@@ -12,17 +12,18 @@ count.
 state from a finished path; a state estimates only its method's variance.
 ``run_experiment`` resolves every method's ``confidence_interval`` arguments
 once, the critical value among them: z_{1-alpha/2} for the plug-in, the
-tabulated t*(beta) quantile for random scaling.  The states never see alpha
-or the table.  A replication runs the engine, which only optimizes, then
-feeds each state from the path in config order: the plug-in the inference
-draws at the synchronized points (``engine.inference_draws``), random scaling
-the points and their intervals.  A path carries the ``ScheduleTable`` it ran
-on (``path.table``), the run's one time axis: the intervals fed to random
-scaling and the time change h(r, T) of ``partial_sum_process`` are read from
-it.  A replication computes the one estimate y_bar_T
-(``engine.average_estimate``) and asks each state for its interval around
-it.  The errors ||y_bar_t - x*|| come from the same estimator, at T from the
-same estimate.
+tabulated t*(beta) quantile for random scaling.  The plug-in also takes its
+variance scale nu_hat / t_T, read off the ``ScheduleTable`` as a number.  The
+states never see alpha, the table or the schedule.  A replication runs the
+engine, which only optimizes, then feeds each state from the path in config
+order: the plug-in the inference draws at the synchronized points
+(``engine.inference_draws``), random scaling the points and their intervals.
+A path carries the ``ScheduleTable`` it ran on (``path.table``), the run's
+one time axis: the intervals fed to random scaling and the time change
+h(r, T) of ``partial_sum_process`` are read from it.  A replication computes
+the one estimate y_bar_T (``engine.average_estimate``) and asks each state
+for its interval around it.  The errors ||y_bar_t - x*|| come from the same
+estimator, at T from the same estimate.
 
 ``_replicate`` is the one replication function of both drivers.  It returns
 arrays, and nan encodes a failure: an interval row is nan when its method
@@ -314,7 +315,6 @@ def run_experiment(
     schedule = config.schedule
     total_rounds = config.rounds or rounds_for_target(schedule, config.target_observations)
     table = schedules.table(schedule, total_rounds)
-    diag = table.diagnostics
     z = NormalDist().inv_cdf(1.0 - config.alpha_level / 2.0)
     beta = q = None
     if RSCALE in config.methods:
@@ -330,7 +330,7 @@ def run_experiment(
     x0 = _resolve_x0(config, federation)
     floor = roundoff.floor_for(roundoff.run_scale(federation, x0))
     j = config.coordinate
-    interval_args = {PLUGIN: (z, diag, j, floor), RSCALE: (q, j, floor)}
+    interval_args = {PLUGIN: (z, table.nu_hat / table.t_T, j, floor), RSCALE: (q, j, floor)}
     paths_dir = None
     if dump_paths > 0:
         paths_dir = Path(out_dir) / "paths"
@@ -380,9 +380,9 @@ def run_experiment(
     report = ExperimentReport(
         schedule_label=schedule.label(),
         rounds=total_rounds,
-        t_T=diag.t_T,
-        acf=diag.acf,
-        nu_hat=diag.nu_hat,
+        t_T=table.t_T,
+        acf=table.acf,
+        nu_hat=table.nu_hat,
         beta=beta,
         methods=tuple(summaries),
         mean_error=float(errors.mean()) if errors.size else math.nan,

@@ -348,11 +348,15 @@ class ClientModel:
         opt = np.asarray(self.local_optimum, dtype=np.float64)
         if opt.ndim != 1 or opt.size < 1:
             raise ValueError("local_optimum must be a nonempty vector")
+        if not np.all(np.isfinite(opt)):
+            raise ValueError("local_optimum must be finite")
         object.__setattr__(self, "local_optimum", opt)
         if not 0.0 <= self.noise_scale < np.inf:
             raise ValueError("noise_scale must be nonnegative and finite")
         if self.kind == "quadratic" and self.curvature <= 0:
             raise ValueError("curvature must be positive")
+        if self.kind == "quadratic" and not self.curvature < np.inf:
+            raise ValueError("curvature must be finite")
 
     @property
     def dimension(self) -> int:
@@ -428,7 +432,7 @@ class Federation:
         if len({c.dimension for c in self.clients}) > 1:
             raise ValueError("all clients must share one dimension")
         w = np.full(k, 1.0 / k) if self.weights is None else np.asarray(self.weights, np.float64)
-        if w.shape != (k,) or np.any(w <= 0):
+        if w.shape != (k,) or not np.all(w > 0):
             raise ValueError("weights must be positive, one per client")
         total = float(w.sum())
         tolerance = 2 * k * np.finfo(np.float64).eps

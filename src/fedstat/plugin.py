@@ -7,11 +7,14 @@ Hessian G and the gradient-noise covariance S, so the state estimates only
 the variance of the centre.  The interval for a coordinate is centred at the
 estimate it is given, the mean y_bar of the synchronized iterates
 (``engine.average_estimate``), with half-width
-z * sqrt(nu_hat / t_T) * sqrt(sandwich diagonal); ``harness.run_experiment``
-resolves the normal quantile z = z_{1-alpha/2} once per experiment.
+z * sqrt(scale) * sqrt(sandwich diagonal).  ``harness.run_experiment``
+resolves both numbers once per experiment: the normal quantile
+z = z_{1-alpha/2}, and the variance scale nu_hat / t_T of the CLT
+sqrt(t_T)(y_bar - x*) -> N(0, nu G^-1 S G^-1), read off the run's schedule
+table.  The state never sees alpha, the table or the schedule.
 Intervals follow the roundoff rule of ``fedstat.roundoff``: a half-width at
 or below the floor is exactly 0, and a negative variance of the centre,
-(nu_hat / t_T) times the sandwich diagonal, within floor**2 counts as 0.
+scale times the sandwich diagonal, within floor**2 counts as 0.
 
 `PluginState` folds one round's gradient and Hessian draws per ``observe``
 call; ``harness`` feeds it the draws of ``engine.inference_draws`` at the
@@ -32,7 +35,6 @@ import numpy as np
 
 from . import roundoff
 from .engine import BLOCK_ROUNDS
-from .schedules import ScheduleDiagnostics
 
 __all__ = ["PluginState", "SingularHessian"]
 
@@ -133,21 +135,22 @@ class PluginState:
         self,
         centre: np.ndarray,
         z: float,
-        diag: ScheduleDiagnostics,
+        scale: float,
         j: int,
         floor: float = 0.0,
     ) -> tuple[float, float]:
         """Interval for coordinate ``j`` of the optimum, centred on
-        ``centre[j]``, with critical value ``z``; with the estimate
-        ``engine.average_estimate`` as ``centre``, z = z_{1-alpha/2} gives the
-        two-sided level-(1-alpha) interval.
+        ``centre[j]``, with critical value ``z`` and variance scale ``scale``;
+        with the estimate ``engine.average_estimate`` as ``centre``,
+        z = z_{1-alpha/2} and scale = nu_hat / t_T give the two-sided
+        level-(1-alpha) interval.
 
         ``floor`` is the roundoff floor of ``fedstat.roundoff``; the default 0
         assumes exact arithmetic.  A nan sandwich diagonal gives a nan
         interval.
         """
         var_j = roundoff.nonnegative(
-            float(self.sandwich()[j, j]), floor**2 * diag.t_T / diag.nu_hat, "sandwich diagonal"
+            float(self.sandwich()[j, j]), floor**2 / scale, "sandwich diagonal"
         )
-        half = z * np.sqrt(diag.nu_hat / diag.t_T) * np.sqrt(var_j)
+        half = z * np.sqrt(scale) * np.sqrt(var_j)
         return roundoff.interval(float(centre[j]), half, floor)

@@ -31,6 +31,7 @@ counts as 0.
 
 from __future__ import annotations
 
+import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -75,7 +76,11 @@ class RScaleState:
         self._sums = _Sums(zeros, (zeros, zeros), np.zeros((d, d)), zeros, 0.0, 0.0)
 
     def observe(self, x_bar: np.ndarray, interval: int) -> "RScaleState":
-        """Fold one synchronized point with its round's interval E_m."""
+        """Fold one synchronized point with its round's interval E_m, an integer."""
+        try:
+            interval = operator.index(interval)
+        except TypeError:
+            raise ValueError(f"interval must be an integer, got {interval!r}") from None
         if interval < 1:
             raise ValueError("interval must be >= 1")
         x_bar = np.asarray(x_bar, dtype=np.float64)

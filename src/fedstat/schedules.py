@@ -9,7 +9,9 @@ E_m = 1 for the first ``warmup_fraction`` of all observations.
 
 A run reads one frozen ``ScheduleTable``: the read-only arrays of E_m,
 gamma_m, eta_m and the synchronization times, the warm-up round count, and
-the ``ScheduleDiagnostics`` of the same intervals.  ``table(schedule, T)``
+the summary numbers t_T, nu_hat and acf of the same intervals.  The
+inference states see only numbers read off it, never the table or the
+schedule.  ``table(schedule, T)``
 builds it from a ``CommunicationSchedule``; ``explicit_table(intervals,
 etas)`` builds it from explicit arrays, one round per entry.  The harness
 builds it once per experiment and every replication's engine run reads it;
@@ -35,7 +37,6 @@ import numpy as np
 
 __all__ = [
     "CommunicationSchedule",
-    "ScheduleDiagnostics",
     "ScheduleTable",
     "family_prefix",
     "intervals",
@@ -112,24 +113,9 @@ class CommunicationSchedule:
 
     @property
     def nu_limit(self) -> float:
-        """The T -> infinity limit of ``ScheduleDiagnostics.nu_hat``:
+        """The T -> infinity limit of a ``ScheduleTable``'s ``nu_hat``:
         1 / (1 - exponent**2) for power growth, 1 for constant and log."""
         return 1.0 / (1.0 - self.exponent**2) if self.kind == "power" else 1.0
-
-
-@dataclass(frozen=True)
-class ScheduleDiagnostics:
-    """Summary quantities of T rounds' intervals E_1..E_T, and of nothing else.
-
-    t_T is the total iteration count, nu_hat the finite-T variance inflation
-    estimate (1/T^2)(sum E_m)(sum 1/E_m), and acf = T / t_T the averaged
-    communication frequency.  nu_hat's limit is the schedule's ``nu_limit``;
-    the slow-growth trends are ``validate_schedule``'s.
-    """
-
-    t_T: int
-    nu_hat: float
-    acf: float
 
 
 @dataclass(frozen=True)
@@ -138,6 +124,12 @@ class ScheduleTable:
 
     The first ``warmup`` rounds are the warm-up's.  Every array is read-only,
     an unpickled copy's too, so one table serves every replication.
+
+    The summary numbers come from the intervals E_1..E_T alone: t_T is the
+    total iteration count, nu_hat the finite-T variance inflation estimate
+    (1/T^2)(sum E_m)(sum 1/E_m), and acf = T / t_T the averaged
+    communication frequency.  nu_hat's limit is the schedule's ``nu_limit``;
+    the slow-growth trends are ``validate_schedule``'s.
     """
 
     intervals: np.ndarray
@@ -145,7 +137,9 @@ class ScheduleTable:
     etas: np.ndarray
     comm_times: np.ndarray
     warmup: int
-    diagnostics: ScheduleDiagnostics
+    t_T: int
+    nu_hat: float
+    acf: float
 
     def __post_init__(self) -> None:
         for array in (self.intervals, self.gammas, self.etas, self.comm_times):
@@ -161,9 +155,12 @@ def family_prefix(schedule: CommunicationSchedule, n: int) -> np.ndarray:
     Entry k is F_1 + ... + F_k, where F_i is the family interval at index i
     without the warm-up shift: ``base`` for "constant",
     ceil(base * log2(i + 1) ** exponent - 1e-12) for "log" and
-    ceil(base * i ** exponent - 1e-12) for "power", at least 1.
+    ceil(base * i ** exponent - 1e-12) for "power", at least 1.  Raises
+    ValueError when an interval exceeds 2**53, where float64 stops counting
+    exactly, or the counts could exceed int64.
     """
     if schedule.kind == "constant":
+        _check_counts(schedule, n, schedule.base)
         family = np.full(n, schedule.base, dtype=np.int64)
     else:
         # One buffer, updated in place: each temporary of the plain expression
@@ -180,10 +177,20 @@ def family_prefix(schedule: CommunicationSchedule, n: int) -> np.ndarray:
         grow -= 1e-12
         np.ceil(grow, out=grow)
         np.maximum(grow, 1.0, out=grow)
+        _check_counts(schedule, n, grow[-1] if n else 1.0)
         family = grow.astype(np.int64)
     prefix = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(family, out=prefix[1:])
     return prefix
+
+
+def _check_counts(schedule: CommunicationSchedule, n: int, last: float) -> None:
+    """Every family is non-decreasing in i, so its last interval bounds them all."""
+    last = int(last)
+    if last > 2**53 or n * last >= 2**63:
+        raise ValueError(
+            f"schedule {schedule.label()} does not fit 64-bit counts at T = {n} (interval {last})"
+        )
 
 
 def warmup_from_prefix(schedule: CommunicationSchedule, prefix: np.ndarray, total_rounds: int) -> int:
@@ -231,7 +238,7 @@ def table(schedule: CommunicationSchedule, total_rounds: int) -> ScheduleTable:
     warmup, e = _warmup_and_intervals(schedule, total_rounds)
     powers = map(pow, range(1, total_rounds + 1), repeat(-schedule.alpha))
     gammas = schedule.gamma0 * np.fromiter(powers, dtype=np.float64, count=total_rounds)
-    return ScheduleTable(e, gammas, gammas / e, np.cumsum(e), warmup, _diagnostics(e))
+    return ScheduleTable(e, gammas, gammas / e, np.cumsum(e), warmup, *_summary(e))
 
 
 def explicit_table(intervals: Sequence[int], etas: Sequence[float]) -> ScheduleTable:
@@ -251,18 +258,23 @@ def explicit_table(intervals: Sequence[int], etas: Sequence[float]) -> ScheduleT
     if not all(0.0 < eta < math.inf for eta in etas):
         raise ValueError("etas must be positive and finite")
     e, steps = np.array(intervals, dtype=np.int64), np.array(etas, dtype=np.float64)
-    return ScheduleTable(e, steps * e, steps, np.cumsum(e), 0, _diagnostics(e))
+    return ScheduleTable(e, steps * e, steps, np.cumsum(e), 0, *_summary(e))
 
 
-def _diagnostics(e: np.ndarray) -> ScheduleDiagnostics:
+def _summary(e: np.ndarray) -> tuple[int, float, float]:
+    """(t_T, nu_hat, acf) of the intervals ``e``."""
     t_total, total_rounds = int(e.sum()), len(e)
     nu_hat = t_total * float((1.0 / e).sum()) / total_rounds**2
-    return ScheduleDiagnostics(t_total, nu_hat, total_rounds / t_total)
+    return t_total, nu_hat, total_rounds / t_total
 
 
-def diagnostics(schedule: CommunicationSchedule, total_rounds: int) -> ScheduleDiagnostics:
-    """``table(schedule, total_rounds).diagnostics``, without the step sizes."""
-    return _diagnostics(intervals(schedule, total_rounds))
+def diagnostics(schedule: CommunicationSchedule, total_rounds: int) -> tuple[int, float, float]:
+    """The table's (t_T, nu_hat, acf), from the intervals alone, without the step sizes.
+
+    Only the benchmark's set-up probe (``perfbench/cell.py``) calls it; it
+    goes once that probe times ``schedules.table`` instead.
+    """
+    return _summary(intervals(schedule, total_rounds))
 
 
 def fclt_time_scale(table: ScheduleTable, r: float | Sequence[float]) -> int | list[int]:
@@ -289,7 +301,7 @@ def _trends(
     step_sum, gamma_floor, growth = [], [], []
     for t in grid:
         rows = table(schedule, t)
-        e, gammas, sqrt_t = rows.intervals, rows.gammas, math.sqrt(rows.diagnostics.t_T)
+        e, gammas, sqrt_t = rows.intervals, rows.gammas, math.sqrt(rows.t_T)
         step_sum.append(sqrt_t / t * float(gammas.sum()))
         gamma_floor.append(sqrt_t / (t * math.sqrt(gammas[-1])))
         growth.append(0.0 if t < 2 else t * (1.0 - e[-2] / e[-1]))

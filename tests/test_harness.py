@@ -188,8 +188,8 @@ class TestRoundsForTarget:
     def test_first_crossing(self):
         sched = schedules.CommunicationSchedule("power", base=1, exponent=0.5)
         t = rounds_for_target(sched, 500)
-        total = schedules.diagnostics(sched, t).t_T
-        before = schedules.diagnostics(sched, t - 1).t_T
+        total = schedules.table(sched, t).t_T
+        before = schedules.table(sched, t - 1).t_T
         assert total >= 500 > before
 
     def test_with_warmup(self):
@@ -300,10 +300,10 @@ class TestRunExperiment:
     def test_report_fields_match_diagnostics(self):
         config = parse_config_text(BASE_CONFIG)
         report = run_experiment(config)
-        diag = schedules.diagnostics(config.schedule, report.rounds)
-        assert report.acf == diag.acf
-        assert report.nu_hat == diag.nu_hat
-        assert report.t_T == diag.t_T
+        rows = schedules.table(config.schedule, report.rounds)
+        assert report.acf == rows.acf
+        assert report.nu_hat == rows.nu_hat
+        assert report.t_T == rows.t_T
 
     def test_csv_shape(self, tmp_path):
         config = quadratic_config()
@@ -531,7 +531,7 @@ class TestRunExperiment:
         z, q, j = 1.96, 6.75, 1
         payload = harness._RepPayload(
             config.seed, fed, rows, x0, (config.rounds,),
-            methods=(("plugin", (z, rows.diagnostics, j)), ("rscale", (q, j))),
+            methods=(("plugin", (z, rows.nu_hat / rows.t_T, j)), ("rscale", (q, j))),
         )
         intervals, _ = harness._replicate(payload, 2)
 
@@ -545,7 +545,7 @@ class TestRunExperiment:
             rscale.observe(x_bar, int(interval))
         y_bar = engine.average_estimate(np.array(points))
         expected = [
-            plugin.confidence_interval(y_bar, z, rows.diagnostics, j),
+            plugin.confidence_interval(y_bar, z, rows.nu_hat / rows.t_T, j),
             rscale.confidence_interval(y_bar, q, j),
         ]
         np.testing.assert_array_equal(intervals, expected)

@@ -391,8 +391,13 @@ class TestClientModelInputs:
             (("linear", np.zeros((2, 2))), {}, "local_optimum must be a nonempty vector"),
             (("quadratic", np.zeros(2)), {"curvature": 0.0}, "curvature must be positive"),
             (("quadratic", np.zeros(2)), {"curvature": -1.0}, "curvature must be positive"),
+            (("linear", np.array([0.0, math.nan])), {}, "local_optimum must be finite"),
+            (("logistic", np.array([math.inf, 0.0])), {}, "local_optimum must be finite"),
+            (("quadratic", np.zeros(2)), {"curvature": math.nan}, "curvature must be finite"),
+            (("quadratic", np.zeros(2)), {"curvature": math.inf}, "curvature must be finite"),
         ],
-        ids=["kind", "empty", "matrix", "curvature-zero", "curvature-negative"],
+        ids=["kind", "empty", "matrix", "curvature-zero", "curvature-negative",
+             "optimum-nan", "optimum-inf", "curvature-nan", "curvature-inf"],
     )
     def test_bad_client_rejected(self, args, kwargs, message):
         with pytest.raises(ValueError, match=message):
@@ -458,9 +463,11 @@ class TestFederation:
             ((2, 2), [[0.5, 0.5]], "weights must be positive, one per client"),
             ((2, 2), [1.5, -0.5], "weights must be positive, one per client"),
             ((2, 2), [1.0, 0.0], "weights must be positive, one per client"),
+            ((2, 2), [math.nan, 0.5], "weights must be positive, one per client"),
+            ((2, 2), [0.5, math.inf], "weights sum to inf"),
         ],
         ids=["no-clients", "no-clients-default-weights", "dimensions", "dimensions-default-weights",
-             "short", "long", "matrix", "negative", "zero"],
+             "short", "long", "matrix", "negative", "zero", "nan", "inf"],
     )
     def test_bad_federation_rejected(self, dimensions, weights, message):
         clients = tuple(ClientModel("linear", np.zeros(d)) for d in dimensions)

@@ -8,14 +8,12 @@ from hypothesis import strategies as st
 from fedstat import harness, models, schedules
 from fedstat.engine import BLOCK_ROUNDS
 from fedstat.plugin import PluginState, SingularHessian
-from fedstat.schedules import ScheduleDiagnostics
 
 
 Z_95 = 1.9599639845400536  # z_0.975, the critical value of a two-sided 95% interval
 
 
-def diag_stub(nu_hat=1.0, t_T=1):
-    return ScheduleDiagnostics(t_T=t_T, nu_hat=nu_hat, acf=1.0)
+SCALE = 1.0  # the variance scale nu_hat / t_T of one round of C1
 
 
 def batch_recompute(grads, hessians):
@@ -133,14 +131,14 @@ class TestSandwich:
             state.observe(rng.standard_normal(2), a @ a.T + np.eye(2))
         reads = ("g_hat", "s_hat")
         before = [getattr(state, name) for name in reads] + [state.sandwich()]
-        interval = state.confidence_interval(np.zeros(2), Z_95, diag_stub(), 0)
+        interval = state.confidence_interval(np.zeros(2), Z_95, SCALE, 0)
         for name in reads:
             getattr(state, name)[...] *= 4.0
         state.sandwich()[...] *= 4.0
         after = [getattr(state, name) for name in reads] + [state.sandwich()]
         for old, new in zip(before, after):
             np.testing.assert_array_equal(new, old)
-        assert state.confidence_interval(np.zeros(2), Z_95, diag_stub(), 0) == interval
+        assert state.confidence_interval(np.zeros(2), Z_95, SCALE, 0) == interval
 
     def test_scalar_example(self):
         state = PluginState(1)
@@ -199,8 +197,7 @@ class TestConfidenceInterval:
     def test_halfwidth_composition(self):
         state = PluginState(1)
         state.observe(np.array([1.0]), np.array([[1.0]]))
-        diag = diag_stub(nu_hat=4.0, t_T=16)
-        lo, hi = state.confidence_interval(np.array([4.0]), Z_95, diag, 0)
+        lo, hi = state.confidence_interval(np.array([4.0]), Z_95, 4.0 / 16.0, 0)
         half = Z_95 * np.sqrt(4.0 / 16.0) * 1.0
         assert (lo, hi) == pytest.approx((4.0 - half, 4.0 + half), rel=1e-12)
 
@@ -208,7 +205,7 @@ class TestConfidenceInterval:
         state = PluginState(2)
         for _ in range(3):
             state.observe(np.zeros(2), np.eye(2))
-        lo, hi = state.confidence_interval(np.array([1.0, 2.0]), Z_95, diag_stub(), 1)
+        lo, hi = state.confidence_interval(np.array([1.0, 2.0]), Z_95, SCALE, 1)
         assert lo == hi == 2.0
 
     def test_nan_gradient_draw_gives_a_nan_interval(self):
@@ -216,14 +213,14 @@ class TestConfidenceInterval:
         state.observe(np.array([np.nan, 0.0]), np.eye(2))
         for _ in range(3):
             state.observe(np.ones(2), np.eye(2))
-        lo, hi = state.confidence_interval(np.zeros(2), Z_95, diag_stub(), 0)
+        lo, hi = state.confidence_interval(np.zeros(2), Z_95, SCALE, 0)
         assert np.isnan(lo) and np.isnan(hi)
 
     def test_propagates_singular_hessian(self):
         state = PluginState(2)
         state.observe(np.zeros(2), np.eye(2))
         with pytest.raises(SingularHessian):
-            state.confidence_interval(np.zeros(2), Z_95, diag_stub(), 0)
+            state.confidence_interval(np.zeros(2), Z_95, SCALE, 0)
 
     def test_width_scales_with_inverse_sqrt_iterations(self):
         """Doubling t_T must shrink mean width by sqrt(2) within 10%."""

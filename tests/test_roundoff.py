@@ -7,7 +7,6 @@ from fedstat import harness, models, roundoff, schedules
 from fedstat.engine import average_estimate
 from fedstat.plugin import PluginState
 from fedstat.rscale import RScaleState
-from fedstat.schedules import ScheduleDiagnostics
 
 X_STAR = np.array([0.7, -1.3])
 FLOOR = roundoff.floor_for(2.0)
@@ -25,8 +24,7 @@ def ulp_path(rounds=30, seed=0):
 Q_RSCALE, Z_PLUGIN = 6.753, 1.9599639845400536
 
 
-def diag_stub(nu_hat=1.0, t_T=30):
-    return ScheduleDiagnostics(t_T=t_T, nu_hat=nu_hat, acf=1.0)
+SCALE = 1.0 / 30  # the variance scale nu_hat / t_T of 30 rounds of C1
 
 
 class TestFloor:
@@ -61,14 +59,14 @@ class TestZeroWidth:
             state.observe(x - X_STAR, np.eye(2))
         y_bar = average_estimate(path)
         for j in range(2):
-            lo, hi = state.confidence_interval(y_bar, Z_PLUGIN, diag_stub(), j, FLOOR)
+            lo, hi = state.confidence_interval(y_bar, Z_PLUGIN, SCALE, j, FLOOR)
             assert lo == hi == y_bar[j]
 
     def test_exact_arithmetic_default_keeps_ulp_width(self):
         state, path = PluginState(2), ulp_path()
         for x in path:
             state.observe(x - X_STAR, np.eye(2))
-        lo, hi = state.confidence_interval(average_estimate(path), Z_PLUGIN, diag_stub(), 0)
+        lo, hi = state.confidence_interval(average_estimate(path), Z_PLUGIN, SCALE, 0)
         assert lo < hi
 
 
@@ -125,14 +123,14 @@ class TestNegativeVariance:
     def test_plugin_negative_diagonal_scaled_by_nu_over_t(self, monkeypatch):
         state = PluginState(1)
         state.observe(np.zeros(1), np.eye(1))
-        diag = diag_stub(nu_hat=2.0, t_T=50)
-        # The centre's variance is (nu_hat / t_T) * sandwich diagonal.
-        scale = FLOOR**2 * diag.t_T / diag.nu_hat
-        monkeypatch.setattr(state, "sandwich", lambda: np.array([[-0.5 * scale]]))
-        assert state.confidence_interval(np.ones(1), Z_PLUGIN, diag, 0, FLOOR) == (1.0, 1.0)
-        monkeypatch.setattr(state, "sandwich", lambda: np.array([[-2.0 * scale]]))
+        scale = 2.0 / 50  # nu_hat / t_T
+        # The centre's variance is scale * sandwich diagonal.
+        tolerance = FLOOR**2 / scale
+        monkeypatch.setattr(state, "sandwich", lambda: np.array([[-0.5 * tolerance]]))
+        assert state.confidence_interval(np.ones(1), Z_PLUGIN, scale, 0, FLOOR) == (1.0, 1.0)
+        monkeypatch.setattr(state, "sandwich", lambda: np.array([[-2.0 * tolerance]]))
         with pytest.raises(ValueError, match="sandwich diagonal"):
-            state.confidence_interval(np.ones(1), Z_PLUGIN, diag, 0, FLOOR)
+            state.confidence_interval(np.ones(1), Z_PLUGIN, scale, 0, FLOOR)
 
 
 class TestNoisyIntervalsUnchanged:
@@ -145,8 +143,8 @@ class TestNoisyIntervalsUnchanged:
             rscale.observe(x, 1)
         y_bar = average_estimate(path)
         for j in range(2):
-            assert plugin.confidence_interval(y_bar, Z_PLUGIN, diag_stub(), j, FLOOR) == (
-                plugin.confidence_interval(y_bar, Z_PLUGIN, diag_stub(), j)
+            assert plugin.confidence_interval(y_bar, Z_PLUGIN, SCALE, j, FLOOR) == (
+                plugin.confidence_interval(y_bar, Z_PLUGIN, SCALE, j)
             )
             assert rscale.confidence_interval(y_bar, Q_RSCALE, j, FLOOR) == (
                 rscale.confidence_interval(y_bar, Q_RSCALE, j)

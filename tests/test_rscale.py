@@ -1,3 +1,5 @@
+import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -79,6 +81,13 @@ class TestObserve:
     def test_interval_must_be_positive(self):
         with pytest.raises(ValueError):
             RScaleState(1).observe(np.zeros(1), 0)
+
+    @pytest.mark.parametrize("interval", [math.nan, math.inf, 1.5, np.float64(2.0)])
+    def test_interval_must_be_an_integer(self, interval):
+        state = RScaleState(1)
+        with pytest.raises(ValueError, match=re.escape(f"interval must be an integer, got {interval!r}")):
+            state.observe(np.zeros(1), interval)
+        assert state.rounds_seen == 0
 
     @pytest.mark.parametrize("dimension", [0, -1])
     def test_dimension_below_one_rejected(self, dimension):

@@ -1,14 +1,15 @@
 import itertools
 import math
 import pickle
-from dataclasses import FrozenInstanceError
+import re
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedstat import schedules
+from fedstat import cli, schedules
 from fedstat.harness import rounds_for_target
 from fedstat.schedules import CommunicationSchedule, explicit_table
 from reference import bisect_rounds_for_target
@@ -29,6 +30,10 @@ def steps(sched, m, total):
 
 def fclt(sched, r, total):
     return schedules.fclt_time_scale(schedules.table(sched, total), r)
+
+
+def summary(rows):
+    return rows.t_T, rows.nu_hat, rows.acf
 
 
 class TestIntervalAt:
@@ -94,10 +99,7 @@ class TestStepSizes:
 
 class TestDiagnostics:
     def test_all_ones(self):
-        diag = schedules.diagnostics(constant(1), 100)
-        assert diag.t_T == 100
-        assert diag.nu_hat == 1.0
-        assert diag.acf == 1.0
+        assert summary(schedules.table(constant(1), 100)) == (100, 1.0, 1.0)
         assert constant(1).nu_limit == 1.0
 
     def test_power_limit_value(self):
@@ -105,38 +107,38 @@ class TestDiagnostics:
         assert sched.nu_limit == pytest.approx(4.0 / 3.0)
 
     def test_direct_summation_oracle(self):
-        diag = explicit_table((1, 2, 3), (0.1, 0.1, 0.1)).diagnostics
-        assert diag.t_T == 6
-        assert diag.nu_hat == pytest.approx((6 * (1 + 0.5 + 1 / 3)) / 9)
+        rows = explicit_table((1, 2, 3), (0.1, 0.1, 0.1))
+        assert rows.t_T == 6
+        assert rows.nu_hat == pytest.approx((6 * (1 + 0.5 + 1 / 3)) / 9)
 
     def test_depend_on_the_intervals_alone(self):
         sched = CommunicationSchedule("power", exponent=0.5, warmup_fraction=0.05)
         rows = schedules.table(sched, 300)
         same = explicit_table(tuple(rows.intervals.tolist()), tuple(rows.etas.tolist()))
-        assert same.diagnostics == rows.diagnostics == schedules.diagnostics(sched, 300)
+        assert summary(same) == summary(rows) == schedules.diagnostics(sched, 300)
 
     @pytest.mark.parametrize("beta", [1.0 / 3.0, 0.5])
     def test_power_nu_hat_approaches_limit(self, beta):
         sched = CommunicationSchedule("power", base=1, exponent=beta)
-        diag = schedules.diagnostics(sched, 10_000)
-        assert diag.nu_hat == pytest.approx(sched.nu_limit, rel=0.05)
+        rows = schedules.table(sched, 10_000)
+        assert rows.nu_hat == pytest.approx(sched.nu_limit, rel=0.05)
 
     def test_acf_below_one_with_local_steps(self):
-        diag = schedules.diagnostics(constant(5), 40)
-        assert diag.acf == pytest.approx(0.2)
-        assert diag.nu_hat == 1.0
+        rows = schedules.table(constant(5), 40)
+        assert rows.acf == pytest.approx(0.2)
+        assert rows.nu_hat == 1.0
 
     @given(
         st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=40)
     )
     @settings(max_examples=60, deadline=None)
     def test_nu_hat_at_least_one_iff_constant(self, intervals):
-        diag = explicit_table(tuple(intervals), (0.1,) * len(intervals)).diagnostics
-        assert diag.nu_hat >= 1.0 - 1e-12
+        nu_hat = explicit_table(tuple(intervals), (0.1,) * len(intervals)).nu_hat
+        assert nu_hat >= 1.0 - 1e-12
         if len(set(intervals)) == 1:
-            assert diag.nu_hat == pytest.approx(1.0, abs=1e-12)
+            assert nu_hat == pytest.approx(1.0, abs=1e-12)
         else:
-            assert diag.nu_hat > 1.0 + 1e-12
+            assert nu_hat > 1.0 + 1e-12
 
 
 class TestFcltTimeScale:
@@ -264,7 +266,62 @@ class TestTable:
         for name in self.ARRAYS:
             assert not getattr(copy, name).flags.writeable
             np.testing.assert_array_equal(getattr(copy, name), getattr(rows, name))
-        assert (copy.warmup, copy.diagnostics) == (rows.warmup, rows.diagnostics)
+        assert (copy.warmup, *summary(copy)) == (rows.warmup, *summary(rows))
+
+
+class TestSetupProbe:
+    """``schedules.diagnostics``, which the benchmark's set-up probe times,
+    gives the table's summary numbers without building any step size."""
+
+    SCHEDULES = [
+        constant(5),
+        CommunicationSchedule("log", base=2, exponent=1.5),
+        CommunicationSchedule("power", base=1, exponent=0.5),
+    ]
+
+    @pytest.mark.parametrize("warmup", [0.0, 0.05])
+    @pytest.mark.parametrize("sched", SCHEDULES, ids=lambda s: s.label())
+    def test_equals_the_table_and_builds_no_table(self, sched, warmup, monkeypatch):
+        sched = replace(sched, warmup_fraction=warmup)
+        expected = summary(schedules.table(sched, 700))
+
+        def no_table(*args):
+            raise AssertionError("the probe built a table")
+
+        monkeypatch.setattr(schedules, "table", no_table)
+        assert schedules.diagnostics(sched, 700) == expected
+
+
+class TestOverflow:
+    """A family whose intervals pass 2**53, or whose counts could pass int64,
+    is refused before the cast instead of wrapping."""
+
+    HUGE = [
+        (constant(2**62), 4),
+        (CommunicationSchedule("power", base=2**60, exponent=0.5), 10),
+        (CommunicationSchedule("log", base=2**52, exponent=2.0), 3),
+        (constant(2**53), 1024),
+    ]
+
+    @pytest.mark.parametrize("sched, total", HUGE, ids=["C2^62", "P2^60", "Log2^52", "C2^53"])
+    def test_table_refuses(self, sched, total):
+        with pytest.raises(ValueError, match=f"^schedule {re.escape(sched.label())} does not fit"):
+            schedules.table(sched, total)
+        with pytest.raises(ValueError, match="does not fit 64-bit counts"):
+            rounds_for_target(sched, 2**63 - 1)
+
+    def test_largest_counts_fit(self):
+        rows = schedules.table(constant(2**53), 1023)
+        assert rows.t_T == rows.comm_times[-1] == 1023 * 2**53
+
+    def test_cli_reports_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "config.txt"
+        path.write_text(f"schedule_base = {2**62}\nrounds = 4\nreplications = 2\n")
+        assert cli.main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"fedstat: error: schedule C{2**62} does not fit 64-bit counts at T = 4 "
+            f"(interval {2**62})\n"
+        )
 
 
 class TestValidateSchedule:
@@ -295,7 +352,7 @@ class TestWarmupAccounting:
         sched = CommunicationSchedule("power", base=1, exponent=0.5, warmup_fraction=0.05)
         total = 1076
         rows = schedules.table(sched, total)
-        w, t_total = rows.warmup, rows.diagnostics.t_T
+        w, t_total = rows.warmup, rows.t_T
         assert w >= sched.warmup_fraction * t_total - 1
         assert (w - 1) < sched.warmup_fraction * (t_total + 1)
 
@@ -399,7 +456,7 @@ class TestScalarParity:
         np.testing.assert_array_equal(rows.gammas, ref_gammas)
         np.testing.assert_array_equal(rows.etas, ref_etas)
         assert rows.warmup == ref_warmup(sched, total)
-        assert rows.diagnostics == schedules.diagnostics(sched, total)
+        assert summary(rows) == schedules.diagnostics(sched, total)
         assert rounds_for_target(sched, target) == ref_rounds_for_target(sched, target)
 
     @given(explicit_rounds)
@@ -414,10 +471,10 @@ class TestScalarParity:
         assert rows.intervals.dtype == rows.comm_times.dtype == np.int64
         assert rows.warmup == 0
         t_total, total = sum(intervals), len(intervals)
-        assert rows.diagnostics.t_T == t_total
-        assert rows.diagnostics.acf == total / t_total
+        assert rows.t_T == t_total
+        assert rows.acf == total / t_total
         nu_hat = t_total * math.fsum(1.0 / e for e in intervals) / total**2
-        assert rows.diagnostics.nu_hat == pytest.approx(nu_hat, rel=1e-14)
+        assert rows.nu_hat == pytest.approx(nu_hat, rel=1e-14)
 
     @pytest.mark.parametrize(
         "sched, target, rounds",
