@@ -36,7 +36,6 @@ checkpoints and no methods.
 
 from __future__ import annotations
 
-import bisect
 import math
 import operator
 import time
@@ -51,6 +50,7 @@ from . import critvals, engine, models, roundoff, rscale, schedules
 from .config import PLUGIN, RSCALE, ExperimentConfig, load_config, parse_config_text
 from .plugin import PluginState, SingularHessian
 from .rscale import RScaleState
+from .schedules import rounds_for_target
 
 __all__ = [
     "ExperimentConfig",
@@ -59,7 +59,6 @@ __all__ = [
     "parse_config_text",
     "load_config",
     "build_federation",
-    "rounds_for_target",
     "run_experiment",
     "convergence_curve",
     "partial_sum_process",
@@ -115,39 +114,6 @@ def build_federation(config: ExperimentConfig) -> models.Federation:
     return models.Federation(
         [models.ClientModel(config.model, o, noise_scale=config.noise_scale) for o in optima]
     )
-
-
-def rounds_for_target(schedule: schedules.CommunicationSchedule, target_observations: int) -> int:
-    """Smallest T whose cumulative observation count reaches the target.
-
-    A T-round run makes t_T = W + P[T - W] observations, P being the family
-    prefix and W the run's warm-up; bisection finds T between two bounds.
-    Let n0 be the first n with P[n] >= target and f the warm-up fraction.
-    t_T <= P[T], so T >= n0.  A warm-up of W rounds has (1 - f)(W - 1) <
-    f * P[T - W + 1], so at T >= n0 + f * P[n0] / (1 - f) + 1 it leaves the
-    family at least n0 rounds and t_T >= P[n0]: T <= n0 + ceil(f * P[n0] /
-    (1 - f)) + 1, and T <= target, as every interval is at least 1.  The
-    prefix grows geometrically until it reaches the target, then to the
-    upper bound, and serves every probe.
-    """
-    if target_observations < 1:
-        raise ValueError("target_observations must be >= 1")
-    n = min(1024, target_observations)
-    prefix = schedules.family_prefix(schedule, n)
-    while prefix[-1] < target_observations:
-        n = min(4 * n, target_observations)
-        prefix = schedules.family_prefix(schedule, n)
-    lo = int(np.searchsorted(prefix, target_observations))
-    frac = schedule.warmup_fraction
-    hi = min(lo + math.ceil(frac * int(prefix[lo]) / (1.0 - frac)) + 1, target_observations)
-    if hi > n:
-        prefix = schedules.family_prefix(schedule, hi)
-
-    def reached(t: int) -> bool:
-        w = schedules.warmup_from_prefix(schedule, prefix, t)
-        return w + int(prefix[t - w]) >= target_observations
-
-    return bisect.bisect_left(range(hi), True, lo, key=reached)
 
 
 def _resolve_x0(config: ExperimentConfig, federation: models.Federation) -> np.ndarray:
@@ -237,9 +203,17 @@ def _replicate(payload: _RepPayload, rep: int) -> tuple[np.ndarray, np.ndarray]:
     return intervals, errors
 
 
-def _check_workers(workers: int) -> None:
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+def _count(name: str, value: int, least: int) -> int:
+    """``value`` read with ``operator.index``, as ``ExperimentConfig`` reads
+    its integer fields (1.5 is refused, not cut to 1, and True reads as 1),
+    and checked to be at least ``least``."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
 
 
 # A pool worker's payload, set once per worker by the pool's initializer, so
@@ -293,6 +267,8 @@ def run_experiment(
     ``report.csv`` and ``replications.csv`` into it, and the paths of the
     first ``dump_paths`` replications into its ``paths`` directory;
     ``dump_paths`` below 0, or above 0 without ``out_dir``, is an error.
+    ``workers`` and ``dump_paths`` must be integers (``operator.index``
+    reads them: 0.5 is refused, not cut to 0).
 
     Both methods and the coverage decision share the roundoff rule of
     ``fedstat.roundoff``, with floor ROUNDOFF_FACTOR * eps * max(||x0||_inf,
@@ -305,9 +281,8 @@ def run_experiment(
     processes than there are replications; one worker runs them in this
     process.  The output bytes do not depend on the worker count.
     """
-    _check_workers(workers)
-    if dump_paths < 0:
-        raise ValueError(f"dump_paths must be >= 0, got {dump_paths}")
+    workers = _count("workers", workers, 1)
+    dump_paths = _count("dump_paths", dump_paths, 0)
     if dump_paths > 0 and out_dir is None:
         raise ValueError("dump_paths needs an output directory")
     started = time.perf_counter()
@@ -459,9 +434,9 @@ def convergence_curve(
     As in ``run_experiment``, a replication whose run diverges (the engine's
     ``DivergenceError``) is left out of every checkpoint's mean and standard
     error, and both are nan when every replication diverged.  ``workers`` is
-    capped as in ``run_experiment``.
+    read and capped as in ``run_experiment``.
     """
-    _check_workers(workers)
+    workers = _count("workers", workers, 1)
     rounds = []
     for t in checkpoints:
         try:

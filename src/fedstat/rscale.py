@@ -22,8 +22,9 @@ round of the block, and from it A, b, s and q.  The running sum of x - pivot
 is kept to double length (``roundoff.add_rows``), so only the sums inside
 each block round, not the growing total.  Every read folds the pending rows
 into a fresh result and stores nothing, so the results never depend on when,
-or how often, the state was read, and a caller that changes a returned array
-changes nothing in the state.
+or how often, the state was read, and a caller that changes the returned
+V_hat changes nothing in the state.  The pivot and the sums are private: they
+are how V_hat is computed, not what the state estimates.
 Intervals follow the roundoff rule of ``fedstat.roundoff``: a half-width at or
 below the floor is exactly 0, and a negative V_hat diagonal within floor**2
 counts as 0.
@@ -53,15 +54,17 @@ class _Sums(NamedTuple):
 
 
 class RScaleState:
-    """Streaming accumulators behind V_hat.
+    """The random-scaling studentizer V_hat of the rounds observed so far.
 
-    After m rounds, with p the first synchronized point (the pivot),
-    y_bar_n the mean of the first n synchronized points and z_n = y_bar_n - p:
+    Its reads are ``v_hat()``, ``confidence_interval`` and ``rounds_seen``.
+    The running sums behind V_hat are private: after m rounds, with p the
+    first synchronized point (the pivot), y_bar_n the mean of the first n
+    synchronized points and z_n = y_bar_n - p,
         A     = sum_n (n^2/E_n) z_n z_n',
         b     = sum_n (n^2/E_n) z_n,
         s     = sum_n 1/E_n,
         q     = sum_n n^2/E_n.
-    Each read returns arrays of its own.
+    ``v_hat()`` returns a matrix of its own.
     """
 
     def __init__(self, dimension: int):
@@ -120,26 +123,6 @@ class RScaleState:
             sums.s + float(inv.sum()),
             sums.q + float((n * n / self._intervals[:k]).sum()),
         )
-
-    @property
-    def pivot(self) -> np.ndarray:
-        return self._fold().pivot.copy()
-
-    @property
-    def A(self) -> np.ndarray:
-        return self._fold().A.copy()
-
-    @property
-    def b(self) -> np.ndarray:
-        return self._fold().b.copy()
-
-    @property
-    def s(self) -> float:
-        return self._fold().s
-
-    @property
-    def q(self) -> float:
-        return self._fold().q
 
     def v_hat(self) -> np.ndarray:
         """The studentizing matrix (A - z b' - b z' + q z z') / (m^2 s), z = z_m."""

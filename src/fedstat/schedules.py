@@ -11,18 +11,23 @@ A run reads one frozen ``ScheduleTable``: the read-only arrays of E_m,
 gamma_m, eta_m and the synchronization times, the warm-up round count, and
 the summary numbers t_T, nu_hat and acf of the same intervals.  The
 inference states see only numbers read off it, never the table or the
-schedule.  ``table(schedule, T)``
-builds it from a ``CommunicationSchedule``; ``explicit_table(intervals,
-etas)`` builds it from explicit arrays, one round per entry.  The harness
-builds it once per experiment and every replication's engine run reads it;
-nothing is cached.  The integer intervals use numpy's ``power``
-and ``log2``: the ``- 1e-12`` guard of the ceiling absorbs their last-bit
-differences from Python's scalar ``**`` and ``math.log2`` (no interval
-differs for T up to 10^6 on C1, C5, P(1/3), P(1/2), P(2,1/2), P(2/3),
-P(0.9), Log, Log(2,1) and Log(1,1.5)).  The step sizes gamma_m are computed
-with Python's ``pow`` instead, because nothing absorbs a last-bit difference
-in eta_m and numpy's vectorized ``power`` differs from ``pow`` in the last bit
-in about 5% of elements (50,508 of m = 1..10^6 at alpha = 0.505).
+schedule.  ``table(schedule, T)`` builds it from a ``CommunicationSchedule``;
+``explicit_table(intervals, etas)`` builds it from explicit arrays, one round
+per entry.  The harness builds it once per experiment and every
+replication's engine run reads it; nothing is cached.
+``rounds_for_target(schedule, n)`` finds the smallest T whose t_T reaches n
+observations.  It and ``table`` apply the one warm-up rule
+t_T = W + P[T - W] through two private helpers: ``_family_prefix`` gives the
+family's prefix sums P and ``_warmup`` the warm-up round count W.
+
+The integer intervals use numpy's ``power`` and ``log2``: the ``- 1e-12``
+guard of the ceiling absorbs their last-bit differences from Python's scalar
+``**`` and ``math.log2`` (no interval differs for T up to 10^6 on C1, C5,
+P(1/3), P(1/2), P(2,1/2), P(2/3), P(0.9), Log, Log(2,1) and Log(1,1.5)).
+The step sizes gamma_m are computed with Python's ``pow`` instead, because
+nothing absorbs a last-bit difference in eta_m and numpy's vectorized
+``power`` differs from ``pow`` in the last bit in about 5% of elements
+(50,508 of m = 1..10^6 at alpha = 0.505).
 """
 
 from __future__ import annotations
@@ -38,14 +43,13 @@ import numpy as np
 __all__ = [
     "CommunicationSchedule",
     "ScheduleTable",
-    "family_prefix",
     "intervals",
+    "rounds_for_target",
     "table",
     "explicit_table",
     "diagnostics",
     "fclt_time_scale",
     "validate_schedule",
-    "warmup_from_prefix",
 ]
 
 _KINDS = ("constant", "log", "power")
@@ -82,8 +86,11 @@ class CommunicationSchedule:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if not (math.isfinite(self.base) and int(self.base) == self.base >= 1):
-            raise ValueError("base interval must be an integer >= 1")
+        # Compared first, because int(inf) and a float of a huge int raise
+        # OverflowError.  Every family's first interval is base, and float64
+        # counts exactly only up to 2**53.
+        if not (1 <= self.base <= 2**53 and int(self.base) == self.base):
+            raise ValueError("base interval must be an integer in [1, 2**53]")
         # Stored as an int: base=2.0 or base=True would be labelled "C2.0" or "CTrue".
         object.__setattr__(self, "base", int(self.base))
         if self.kind == "power" and not 0.0 < self.exponent < 1.0:
@@ -149,7 +156,7 @@ class ScheduleTable:
         return ScheduleTable, tuple(vars(self).values())
 
 
-def family_prefix(schedule: CommunicationSchedule, n: int) -> np.ndarray:
+def _family_prefix(schedule: CommunicationSchedule, n: int) -> np.ndarray:
     """Observation counts of the bare family's first 0..n rounds (length n + 1).
 
     Entry k is F_1 + ... + F_k, where F_i is the family interval at index i
@@ -193,10 +200,10 @@ def _check_counts(schedule: CommunicationSchedule, n: int, last: float) -> None:
         )
 
 
-def warmup_from_prefix(schedule: CommunicationSchedule, prefix: np.ndarray, total_rounds: int) -> int:
+def _warmup(schedule: CommunicationSchedule, prefix: np.ndarray, total_rounds: int) -> int:
     """Number of leading rounds with E_m = 1 for a run of ``total_rounds``.
 
-    ``prefix`` is ``family_prefix(schedule, n)`` for any n >= total_rounds.
+    ``prefix`` is ``_family_prefix(schedule, n)`` for any n >= total_rounds.
     The warm-up covers the first ``warmup_fraction`` of all observations.  Each
     warm-up round contributes exactly one observation, so the count W is the
     smallest solution of W >= warmup_fraction * t_T(W) with
@@ -226,10 +233,43 @@ def _warmup_and_intervals(schedule: CommunicationSchedule, total_rounds: int) ->
     """The warm-up round count W and E_1..E_T, from one family prefix."""
     if total_rounds < 1:
         raise ValueError("total_rounds must be >= 1")
-    prefix = family_prefix(schedule, total_rounds)
-    w = warmup_from_prefix(schedule, prefix, total_rounds)
+    prefix = _family_prefix(schedule, total_rounds)
+    w = _warmup(schedule, prefix, total_rounds)
     family = np.diff(prefix[: total_rounds - w + 1])
     return w, np.concatenate([np.ones(w, dtype=np.int64), family])
+
+
+def rounds_for_target(schedule: CommunicationSchedule, target_observations: int) -> int:
+    """Smallest T whose cumulative observation count reaches the target.
+
+    A T-round run makes t_T = W + P[T - W] observations, P being the family
+    prefix and W the run's warm-up; bisection finds T between two bounds.
+    Let n0 be the first n with P[n] >= target and f the warm-up fraction.
+    t_T <= P[T], so T >= n0.  A warm-up of W rounds has (1 - f)(W - 1) <
+    f * P[T - W + 1], so at T >= n0 + f * P[n0] / (1 - f) + 1 it leaves the
+    family at least n0 rounds and t_T >= P[n0]: T <= n0 + ceil(f * P[n0] /
+    (1 - f)) + 1, and T <= target, as every interval is at least 1.  The
+    prefix grows geometrically until it reaches the target, then to the
+    upper bound, and serves every probe.
+    """
+    if target_observations < 1:
+        raise ValueError("target_observations must be >= 1")
+    n = min(1024, target_observations)
+    prefix = _family_prefix(schedule, n)
+    while prefix[-1] < target_observations:
+        n = min(4 * n, target_observations)
+        prefix = _family_prefix(schedule, n)
+    lo = int(np.searchsorted(prefix, target_observations))
+    frac = schedule.warmup_fraction
+    hi = min(lo + math.ceil(frac * int(prefix[lo]) / (1.0 - frac)) + 1, target_observations)
+    if hi > n:
+        prefix = _family_prefix(schedule, hi)
+
+    def reached(t: int) -> bool:
+        w = _warmup(schedule, prefix, t)
+        return w + int(prefix[t - w]) >= target_observations
+
+    return bisect.bisect_left(range(hi), True, lo, key=reached)
 
 
 def table(schedule: CommunicationSchedule, total_rounds: int) -> ScheduleTable:
@@ -243,7 +283,8 @@ def table(schedule: CommunicationSchedule, total_rounds: int) -> ScheduleTable:
 
 def explicit_table(intervals: Sequence[int], etas: Sequence[float]) -> ScheduleTable:
     """The table of one round per entry: E_m = intervals[m - 1], eta_m = etas[m - 1],
-    gamma_m = eta_m * E_m, and no warm-up.
+    gamma_m = eta_m * E_m, and no warm-up.  As for the families, an interval
+    above 2**53 or a total of 2**63 or more is refused.
 
     Not checked against the slow-growth assumptions; it allows what the
     parametric families cannot, e.g. a constant per-iteration step in
@@ -251,8 +292,10 @@ def explicit_table(intervals: Sequence[int], etas: Sequence[float]) -> ScheduleT
     """
     if not len(intervals):
         raise ValueError("need at least one interval")
-    if not all(math.isfinite(e) and int(e) == e >= 1 for e in intervals):
+    if not all(1 <= e < math.inf and int(e) == e for e in intervals):
         raise ValueError("all intervals must be integers >= 1")
+    if max(intervals) > 2**53 or sum(map(int, intervals)) >= 2**63:
+        raise ValueError("intervals must be at most 2**53 each and sum below 2**63")
     if len(etas) != len(intervals):
         raise ValueError("etas must match intervals in length")
     if not all(0.0 < eta < math.inf for eta in etas):

@@ -6,7 +6,7 @@ import numpy as np
 
 from fedstat import engine, models
 from fedstat.engine import SampleBuffer
-from fedstat.schedules import family_prefix, warmup_from_prefix
+from fedstat.schedules import _family_prefix, _warmup
 
 
 def round_map(a, b, weights, eta, pivot):
@@ -39,10 +39,10 @@ def bisect_rounds_for_target(schedule, target):
     """The smallest T whose observation count reaches ``target``, by bisection
     over 1..target on one family prefix of ``target`` rounds: every interval
     is at least 1, so T <= target."""
-    prefix = family_prefix(schedule, target)
+    prefix = _family_prefix(schedule, target)
 
     def total(t):
-        w = warmup_from_prefix(schedule, prefix, t)
+        w = _warmup(schedule, prefix, t)
         return w + int(prefix[t - w])
 
     lo, hi = 1, target

@@ -77,6 +77,23 @@ def test_engine_does_not_reference_schedules():
     assert "schedules" not in vars(fedstat.engine)
 
 
+def test_schedules_owns_the_round_search():
+    # The warm-up rule t_T = W + P[T - W] lives in schedules alone: the
+    # harness calls its T search and never the prefix helpers behind it.
+    assert fedstat.harness.rounds_for_target is fedstat.schedules.rounds_for_target
+    source = inspect.getsource(fedstat.harness)
+    assert "family_prefix" not in source and "_warmup" not in source
+    assert "rounds_for_target" in fedstat.schedules.__all__
+    assert "rounds_for_target" not in fedstat.harness.__all__
+
+
+def test_rscale_state_keeps_its_sums_private():
+    # V_hat is what the state estimates; the pivot and sums behind it are not read.
+    for name in ("pivot", "A", "b", "s", "q"):
+        assert not hasattr(fedstat.rscale.RScaleState, name)
+        assert not hasattr(fedstat.rscale.RScaleState(1), name)
+
+
 def test_engine_does_not_reference_the_inference_states():
     # The engine only optimizes; the harness feeds the states from its path.
     source = inspect.getsource(fedstat.engine)

@@ -13,7 +13,6 @@ from fedstat.harness import (
     convergence_curve,
     parse_config_text,
     partial_sum_process,
-    rounds_for_target,
     run_experiment,
 )
 from fedstat.plugin import PluginState
@@ -183,18 +182,18 @@ class TestConfigParsing:
 class TestRoundsForTarget:
     def test_exact_hit(self):
         sched = schedules.CommunicationSchedule("constant", base=5)
-        assert rounds_for_target(sched, 100) == 20
+        assert schedules.rounds_for_target(sched, 100) == 20
 
     def test_first_crossing(self):
         sched = schedules.CommunicationSchedule("power", base=1, exponent=0.5)
-        t = rounds_for_target(sched, 500)
+        t = schedules.rounds_for_target(sched, 500)
         total = schedules.table(sched, t).t_T
         before = schedules.table(sched, t - 1).t_T
         assert total >= 500 > before
 
     def test_with_warmup(self):
         sched = schedules.CommunicationSchedule("constant", base=5, warmup_fraction=0.05)
-        t = rounds_for_target(sched, 10000)
+        t = schedules.rounds_for_target(sched, 10000)
         assert t == 2400  # 500 warm-up rounds + 1900 rounds of five steps
 
 
@@ -324,6 +323,13 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="dump_paths needs an output directory"):
             run_experiment(quadratic_config(), dump_paths=2)
         assert runs == []
+
+    def test_fractional_dump_paths_fails_before_any_run(self, tmp_path, monkeypatch):
+        runs = []
+        monkeypatch.setattr(engine, "run", lambda *args, **kwargs: runs.append(args))
+        with pytest.raises(ValueError, match="dump_paths must be an integer, got 0.5"):
+            run_experiment(quadratic_config(), out_dir=tmp_path, dump_paths=0.5)
+        assert runs == [] and not any(tmp_path.iterdir())
 
     def test_cli_dump_paths_without_out_fails(self, tmp_path, capsys):
         path = tmp_path / "config.txt"
@@ -614,11 +620,18 @@ class TestWorkerCount:
         convergence_curve(quadratic_config(replications=3), [5], workers=1)
         assert pool_sizes == []
 
-    @pytest.mark.parametrize("workers", [0, -2])
-    def test_workers_below_one_rejected(self, pool_sizes, workers):
-        with pytest.raises(ValueError, match="workers must be >= 1"):
+    @pytest.mark.parametrize(
+        "workers, message",
+        [
+            pytest.param(0, "workers must be >= 1, got 0", id="0"),
+            pytest.param(-2, "workers must be >= 1, got -2", id="-2"),
+            pytest.param(1.5, "workers must be an integer, got 1.5", id="1.5"),
+        ],
+    )
+    def test_workers_below_one_rejected(self, pool_sizes, workers, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             run_experiment(quadratic_config(), workers=workers)
-        with pytest.raises(ValueError, match="workers must be >= 1"):
+        with pytest.raises(ValueError, match=re.escape(message)):
             convergence_curve(quadratic_config(), [5], workers=workers)
         assert pool_sizes == []
 

@@ -22,15 +22,10 @@ def test_changing_a_read_changes_nothing(rounds):
     state = RScaleState(2)
     for m in range(rounds):
         state.observe(rng.standard_normal(2), 1 + m % 3)
-    reads = ("pivot", "A", "b")
-    before = [getattr(state, name) for name in reads] + [state.v_hat()]
+    before = state.v_hat()
     interval = state.confidence_interval(np.zeros(2), Q_BETA_ZERO, 0)
-    for name in reads:
-        getattr(state, name)[...] *= 4.0
     state.v_hat()[...] *= 4.0
-    after = [getattr(state, name) for name in reads] + [state.v_hat()]
-    for old, new in zip(before, after):
-        np.testing.assert_array_equal(new, old)
+    np.testing.assert_array_equal(state.v_hat(), before)
     assert state.confidence_interval(np.zeros(2), Q_BETA_ZERO, 0) == interval
 
 
@@ -54,11 +49,12 @@ class TestObserve:
         x = np.array([1.0, -2.0])
         state.observe(x, 1)
         # A and b accumulate around the pivot, the first point, so both start at 0.
-        np.testing.assert_array_equal(state.pivot, x)
-        np.testing.assert_array_equal(state.A, np.zeros((2, 2)))
-        np.testing.assert_array_equal(state.b, np.zeros(2))
+        sums = state._fold()
+        np.testing.assert_array_equal(sums.pivot, x)
+        np.testing.assert_array_equal(sums.A, np.zeros((2, 2)))
+        np.testing.assert_array_equal(sums.b, np.zeros(2))
         np.testing.assert_array_equal(state.v_hat(), np.zeros((2, 2)))
-        assert state.s == 1.0 and state.q == 1.0 and state.rounds_seen == 1
+        assert sums.s == 1.0 and sums.q == 1.0 and state.rounds_seen == 1
 
     def test_two_point_path_both_forms_agree(self):
         state = RScaleState(1)
@@ -75,8 +71,9 @@ class TestObserve:
         s_prev = q_prev = 0.0
         for m in range(1, 30):
             state.observe(rng.standard_normal(2), int(rng.integers(1, 6)))
-            assert state.s > s_prev and state.q > q_prev
-            s_prev, q_prev = state.s, state.q
+            sums = state._fold()
+            assert sums.s > s_prev and sums.q > q_prev
+            s_prev, q_prev = sums.s, sums.q
 
     def test_interval_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -120,9 +117,10 @@ class TestBlockFold:
             read.observe(x, int(e))
             unread.observe(x, int(e))
             if m in reads:
-                read.A, read.b, read.s, read.q, read.v_hat()  # read and dropped
-        for name in ("pivot", "A", "b", "s", "q", "rounds_seen"):
-            np.testing.assert_array_equal(getattr(read, name), getattr(unread, name))
+                read._fold(), read.v_hat()  # read and dropped
+        assert read.rounds_seen == unread.rounds_seen
+        for got, want in zip(read._fold(), unread._fold()):
+            np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(read.v_hat(), unread.v_hat())
 
     def test_block_sums_match_exact_arithmetic(self):
@@ -151,12 +149,13 @@ class TestBlockFold:
             err = abs(Fraction(float(got)) - sum(terms))
             assert err <= tol * float(sum(map(abs, terms)))
 
+        sums = state._fold()
         for i in range(d):
-            check(state.b[i], [t[i] for t in b_terms])
+            check(sums.b[i], [t[i] for t in b_terms])
             for j in range(d):
-                check(state.A[i, j], [t[i][j] for t in a_terms])
-        check(state.s, [Fraction(1, e) for e in intervals])
-        check(state.q, [Fraction(m * m, e) for m, e in enumerate(intervals, start=1)])
+                check(sums.A[i, j], [t[i][j] for t in a_terms])
+        check(sums.s, [Fraction(1, e) for e in intervals])
+        check(sums.q, [Fraction(m * m, e) for m, e in enumerate(intervals, start=1)])
 
 
 class TestVhat:

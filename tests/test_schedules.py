@@ -10,8 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedstat import cli, schedules
-from fedstat.harness import rounds_for_target
-from fedstat.schedules import CommunicationSchedule, explicit_table
+from fedstat.schedules import CommunicationSchedule, explicit_table, rounds_for_target
 from reference import bisect_rounds_for_target
 
 
@@ -195,6 +194,10 @@ class TestLabel:
         assert type(schedule.base) is int
 
 
+BASE_RANGE = re.escape("base interval must be an integer in [1, 2**53]")
+COUNTS = re.escape("intervals must be at most 2**53 each and sum below 2**63")
+
+
 class TestNonFiniteInputs:
     @pytest.mark.parametrize(
         "kwargs, field",
@@ -211,10 +214,14 @@ class TestNonFiniteInputs:
             (dict(kind="constant", alpha=1.0), r"alpha must lie in \(0.5, 1\)"),
             (dict(kind="constant", warmup_fraction=-0.1), r"warmup_fraction must lie in \[0, 1\)"),
             (dict(kind="constant", warmup_fraction=1.0), r"warmup_fraction must lie in \[0, 1\)"),
+            (dict(kind="constant", base=2**62), BASE_RANGE),
+            (dict(kind="power", base=2**60, exponent=0.5), BASE_RANGE),
+            (dict(kind="constant", base=2**53 + 1), BASE_RANGE),
+            (dict(kind="constant", base=10**400), BASE_RANGE),
         ],
         ids=["gamma0-nan", "gamma0-inf", "log-exponent-nan", "log-exponent-inf", "base-inf",
              "constant-exponent-nan", "constant-exponent-inf", "kind", "alpha-low", "alpha-high",
-             "warmup-negative", "warmup-one"],
+             "warmup-negative", "warmup-one", "C2^62", "P2^60", "C2^53+1", "C10^400"],
     )
     def test_parametric_schedule(self, kwargs, field):
         with pytest.raises(ValueError, match=field):
@@ -232,9 +239,14 @@ class TestNonFiniteInputs:
             ((1, 2), (0.1, 0.0), "etas must be positive and finite"),
             ((), (), "need at least one interval"),
             ((1, 2), (0.1,), "etas must match intervals in length"),
+            ((2**53 + 1,), (0.1,), COUNTS),
+            ((10**400,), (0.1,), COUNTS),
+            ((2**62, 2**62), (0.1, 0.1), COUNTS),
+            ((2**53,) * 1024, (0.1,) * 1024, COUNTS),
         ],
         ids=["interval-inf", "interval-nan", "interval-fraction", "interval-zero", "eta-nan",
-             "eta-inf", "eta-zero", "no-intervals", "etas-length"],
+             "eta-inf", "eta-zero", "no-intervals", "etas-length", "interval-2^53+1",
+             "interval-10^400", "total-2^63-twice", "total-2^63"],
     )
     def test_explicit_schedule(self, intervals, etas, field):
         with pytest.raises(ValueError, match=field):
@@ -294,16 +306,16 @@ class TestSetupProbe:
 
 class TestOverflow:
     """A family whose intervals pass 2**53, or whose counts could pass int64,
-    is refused before the cast instead of wrapping."""
+    is refused before the cast instead of wrapping.  A base above 2**53 is
+    refused when the schedule is built (``TestNonFiniteInputs``)."""
 
     HUGE = [
-        (constant(2**62), 4),
-        (CommunicationSchedule("power", base=2**60, exponent=0.5), 10),
+        (CommunicationSchedule("power", base=2**52, exponent=0.5), 10),
         (CommunicationSchedule("log", base=2**52, exponent=2.0), 3),
         (constant(2**53), 1024),
     ]
 
-    @pytest.mark.parametrize("sched, total", HUGE, ids=["C2^62", "P2^60", "Log2^52", "C2^53"])
+    @pytest.mark.parametrize("sched, total", HUGE, ids=["P2^52", "Log2^52", "C2^53"])
     def test_table_refuses(self, sched, total):
         with pytest.raises(ValueError, match=f"^schedule {re.escape(sched.label())} does not fit"):
             schedules.table(sched, total)
@@ -316,11 +328,20 @@ class TestOverflow:
 
     def test_cli_reports_one_error_line(self, tmp_path, capsys):
         path = tmp_path / "config.txt"
-        path.write_text(f"schedule_base = {2**62}\nrounds = 4\nreplications = 2\n")
+        path.write_text(f"schedule_base = {2**53}\nrounds = 1024\nreplications = 2\n")
         assert cli.main(["run", "--config", str(path)]) == 1
         assert capsys.readouterr().err == (
-            f"fedstat: error: schedule C{2**62} does not fit 64-bit counts at T = 4 "
-            f"(interval {2**62})\n"
+            f"fedstat: error: schedule C{2**53} does not fit 64-bit counts at T = 1024 "
+            f"(interval {2**53})\n"
+        )
+
+    @pytest.mark.parametrize("base", [2**62, 10**400], ids=["2^62", "10^400"])
+    def test_cli_reports_a_huge_base_in_one_line(self, base, tmp_path, capsys):
+        path = tmp_path / "config.txt"
+        path.write_text(f"schedule_base = {base}\nrounds = 4\nreplications = 2\n")
+        assert cli.main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "fedstat: error: base interval must be an integer in [1, 2**53]\n"
         )
 
 
